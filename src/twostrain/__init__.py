@@ -12,15 +12,10 @@ from .model import (
     ModelParameters,
     StateVector,
     BoundednessCertificate,
-    ReducedSystem,
-    COMPETITION_PS,
-    ONE_STRAIN_SV,
-    ONE_STRAIN_SW,
     PARAMETER_KEYS,
     rhs,
     jacobian,
     total_population,
-    reduce_system,
     boundedness_certificate,
 )
 from .integrate import (
@@ -29,7 +24,6 @@ from .integrate import (
     StepFailureError,
     ReachResult,
     UNDECIDED,
-    integrate,
     run_to_attractor,
     write_trajectory_csv,
 )
@@ -66,8 +60,6 @@ from .bifurcation import (
     write_sweep_csv,
 )
 from .basin import (
-    PhaseSlice,
-    DEFAULT_SLICE,
     BasinGrid,
     SeparatrixSample,
     KernelConfig,
@@ -75,11 +67,11 @@ from .basin import (
     DegenerateGeometryError,
     FitResidualError,
     classify_grid,
-    axis_segments,
     boundary_edge_segments,
     separatrix_points,
     fit_surface,
     probe_surface_sides,
+    reconstruct_separatrix,
 )
 from .config import ConfigError, RunConfig, parse_config, load_config, dump_config
 from .figures import PRESETS, FIGURE_NAMES, reproduce

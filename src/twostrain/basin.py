@@ -1,18 +1,18 @@
-"""Basins of attraction on a three-dimensional slice of state space.
+"""Basins of attraction in the slice of state space without the second strain.
 
-The workflow has three stages. First a box of grid nodes on an affine
-slice (by default the invariant hyperplane with the second strain absent,
-coordinates (P, S, V)) is classified by integrating each node to one of a
+Points of the slice have coordinates (P, S, V) and W = 0, which is an
+invariant hyperplane of the model. The workflow has three stages. First
+a box of grid nodes is classified by integrating each node to one of a
 given set of attractors. Second, the basin boundary is located precisely
 by bisecting straight segments whose endpoints reach different
-attractors. Segments can be laid out as a fixed-direction lattice
-(``axis_segments``), or harvested from the classified grid as the edges
-joining nodes with differing labels (``boundary_edge_segments``); the
-edge strategy concentrates all bisection work on cells the boundary
-actually crosses, which matters when one basin is a small pocket of the
-box. Third, the point cloud is interpolated with a polyharmonic radial
-basis surface so the boundary can be evaluated, meshed, and probed
-anywhere.
+attractors: every decided, differently-labelled corner pair of a grid
+cell (its edges, face diagonals and body diagonals). This concentrates
+all bisection work on cells the boundary actually crosses, which matters
+when one basin is a small pocket of the box, and the grid labels of the
+corners are reused, so bisection integrates only midpoints. Third, the
+point cloud is interpolated with a thin-plate spline surface so the
+boundary can be evaluated, meshed, and probed anywhere.
+``reconstruct_separatrix`` runs the three stages and writes their files.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ from __future__ import annotations
 import dataclasses
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .integrate import IntegrationConfig, UNDECIDED, run_to_attractor
+from .integrate import IntegrationConfig, UNDECIDED, _attractor_list, run_to_attractor
 from .model import ModelParameters
 
 __all__ = [
-    "PhaseSlice",
-    "DEFAULT_SLICE",
     "BasinGrid",
     "SeparatrixSample",
     "KernelConfig",
@@ -37,7 +36,6 @@ __all__ = [
     "DegenerateGeometryError",
     "FitResidualError",
     "classify_grid",
-    "axis_segments",
     "boundary_edge_segments",
     "separatrix_points",
     "fit_surface",
@@ -46,7 +44,11 @@ __all__ = [
     "write_points_csv",
     "write_surface_obj",
     "write_surface_lattice_csv",
+    "reconstruct_separatrix",
 ]
+
+# Slice coordinates, in the order of every point, bound and CSV column.
+_AXIS_NAMES = ("P", "S", "V")
 
 
 class DegenerateGeometryError(ValueError):
@@ -57,55 +59,15 @@ class FitResidualError(RuntimeError):
     """The interpolant failed to reproduce its own samples."""
 
 
-@dataclass(frozen=True)
-class PhaseSlice:
-    """An affine three-dimensional slice of the four-dimensional state space.
-
-    Points on the slice are ``origin + u1*axes[0] + u2*axes[1] + u3*axes[2]``.
-    """
-
-    origin: np.ndarray
-    axes: np.ndarray
-    names: tuple[str, str, str]
-
-    def embed(self, u: Sequence[float]) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        return np.asarray(self.origin, dtype=float) + u @ np.asarray(self.axes, dtype=float)
-
-
-DEFAULT_SLICE = PhaseSlice(
-    origin=np.zeros(4),
-    axes=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]),
-    names=("P", "S", "V"),
-)
-
-
-def _normalize_attractors(attractors: Iterable) -> list[tuple[str, np.ndarray]]:
-    out = []
-    for item in attractors:
-        if hasattr(item, "id") and hasattr(item, "coordinates"):
-            out.append((str(item.id), np.asarray(item.coordinates, dtype=float)))
-        else:
-            name, coords = item
-            out.append((str(name), np.asarray(coords, dtype=float)))
-    if not out:
-        raise ValueError("need at least one attractor")
-    return out
-
-
-def _check_box(slice_: PhaseSlice, bounds: Sequence[tuple[float, float]]) -> None:
+def _check_box(bounds: Sequence[tuple[float, float]]) -> None:
     bounds = list(bounds)
     if len(bounds) != 3:
         raise ValueError("bounds must give (lo, hi) for each of the three slice axes")
     for lo, hi in bounds:
         if not lo < hi:
             raise ValueError(f"degenerate bounds ({lo}, {hi})")
-    # The affine image of a box is spanned by its corners.
-    for corner in np.ndindex(2, 2, 2):
-        u = [bounds[k][corner[k]] for k in range(3)]
-        x = slice_.embed(u)
-        if np.any(x < 0.0):
-            raise ValueError(f"slice box corner {u} maps outside the nonnegative orthant: {x}")
+        if lo < 0.0:
+            raise ValueError(f"slice box ({lo}, {hi}) reaches outside the nonnegative orthant")
 
 
 @dataclass(frozen=True)
@@ -116,7 +78,6 @@ class BasinGrid:
     node ``(axes_1d[0][i], axes_1d[1][j], axes_1d[2][k])``.
     """
 
-    slice: PhaseSlice
     bounds: tuple[tuple[float, float], ...]
     axes_1d: tuple[np.ndarray, np.ndarray, np.ndarray]
     labels: np.ndarray
@@ -137,7 +98,6 @@ def classify_grid(
     attractors: Iterable,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
-    slice_: PhaseSlice = DEFAULT_SLICE,
     max_undecided: float = 0.05,
 ) -> BasinGrid:
     """Integrate every grid node to an attractor (or undecided).
@@ -146,8 +106,8 @@ def classify_grid(
     the nodes fail to classify: points exactly on basin boundaries or on
     invariant faces that drain to an unlisted attractor are legitimate.
     """
-    targets = _normalize_attractors(attractors)
-    _check_box(slice_, bounds)
+    targets = _attractor_list(attractors)
+    _check_box(bounds)
     if isinstance(resolution, int):
         shape = (resolution, resolution, resolution)
     else:
@@ -162,15 +122,13 @@ def classify_grid(
     for i, u1 in enumerate(axes_1d[0]):
         for j, u2 in enumerate(axes_1d[1]):
             for k, u3 in enumerate(axes_1d[2]):
-                x0 = slice_.embed((u1, u2, u3))
                 result = run_to_attractor(
-                    params, x0, targets, config=config, match_radius=match_radius
+                    params, (u1, u2, u3, 0.0), targets, config=config, match_radius=match_radius
                 )
                 if result.attractor_id is not None:
                     labels[i, j, k] = index_of[result.attractor_id]
 
     grid = BasinGrid(
-        slice=slice_,
         bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
         axes_1d=axes_1d,
         labels=labels,
@@ -187,7 +145,7 @@ def classify_grid(
 
 def write_grid_csv(grid: BasinGrid, stream: IO[str]) -> None:
     """One row per node: slice coordinates and the attractor label."""
-    stream.write(",".join(grid.slice.names) + ",label\n")
+    stream.write(",".join(_AXIS_NAMES) + ",label\n")
     n1, n2, n3 = grid.labels.shape
     for i in range(n1):
         for j in range(n2):
@@ -216,52 +174,16 @@ class SeparatrixSample:
     skipped: list[tuple[int, str]]
 
 
-def axis_segments(
-    bounds: Sequence[tuple[float, float]],
-    axis: int,
-    lattice: int | tuple[int, int],
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Segments parallel to one slice axis over a lattice in the others.
+def boundary_edge_segments(grid: BasinGrid) -> list[tuple[np.ndarray, np.ndarray, str, str]]:
+    """Segments joining differently-labelled corners of each grid cell.
 
-    Because all segments share a direction, each can contribute at most
-    one crossing of a boundary that is a graph over the lattice plane, so
-    the collected points project one-to-one onto that plane.
-    """
-    bounds = [(float(lo), float(hi)) for lo, hi in bounds]
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1 or 2")
-    if isinstance(lattice, int):
-        counts = (lattice, lattice)
-    else:
-        counts = tuple(int(n) for n in lattice)
-    plane = [k for k in range(3) if k != axis]
-    grids = [np.linspace(*bounds[plane[0]], counts[0]), np.linspace(*bounds[plane[1]], counts[1])]
-    segments = []
-    for g1 in grids[0]:
-        for g2 in grids[1]:
-            lo_pt = np.zeros(3)
-            hi_pt = np.zeros(3)
-            lo_pt[plane[0]] = hi_pt[plane[0]] = g1
-            lo_pt[plane[1]] = hi_pt[plane[1]] = g2
-            lo_pt[axis] = bounds[axis][0]
-            hi_pt[axis] = bounds[axis][1]
-            segments.append((lo_pt, hi_pt))
-    return segments
-
-
-def boundary_edge_segments(
-    grid: BasinGrid, diagonals: bool = False
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Segments joining differently-labelled nodes of boundary cells.
-
-    With ``diagonals=False`` these are exactly the grid edges whose two
-    nodes classified to different attractors; each brackets the basin
-    boundary within one node spacing, so bisecting them spends no
-    integrator time on segments that never leave a single basin. With
-    ``diagonals=True`` every decided opposite-label corner pair of each
-    grid cell is included (face and body diagonals as well), which
-    multiplies the harvest severalfold at the same grid resolution.
-    Pairs involving an undecided node are never returned.
+    Every decided opposite-label corner pair of a cell is returned once:
+    cell edges, face diagonals and body diagonals. Each brackets the basin
+    boundary within one cell, so bisecting them spends no integrator time
+    on segments that never leave a single basin. A segment is
+    ``(start, end, start_label, end_label)``, carrying the attractor ids
+    the grid gave its two nodes. Pairs involving an undecided node are
+    never returned.
     """
     labels = grid.labels
     segments = []
@@ -269,22 +191,6 @@ def boundary_edge_segments(
 
     def node_point(node: tuple[int, int, int]) -> np.ndarray:
         return np.array([grid.axes_1d[d][node[d]] for d in range(3)])
-
-    if not diagonals:
-        for axis in range(3):
-            lo_sel = [slice(None)] * 3
-            hi_sel = [slice(None)] * 3
-            lo_sel[axis] = slice(0, -1)
-            hi_sel[axis] = slice(1, None)
-            la = labels[tuple(lo_sel)]
-            lb = labels[tuple(hi_sel)]
-            mixed = (la >= 0) & (lb >= 0) & (la != lb)
-            for idx in np.argwhere(mixed):
-                lo_pt = node_point(tuple(idx))
-                hi_pt = lo_pt.copy()
-                hi_pt[axis] = grid.axes_1d[axis][idx[axis] + 1]
-                segments.append((lo_pt, hi_pt))
-        return segments
 
     corners = list(np.ndindex(2, 2, 2))
     n0, n1, n2 = labels.shape
@@ -306,44 +212,55 @@ def boundary_edge_segments(
                         if key in seen:
                             continue
                         seen.add(key)
-                        segments.append((node_point(nodes[a]), node_point(nodes[b])))
+                        segments.append(
+                            (
+                                node_point(nodes[a]),
+                                node_point(nodes[b]),
+                                grid.attractor_ids[labs[a]],
+                                grid.attractor_ids[labs[b]],
+                            )
+                        )
     return segments
 
 
 def separatrix_points(
     params: ModelParameters,
-    segments: Sequence[tuple[Sequence[float], Sequence[float]]],
+    segments: Sequence[tuple],
     attractors: Iterable,
     bisect_tol: float = 1e-4,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
-    slice_: PhaseSlice = DEFAULT_SLICE,
 ) -> SeparatrixSample:
     """Bisect each segment to a basin-boundary point.
 
-    Segments whose endpoints classify identically, or fail to classify,
-    are skipped with a note. The bisection stops once the bracket is
-    shorter than ``bisect_tol`` in slice coordinates; the returned point
-    is the bracket midpoint.
+    A segment is ``(start, end)``, whose endpoints are classified first,
+    or ``(start, end, start_label, end_label)`` as ``boundary_edge_segments``
+    returns it, whose endpoint labels are taken as given so that only
+    midpoints are integrated. Segments whose endpoints classify
+    identically, or fail to classify, are skipped with a note. The
+    bisection stops once the bracket is shorter than ``bisect_tol`` in
+    slice coordinates; the returned point is the bracket midpoint.
     """
-    targets = _normalize_attractors(attractors)
+    targets = _attractor_list(attractors)
 
     def label(u: np.ndarray) -> str | None:
-        x0 = slice_.embed(u)
-        if np.any(x0 < 0.0):
+        if np.any(u < 0.0):
             raise ValueError(f"segment point {u} maps outside the nonnegative orthant")
-        res = run_to_attractor(params, x0, targets, config=config, match_radius=match_radius)
+        res = run_to_attractor(params, (*u, 0.0), targets, config=config, match_radius=match_radius)
         return res.attractor_id
 
     points = []
     sides = []
     used = []
     skipped = []
-    for idx, (start, end) in enumerate(segments):
+    for idx, segment in enumerate(segments):
+        start, end = segment[0], segment[1]
         u_lo = np.asarray(start, dtype=float)
         u_hi = np.asarray(end, dtype=float)
-        lab_lo = label(u_lo)
-        lab_hi = label(u_hi)
+        if len(segment) == 4:
+            lab_lo, lab_hi = segment[2], segment[3]
+        else:
+            lab_lo, lab_hi = label(u_lo), label(u_hi)
         if lab_lo is None or lab_hi is None:
             skipped.append((idx, "undecided endpoint"))
             continue
@@ -375,8 +292,8 @@ def separatrix_points(
     return SeparatrixSample(points=pts, side_labels=sides, segments=segs, skipped=skipped)
 
 
-def write_points_csv(sample: SeparatrixSample, slice_: PhaseSlice, stream: IO[str]) -> None:
-    stream.write(",".join(slice_.names) + ",side_lo,side_hi\n")
+def write_points_csv(sample: SeparatrixSample, stream: IO[str]) -> None:
+    stream.write(",".join(_AXIS_NAMES) + ",side_lo,side_hi\n")
     for pt, (lo, hi) in zip(sample.points, sample.side_labels):
         stream.write(f"{pt[0]:.17g},{pt[1]:.17g},{pt[2]:.17g},{lo},{hi}\n")
 
@@ -388,37 +305,23 @@ def write_points_csv(sample: SeparatrixSample, slice_: PhaseSlice, stream: IO[st
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Radial kernel choice for the boundary interpolant.
+    """Settings of the thin-plate spline (r^2 log r) boundary interpolant.
 
-    ``kind`` is one of "thin_plate" (r^2 log r), "cubic" (r^3) or
-    "wendland_c2" (compactly supported, needs ``support``). ``min_points``
-    is the smallest sample count accepted by the fit.
+    ``min_points`` is the smallest sample count accepted by the fit.
     """
 
-    kind: str = "thin_plate"
-    support: float | None = None
     min_points: int = 10
 
     def __post_init__(self) -> None:
-        if self.kind not in ("thin_plate", "cubic", "wendland_c2"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "wendland_c2" and (self.support is None or self.support <= 0.0):
-            raise ValueError("wendland_c2 requires a positive support radius")
         if self.min_points < 3:
             raise ValueError("min_points must be at least 3")
 
 
-def _kernel_matrix(kind: str, support: float | None, r: np.ndarray) -> np.ndarray:
-    if kind == "thin_plate":
-        out = np.zeros_like(r)
-        mask = r > 0.0
-        out[mask] = r[mask] ** 2 * np.log(r[mask])
-        return out
-    if kind == "cubic":
-        return r**3
-    # wendland_c2
-    q = np.clip(1.0 - r / support, 0.0, None)
-    return q**4 * (4.0 * r / support + 1.0)
+def _thin_plate(r: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(r)
+    mask = r > 0.0
+    out[mask] = r[mask] ** 2 * np.log(r[mask])
+    return out
 
 
 @dataclass(frozen=True)
@@ -432,7 +335,6 @@ class SeparatrixModel:
 
     graph_axis: int
     plane_axes: tuple[int, int]
-    names: tuple[str, str, str]
     kernel: KernelConfig
     sites: np.ndarray
     center: np.ndarray
@@ -453,7 +355,7 @@ class SeparatrixModel:
                 ((z[:, None, :] - self.sites[None, :, :]) ** 2).sum(axis=2), 0.0
             )
         )
-        phi = _kernel_matrix(self.kernel.kind, self.kernel.support, r)
+        phi = _thin_plate(r)
         vals = phi @ self.weights + self.poly[0] + z @ self.poly[1:]
         return float(vals[0]) if single else vals
 
@@ -469,13 +371,13 @@ class SeparatrixModel:
 _AXIS_BY_NAME = {"0": 0, "1": 1, "2": 2}
 
 
-def _resolve_axis(graph_axis: int | str, names: tuple[str, str, str]) -> int:
+def _resolve_axis(graph_axis: int | str) -> int:
     if isinstance(graph_axis, str):
-        if graph_axis in names:
-            return names.index(graph_axis)
+        if graph_axis in _AXIS_NAMES:
+            return _AXIS_NAMES.index(graph_axis)
         if graph_axis in _AXIS_BY_NAME:
             return _AXIS_BY_NAME[graph_axis]
-        raise ValueError(f"unknown graph axis {graph_axis!r}; slice axes are {names}")
+        raise ValueError(f"unknown graph axis {graph_axis!r}; slice axes are {_AXIS_NAMES}")
     if graph_axis not in (0, 1, 2):
         raise ValueError("graph_axis must be 0, 1 or 2")
     return graph_axis
@@ -485,15 +387,14 @@ def fit_surface(
     points: np.ndarray,
     graph_axis: int | str = 2,
     kernel: KernelConfig | None = None,
-    names: tuple[str, str, str] = DEFAULT_SLICE.names,
 ) -> SeparatrixModel:
     """Interpolate boundary points as a graph over the remaining plane.
 
-    The interpolant is a radial basis expansion augmented with an affine
-    polynomial, solved as one symmetric linear system with the standard
-    orthogonality side conditions on the radial weights. It reproduces
-    the samples exactly (residual enforced below 1e-8) and degrades to
-    the pure affine part far from data for the default kernels.
+    The interpolant is a thin-plate spline expansion augmented with an
+    affine polynomial, solved as one symmetric linear system with the
+    standard orthogonality side conditions on the radial weights. It
+    reproduces the samples exactly (residual enforced below 1e-8) and
+    degrades to the pure affine part far from data.
 
     Raises DegenerateGeometryError for too few, duplicated, or collinear
     sites, and FitResidualError if the solved system fails to reproduce
@@ -503,7 +404,7 @@ def fit_surface(
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
-    axis = _resolve_axis(graph_axis, names)
+    axis = _resolve_axis(graph_axis)
     plane = tuple(k for k in range(3) if k != axis)
 
     n = pts.shape[0]
@@ -535,7 +436,7 @@ def fit_surface(
         raise DegenerateGeometryError("projected sites are collinear")
 
     r = np.sqrt(np.maximum(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2), 0.0))
-    phi = _kernel_matrix(kernel.kind, kernel.support, r)
+    phi = _thin_plate(r)
     P = np.column_stack((np.ones(n), z))
     A = np.zeros((n + 3, n + 3))
     A[:n, :n] = phi
@@ -555,7 +456,6 @@ def fit_surface(
     model = SeparatrixModel(
         graph_axis=axis,
         plane_axes=plane,
-        names=names,
         kernel=kernel,
         sites=z,
         center=center,
@@ -585,7 +485,6 @@ def probe_surface_sides(
     rng: np.random.Generator | None = None,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
-    slice_: PhaseSlice = DEFAULT_SLICE,
 ) -> tuple[int, int]:
     """Check that points offset from the surface reach the expected side.
 
@@ -598,7 +497,7 @@ def probe_surface_sides(
     Returns (matches, total) with total = 2 * n_probes.
     """
     rng = rng or np.random.default_rng(0)
-    targets = _normalize_attractors(attractors)
+    targets = _attractor_list(attractors)
     proj = model.points[:, model.plane_axes]
     n = proj.shape[0]
 
@@ -621,11 +520,10 @@ def probe_surface_sides(
             u[model.plane_axes[0]] = site[0]
             u[model.plane_axes[1]] = site[1]
             u[model.graph_axis] = g + sign * offset
-            x0 = slice_.embed(u)
-            if np.any(x0 < 0.0):
+            if np.any(u < 0.0):
                 ok = False
                 break
-            candidates.append((x0, expected))
+            candidates.append(((*u, 0.0), expected))
         if not ok:
             continue
         produced += 1
@@ -641,7 +539,6 @@ def write_surface_obj(
     model: SeparatrixModel,
     stream: IO[str],
     resolution: tuple[int, int] = (40, 40),
-    bounds: tuple[tuple[float, float], tuple[float, float]] | None = None,
 ) -> None:
     """Triangulated Wavefront OBJ mesh of the fitted surface.
 
@@ -649,12 +546,7 @@ def write_surface_obj(
     order), evaluated on a regular lattice over the sampled plane region.
     """
     proj = model.points[:, model.plane_axes]
-    if bounds is None:
-        lo = proj.min(axis=0)
-        hi = proj.max(axis=0)
-    else:
-        lo = np.array([bounds[0][0], bounds[1][0]], dtype=float)
-        hi = np.array([bounds[0][1], bounds[1][1]], dtype=float)
+    lo, hi = proj.min(axis=0), proj.max(axis=0)
     nu, nv = resolution
     us = np.linspace(lo[0], hi[0], nu)
     vs = np.linspace(lo[1], hi[1], nv)
@@ -681,22 +573,52 @@ def write_surface_lattice_csv(
     model: SeparatrixModel,
     stream: IO[str],
     resolution: tuple[int, int] = (40, 40),
-    bounds: tuple[tuple[float, float], tuple[float, float]] | None = None,
 ) -> None:
-    """Regular lattice of surface evaluations as CSV."""
+    """Regular lattice of surface evaluations over the sampled plane region, as CSV."""
     proj = model.points[:, model.plane_axes]
-    if bounds is None:
-        lo = proj.min(axis=0)
-        hi = proj.max(axis=0)
-    else:
-        lo = np.array([bounds[0][0], bounds[1][0]], dtype=float)
-        hi = np.array([bounds[0][1], bounds[1][1]], dtype=float)
+    lo, hi = proj.min(axis=0), proj.max(axis=0)
     nu, nv = resolution
-    names = model.names
-    stream.write(
-        f"{names[model.plane_axes[0]]},{names[model.plane_axes[1]]},{names[model.graph_axis]}\n"
-    )
+    u_name, v_name = (_AXIS_NAMES[k] for k in model.plane_axes)
+    stream.write(f"{u_name},{v_name},{_AXIS_NAMES[model.graph_axis]}\n")
     for u in np.linspace(lo[0], hi[0], nu):
         for v in np.linspace(lo[1], hi[1], nv):
             g = float(model.evaluate((u, v)))
             stream.write(f"{u:.17g},{v:.17g},{g:.17g}\n")
+
+
+def reconstruct_separatrix(
+    params: ModelParameters,
+    bounds: Sequence[tuple[float, float]],
+    resolution: int | tuple[int, int, int],
+    attractors: Iterable,
+    outdir: str | Path,
+    graph_axis: int | str = 2,
+    bisect_tol: float = 1e-4,
+    config: IntegrationConfig | None = None,
+    match_radius: float = 0.05,
+) -> tuple[BasinGrid, list[tuple[np.ndarray, np.ndarray, str, str]], SeparatrixSample, SeparatrixModel]:
+    """Classify a grid, bisect its boundary cells and fit the boundary surface.
+
+    Writes ``labels.csv``, ``boundary_points.csv``, ``surface.obj`` and
+    ``surface_lattice.csv`` into the existing directory ``outdir``, each
+    as soon as its stage is done, and returns (grid, segments, sample,
+    model).
+    """
+    out = Path(outdir)
+    grid = classify_grid(
+        params, bounds, resolution, attractors, config=config, match_radius=match_radius
+    )
+    with open(out / "labels.csv", "w") as fh:
+        write_grid_csv(grid, fh)
+    segments = boundary_edge_segments(grid)
+    sample = separatrix_points(
+        params, segments, attractors, bisect_tol=bisect_tol, config=config, match_radius=match_radius
+    )
+    with open(out / "boundary_points.csv", "w") as fh:
+        write_points_csv(sample, fh)
+    model = fit_surface(sample.points, graph_axis=graph_axis)
+    with open(out / "surface.obj", "w") as fh:
+        write_surface_obj(model, fh)
+    with open(out / "surface_lattice.csv", "w") as fh:
+        write_surface_lattice_csv(model, fh)
+    return grid, segments, sample, model

@@ -271,36 +271,25 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
         return EXIT_OK
     bounds = _parse_bounds(args.bounds)
     attractors = _select_attractors(run, args.attractors)
-    grid = basin_mod.classify_grid(
+    args.out.mkdir(parents=True, exist_ok=True)
+    _, segments, sample, model = basin_mod.reconstruct_separatrix(
         run.params,
         bounds,
         args.resolution,
         attractors,
-        config=run.integration,
-        match_radius=args.match_radius,
-    )
-    segments = basin_mod.boundary_edge_segments(grid, diagonals=True)
-    sample = basin_mod.separatrix_points(
-        run.params,
-        segments,
-        attractors,
+        args.out,
+        graph_axis=args.graph_axis,
         bisect_tol=args.bisect_tol,
         config=run.integration,
         match_radius=args.match_radius,
     )
-    args.out.mkdir(parents=True, exist_ok=True)
-    with open(args.out / "boundary_points.csv", "w") as fh:
-        basin_mod.write_points_csv(sample, basin_mod.DEFAULT_SLICE, fh)
-    model = basin_mod.fit_surface(sample.points, graph_axis=args.graph_axis)
-    with open(args.out / "surface.obj", "w") as fh:
-        basin_mod.write_surface_obj(model, fh)
-    with open(args.out / "surface_lattice.csv", "w") as fh:
-        basin_mod.write_surface_lattice_csv(model, fh)
     print(
         f"{len(sample.points)} boundary points from {len(segments)} boundary-cell "
         f"corner pairs ({len(sample.skipped)} skipped); fit residual {model.fit_residual:.3e}"
     )
-    print(f"wrote {args.out / 'boundary_points.csv'}, surface.obj, surface_lattice.csv")
+    print(
+        f"wrote {args.out / 'labels.csv'}, boundary_points.csv, surface.obj, surface_lattice.csv"
+    )
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelParameters, PARAMETER_KEYS, rhs
+from .model import ModelParameters, PARAMETER_KEYS, _field, _field_jacobian, rhs
 
 __all__ = [
     "DegenerateEquilibriumError",
@@ -411,52 +411,6 @@ def write_catalog(records: Iterable[EquilibriumRecord], stream: IO[str]) -> None
 # run as single batched array operations.
 
 
-def _split_columns(param_matrix: np.ndarray) -> dict[str, np.ndarray]:
-    cols = {}
-    for j, key in enumerate(PARAMETER_KEYS):
-        cols["lam" if key == "lambda" else key] = param_matrix[:, j]
-    return cols
-
-
-def _rhs_batch(c: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    P, S, V, W = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    out = np.empty_like(x)
-    out[:, 0] = c["s"] * (1.0 - P / c["L"]) * P - c["a"] * P * S
-    out[:, 1] = (
-        c["r"] * (1.0 - S / c["K"]) * S
-        - c["b"] * P * S
-        - c["lam"] * V * S
-        - c["beta"] * W * S
-        + c["psi"] * V
-        + c["phi"] * W
-    )
-    out[:, 2] = c["lam"] * V * S - c["psi"] * V - c["mu"] * V - c["e"] * P * V
-    out[:, 3] = c["beta"] * W * S - c["phi"] * W - c["nu"] * W - c["f"] * P * W
-    return out
-
-
-def _jacobian_batch(c: dict[str, np.ndarray], x: np.ndarray) -> np.ndarray:
-    P, S, V, W = x[:, 0], x[:, 1], x[:, 2], x[:, 3]
-    n = x.shape[0]
-    J = np.zeros((n, 4, 4), dtype=float)
-    J[:, 0, 0] = c["s"] - 2.0 * c["s"] * P / c["L"] - c["a"] * S
-    J[:, 0, 1] = -c["a"] * P
-    J[:, 1, 0] = -c["b"] * S
-    J[:, 1, 1] = (
-        c["r"] * (1.0 - S / c["K"]) - c["r"] * S / c["K"]
-        - c["lam"] * V - c["beta"] * W - c["b"] * P
-    )
-    J[:, 1, 2] = -c["lam"] * S + c["psi"]
-    J[:, 1, 3] = -c["beta"] * S + c["phi"]
-    J[:, 2, 0] = -c["e"] * V
-    J[:, 2, 1] = c["lam"] * V
-    J[:, 2, 2] = c["lam"] * S - c["psi"] - c["mu"] - c["e"] * P
-    J[:, 3, 0] = -c["f"] * W
-    J[:, 3, 1] = c["beta"] * W
-    J[:, 3, 3] = c["beta"] * S - c["phi"] - c["nu"] - c["f"] * P
-    return J
-
-
 def batched_newton(
     param_matrix: np.ndarray,
     starts: np.ndarray,
@@ -481,11 +435,11 @@ def batched_newton(
     x = np.array(starts, dtype=float, copy=True)
     if param_matrix.shape[0] != x.shape[0]:
         raise ValueError("param_matrix and starts must have matching row counts")
-    cols = _split_columns(param_matrix)
+    cols = tuple(param_matrix.T)
     eye = np.eye(4)
     for _ in range(iterations):
-        residual = _rhs_batch(cols, x)
-        J = _jacobian_batch(cols, x)
+        residual = np.column_stack(_field(*x.T, *cols))
+        J = _field_jacobian(*x.T, *cols)
         finite = np.isfinite(x).all(axis=1) & np.isfinite(residual).all(axis=1)
         det = np.where(finite, np.abs(np.linalg.det(np.where(finite[:, None, None], J, eye))), 0.0)
         ok = finite & (det > 1e-300)
@@ -493,8 +447,9 @@ def batched_newton(
         residual[~ok] = 0.0
         step = np.linalg.solve(J, residual[..., None])[..., 0]
         x = x - step
-    final = _rhs_batch(cols, np.where(np.isfinite(x), x, 0.0))
-    scale = 1.0 + np.max(np.abs(np.where(np.isfinite(x), x, 0.0)), axis=1)
+    finite_x = np.where(np.isfinite(x), x, 0.0)
+    final = np.column_stack(_field(*finite_x.T, *cols))
+    scale = 1.0 + np.max(np.abs(finite_x), axis=1)
     converged = (
         np.isfinite(x).all(axis=1)
         & (np.max(np.abs(final), axis=1) <= tol * scale)

@@ -24,18 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basin import (
-    boundary_edge_segments,
-    classify_grid,
-    fit_surface,
-    probe_surface_sides,
-    separatrix_points,
-    write_grid_csv,
-    write_points_csv,
-    write_surface_lattice_csv,
-    write_surface_obj,
-)
-from .equilibria import catalog, compute_equilibrium
+from .basin import probe_surface_sides, reconstruct_separatrix
+from .equilibria import compute_equilibrium
 from .integrate import IntegrationConfig, Trajectory, integrate, write_trajectory_csv
 from .model import ModelParameters, rhs
 from .stability import classify
@@ -269,26 +259,13 @@ def _reproduce_basin(
     verdicts = {eq_id: classify(params, eq_id) for eq_id in ("E1", "E3", "E4")}
     attractors = [compute_equilibrium(params, "E1"), compute_equilibrium(params, "E4")]
 
-    grid = classify_grid(
-        params, _FIG4_BOUNDS, resolution, attractors, config=config
-    )
-    with open(outdir / "labels.csv", "w") as fh:
-        write_grid_csv(grid, fh)
-
     # Bisect exactly the corner pairs of the grid cells the boundary
     # crosses. The exclusion basin here is a small pocket near the
     # strain-free competitor corner, so fixed full-length segments would
     # waste almost all their runs on single-basin lines.
-    segments = boundary_edge_segments(grid, diagonals=True)
-    sample = separatrix_points(params, segments, attractors, config=config)
-    with open(outdir / "boundary_points.csv", "w") as fh:
-        write_points_csv(sample, grid.slice, fh)
-
-    model = fit_surface(sample.points, graph_axis=2)
-    with open(outdir / "surface.obj", "w") as fh:
-        write_surface_obj(model, fh)
-    with open(outdir / "surface_lattice.csv", "w") as fh:
-        write_surface_lattice_csv(model, fh)
+    grid, segments, sample, model = reconstruct_separatrix(
+        params, _FIG4_BOUNDS, resolution, attractors, outdir, config=config
+    )
 
     # The saddle sits on the boundary with its strain-one component zero,
     # so the fitted graph should vanish over its in-plane position.

@@ -389,6 +389,8 @@ def _attractor_list(attractors: Iterable) -> list[tuple[str, tuple[float, float,
         else:
             name, coords = item
             out.append((str(name), tuple(float(v) for v in coords)))
+    if not out:
+        raise ValueError("need at least one attractor")
     return out
 
 
@@ -411,8 +413,6 @@ def run_to_attractor(
     """
     cfg = config or IntegrationConfig()
     targets = _attractor_list(attractors)
-    if not targets:
-        raise ValueError("need at least one attractor")
     for i in range(len(targets)):
         for j in range(i + 1, len(targets)):
             ci, cj = targets[i][1], targets[j][1]

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
+import types
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -33,16 +35,10 @@ __all__ = [
     "ModelParameters",
     "StateVector",
     "BoundednessCertificate",
-    "ReducedSystem",
-    "COMPETITION_PS",
-    "ONE_STRAIN_SV",
-    "ONE_STRAIN_SW",
-    "SUBSYSTEMS",
     "PARAMETER_KEYS",
     "rhs",
     "jacobian",
     "total_population",
-    "reduce_system",
     "boundedness_certificate",
 ]
 
@@ -53,11 +49,6 @@ PARAMETER_KEYS = (
 )
 
 _STRICTLY_POSITIVE = ("s", "r", "L", "K")
-
-COMPETITION_PS = "competition_PS"
-ONE_STRAIN_SV = "one_strain_SV"
-ONE_STRAIN_SW = "one_strain_SW"
-SUBSYSTEMS = (COMPETITION_PS, ONE_STRAIN_SV, ONE_STRAIN_SW)
 
 
 @dataclass(frozen=True)
@@ -178,139 +169,75 @@ def _components(x: "StateVector | Sequence[float] | np.ndarray") -> tuple[float,
     return float(P), float(S), float(V), float(W)
 
 
-def scalar_field(params: ModelParameters) -> Callable[[float, float, float, float], tuple[float, float, float, float]]:
-    """Return a plain-float callback computing the time derivatives.
+# The parameter values of a ModelParameters in PARAMETER_KEYS order, which
+# is the order of the trailing arguments of _field and _field_jacobian.
+_parameter_values = operator.attrgetter(*("lam" if key == "lambda" else key for key in PARAMETER_KEYS))
 
-    The returned function closes over unpacked parameter values, which keeps
-    per-call overhead low inside integrator inner loops.
+
+def _field(P, S, V, W, s, L, a, r, K, b, lam, beta, psi, phi, mu, nu, e, f):
+    """The vector field: the one place its formulas are written.
+
+    Takes floats, or numpy columns of states and parameter rows that
+    broadcast together, and returns the four derivatives in (P, S, V, W)
+    order.
     """
-    s, L, a = params.s, params.L, params.a
-    r, K, b = params.r, params.K, params.b
-    lam, beta = params.lam, params.beta
-    psi, phi = params.psi, params.phi
-    mu, nu = params.mu, params.nu
-    e, f = params.e, params.f
-
-    def field(P: float, S: float, V: float, W: float) -> tuple[float, float, float, float]:
-        return (
-            s * (1.0 - P / L) * P - a * P * S,
-            r * (1.0 - S / K) * S - b * P * S - lam * V * S - beta * W * S + psi * V + phi * W,
-            lam * V * S - psi * V - mu * V - e * P * V,
-            beta * W * S - phi * W - nu * W - f * P * W,
-        )
-
-    return field
+    return (
+        s * (1.0 - P / L) * P - a * P * S,
+        r * (1.0 - S / K) * S - b * P * S - lam * V * S - beta * W * S + psi * V + phi * W,
+        lam * V * S - psi * V - mu * V - e * P * V,
+        beta * W * S - phi * W - nu * W - f * P * W,
+    )
 
 
-def rhs(params: ModelParameters, x: "StateVector | Sequence[float] | np.ndarray") -> np.ndarray:
-    """Time derivative of the state at ``x``."""
-    P, S, V, W = _components(x)
-    return np.array(scalar_field(params)(P, S, V, W), dtype=float)
-
-
-def jacobian(params: ModelParameters, x: "StateVector | Sequence[float] | np.ndarray") -> np.ndarray:
-    """Exact 4x4 Jacobian of the vector field at ``x``.
+def _field_jacobian(P, S, V, W, s, L, a, r, K, b, lam, beta, psi, phi, mu, nu, e, f) -> np.ndarray:
+    """Exact Jacobian of ``_field``, for floats (shape (4, 4)) or columns of
+    length n (shape (n, 4, 4)).
 
     Rows follow the (P, S, V, W) equation order. The structural zeros
     (P does not couple directly to V or W, and the strains never couple
     directly to each other) are kept exact.
     """
-    P, S, V, W = _components(x)
-    p = params
-    J = np.zeros((4, 4), dtype=float)
-    J[0, 0] = p.s - 2.0 * p.s * P / p.L - p.a * S
-    J[0, 1] = -p.a * P
-    J[1, 0] = -p.b * S
-    J[1, 1] = p.r * (1.0 - S / p.K) - p.r * S / p.K - p.lam * V - p.beta * W - p.b * P
-    J[1, 2] = -p.lam * S + p.psi
-    J[1, 3] = -p.beta * S + p.phi
-    J[2, 0] = -p.e * V
-    J[2, 1] = p.lam * V
-    J[2, 2] = p.lam * S - p.psi - p.mu - p.e * P
-    J[3, 0] = -p.f * W
-    J[3, 1] = p.beta * W
-    J[3, 3] = p.beta * S - p.phi - p.nu - p.f * P
-    return J
+    J = np.zeros((4, 4) + np.shape(P), dtype=float)
+    J[0, 0] = s - 2.0 * s * P / L - a * S
+    J[0, 1] = -a * P
+    J[1, 0] = -b * S
+    J[1, 1] = r * (1.0 - S / K) - r * S / K - lam * V - beta * W - b * P
+    J[1, 2] = -lam * S + psi
+    J[1, 3] = -beta * S + phi
+    J[2, 0] = -e * V
+    J[2, 1] = lam * V
+    J[2, 2] = lam * S - psi - mu - e * P
+    J[3, 0] = -f * W
+    J[3, 1] = beta * W
+    J[3, 3] = beta * S - phi - nu - f * P
+    # Move the two matrix axes last: (4, 4, n) -> (n, 4, 4); a (4, 4) stays.
+    return J.T.swapaxes(-1, -2)
+
+
+def scalar_field(params: ModelParameters) -> Callable[[float, float, float, float], tuple[float, float, float, float]]:
+    """Return a plain-float callback ``field(P, S, V, W)`` of the time derivatives.
+
+    The callback is ``_field`` with the parameter values bound as argument
+    defaults, which keeps per-call overhead inside integrator inner loops
+    as low as a closure's.
+    """
+    return types.FunctionType(_field.__code__, _field.__globals__, "field", _parameter_values(params))
+
+
+def rhs(params: ModelParameters, x: "StateVector | Sequence[float] | np.ndarray") -> np.ndarray:
+    """Time derivative of the state at ``x``."""
+    return np.array(_field(*_components(x), *_parameter_values(params)), dtype=float)
+
+
+def jacobian(params: ModelParameters, x: "StateVector | Sequence[float] | np.ndarray") -> np.ndarray:
+    """Exact 4x4 Jacobian of the vector field at ``x``."""
+    return _field_jacobian(*_components(x), *_parameter_values(params))
 
 
 def total_population(x: "StateVector | Sequence[float] | np.ndarray") -> float:
     """Sum of all four compartments."""
     P, S, V, W = _components(x)
     return P + S + V + W
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """A two-dimensional restriction of the model to an invariant face.
-
-    ``rhs`` and ``jacobian`` act on 2-vectors in the retained coordinates.
-    """
-
-    name: str
-    variables: tuple[str, str]
-    rhs: Callable[[Sequence[float]], np.ndarray]
-    jacobian: Callable[[Sequence[float]], np.ndarray]
-
-
-def reduce_system(params: ModelParameters, subsystem: str) -> ReducedSystem:
-    """Restrict the model to one of its invariant two-species faces.
-
-    Supported faces: "competition_PS" (V = W = 0), "one_strain_SV"
-    (P = W = 0) and "one_strain_SW" (P = V = 0). The restriction agrees
-    exactly with the full field evaluated on the face.
-    """
-    p = params
-    if subsystem == COMPETITION_PS:
-
-        def rhs2(x: Sequence[float]) -> np.ndarray:
-            P, S = float(x[0]), float(x[1])
-            return np.array(
-                (
-                    p.s * (1.0 - P / p.L) * P - p.a * P * S,
-                    p.r * (1.0 - S / p.K) * S - p.b * P * S,
-                )
-            )
-
-        def jac2(x: Sequence[float]) -> np.ndarray:
-            P, S = float(x[0]), float(x[1])
-            return np.array(
-                (
-                    (p.s - 2.0 * p.s * P / p.L - p.a * S, -p.a * P),
-                    (-p.b * S, p.r * (1.0 - S / p.K) - p.r * S / p.K - p.b * P),
-                )
-            )
-
-        return ReducedSystem(subsystem, ("P", "S"), rhs2, jac2)
-
-    if subsystem in (ONE_STRAIN_SV, ONE_STRAIN_SW):
-        if subsystem == ONE_STRAIN_SV:
-            trans, rec, death = p.lam, p.psi, p.mu
-            names = ("S", "V")
-        else:
-            trans, rec, death = p.beta, p.phi, p.nu
-            names = ("S", "W")
-
-        def rhs2(x: Sequence[float]) -> np.ndarray:
-            S, I = float(x[0]), float(x[1])
-            return np.array(
-                (
-                    p.r * (1.0 - S / p.K) * S - trans * I * S + rec * I,
-                    trans * I * S - rec * I - death * I,
-                )
-            )
-
-        def jac2(x: Sequence[float]) -> np.ndarray:
-            S, I = float(x[0]), float(x[1])
-            return np.array(
-                (
-                    (p.r * (1.0 - S / p.K) - p.r * S / p.K - trans * I, -trans * S + rec),
-                    (trans * I, trans * S - rec - death),
-                )
-            )
-
-        return ReducedSystem(subsystem, names, rhs2, jac2)
-
-    raise ValueError(f"unknown subsystem {subsystem!r}; expected one of {SUBSYSTEMS}")
 
 
 @dataclass(frozen=True)

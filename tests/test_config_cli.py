@@ -13,6 +13,7 @@ from twostrain.config import (
     load_config,
     parse_config,
 )
+from twostrain.figures import reproduce
 from twostrain.integrate import IntegrationConfig
 from twostrain.model import StateVector
 
@@ -304,6 +305,21 @@ class TestCliAnalysis:
         assert len((out / "boundary_points.csv").read_text().splitlines()) == 69
         assert (out / "surface.obj").exists()
         assert (out / "surface_lattice.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_separatrix_writes_what_reproduce_fig4_writes(self, tmp_path, fig4_params):
+        # Both run the one basin pipeline. On the fig4 parameters the
+        # auto-detected attractors are fig4's pair, E1 and E4.
+        cfg = _write_cfg(tmp_path, fig4_params)
+        cli_out = tmp_path / "cli"
+        rc = main([
+            "separatrix", "--config", str(cfg), "--out", str(cli_out), "--resolution", "6",
+        ])
+        assert rc == 0
+        fig4_out = tmp_path / "fig4"
+        reproduce("fig4", fig4_out, resolution=6, n_probes=10)
+        for name in ("labels.csv", "boundary_points.csv", "surface.obj", "surface_lattice.csv"):
+            assert (cli_out / name).read_bytes() == (fig4_out / name).read_bytes(), name
 
     def test_reproduce_fig5(self, tmp_path, capsys):
         out = tmp_path / "out"

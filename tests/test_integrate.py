@@ -1,10 +1,13 @@
 """Adaptive integrator: endpoints, invariants, stopping and failure modes."""
 
+import importlib
 import io
+import types
 
 import numpy as np
 import pytest
 
+import twostrain
 from conftest import draw_parameter_matrix, params_from_row
 from twostrain.equilibria import compute_equilibrium
 from twostrain.figures import PRESETS
@@ -19,6 +22,13 @@ from twostrain.integrate import (
     run_to_attractor,
     write_trajectory_csv,
 )
+
+
+def test_package_attribute_is_the_integrate_module():
+    module = importlib.import_module("twostrain.integrate")
+    assert isinstance(twostrain.integrate, types.ModuleType)
+    assert twostrain.integrate is module
+    assert module.integrate is integrate
 
 
 class TestConfig:

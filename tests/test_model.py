@@ -8,34 +8,42 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import draw_parameter_matrix, params_from_row
 from twostrain.model import (
-    COMPETITION_PS,
-    ONE_STRAIN_SV,
-    ONE_STRAIN_SW,
     PARAMETER_KEYS,
-    SUBSYSTEMS,
     BoundednessCertificate,
     ModelParameters,
     StateVector,
+    _field,
+    _field_jacobian,
     boundedness_certificate,
     jacobian,
-    reduce_system,
     rhs,
     scalar_field,
     total_population,
 )
 
+# The invariant two-species faces: the indices of the compartments each
+# keeps; the other two are zero.
 _FACE_INDICES = {
-    COMPETITION_PS: (0, 1),
-    ONE_STRAIN_SV: (1, 2),
-    ONE_STRAIN_SW: (1, 3),
+    "competition_PS": (0, 1),
+    "one_strain_SV": (1, 2),
+    "one_strain_SW": (1, 3),
 }
 
 
-def _embed(subsystem: str, u: tuple[float, float]) -> np.ndarray:
+def _embed(face: str, u: tuple[float, float]) -> np.ndarray:
     x = np.zeros(4)
-    i, j = _FACE_INDICES[subsystem]
+    i, j = _FACE_INDICES[face]
     x[i], x[j] = u
     return x
+
+
+def _random_rows(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Parameter rows and states, a quarter of the state components zero."""
+    rng = np.random.default_rng(seed)
+    matrix = draw_parameter_matrix(rng, n)
+    states = rng.uniform(0.0, 5.0, size=(n, 4))
+    states[rng.random((n, 4)) < 0.25] = 0.0
+    return matrix, states
 
 
 class TestRhs:
@@ -59,6 +67,14 @@ class TestRhs:
         for _ in range(20):
             x = rng.uniform(0.0, 4.0, size=4)
             np.testing.assert_array_equal(np.asarray(field(*x)), rhs(fig1_params, x))
+
+    def test_batched_rows_match_rhs_bit_for_bit(self):
+        # batched_newton evaluates the same formula on columns; a row that
+        # differs from rhs would mean the two forms have drifted apart.
+        matrix, states = _random_rows(17, 300)
+        rows = np.column_stack(_field(*states.T, *matrix.T))
+        for params_row, x, row in zip(matrix, states, rows):
+            assert row.tobytes() == rhs(params_from_row(params_row), x).tobytes()
 
     def test_accepts_state_vector_input(self, fig1_params):
         sv = StateVector(0.0, 1.0, 0.7, 0.0)
@@ -86,6 +102,13 @@ class TestJacobian:
             # two strains never convert into each other.
             assert J[0, 2] == 0.0 and J[0, 3] == 0.0
             assert J[2, 3] == 0.0 and J[3, 2] == 0.0
+
+    def test_batched_rows_match_jacobian_bit_for_bit(self):
+        matrix, states = _random_rows(19, 300)
+        blocks = _field_jacobian(*states.T, *matrix.T)
+        assert blocks.shape == (300, 4, 4)
+        for params_row, x, block in zip(matrix, states, blocks):
+            assert block.tobytes() == jacobian(params_from_row(params_row), x).tobytes()
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(42)
@@ -153,51 +176,21 @@ class TestStateVector:
 
 
 class TestReducedSystems:
-    def test_known_face_rest_points(self, fig1_params, fig5_params):
-        sv = reduce_system(fig1_params, ONE_STRAIN_SV)
-        assert sv.variables == ("S", "V")
-        np.testing.assert_allclose(sv.rhs((1.0, 0.7)), 0.0, rtol=0, atol=1e-15)
-        ps = reduce_system(fig5_params, COMPETITION_PS)
-        assert ps.variables == ("P", "S")
-        np.testing.assert_allclose(ps.rhs((0.2, 0.8)), 0.0, rtol=0, atol=1e-15)
-        assert reduce_system(fig1_params, ONE_STRAIN_SW).variables == ("S", "W")
-
-    def test_unknown_subsystem_rejected(self, fig1_params):
-        with pytest.raises(ValueError, match="unknown subsystem"):
-            reduce_system(fig1_params, "PV")
+    """The invariant faces on which the model reduces to a planar system."""
 
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
-        subsystem=st.sampled_from(SUBSYSTEMS),
+        face=st.sampled_from(tuple(_FACE_INDICES)),
         u=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
     )
-    def test_restriction_agrees_with_full_field(self, seed, subsystem, u):
-        rng = np.random.default_rng(seed)
-        p = params_from_row(draw_parameter_matrix(rng, 1)[0])
-        reduced = reduce_system(p, subsystem)
-        x = _embed(subsystem, u)
-        idx = list(_FACE_INDICES[subsystem])
-        np.testing.assert_allclose(
-            reduced.rhs(u), rhs(p, x)[idx], rtol=1e-12, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            reduced.jacobian(u), jacobian(p, x)[np.ix_(idx, idx)], rtol=1e-12, atol=1e-12
-        )
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31 - 1),
-        subsystem=st.sampled_from(SUBSYSTEMS),
-        u=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
-    )
-    def test_faces_are_invariant(self, seed, subsystem, u):
+    def test_faces_are_invariant(self, seed, face, u):
         # The field never pushes a face state off its face.
         rng = np.random.default_rng(seed)
         p = params_from_row(draw_parameter_matrix(rng, 1)[0])
-        x = _embed(subsystem, u)
+        x = _embed(face, u)
         out = rhs(p, x)
-        off_face = [k for k in range(4) if k not in _FACE_INDICES[subsystem]]
+        off_face = [k for k in range(4) if k not in _FACE_INDICES[face]]
         assert all(out[k] == 0.0 for k in off_face)
 
 
