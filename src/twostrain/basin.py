@@ -13,11 +13,17 @@ corners are reused, so bisection integrates only midpoints. Third, the
 point cloud is interpolated with a thin-plate spline surface so the
 boundary can be evaluated, meshed, and probed anywhere.
 ``reconstruct_separatrix`` runs the three stages and writes their files.
+
+Every stage integrates its starts together with
+``integrate.run_to_attractor_batch``: the grid in one batch, bisection in
+one batch per halving round over all segments, and the probes in one
+batch. The lanes of a batch reproduce one-at-a-time runs bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +31,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .integrate import IntegrationConfig, UNDECIDED, _attractor_list, run_to_attractor
+from .integrate import IntegrationConfig, UNDECIDED, _attractor_list, run_to_attractor_batch
 from .model import ModelParameters
 
 __all__ = [
@@ -100,7 +106,7 @@ def classify_grid(
     match_radius: float = 0.05,
     max_undecided: float = 0.05,
 ) -> BasinGrid:
-    """Integrate every grid node to an attractor (or undecided).
+    """Integrate every grid node to an attractor (or undecided), as one batch.
 
     Emits a warning (never an error) when more than ``max_undecided`` of
     the nodes fail to classify: points exactly on basin boundaries or on
@@ -119,14 +125,11 @@ def classify_grid(
     labels = np.full(shape, -1, dtype=np.int8)
     index_of = {name: i for i, (name, _) in enumerate(targets)}
 
-    for i, u1 in enumerate(axes_1d[0]):
-        for j, u2 in enumerate(axes_1d[1]):
-            for k, u3 in enumerate(axes_1d[2]):
-                result = run_to_attractor(
-                    params, (u1, u2, u3, 0.0), targets, config=config, match_radius=match_radius
-                )
-                if result.attractor_id is not None:
-                    labels[i, j, k] = index_of[result.attractor_id]
+    starts = [(u1, u2, u3, 0.0) for u1, u2, u3 in itertools.product(*axes_1d)]
+    results = run_to_attractor_batch(params, starts, targets, config=config, match_radius=match_radius)
+    for node, result in zip(np.ndindex(shape), results):
+        if result.attractor_id is not None:
+            labels[node] = index_of[result.attractor_id]
 
     grid = BasinGrid(
         bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
@@ -236,60 +239,72 @@ def separatrix_points(
     A segment is ``(start, end)``, whose endpoints are classified first,
     or ``(start, end, start_label, end_label)`` as ``boundary_edge_segments``
     returns it, whose endpoint labels are taken as given so that only
-    midpoints are integrated. Segments whose endpoints classify
-    identically, or fail to classify, are skipped with a note. The
-    bisection stops once the bracket is shorter than ``bisect_tol`` in
-    slice coordinates; the returned point is the bracket midpoint.
+    midpoints are integrated. Every segment must lie in the nonnegative
+    orthant; that is checked before anything is integrated. The endpoints
+    to classify go in one batch, and then all segments are bisected in
+    lockstep, one batch of midpoints per halving round. Segments whose
+    endpoints classify identically, or fail to classify, are skipped with
+    a note, in segment order. The bisection stops once the bracket is
+    shorter than ``bisect_tol`` in slice coordinates; the returned point
+    is the bracket midpoint.
     """
     targets = _attractor_list(attractors)
+    ends = [(np.asarray(seg[0], dtype=float), np.asarray(seg[1], dtype=float)) for seg in segments]
+    for u_lo, u_hi in ends:
+        for u in (u_lo, u_hi):
+            if np.any(u < 0.0):
+                raise ValueError(f"segment point {u} maps outside the nonnegative orthant")
 
-    def label(u: np.ndarray) -> str | None:
-        if np.any(u < 0.0):
-            raise ValueError(f"segment point {u} maps outside the nonnegative orthant")
-        res = run_to_attractor(params, (*u, 0.0), targets, config=config, match_radius=match_radius)
-        return res.attractor_id
+    def labels_of(points: Sequence[np.ndarray]) -> list[str | None]:
+        """Attractor ids of slice points, integrated as one batch."""
+        if len(points) == 0:
+            return []
+        results = run_to_attractor_batch(
+            params, [(*u, 0.0) for u in points], targets, config=config, match_radius=match_radius
+        )
+        return [res.attractor_id for res in results]
 
-    points = []
-    sides = []
-    used = []
+    unlabelled = [i for i, seg in enumerate(segments) if len(seg) != 4]
+    found = iter(labels_of([u for i in unlabelled for u in ends[i]]))
+    sides = [tuple(seg[2:4]) if len(seg) == 4 else (next(found), next(found)) for seg in segments]
+
     skipped = []
-    for idx, segment in enumerate(segments):
-        start, end = segment[0], segment[1]
-        u_lo = np.asarray(start, dtype=float)
-        u_hi = np.asarray(end, dtype=float)
-        if len(segment) == 4:
-            lab_lo, lab_hi = segment[2], segment[3]
-        else:
-            lab_lo, lab_hi = label(u_lo), label(u_hi)
+    bisected = []
+    for idx, (lab_lo, lab_hi) in enumerate(sides):
         if lab_lo is None or lab_hi is None:
             skipped.append((idx, "undecided endpoint"))
-            continue
-        if lab_lo == lab_hi:
+        elif lab_lo == lab_hi:
             skipped.append((idx, f"both endpoints reach {lab_lo}"))
-            continue
-        length = float(np.linalg.norm(u_hi - u_lo))
-        undecided_mid = False
-        while length > bisect_tol:
-            mid = 0.5 * (u_lo + u_hi)
-            lab_mid = label(mid)
-            if lab_mid is None:
-                undecided_mid = True
-                break
-            if lab_mid == lab_lo:
-                u_lo = mid
-            else:
-                u_hi = mid
-            length *= 0.5
-        if undecided_mid:
-            skipped.append((idx, "undecided midpoint during bisection"))
-            continue
-        points.append(0.5 * (u_lo + u_hi))
-        sides.append((lab_lo, lab_hi))
-        used.append((np.asarray(start, dtype=float), np.asarray(end, dtype=float)))
+        else:
+            bisected.append(idx)
 
-    pts = np.asarray(points, dtype=float).reshape(len(points), 3)
-    segs = np.asarray(used, dtype=float).reshape(len(used), 2, 3)
-    return SeparatrixSample(points=pts, side_labels=sides, segments=segs, skipped=skipped)
+    # Bisect every bracket in lockstep: one batch of midpoints per halving.
+    lo = np.array([ends[idx][0] for idx in bisected]).reshape(len(bisected), 3)
+    hi = np.array([ends[idx][1] for idx in bisected]).reshape(len(bisected), 3)
+    length = np.array([float(np.linalg.norm(ends[idx][1] - ends[idx][0])) for idx in bisected])
+    decided = np.ones(len(bisected), dtype=bool)
+    while True:
+        rows = np.flatnonzero(decided & (length > bisect_tol))
+        if not rows.size:
+            break
+        mids = 0.5 * (lo[rows] + hi[rows])
+        for row, mid, lab_mid in zip(rows, mids, labels_of(mids)):
+            idx = bisected[row]
+            if lab_mid is None:
+                decided[row] = False
+                skipped.append((idx, "undecided midpoint during bisection"))
+            elif lab_mid == sides[idx][0]:
+                lo[row] = mid
+            else:
+                hi[row] = mid
+        length[rows] *= 0.5
+    skipped.sort()
+
+    rows = np.flatnonzero(decided)
+    pts = 0.5 * (lo[rows] + hi[rows])
+    side_labels = [sides[bisected[row]] for row in rows]
+    segs = np.array([ends[bisected[row]] for row in rows]).reshape(len(rows), 2, 3)
+    return SeparatrixSample(points=pts, side_labels=side_labels, segments=segs, skipped=skipped)
 
 
 def write_points_csv(sample: SeparatrixSample, stream: IO[str]) -> None:
@@ -492,7 +507,8 @@ def probe_surface_sides(
     they stay inside the sampled region), offsets them by ``offset``
     along the graph axis in both directions, classifies each offset
     point, and counts matches against the expected attractor for that
-    side. Offsets that leave the nonnegative orthant are redrawn.
+    side. Offsets that leave the nonnegative orthant are redrawn. All
+    probe points are drawn first and then classified in one batch.
 
     Returns (matches, total) with total = 2 * n_probes.
     """
@@ -501,11 +517,9 @@ def probe_surface_sides(
     proj = model.points[:, model.plane_axes]
     n = proj.shape[0]
 
-    matches = 0
-    total = 0
-    produced = 0
+    starts = []
     attempts = 0
-    while produced < n_probes:
+    while len(starts) < 2 * n_probes:
         attempts += 1
         if attempts > 50 * n_probes:
             raise RuntimeError("could not place probes inside the orthant")
@@ -513,26 +527,17 @@ def probe_surface_sides(
         w = rng.dirichlet(np.ones(3))
         site = w @ proj[idx]
         g = float(model.evaluate(site))
-        candidates = []
-        ok = True
-        for sign, expected in ((+1.0, expected_above), (-1.0, expected_below)):
-            u = np.zeros(3)
-            u[model.plane_axes[0]] = site[0]
-            u[model.plane_axes[1]] = site[1]
-            u[model.graph_axis] = g + sign * offset
-            if np.any(u < 0.0):
-                ok = False
-                break
-            candidates.append(((*u, 0.0), expected))
-        if not ok:
-            continue
-        produced += 1
-        for x0, expected in candidates:
-            res = run_to_attractor(params, x0, targets, config=config, match_radius=match_radius)
-            total += 1
-            if res.attractor_id == expected:
-                matches += 1
-    return matches, total
+        pair = np.zeros((2, 3))
+        pair[:, model.plane_axes[0]] = site[0]
+        pair[:, model.plane_axes[1]] = site[1]
+        pair[:, model.graph_axis] = (g + offset, g - offset)
+        if not np.any(pair < 0.0):
+            starts.extend((*u, 0.0) for u in pair)
+
+    results = run_to_attractor_batch(params, starts, targets, config=config, match_radius=match_radius)
+    expected = (expected_above, expected_below) * n_probes
+    matches = sum(res.attractor_id == side for res, side in zip(results, expected))
+    return matches, len(starts)
 
 
 def write_surface_obj(
@@ -602,8 +607,9 @@ def reconstruct_separatrix(
     Writes ``labels.csv``, ``boundary_points.csv``, ``surface.obj`` and
     ``surface_lattice.csv`` into the existing directory ``outdir``, each
     as soon as its stage is done, and returns (grid, segments, sample,
-    model).
+    model). An unknown ``graph_axis`` raises ValueError before any work.
     """
+    axis = _resolve_axis(graph_axis)
     out = Path(outdir)
     grid = classify_grid(
         params, bounds, resolution, attractors, config=config, match_radius=match_radius
@@ -616,7 +622,7 @@ def reconstruct_separatrix(
     )
     with open(out / "boundary_points.csv", "w") as fh:
         write_points_csv(sample, fh)
-    model = fit_surface(sample.points, graph_axis=graph_axis)
+    model = fit_surface(sample.points, graph_axis=axis)
     with open(out / "surface.obj", "w") as fh:
         write_surface_obj(model, fh)
     with open(out / "surface_lattice.csv", "w") as fh:

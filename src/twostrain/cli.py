@@ -270,6 +270,10 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
     if _maybe_dump(args, run):
         return EXIT_OK
     bounds = _parse_bounds(args.bounds)
+    try:
+        graph_axis = basin_mod._resolve_axis(args.graph_axis)
+    except ValueError as err:
+        raise ConfigError(f"--graph-axis: {err}") from err
     attractors = _select_attractors(run, args.attractors)
     args.out.mkdir(parents=True, exist_ok=True)
     _, segments, sample, model = basin_mod.reconstruct_separatrix(
@@ -278,7 +282,7 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
         args.resolution,
         attractors,
         args.out,
-        graph_axis=args.graph_axis,
+        graph_axis=graph_axis,
         bisect_tol=args.bisect_tol,
         config=run.integration,
         match_radius=args.match_radius,

@@ -21,6 +21,10 @@ scheme:
   fly-bys are ridden out instead of being reported as convergence. A
   compartment equal to exactly zero is excluded from the expansion test,
   because zero compartments are invariant and cannot be excited.
+
+``run_to_attractor`` runs one start in a plain-float loop.
+``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper
+and returns, for every start, exactly what ``run_to_attractor`` returns.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelParameters, jacobian, scalar_field
+from .model import ModelParameters, _field, _parameter_values, jacobian, scalar_field
 
 __all__ = [
     "IntegrationConfig",
@@ -41,6 +45,7 @@ __all__ = [
     "UNDECIDED",
     "integrate",
     "run_to_attractor",
+    "run_to_attractor_batch",
     "write_trajectory_csv",
 ]
 
@@ -109,6 +114,8 @@ class IntegrationConfig:
             raise ValueError("need 0 < initial_step <= max_step")
         if self.min_step <= 0.0:
             raise ValueError("min_step must be positive")
+        if self.settle_tol <= 0.0:
+            raise ValueError("settle_tol must be positive")
 
     def with_tolerance(self, rel_tol: float) -> "IntegrationConfig":
         """Scale both tolerances from a single knob (abs = rel / 100)."""
@@ -394,6 +401,22 @@ def _attractor_list(attractors: Iterable) -> list[tuple[str, tuple[float, float,
     return out
 
 
+def _separated_attractors(
+    attractors: Iterable, match_radius: float
+) -> list[tuple[str, tuple[float, float, float, float]]]:
+    targets = _attractor_list(attractors)
+    for i in range(len(targets)):
+        for j in range(i + 1, len(targets)):
+            ci, cj = targets[i][1], targets[j][1]
+            gap = math.dist(ci, cj)
+            if gap <= 2.0 * match_radius:
+                raise ValueError(
+                    f"attractors {targets[i][0]} and {targets[j][0]} are separated by "
+                    f"{gap:.6g} <= 2 * match_radius = {2.0 * match_radius:.6g}"
+                )
+    return targets
+
+
 def run_to_attractor(
     params: ModelParameters,
     x0: Sequence[float],
@@ -412,17 +435,7 @@ def run_to_attractor(
     raise StepFailureError.
     """
     cfg = config or IntegrationConfig()
-    targets = _attractor_list(attractors)
-    for i in range(len(targets)):
-        for j in range(i + 1, len(targets)):
-            ci, cj = targets[i][1], targets[j][1]
-            gap = math.dist(ci, cj)
-            if gap <= 2.0 * match_radius:
-                raise ValueError(
-                    f"attractors {targets[i][0]} and {targets[j][0]} are separated by "
-                    f"{gap:.6g} <= 2 * match_radius = {2.0 * match_radius:.6g}"
-                )
-
+    targets = _separated_attractors(attractors, match_radius)
     r2 = match_radius * match_radius
     current = {"ball": -1, "entered": 0.0, "hit": -1, "t_hit": math.nan}
 
@@ -461,6 +474,224 @@ def run_to_attractor(
         # Settled in place inside a ball: the dwell is implied.
         return ReachResult(targets[current["ball"]][0], float(times[-1]), final, termination)
     return ReachResult(None, None, final, termination)
+
+
+def _column_max(x: np.ndarray) -> np.ndarray:
+    """``max(x[0], x[1], ...)`` of each column, with Python's ordering of NaN.
+
+    Python's ``max`` keeps its running value unless an item compares
+    greater, so a NaN counts only in first place; numpy's propagates.
+    """
+    out = np.maximum.reduce(x)
+    if np.count_nonzero(np.isnan(out)):
+        out = x[0]
+        for row in x[1:]:
+            out = np.where(row > out, row, out)
+    return out
+
+
+def run_to_attractor_batch(
+    params: ModelParameters,
+    starts: Sequence[Sequence[float]] | np.ndarray,
+    attractors: Iterable,
+    config: IntegrationConfig | None = None,
+    match_radius: float = 0.05,
+    dwell_time: float = 10.0,
+) -> list[ReachResult]:
+    """``run_to_attractor`` from every row of the ``(n, 4)`` array ``starts``.
+
+    The runs advance as lanes of one Dormand-Prince stepper: column ``j``
+    of the ``(4, m)`` state is one run, every pass of the loop makes one
+    step attempt on every running lane, and finished lanes drop out. Each
+    lane takes exactly the steps ``_integrate_core`` takes from its start,
+    with the same rejections, settle and fly-by decisions and dwell ball,
+    so every returned ``ReachResult`` equals ``run_to_attractor``'s bit
+    for bit. Elementwise numpy ``+ - * /`` round like Python's float
+    operators, but numpy's ``**`` does not match Python's, so the
+    error-norm squares and the step-factor powers are taken per lane on
+    Python floats, and so are ball distances close to the radius.
+
+    If a run fails on step size, the failing start of lowest index is run
+    again by ``run_to_attractor``, whose StepFailureError (with the
+    partial trajectory) propagates.
+    """
+    cfg = config or IntegrationConfig()
+    targets = _separated_attractors(attractors, match_radius)
+    x0 = np.asarray(starts, dtype=float).reshape(len(starts), 4)
+    if np.any(x0 < 0.0):
+        raise ValueError("initial state must be nonnegative")
+    n = len(x0)
+    # 0-d arrays: numpy multiplies them into a column faster than floats.
+    values = tuple(np.array(v) for v in _parameter_values(params))
+    settle_check = _stationary_check(params)
+    centres = np.array([c for _, c in targets])[:, :, None]
+    r2 = match_radius * match_radius
+    rel, atol = cfg.rel_tol, cfg.abs_tol
+
+    def field(u: np.ndarray) -> np.ndarray:
+        return np.array(_field(*u, *values))
+
+    def settle_ratio(y: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return _column_max(np.abs(k)) / (cfg.settle_tol * (1.0 + _column_max(np.abs(y))))
+
+    def ball_of(y: np.ndarray) -> np.ndarray:
+        """Index of the first attractor ball holding each lane, or -1."""
+        dy = y - centres
+        d2 = np.add.reduce(dy * dy, axis=1)
+        # x * x may differ from Python's x ** 2 by an ulp: decide lanes
+        # this close to the radius on Python floats.
+        for i, j in zip(*(np.abs(d2 - r2) <= 1e-9 * r2).nonzero()):
+            a, b, c, d = dy[i, :, j].tolist()
+            d2[i, j] = a**2 + b**2 + c**2 + d**2
+        inside = -1
+        for index in range(len(d2) - 1, -1, -1):
+            inside = np.where(d2[index] <= r2, index, inside)
+        return inside
+
+    # Outcome of every start, filled in as its lane finishes.
+    final = x0.copy()
+    termination = [REACHED_T_MAX] * n
+    hit = [-1] * n
+    t_hit = [0.0] * n
+    first_failure = n
+
+    def finish(mask: np.ndarray, how: str, index: np.ndarray | None = None) -> None:
+        for j in np.flatnonzero(mask):
+            start = int(lane[j])
+            final[start] = y[:, j]
+            termination[start] = how
+            if index is not None:
+                hit[start] = int(index[j])
+                t_hit[start] = float(t[j])
+
+    def drop(done: np.ndarray, failed: np.ndarray) -> None:
+        """Drop finished lanes, and every lane past the lowest failing start."""
+        nonlocal first_failure, lane, y, k1, t, h, facold, armed, since, ball, entered
+        if failed.any():
+            first_failure = min(first_failure, int(lane[failed].min()))
+        keep = ~(done | failed) & (lane < first_failure)
+        lane, y, k1, t, h, facold, armed, since, ball, entered = (
+            a[..., keep] for a in (lane, y, k1, t, h, facold, armed, since, ball, entered)
+        )
+
+    # Overflow and NaN pass silently, as in Python float arithmetic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Lane state, one column per running run.
+        lane = np.arange(n)
+        y = x0.T.copy()
+        k1 = field(y)
+        t = np.zeros(n)
+        h = np.full(n, min(cfg.initial_step, cfg.max_step, cfg.t_max))
+        facold = np.full(n, 1e-4)
+        armed = np.ones(n, dtype=bool)
+        since = np.where(settle_ratio(y, k1) <= 1.0, 0.0, np.nan)  # NaN: not quiet
+        ball = ball_of(y)
+        entered = np.zeros(n)
+
+        while lane.size:
+            # Loop head: out of time, or a step too small to take.
+            remaining = cfg.t_max - t
+            h = np.minimum(h, remaining)
+            if np.count_nonzero(h <= cfg.min_step):
+                over = remaining <= cfg.min_step
+                failed = ~over & (h < cfg.min_step)
+                if over.any() or failed.any():
+                    finish(over, REACHED_T_MAX)
+                    drop(over, failed)
+                    continue
+
+            u = y + h * _A21 * k1
+            k2 = field(u)
+            u = y + h * (_A31 * k1 + _A32 * k2)
+            k3 = field(u)
+            u = y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)
+            k4 = field(u)
+            u = y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)
+            k5 = field(u)
+            u = y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)
+            k6 = field(u)
+            v = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+            k7 = field(v)
+            d = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
+            # A NaN in v comes with a non-finite d, so the error is
+            # non-finite whichever max the scale takes.
+            q = (d / (atol + rel * np.maximum(np.abs(y), np.abs(v)))).tolist()
+            errs = [math.sqrt((a**2 + b**2 + c**2 + e**2) / 4.0) for a, b, c, e in zip(*q)]
+            # The factor a rejected step shrinks by, or an accepted one grows by.
+            factors = [
+                min(1.0, max(_FAC_MIN, _SAFETY * e**-_EXPO)) if e > 1.0
+                else _FAC_MAX if e == 0.0
+                else min(_FAC_MAX, max(_FAC_MIN, _SAFETY * e**-_EXPO * f**_BETA))
+                for e, f in zip(errs, facold.tolist())
+            ]
+            err = np.array(errs)
+
+            # Reject on a non-finite error, an error above one, or real
+            # undershoot; clamp rounding undershoot of an accepted step.
+            finite = np.isfinite(err)
+            big = err > 1.0
+            low = np.minimum.reduce(v)  # no NaN where the error is finite
+            accepted = finite & ~big & (low >= -atol)
+            hf = h * factors
+            shrunk = np.where(finite, np.where(big, hf, h * 0.5), h * _FAC_MIN)
+            failed = ~accepted & (shrunk < cfg.min_step)
+            clamp = accepted & (low < 0.0)
+            if np.count_nonzero(clamp):
+                vc = v[:, clamp]
+                vc = np.where(vc >= 0.0, vc, 0.0)
+                v[:, clamp] = vc
+                k7[:, clamp] = field(vc)
+            t = np.where(accepted, t + h, t)
+            y = np.where(accepted, v, y)
+            k1 = np.where(accepted, k7, k1)
+            facold = np.where(accepted, np.maximum(err, 1e-4), facold)
+            h = np.where(accepted, np.minimum(hf, cfg.max_step), shrunk)
+
+            # Settle test. A lane is timed while armed and quiet (since is
+            # NaN while it is not); a fly-by disarms it until the field
+            # norm recovers.
+            ratio = settle_ratio(y, k1)
+            quiet = ratio <= 1.0
+            timing = accepted & armed
+            due = timing & quiet & (t - since >= cfg.settle_time)
+            since = np.where(timing, np.where(quiet, np.fmin(since, t), np.nan), since)
+            armed |= accepted & (ratio > _SETTLE_REARM_FACTOR)
+            converged = np.zeros_like(due)
+            if np.count_nonzero(due):
+                for j in due.nonzero()[0]:
+                    converged[j] = settle_check(tuple(y[:, j].tolist()))
+                flyby = due & ~converged
+                armed &= ~flyby
+                since[flyby] = np.nan
+                # A converged lane ends before the dwell test, in the ball
+                # it was in after its previous step.
+                finish(converged & (ball >= 0), CONVERGED, ball)
+                finish(converged & (ball < 0), CONVERGED)
+                accepted &= ~converged
+
+            # Dwell test of run_to_attractor's stop.
+            inside = ball_of(y)
+            moved = accepted & (inside != ball)
+            ball = np.where(moved, inside, ball)
+            entered = np.where(moved, t, entered)
+            stopped = accepted & (inside >= 0) & (t - entered >= dwell_time)
+            done = converged | stopped
+            if np.count_nonzero(done | failed):
+                finish(stopped, _STOPPED, inside)
+                drop(done, failed)
+
+    if first_failure < n:
+        run_to_attractor(params, x0[first_failure], targets, cfg, match_radius, dwell_time)
+        raise RuntimeError(f"batched run of start {first_failure} failed where the scalar run did not")
+
+    results = []
+    for j in range(n):
+        state = final[j].copy()
+        if termination[j] == REACHED_T_MAX or hit[j] < 0:
+            results.append(ReachResult(None, None, state, termination[j]))
+        else:
+            results.append(ReachResult(targets[hit[j]][0], t_hit[j], state, termination[j]))
+    return results
 
 
 def write_trajectory_csv(trajectory: Trajectory, stream: IO[str]) -> None:

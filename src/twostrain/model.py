@@ -179,13 +179,18 @@ def _field(P, S, V, W, s, L, a, r, K, b, lam, beta, psi, phi, mu, nu, e, f):
 
     Takes floats, or numpy columns of states and parameter rows that
     broadcast together, and returns the four derivatives in (P, S, V, W)
-    order.
+    order. The infection and recovery terms are computed once and shared
+    by the susceptible and infected equations.
     """
+    infect_v = lam * V * S
+    infect_w = beta * W * S
+    recover_v = psi * V
+    recover_w = phi * W
     return (
         s * (1.0 - P / L) * P - a * P * S,
-        r * (1.0 - S / K) * S - b * P * S - lam * V * S - beta * W * S + psi * V + phi * W,
-        lam * V * S - psi * V - mu * V - e * P * V,
-        beta * W * S - phi * W - nu * W - f * P * W,
+        r * (1.0 - S / K) * S - b * P * S - infect_v - infect_w + recover_v + recover_w,
+        infect_v - recover_v - mu * V - e * P * V,
+        infect_w - recover_w - nu * W - f * P * W,
     )
 
 

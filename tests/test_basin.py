@@ -23,7 +23,7 @@ from twostrain.basin import (
     write_surface_obj,
 )
 from twostrain.equilibria import compute_equilibrium
-from twostrain.integrate import run_to_attractor
+from twostrain.integrate import run_to_attractor, run_to_attractor_batch
 
 
 @pytest.fixture(scope="module")
@@ -209,17 +209,52 @@ class TestBisection:
                 fig4_attractors,
             )
 
+    def test_orthant_is_checked_before_any_run(self, fig4_params, fig4_attractors, monkeypatch):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("integrated before validating every segment")
+
+        monkeypatch.setattr(basin, "run_to_attractor_batch", no_runs)
+        with pytest.raises(ValueError, match="nonnegative orthant"):
+            separatrix_points(
+                fig4_params,
+                [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"), ((1.9, 0.2, 0.0), (1.9, -0.2, 2.5))],
+                fig4_attractors,
+            )
+
+    def test_lockstep_bisection_matches_one_segment_at_a_time(self, fig4_params, fig4_attractors):
+        segments = [
+            ((0.1, 0.5, 1.0), (1.9, 0.5, 1.0)),
+            ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
+            ((0.0, 2.9, 0.0), (0.0, 2.9, 0.5)),
+            ((1.9, 0.1, 0.0), (1.9, 0.1, 2.5)),
+        ]
+        together = separatrix_points(fig4_params, segments, fig4_attractors, bisect_tol=1e-2)
+        assert together.skipped == [(0, "both endpoints reach E4"), (2, "undecided endpoint")]
+        alone = [separatrix_points(fig4_params, [seg], fig4_attractors, bisect_tol=1e-2) for seg in segments]
+        kept = [one for one in alone if not one.skipped]
+        assert together.points.tobytes() == np.concatenate([one.points for one in kept]).tobytes()
+        assert together.segments.tobytes() == np.concatenate([one.segments for one in kept]).tobytes()
+        assert together.side_labels == [one.side_labels[0] for one in kept]
+
+    def test_unknown_graph_axis_fails_before_any_work(self, fig4_params, fig4_attractors, tmp_path):
+        with pytest.raises(ValueError, match="unknown graph axis"):
+            reconstruct_separatrix(
+                fig4_params, ((1.3, 1.9), (0.1, 0.3), (0.0, 0.8)), 2, fig4_attractors, tmp_path,
+                graph_axis="X",
+            )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_pipeline_integrates_no_grid_node_twice(
         self, fig4_params, fig4_attractors, tmp_path, monkeypatch
     ):
         starts = []
 
-        def recording_run(params, x0, *args, **kwargs):
-            starts.append(tuple(float(v) for v in x0))
-            return run_to_attractor(params, x0, *args, **kwargs)
+        def recording_batch(params, batch_starts, *args, **kwargs):
+            starts.extend(tuple(float(v) for v in x0) for x0 in batch_starts)
+            return run_to_attractor_batch(params, batch_starts, *args, **kwargs)
 
-        monkeypatch.setattr(basin, "run_to_attractor", recording_run)
+        monkeypatch.setattr(basin, "run_to_attractor_batch", recording_batch)
         grid, segments, sample, _ = reconstruct_separatrix(
             fig4_params,
             ((1.3, 1.9), (0.1, 0.3), (0.0, 0.8)),

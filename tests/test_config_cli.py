@@ -306,6 +306,29 @@ class TestCliAnalysis:
         assert (out / "surface.obj").exists()
         assert (out / "surface_lattice.csv").exists()
 
+    def test_separatrix_unknown_graph_axis_is_a_config_error(self, tmp_path, capsys, fig4_params):
+        cfg = _write_cfg(tmp_path, fig4_params)
+        out = tmp_path / "out"
+        rc = main([
+            "separatrix", "--config", str(cfg), "--out", str(out), "--resolution", "3",
+            "--graph-axis", "X",
+        ])
+        assert rc == 2
+        assert "unknown graph axis 'X'" in capsys.readouterr().err
+        assert not (out / "labels.csv").exists()
+
+    @pytest.mark.parametrize("command", ["basin", "separatrix"])
+    def test_step_failure_in_a_batch_exit_code(self, tmp_path, capsys, fig4_params, command):
+        integration = IntegrationConfig(
+            rel_tol=1e-12, abs_tol=1e-14, initial_step=0.9, max_step=1.0, min_step=0.5
+        )
+        cfg = _write_cfg(tmp_path, fig4_params, integration=integration)
+        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--resolution", "3"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "step size underflowed" in err
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_separatrix_writes_what_reproduce_fig4_writes(self, tmp_path, fig4_params):
         # Both run the one basin pipeline. On the fig4 parameters the

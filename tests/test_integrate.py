@@ -2,15 +2,18 @@
 
 import importlib
 import io
+import itertools
+import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import twostrain
 from conftest import draw_parameter_matrix, params_from_row
-from twostrain.equilibria import compute_equilibrium
-from twostrain.figures import PRESETS
+from twostrain.equilibria import catalog, compute_equilibrium
+from twostrain.figures import _FIG4_BOUNDS, PRESETS
 from twostrain.integrate import (
     CONVERGED,
     STEP_FAILURE,
@@ -20,6 +23,7 @@ from twostrain.integrate import (
     Trajectory,
     integrate,
     run_to_attractor,
+    run_to_attractor_batch,
     write_trajectory_csv,
 )
 
@@ -46,6 +50,8 @@ class TestConfig:
             IntegrationConfig(initial_step=2.0, max_step=1.0)
         with pytest.raises(ValueError, match="min_step"):
             IntegrationConfig(min_step=0.0)
+        with pytest.raises(ValueError, match="settle_tol"):
+            IntegrationConfig(settle_tol=0.0)
 
 
 class TestKnownEndpoints:
@@ -192,6 +198,108 @@ class TestStepFailure:
         assert isinstance(partial, Trajectory)
         assert partial.termination == STEP_FAILURE
         assert len(partial) >= 1
+
+
+def _same_reach(batched, scalar) -> bool:
+    return (
+        batched.attractor_id == scalar.attractor_id
+        and batched.t_detected == scalar.t_detected
+        and batched.termination == scalar.termination
+        and batched.final_state.tobytes() == scalar.final_state.tobytes()
+    )
+
+
+def _separated_rest_points(params, match_radius=0.05):
+    """Feasible catalog points, greedily kept while their balls stay apart."""
+    chosen = []
+    for rec in catalog(params):
+        if not rec.feasible or rec.coordinates is None:
+            continue
+        coords = tuple(float(v) for v in rec.coordinates)
+        if all(math.dist(coords, c) > 2.0 * match_radius for _, c in chosen):
+            chosen.append((rec.id, coords))
+    return chosen
+
+
+class TestBatchedReach:
+    """run_to_attractor_batch must reproduce scalar run_to_attractor bit for bit."""
+
+    def test_fig4_box_nodes_match_the_scalar_runs(self, fig4_params):
+        attractors = [compute_equilibrium(fig4_params, "E1"), compute_equilibrium(fig4_params, "E4")]
+        axes = [np.linspace(lo, hi, 6) for lo, hi in _FIG4_BOUNDS]
+        starts = [(u1, u2, u3, 0.0) for u1, u2, u3 in itertools.product(*axes)]
+        batched = run_to_attractor_batch(fig4_params, starts, attractors)
+        assert len(batched) == len(starts)
+        for x0, got in zip(starts, batched):
+            assert _same_reach(got, run_to_attractor(fig4_params, x0, attractors)), x0
+            assert got.final_state[3] == 0.0
+        labels = {got.label for got in batched}
+        assert labels == {"E1", "E4", UNDECIDED}
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**31 - 1), tol=st.sampled_from([1e-8, 1e-6, 1e-3]))
+    @example(seed=11, tol=1e-3)  # start 13 takes an undershoot rejection
+    def test_random_draws_match_the_scalar_runs(self, seed, tol):
+        # Starts span twelve decades, some sit on faces and the first ones
+        # on the attractors, and the tolerance varies: together they reach
+        # clamps, undershoot rejections, fly-bys, settling inside and
+        # outside a ball, and t_max.
+        rng = np.random.default_rng(seed)
+        params = params_from_row(draw_parameter_matrix(rng, 1)[0])
+        points = _separated_rest_points(params)
+        chosen = rng.choice(len(points), size=rng.integers(1, len(points) + 1), replace=False)
+        attractors = [points[i] for i in sorted(chosen)]
+        starts = rng.uniform(0.0, 2.0, size=(40, 4)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(40, 4))
+        starts[rng.random((40, 4)) < 0.25] = 0.0
+        starts[: len(attractors)] = [c for _, c in attractors]
+        cfg = IntegrationConfig(t_max=100.0).with_tolerance(tol)
+        batched = run_to_attractor_batch(params, starts, attractors, cfg)
+        for x0, got in zip(starts, batched):
+            assert _same_reach(got, run_to_attractor(params, x0, attractors, cfg)), x0
+            assert np.all(got.final_state >= 0.0)
+            # P, V and W enter their own rates multiplicatively; S is fed by
+            # recovery, so its face is invariant only without infection.
+            frozen = x0 == 0.0
+            frozen[1] &= x0[2] == 0.0 and x0[3] == 0.0
+            assert np.all(got.final_state[frozen] == 0.0)
+
+    def test_empty_batch(self, fig4_params):
+        assert run_to_attractor_batch(fig4_params, [], [("E1", (1.5, 0.0, 0.0, 0.0))]) == []
+
+    def test_validation_precedes_any_run(self, fig4_params):
+        e1 = compute_equilibrium(fig4_params, "E1")
+        e4 = compute_equilibrium(fig4_params, "E4")
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_to_attractor_batch(fig4_params, [(1.0, 1.0, 0.0, 0.0), (-0.1, 1.0, 0.0, 0.0)], [e1, e4])
+        with pytest.raises(ValueError, match="2 \\* match_radius"):
+            run_to_attractor_batch(
+                fig4_params,
+                [(1.0, 1.0, 0.0, 0.0)],
+                [("x", (0.0, 0.0, 0.0, 0.0)), ("y", (0.05, 0.0, 0.0, 0.0))],
+            )
+
+    def test_step_failure_is_the_scalar_failure_of_the_lowest_failing_start(self, fig4_params):
+        cfg = IntegrationConfig(
+            rel_tol=1e-12, abs_tol=1e-14, initial_step=0.9, max_step=1.0, min_step=0.5
+        )
+        e1 = compute_equilibrium(fig4_params, "E1")
+        e4 = compute_equilibrium(fig4_params, "E4")
+        # A start on E1 never leaves it. The other two fail on step size,
+        # the second after one accepted step, the third at once.
+        starts = [tuple(e1.coordinates), (1.5, 1e-5, 0.0, 0.0), (1.4, 0.1, 0.1, 0.0)]
+        assert run_to_attractor(fig4_params, starts[0], [e1, e4], cfg).attractor_id == "E1"
+        with pytest.raises(StepFailureError):
+            run_to_attractor(fig4_params, starts[2], [e1, e4], cfg)
+        with pytest.raises(StepFailureError) as scalar:
+            run_to_attractor(fig4_params, starts[1], [e1, e4], cfg)
+        assert len(scalar.value.trajectory) == 2
+        with pytest.raises(StepFailureError) as batched:
+            run_to_attractor_batch(fig4_params, starts, [e1, e4], cfg)
+        assert str(batched.value) == str(scalar.value)
+        got, want = batched.value.trajectory, scalar.value.trajectory
+        assert got.termination == want.termination == STEP_FAILURE
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
 
 
 class TestCsv:
