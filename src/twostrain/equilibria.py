@@ -239,8 +239,12 @@ def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecor
     Raises DegenerateEquilibriumError when a defining denominator vanishes
     (for example the disease-free coexistence point when b*L*K*a = r*s).
     """
+    return _equilibrium(params, eq_id, thresholds(params))
+
+
+def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> EquilibriumRecord:
+    """``compute_equilibrium`` with the thresholds of ``params`` given."""
     p = params
-    t = thresholds(params)
 
     if eq_id == "E0":
         return _finish("E0", (0.0, 0.0, 0.0, 0.0), {}, notes="total extinction")
@@ -350,10 +354,11 @@ def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecor
 
 def catalog(params: ModelParameters) -> list[EquilibriumRecord]:
     """All eight full-space equilibria, degenerate ones kept with a note."""
+    t = thresholds(params)
     records = []
     for eq_id in EQUILIBRIUM_IDS:
         try:
-            records.append(compute_equilibrium(params, eq_id))
+            records.append(_equilibrium(params, eq_id, t))
         except DegenerateEquilibriumError as err:
             records.append(
                 EquilibriumRecord(
@@ -422,7 +427,11 @@ def batched_newton(
     Args:
         param_matrix: (n, 14) parameter rows in PARAMETER_KEYS column order.
         starts: (n, 4) initial guesses.
-        iterations: fixed iteration budget.
+        iterations: iteration budget. A row whose iterate one iteration
+            leaves bitwise unchanged stops there: its update depends only
+            on its own iterate and parameter row, so the rest of the
+            budget would not change it either, and the result is the same
+            as running every row for the whole budget.
         tol: convergence threshold on the scaled residual max-norm.
 
     Returns:
@@ -435,18 +444,44 @@ def batched_newton(
     x = np.array(starts, dtype=float, copy=True)
     if param_matrix.shape[0] != x.shape[0]:
         raise ValueError("param_matrix and starts must have matching row counts")
+    n = len(x)
     cols = tuple(param_matrix.T)
+    # x holds the rows still iterating, with their parameter columns in
+    # xcols. Once rows are set aside, `full` holds every row and `rows`
+    # lists the ones x holds.
+    full, rows, xcols = None, None, cols
     eye = np.eye(4)
     for _ in range(iterations):
-        residual = np.column_stack(_field(*x.T, *cols))
-        J = _field_jacobian(*x.T, *cols)
+        if not len(x):
+            break
+        residual = np.column_stack(_field(*x.T, *xcols))
+        J = _field_jacobian(*x.T, *xcols)
         finite = np.isfinite(x).all(axis=1) & np.isfinite(residual).all(axis=1)
         det = np.where(finite, np.abs(np.linalg.det(np.where(finite[:, None, None], J, eye))), 0.0)
         ok = finite & (det > 1e-300)
         J[~ok] = eye
         residual[~ok] = 0.0
         step = np.linalg.solve(J, residual[..., None])[..., 0]
-        x = x - step
+        new = x - step
+        # Bits, not values: NaN rows and signed zeros count as fixed only
+        # when their bits repeat.
+        moving = (new.view(np.uint64) != x.view(np.uint64)).any(axis=1)
+        x = new
+        # Set fixed rows aside once at most half of all rows still move:
+        # the compacted copies then never hold more than half the rows,
+        # so no iteration holds more memory than the first.
+        still = np.count_nonzero(moving)
+        if 2 * still <= n and still < len(x):
+            if full is None:
+                full, rows = x, np.flatnonzero(moving)
+            else:
+                full[rows] = x
+                rows = rows[moving]
+            x = x[moving]
+            xcols = tuple(c[moving] for c in xcols)
+    if full is not None:
+        full[rows] = x
+        x = full
     finite_x = np.where(np.isfinite(x), x, 0.0)
     final = np.column_stack(_field(*finite_x.T, *cols))
     scale = 1.0 + np.max(np.abs(finite_x), axis=1)

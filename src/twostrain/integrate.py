@@ -442,7 +442,10 @@ def run_to_attractor(
     def stop(t: float, y: tuple[float, float, float, float]) -> bool:
         inside = -1
         for idx, (_, c) in enumerate(targets):
-            d2 = (y[0] - c[0]) ** 2 + (y[1] - c[1]) ** 2 + (y[2] - c[2]) ** 2 + (y[3] - c[3]) ** 2
+            try:
+                d2 = (y[0] - c[0]) ** 2 + (y[1] - c[1]) ** 2 + (y[2] - c[2]) ** 2 + (y[3] - c[3]) ** 2
+            except OverflowError:  # a distance past the float range is outside every ball
+                continue
             if d2 <= r2:
                 inside = idx
                 break
@@ -513,7 +516,8 @@ def run_to_attractor_batch(
 
     If a run fails on step size, the failing start of lowest index is run
     again by ``run_to_attractor``, whose StepFailureError (with the
-    partial trajectory) propagates.
+    partial trajectory) propagates. A batch of one start is run by
+    ``run_to_attractor`` directly.
     """
     cfg = config or IntegrationConfig()
     targets = _separated_attractors(attractors, match_radius)
@@ -521,6 +525,9 @@ def run_to_attractor_batch(
     if np.any(x0 < 0.0):
         raise ValueError("initial state must be nonnegative")
     n = len(x0)
+    if n == 1:
+        # One lane costs the batch machinery's overhead and gains nothing.
+        return [run_to_attractor(params, x0[0], targets, cfg, match_radius, dwell_time)]
     # 0-d arrays: numpy multiplies them into a column faster than floats.
     values = tuple(np.array(v) for v in _parameter_values(params))
     settle_check = _stationary_check(params)

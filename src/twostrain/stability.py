@@ -23,7 +23,8 @@ import numpy as np
 from .equilibria import (
     EquilibriumRecord,
     DegenerateEquilibriumError,
-    compute_equilibrium,
+    ThresholdSet,
+    _equilibrium,
     thresholds,
 )
 from .model import ModelParameters, jacobian
@@ -130,8 +131,12 @@ def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
     Raises ValueError for ids without closed forms (E6, E7) and
     DegenerateEquilibriumError when the underlying point is undefined.
     """
+    return _analytic_eigenvalues(params, eq_id, thresholds(params))
+
+
+def _analytic_eigenvalues(params: ModelParameters, eq_id: str, t: ThresholdSet) -> np.ndarray:
+    """``analytic_eigenvalues`` with the thresholds of ``params`` given."""
     p = params
-    t = thresholds(params)
 
     if eq_id == "E0":
         return _sorted([p.s, p.r, -(p.psi + p.mu), -(p.phi + p.nu)])
@@ -157,7 +162,7 @@ def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
         )
 
     if eq_id in ("E3", "Q3"):
-        rec = compute_equilibrium(params, eq_id)
+        rec = _equilibrium(params, eq_id, t)
         P3, S3 = float(rec.coordinates[0]), float(rec.coordinates[1])
         den = p.b * p.L * p.K * p.a - p.r * p.s
         pair = _quadratic_pair(p.r * p.s * (p.r + p.s - p.b * p.L - p.a * p.K), t.Delta3, den)
@@ -201,14 +206,16 @@ def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
 
 def classify_eigenvalues(eigs: np.ndarray, band: float = MARGINALITY_BAND) -> str:
     """Map a spectrum to a coarse qualitative label."""
-    eigs = np.asarray(eigs, dtype=complex)
-    re = eigs.real
-    if np.any(np.abs(re) <= band):
+    # A handful of values: comparing Python floats beats numpy calls on
+    # tiny arrays, and the comparisons (NaN included) are the same.
+    eigs = np.asarray(eigs, dtype=complex).tolist()
+    re = [z.real for z in eigs]
+    if any(abs(x) <= band for x in re):
         return MARGINAL
-    has_complex = bool(np.any(np.abs(eigs.imag) > band))
-    if np.all(re < 0.0):
+    has_complex = any(abs(z.imag) > band for z in eigs)
+    if all(x < 0.0 for x in re):
         return STABLE_FOCUS if has_complex else STABLE_NODE
-    if np.all(re > 0.0):
+    if all(x > 0.0 for x in re):
         return UNSTABLE_FOCUS if has_complex else UNSTABLE_NODE
     return SADDLE
 
@@ -234,9 +241,10 @@ def _invariant_faces(zero_letters: set[str]) -> list[str]:
     return faces
 
 
-def _condition_report(params: ModelParameters, eq_id: str, rec: EquilibriumRecord) -> dict[str, float]:
+def _condition_report(
+    params: ModelParameters, eq_id: str, rec: EquilibriumRecord, t: ThresholdSet
+) -> dict[str, float]:
     p = params
-    t = thresholds(params)
     if eq_id in ("E0", "Q0"):
         return {"first_can_grow": p.s, "second_can_grow": p.r}
     if eq_id in ("E1", "Q1"):
@@ -298,7 +306,8 @@ def classify(
     reported eigenvalues are the closed-form ones when available. Raises
     DegenerateEquilibriumError when the point itself is undefined.
     """
-    rec = compute_equilibrium(params, eq_id)
+    t = thresholds(params)
+    rec = _equilibrium(params, eq_id, t)
     coords = rec.coordinates
     J_full = jacobian(params, coords)
 
@@ -312,7 +321,7 @@ def classify(
     numeric = numeric_eigenvalues(J)
     diagnostics: dict[str, float] = {}
     try:
-        eigs = analytic_eigenvalues(params, eq_id)
+        eigs = _analytic_eigenvalues(params, eq_id, t)
         method = "both"
         diagnostics["analytic_numeric_max_diff"] = float(
             np.max(np.abs(eigs - numeric))
@@ -338,7 +347,7 @@ def classify(
         eigenvalues=eigs,
         classification=classification,
         method=method,
-        condition_report=_condition_report(params, eq_id, rec),
+        condition_report=_condition_report(params, eq_id, rec, t),
         face_classes=face_classes,
         diagnostics=diagnostics,
     )

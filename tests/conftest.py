@@ -7,9 +7,12 @@ constants. Random parameter draws share one box: every rate uniform in
 from [0.1, 2] so no draw sits near a validation boundary.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
+from twostrain import equilibria
 from twostrain.figures import PRESETS, reproduce
 from twostrain.model import ModelParameters, PARAMETER_KEYS
 
@@ -39,6 +42,28 @@ def fig4_params() -> ModelParameters:
 @pytest.fixture(scope="session")
 def fig5_params() -> ModelParameters:
     return PRESETS["fig5"].params
+
+
+@pytest.fixture
+def threshold_calls(monkeypatch) -> list:
+    """Record every ``thresholds`` call, whichever module makes it.
+
+    The function is replaced in every twostrain namespace that refers to
+    it, so calls through a module attribute are counted.
+    """
+    calls = []
+    original = equilibria.thresholds
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    for name, module in list(sys.modules.items()):
+        if name == "twostrain" or name.startswith("twostrain."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -329,6 +329,19 @@ class TestCliAnalysis:
         assert "numerical failure" in err
         assert "step size underflowed" in err
 
+    def test_basin_corner_far_outside_the_model_scale_is_a_step_failure(
+        self, tmp_path, capsys, fig4_params
+    ):
+        cfg = _write_cfg(tmp_path, fig4_params)
+        rc = main([
+            "basin", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--bounds", "0:1e200,0:3,0:2.5", "--resolution", "2",
+        ])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert "step size underflowed" in err
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_separatrix_writes_what_reproduce_fig4_writes(self, tmp_path, fig4_params):
         # Both run the one basin pipeline. On the fig4 parameters the

@@ -21,7 +21,53 @@ from twostrain.equilibria import (
     thresholds,
     write_catalog,
 )
-from twostrain.model import PARAMETER_KEYS, rhs
+from twostrain.model import PARAMETER_KEYS, _field, _field_jacobian, rhs
+
+
+def _reference_newton(param_matrix, starts, iterations=40, tol=1e-10):
+    """``batched_newton`` as a plain loop: every row for every iteration."""
+    param_matrix = np.asarray(param_matrix, dtype=float)
+    x = np.array(starts, dtype=float, copy=True)
+    cols = tuple(param_matrix.T)
+    eye = np.eye(4)
+    for _ in range(iterations):
+        residual = np.column_stack(_field(*x.T, *cols))
+        J = _field_jacobian(*x.T, *cols)
+        finite = np.isfinite(x).all(axis=1) & np.isfinite(residual).all(axis=1)
+        det = np.where(finite, np.abs(np.linalg.det(np.where(finite[:, None, None], J, eye))), 0.0)
+        ok = finite & (det > 1e-300)
+        J[~ok] = eye
+        residual[~ok] = 0.0
+        step = np.linalg.solve(J, residual[..., None])[..., 0]
+        x = x - step
+    finite_x = np.where(np.isfinite(x), x, 0.0)
+    final = np.column_stack(_field(*finite_x.T, *cols))
+    scale = 1.0 + np.max(np.abs(finite_x), axis=1)
+    converged = np.isfinite(x).all(axis=1) & (np.max(np.abs(final), axis=1) <= tol * scale)
+    return x, converged
+
+
+def _assert_same_newton(got, want):
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def _edge_newton_rows(params):
+    """Parameter rows and starts that stress the early exit of batched_newton.
+
+    Starts exactly on every catalog root, a divergent start, a NaN start
+    and starts with negative zeros.
+    """
+    row = [params.as_dict()[k] for k in PARAMETER_KEYS]
+    starts = [rec.coordinates for rec in catalog(params) if rec.coordinates is not None]
+    starts += [
+        (1e30, 1e30, 1e30, 1e30),
+        (np.nan, 1.0, 0.5, 0.5),
+        (-0.0, 1.0, -0.0, 0.0),
+        (-0.0, -0.0, -0.0, -0.0),
+        (0.3, -0.0, 0.7, -0.0),
+    ]
+    return np.repeat([row], len(starts), axis=0), np.array(starts, dtype=float)
 
 
 class TestThresholds:
@@ -153,6 +199,14 @@ class TestDegeneracies:
             e4.coordinate_tuple()
 
 
+def test_catalog_computes_the_thresholds_once(fig1_params, fig4_params, threshold_calls):
+    for params in (fig1_params, fig4_params, fig1_params.replace(**{"lambda": 0.0})):
+        threshold_calls.clear()
+        records = catalog(params)
+        assert len(records) == len(EQUILIBRIUM_IDS)
+        assert threshold_calls == [params]
+
+
 class TestResidualProperty:
     def test_feasible_entries_are_exact_roots(self):
         rng = np.random.default_rng(61)
@@ -199,6 +253,43 @@ class TestVectorizedRootSearch:
         roots, converged = batched_newton(pm, starts)
         assert not converged[0]
         assert converged[1]
+
+    def test_matches_the_plain_loop_byte_for_byte(self):
+        rng = np.random.default_rng(23)
+        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 50), 20, rng)
+        _assert_same_newton(batched_newton(tiled, starts), _reference_newton(tiled, starts))
+
+    def test_edge_rows_match_the_plain_loop(self, fig1_params, fig4_params):
+        for params in (fig1_params, fig4_params):
+            tiled, starts = _edge_newton_rows(params)
+            for iterations in (0, 1, 2, 40):
+                _assert_same_newton(
+                    batched_newton(tiled, starts, iterations),
+                    _reference_newton(tiled, starts, iterations),
+                )
+        # Mixed into a batch where most rows settle and the set is compacted.
+        rng = np.random.default_rng(29)
+        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 10), 20, rng)
+        edge_params, edge_starts = _edge_newton_rows(fig4_params)
+        tiled = np.vstack((edge_params, tiled, edge_params))
+        starts = np.vstack((edge_starts, starts, edge_starts))
+        _assert_same_newton(batched_newton(tiled, starts), _reference_newton(tiled, starts))
+
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, fig4_params):
+        rng = np.random.default_rng(31)
+        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 20), 15, rng)
+        edge_params, edge_starts = _edge_newton_rows(fig4_params)
+        tiled = np.vstack((tiled, edge_params))
+        starts = np.vstack((starts, edge_starts))
+        roots, converged = batched_newton(tiled, starts)
+        order = rng.permutation(len(starts))
+        p_roots, p_converged = batched_newton(tiled[order], starts[order])
+        assert p_roots.tobytes() == roots[order].tobytes()
+        assert p_converged.tobytes() == converged[order].tobytes()
+        for part in np.array_split(np.arange(len(starts)), 7):
+            s_roots, s_converged = batched_newton(tiled[part], starts[part])
+            assert s_roots.tobytes() == roots[part].tobytes()
+            assert s_converged.tobytes() == converged[part].tobytes()
 
     def test_interior_start_boxes(self):
         rng = np.random.default_rng(19)

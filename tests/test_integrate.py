@@ -301,6 +301,41 @@ class TestBatchedReach:
         assert got.times.tobytes() == want.times.tobytes()
         assert got.states.tobytes() == want.states.tobytes()
 
+    @pytest.mark.parametrize("x0", [(1e160, 1.0, 1.0, 0.0), (1e200, 3.0, 2.5, 0.0)])
+    def test_start_far_outside_the_balls_fails_on_step_size(self, fig4_params, x0):
+        # The squared distance to the balls overflows Python floats there;
+        # it counts as outside every ball, and the run fails as integrate's does.
+        e1 = compute_equilibrium(fig4_params, "E1")
+        e4 = compute_equilibrium(fig4_params, "E4")
+        with pytest.raises(StepFailureError) as plain:
+            integrate(fig4_params, x0)
+        with pytest.raises(StepFailureError) as scalar:
+            run_to_attractor(fig4_params, x0, [e1, e4])
+        assert str(scalar.value) == str(plain.value)
+        for starts in ([x0], [(1.4, 0.1, 0.1, 0.0), x0]):
+            with pytest.raises(StepFailureError) as batched:
+                run_to_attractor_batch(fig4_params, starts, [e1, e4])
+            assert str(batched.value) == str(scalar.value)
+
+    def test_one_start_is_a_scalar_run(self, fig4_params, monkeypatch):
+        e1 = compute_equilibrium(fig4_params, "E1")
+        e4 = compute_equilibrium(fig4_params, "E4")
+        x0 = (1.4, 0.1, 0.1, 0.0)
+        want = run_to_attractor(fig4_params, x0, [e1, e4])
+        calls = []
+
+        def recording(params, start, *args):
+            calls.append(tuple(start))
+            return run_to_attractor(params, start, *args)
+
+        monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
+        (got,) = run_to_attractor_batch(fig4_params, [x0], [e1, e4])
+        assert calls == [x0]
+        assert _same_reach(got, want)
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_to_attractor_batch(fig4_params, [(-0.1, 1.0, 0.0, 0.0)], [e1, e4])
+        assert calls == [x0]
+
 
 class TestCsv:
     def test_header_and_shape(self, fig1_params):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_parameter_matrix, params_from_row
-from twostrain.equilibria import DegenerateEquilibriumError, thresholds
+from twostrain.equilibria import ALL_IDS, DegenerateEquilibriumError, thresholds
 from twostrain.stability import (
     MARGINAL,
     SADDLE,
@@ -96,6 +96,28 @@ class TestClassifyEigenvalues:
 
     def test_tiny_imaginary_parts_do_not_make_a_focus(self):
         assert classify_eigenvalues([-1 + 1e-12j, -1 - 1e-12j]) == STABLE_NODE
+
+    def test_same_labels_as_the_array_comparisons(self):
+        def reference(eigs, band):
+            eigs = np.asarray(eigs, dtype=complex)
+            re = eigs.real
+            if np.any(np.abs(re) <= band):
+                return MARGINAL
+            has_complex = bool(np.any(np.abs(eigs.imag) > band))
+            if np.all(re < 0.0):
+                return STABLE_FOCUS if has_complex else STABLE_NODE
+            if np.all(re > 0.0):
+                return UNSTABLE_FOCUS if has_complex else UNSTABLE_NODE
+            return SADDLE
+
+        rng = np.random.default_rng(101)
+        # Parts near the band edges, signed zeros, infinities and NaN.
+        parts = np.array([0.0, -0.0, 1e-10, -1e-10, 1.0000001e-10, 2.0, -3.0, np.inf, -np.inf, np.nan])
+        for _ in range(3000):
+            size = int(rng.integers(0, 5))
+            eigs = [complex(a, b) for a, b in zip(rng.choice(parts, size), rng.choice(parts, size))]
+            for band in (1e-10, 0.0):
+                assert classify_eigenvalues(eigs, band) == reference(eigs, band), (eigs, band)
 
 
 class TestVerdicts:
@@ -200,6 +222,21 @@ class TestVerdicts:
             assert len(obj["eigenvalues"]) == 4
             assert all(len(pair) == 2 for pair in obj["eigenvalues"])
             assert obj["eigenvalues"][0][0] == pytest.approx(v.lead_real_part)
+
+
+def test_classify_computes_the_thresholds_once(fig1_params, fig4_params, threshold_calls):
+    classified = 0
+    for params in (fig1_params, fig4_params):
+        for eq_id in ALL_IDS:
+            threshold_calls.clear()
+            try:
+                classify(params, eq_id)
+            except DegenerateEquilibriumError:
+                pass
+            else:
+                classified += 1
+            assert threshold_calls == [params], eq_id
+    assert classified >= 20
 
 
 class TestSignConsistency:
