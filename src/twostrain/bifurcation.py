@@ -17,9 +17,9 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .equilibria import catalog, compute_equilibrium
+from .equilibria import EquilibriumRecord, ThresholdSet, _equilibrium, catalog, thresholds
 from .model import ModelParameters, PARAMETER_KEYS, jacobian
-from .stability import analytic_eigenvalues, classify, numeric_eigenvalues
+from .stability import _analytic_eigenvalues, classify, numeric_eigenvalues
 
 __all__ = [
     "SweepRow",
@@ -167,11 +167,10 @@ class TranscriticalPoint:
     crossing_real_part: float
 
 
-def _spectrum(params: ModelParameters, eq_id: str) -> np.ndarray:
+def _spectrum(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> np.ndarray:
     try:
-        return analytic_eigenvalues(params, eq_id)
+        return _analytic_eigenvalues(params, rec.id, t)
     except ValueError:
-        rec = compute_equilibrium(params, eq_id)
         return numeric_eigenvalues(jacobian(params, rec.coordinates))
 
 
@@ -181,14 +180,15 @@ def find_transcritical(
     pair: tuple[str, str],
     lo: float,
     hi: float,
-    tol: float = 1e-10,
 ) -> TranscriticalPoint:
     """Bisect for the parameter value where two equilibria exchange.
 
     The search margin must change sign over [lo, hi] (an endpoint sitting
-    exactly on the crossing counts). The result is validated: at the
-    critical value the two equilibria coincide within 1e-8 and each has
-    an eigenvalue with |real part| <= 1e-8.
+    exactly on the crossing counts). Bisection runs until the midpoint
+    rounds onto a bracket end, so the bracket is two adjacent floats, and
+    the end with the smaller |margin| is returned. The result is
+    validated: at the critical value the two equilibria coincide within
+    1e-8 and each has an eigenvalue with |real part| <= 1e-8.
     """
     if parameter not in PARAMETER_KEYS:
         raise ValueError(f"unknown parameter {parameter!r}")
@@ -217,10 +217,9 @@ def find_transcritical(
             f"[{lo}, {hi}]: {g_lo:.6g} and {g_hi:.6g}"
         )
     else:
-        a, b = lo, hi
-        ga = g_lo
-        while b - a > tol:
-            mid = 0.5 * (a + b)
+        a, b, ga, gb = lo, hi, g_lo, g_hi
+        mid = 0.5 * (a + b)
+        while a < mid < b:
             gm = margin(mid)
             if gm == 0.0:
                 a = b = mid
@@ -228,19 +227,19 @@ def find_transcritical(
             if (gm > 0.0) == (ga > 0.0):
                 a, ga = mid, gm
             else:
-                b = mid
-        critical = 0.5 * (a + b)
+                b, gb = mid, gm
+            mid = 0.5 * (a + b)
+        critical = a if abs(ga) <= abs(gb) else b
 
     p_crit = _substitute(params, parameter, critical)
-    rec_a = compute_equilibrium(p_crit, key[0])
-    rec_b = compute_equilibrium(p_crit, key[1])
-    gap = float(np.max(np.abs(rec_a.coordinates - rec_b.coordinates)))
+    t = thresholds(p_crit)
+    records = [_equilibrium(p_crit, eq_id, t) for eq_id in key]
+    gap = float(np.max(np.abs(records[0].coordinates - records[1].coordinates)))
 
     crossing_idx = []
     crossing_re = 0.0
-    for eq_id in key:
-        spectrum = _spectrum(p_crit, eq_id)
-        re = np.abs(spectrum.real)
+    for rec in records:
+        re = np.abs(_spectrum(p_crit, rec, t).real)
         idx = int(np.argmin(re))
         crossing_idx.append(idx)
         crossing_re = max(crossing_re, float(re[idx]))

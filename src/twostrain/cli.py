@@ -6,17 +6,26 @@ reproduce, which carries its own presets), writes its primary outputs as
 CSV/JSONL files under --out, and prints a short summary to stdout.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure.
+failure, 5 a reproduced scenario missed its tolerance (every requested
+scenario still runs and writes its outputs first).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import basin as basin_mod
-from .bifurcation import NoSignChangeError, UnsupportedPairError, sweep, write_sweep_csv
+from .bifurcation import (
+    NoSignChangeError,
+    SUPPORTED_PAIRS,
+    UnsupportedPairError,
+    find_transcritical,
+    sweep,
+    write_sweep_csv,
+)
 from .config import ConfigError, RunConfig, dump_config, load_config
 from .equilibria import (
     DegenerateEquilibriumError,
@@ -26,13 +35,14 @@ from .equilibria import (
     records_to_jsonl,
 )
 from .figures import FIGURE_NAMES, reproduce
-from .integrate import StepFailureError, integrate, write_trajectory_csv
+from .integrate import IntegrationConfig, StepFailureError, integrate, write_trajectory_csv
 from .stability import EigenSolverError, classify, verdicts_to_jsonl
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+EXIT_TOLERANCE = 5
 
 _NUMERIC_ERRORS = (
     StepFailureError,
@@ -111,19 +121,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _integration(args: argparse.Namespace, base: IntegrationConfig) -> IntegrationConfig:
+    """``base`` with the ``--tol`` override applied, if one is given."""
+    if args.tol is None:
+        return base
+    if not args.tol > 0.0:
+        raise ConfigError("--tol must be positive")
+    return base.with_tolerance(args.tol)
+
+
 def _load(args: argparse.Namespace) -> RunConfig:
     if args.config is None:
         raise ConfigError("--config is required for this command")
     run = load_config(args.config)
-    if args.tol is not None:
-        if args.tol <= 0.0:
-            raise ConfigError("--tol must be positive")
-        run = RunConfig(
-            params=run.params,
-            initial=run.initial,
-            integration=run.integration.with_tolerance(args.tol),
-        )
-    return run
+    return replace(run, integration=_integration(args, run.integration))
 
 
 def _maybe_dump(args: argparse.Namespace, run: RunConfig) -> bool:
@@ -236,6 +247,29 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     with open(args.out / "sweep.csv", "w") as fh:
         write_sweep_csv(result, fh)
     print(f"wrote {args.out / 'sweep.csv'} ({len(result.rows)} rows)")
+    # One row per supported exchange, located over the same window.
+    with open(args.out / "crossings.csv", "w") as fh:
+        fh.write("eq_a,eq_b,status,critical_value,coincidence_gap,crossing_real_part\n")
+        for eq_a, eq_b in SUPPORTED_PAIRS:
+            try:
+                point = find_transcritical(run.params, args.param, (eq_a, eq_b), args.lo, args.hi)
+            except NoSignChangeError:
+                fh.write(f"{eq_a},{eq_b},no_sign_change,,,\n")
+                continue
+            except (RuntimeError, DegenerateEquilibriumError) as err:
+                print(f"{eq_a}<->{eq_b}: crossing present but not located ({err})")
+                fh.write(f"{eq_a},{eq_b},failed,,,\n")
+                continue
+            print(
+                f"{eq_a}<->{eq_b}: {args.param}* = {point.critical_value:.12g} "
+                f"(coincidence gap {point.coincidence_gap:.1e}, "
+                f"crossing Re {point.crossing_real_part:.1e})"
+            )
+            fh.write(
+                f"{eq_a},{eq_b},located,{point.critical_value:.17g},"
+                f"{point.coincidence_gap:.17g},{point.crossing_real_part:.17g}\n"
+            )
+    print(f"wrote {args.out / 'crossings.csv'}")
     return EXIT_OK
 
 
@@ -298,15 +332,12 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    config = _integration(args, IntegrationConfig())
     names = FIGURE_NAMES if args.figure == "all" else (args.figure,)
-    cfg = None
-    if args.tol is not None:
-        from .integrate import IntegrationConfig
-
-        cfg = IntegrationConfig().with_tolerance(args.tol)
+    met = 0
     for name in names:
         outdir = args.out / name if len(names) > 1 else args.out
-        summary = reproduce(name, outdir, config=cfg)
+        summary = reproduce(name, outdir, config=config)
         print(f"{name}: wrote {outdir}/summary.txt")
         if "max_deviation" in summary:
             print(f"  max deviation from {summary['target_id']}: {summary['max_deviation']:.3e}")
@@ -315,10 +346,14 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
                 f"  undecided {summary['undecided_fraction']:.2%}, "
                 f"{summary['n_boundary_points']} boundary points, "
                 f"fit residual {summary['fit_residual']:.2e}, "
+                f"saddle gap {summary['saddle_gap']:.2e}, "
                 f"side consistency {summary['side_fraction']:.2%}, "
                 f"runtime {summary['runtime_seconds']:.1f}s"
             )
-    return EXIT_OK
+        met += summary["tolerance_met"]
+        print(f"  {'ok' if summary['tolerance_met'] else 'FAIL'}")
+    print(f"{met}/{len(names)} scenarios within tolerance")
+    return EXIT_OK if met == len(names) else EXIT_TOLERANCE
 
 
 _COMMANDS = {

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "catalog",
     "equilibrium_residual",
     "records_to_jsonl",
-    "write_catalog",
     "batched_newton",
     "random_interior_starts",
 ]
@@ -400,10 +399,6 @@ def records_to_jsonl(records: Iterable[EquilibriumRecord]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_catalog(records: Iterable[EquilibriumRecord], stream: IO[str]) -> None:
-    stream.write(records_to_jsonl(records))
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,12 @@ surface fitting on a bistable configuration. ``fig5`` is a small-capacity
 configuration whose disease-free coexistence point is the attractor.
 
 Each reproduction writes its data files plus a plain-text summary of the
-computed-versus-expected comparison, and returns the same numbers as a
-dict. Outputs contain no timestamps or machine state, so reruns are
-byte-identical.
+computed-versus-expected comparison, with a PASS/FAIL verdict against
+the scenario's tolerance, and returns the same numbers as a dict
+whose ``tolerance_met`` holds the verdict. For fig4 the tolerance bounds
+the fitted graph's gap over the saddle, and the verdict also needs 95% of
+the side probes right and no skipped segment. Outputs contain no
+timestamps or machine state, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -298,6 +301,7 @@ def _reproduce_basin(
         config=config,
     )
     side_fraction = matches / total
+    ok = saddle_gap <= preset.tolerance and side_fraction >= 0.95 and not sample.skipped
     runtime = time.perf_counter() - t0
 
     lines = [
@@ -316,6 +320,8 @@ def _reproduce_basin(
         f"(saddle at {saddle_plane} with zero infected component)",
         f"side-consistency probes: {matches}/{total} = {side_fraction:.4f} "
         f"at offset {probe_offset:g}",
+        f"verdict (saddle gap <= {preset.tolerance:g}, side probes >= 95%, "
+        "no skipped segment): " + ("PASS" if ok else "FAIL"),
     ]
     _write_summary(outdir, lines)
 
@@ -332,6 +338,7 @@ def _reproduce_basin(
         "side_matches": matches,
         "side_total": total,
         "side_fraction": side_fraction,
+        "tolerance_met": ok,
         "runtime_seconds": runtime,
     }
 

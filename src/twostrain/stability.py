@@ -16,7 +16,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "classify_eigenvalues",
     "classify",
     "verdicts_to_jsonl",
-    "write_verdicts",
 ]
 
 STABLE_NODE = "stable_node"
@@ -372,7 +371,3 @@ def verdicts_to_jsonl(verdicts: Iterable[StabilityVerdict]) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def write_verdicts(verdicts: Iterable[StabilityVerdict], stream: IO[str]) -> None:
-    stream.write(verdicts_to_jsonl(verdicts))

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+from conftest import draw_parameter_matrix, params_from_row
 from twostrain.bifurcation import (
     SUPPORTED_PAIRS,
     NoSignChangeError,
@@ -133,3 +134,40 @@ class TestTranscritical:
             find_transcritical(fig1_params, "q", ("E2", "E4"), 0.5, 3.0)
         with pytest.raises(ValueError, match="lo < hi"):
             find_transcritical(fig1_params, "K", ("E2", "E4"), 3.0, 0.5)
+
+    def test_every_located_crossing_passes_its_validation(self):
+        # Bisection runs down to adjacent floats, so the coincidence and
+        # crossing-eigenvalue checks (1e-8) hold for every sign change.
+        rng = np.random.default_rng(11)
+        located = 0
+        for row in draw_parameter_matrix(rng, 200):
+            p = params_from_row(row)
+            for parameter in ("K", "a"):
+                for pair in SUPPORTED_PAIRS:
+                    try:
+                        tp = find_transcritical(p, parameter, pair, 0.1, 2.0)
+                    except NoSignChangeError:
+                        continue
+                    assert tp.coincidence_gap <= 1e-8
+                    assert tp.crossing_real_part <= 1e-8
+                    located += 1
+        assert located > 700
+
+    @pytest.mark.parametrize(
+        "parameter, pair, lo, hi",
+        [
+            ("K", ("E2", "E4"), 0.5, 3.0),
+            ("a", ("E4", "E6"), 0.1, 0.5),
+            ("a", ("E5", "E7"), 0.01, 0.4),
+        ],
+    )
+    def test_validation_computes_the_thresholds_once(
+        self, fig1_params, threshold_calls, parameter, pair, lo, hi
+    ):
+        tp = find_transcritical(fig1_params, parameter, pair, lo, hi)
+        assert threshold_calls == [fig1_params.replace(**{parameter: tp.critical_value})]
+
+    def test_no_sign_change_computes_no_thresholds(self, fig1_params, threshold_calls):
+        with pytest.raises(NoSignChangeError):
+            find_transcritical(fig1_params, "K", ("E2", "E4"), 2.0, 3.0)
+        assert threshold_calls == []

@@ -1,11 +1,18 @@
 """INI config parsing and the command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twostrain import cli
 from twostrain.cli import main
+from twostrain.bifurcation import SUPPORTED_PAIRS
 from twostrain.config import (
     ConfigError,
     RunConfig,
@@ -13,7 +20,7 @@ from twostrain.config import (
     load_config,
     parse_config,
 )
-from twostrain.figures import reproduce
+from twostrain.figures import PRESETS, reproduce
 from twostrain.integrate import IntegrationConfig
 from twostrain.model import StateVector
 
@@ -256,6 +263,35 @@ class TestCliAnalysis:
         assert "208 rows" in capsys.readouterr().out
         assert len((out / "sweep.csv").read_text().splitlines()) == 209
 
+    def test_sweep_writes_the_crossings(self, tmp_path, capsys, fig1_params):
+        cfg = _write_cfg(tmp_path, fig1_params)
+        out = tmp_path / "out"
+        rc = main([
+            "sweep", "--config", str(cfg), "--out", str(out),
+            "--param", "K", "--lo", "0.5", "--hi", "9", "--n", "5",
+        ])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        assert "E2<->E4: K* = 1 " in stdout
+        assert len((out / "sweep.csv").read_text().splitlines()) == 41
+        lines = (out / "crossings.csv").read_text().splitlines()
+        assert lines[0] == "eq_a,eq_b,status,critical_value,coincidence_gap,crossing_real_part"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [tuple(row[:2]) for row in rows] == list(SUPPORTED_PAIRS)
+        p = fig1_params
+        located = {
+            ("E2", "E3"): p.s / p.a,
+            ("E2", "E4"): (p.psi + p.mu) / p.lam,
+            ("E2", "E5"): (p.phi + p.nu) / p.beta,
+        }
+        for eq_a, eq_b, status, value, gap, re in rows:
+            if (eq_a, eq_b) in located:
+                assert status == "located"
+                assert float(value) == pytest.approx(located[eq_a, eq_b], rel=1e-15, abs=0)
+                assert float(gap) <= 1e-8 and float(re) <= 1e-8
+            else:
+                assert (status, value, gap, re) == ("no_sign_change", "", "", "")
+
     def test_sweep_bad_parameter(self, tmp_path, capsys, fig1_params):
         cfg = _write_cfg(tmp_path, fig1_params)
         rc = main([
@@ -374,3 +410,48 @@ class TestCliAnalysis:
         summary = (out / "summary.txt").read_text()
         assert "expected attractor E1: (1.5, 0, 0, 0)" in summary
         assert "PASS" in summary
+
+    def test_fig4_verdict(self, fig4_pipeline):
+        summary, outdir = fig4_pipeline
+        assert summary["tolerance_met"] is True
+        lines = (outdir / "summary.txt").read_text().splitlines()
+        assert lines[-1] == (
+            "verdict (saddle gap <= 0.01, side probes >= 95%, no skipped segment): PASS"
+        )
+
+    def test_missed_tolerance_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(PRESETS, "fig5", replace(PRESETS["fig5"], tolerance=0.0))
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig5", "--out", str(out)]) == 5
+        assert "  FAIL" in capsys.readouterr().out.splitlines()
+        assert "(tolerance 0): FAIL" in (out / "summary.txt").read_text()
+
+    def test_reproduce_all_writes_every_summary_before_failing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setitem(PRESETS, "fig5", replace(PRESETS["fig5"], tolerance=0.0))
+        monkeypatch.setattr(cli, "FIGURE_NAMES", ("fig5", "fig2"))
+        out = tmp_path / "out"
+        assert main(["reproduce", "all", "--out", str(out)]) == 5
+        assert "FAIL" in (out / "fig5" / "summary.txt").read_text()
+        assert "PASS" in (out / "fig2" / "summary.txt").read_text()
+        assert "1/2 scenarios within tolerance" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["-1", "0"])
+    def test_reproduce_nonpositive_tol_is_a_config_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig5", "--tol", tol, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--tol must be positive" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_module_entry_point_from_a_checkout(self, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "twostrain.cli", "reproduce", "fig5", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in (tmp_path / "summary.txt").read_text()

@@ -1,6 +1,5 @@
 """Closed-form equilibrium catalog, thresholds and the vectorized root search."""
 
-import io
 import json
 
 import numpy as np
@@ -19,7 +18,6 @@ from twostrain.equilibria import (
     random_interior_starts,
     records_to_jsonl,
     thresholds,
-    write_catalog,
 )
 from twostrain.model import PARAMETER_KEYS, _field, _field_jacobian, rhs
 
@@ -308,9 +306,7 @@ class TestVectorizedRootSearch:
 class TestSerialization:
     def test_jsonl_round_trip_fields(self, fig1_params):
         records = catalog(fig1_params)
-        buf = io.StringIO()
-        write_catalog(records, buf)
-        lines = buf.getvalue().splitlines()
+        lines = records_to_jsonl(records).splitlines()
         assert len(lines) == len(EQUILIBRIUM_IDS)
         parsed = [json.loads(line) for line in lines]
         assert [obj["id"] for obj in parsed] == list(EQUILIBRIUM_IDS)
