@@ -62,7 +62,6 @@ from .bifurcation import (
 from .basin import (
     BasinGrid,
     SeparatrixSample,
-    KernelConfig,
     SeparatrixModel,
     DegenerateGeometryError,
     FitResidualError,

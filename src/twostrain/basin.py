@@ -9,10 +9,13 @@ attractors: every decided, differently-labelled corner pair of a grid
 cell (its edges, face diagonals and body diagonals). This concentrates
 all bisection work on cells the boundary actually crosses, which matters
 when one basin is a small pocket of the box, and the grid labels of the
-corners are reused, so bisection integrates only midpoints. Third, the
-point cloud is interpolated with a thin-plate spline surface so the
-boundary can be evaluated, meshed, and probed anywhere.
-``reconstruct_separatrix`` runs the three stages and writes their files.
+corners are reused, so bisection integrates only midpoints: a segment
+is always ``(start, end, start_label, end_label)`` with two different
+attractor ids. Third, the point cloud is interpolated with a thin-plate
+spline surface so the boundary can be evaluated, meshed on a 40x40
+lattice, and probed 0.05 to either side. ``reconstruct_separatrix`` runs
+the three stages and writes their files, after checking every input
+before any run.
 
 Every stage integrates its starts together with
 ``integrate.run_to_attractor_batch``: the grid in one batch, bisection in
@@ -31,13 +34,12 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .integrate import IntegrationConfig, UNDECIDED, _attractor_list, run_to_attractor_batch
+from .integrate import IntegrationConfig, UNDECIDED, _separated_attractors, run_to_attractor_batch
 from .model import ModelParameters
 
 __all__ = [
     "BasinGrid",
     "SeparatrixSample",
-    "KernelConfig",
     "SeparatrixModel",
     "DegenerateGeometryError",
     "FitResidualError",
@@ -56,6 +58,15 @@ __all__ = [
 # Slice coordinates, in the order of every point, bound and CSV column.
 _AXIS_NAMES = ("P", "S", "V")
 
+# Share of undecided grid nodes above which classify_grid warns.
+_MAX_UNDECIDED = 0.05
+# Smallest sample count the surface fit accepts.
+_MIN_FIT_POINTS = 10
+# Distance along the graph axis of each side probe from the surface.
+_PROBE_OFFSET = 0.05
+# Lattice of the surface mesh and CSV, per plane axis.
+_LATTICE = 40
+
 
 class DegenerateGeometryError(ValueError):
     """Sample sites are collinear or duplicated; the fit is underdetermined."""
@@ -65,7 +76,11 @@ class FitResidualError(RuntimeError):
     """The interpolant failed to reproduce its own samples."""
 
 
-def _check_box(bounds: Sequence[tuple[float, float]]) -> None:
+def _check_grid(
+    bounds: Sequence[tuple[float, float]], resolution: int, attractors: Iterable, match_radius: float
+) -> list[tuple[str, tuple[float, float, float, float]]]:
+    """Check ``classify_grid``'s inputs without integrating; returns the attractors."""
+    targets = _separated_attractors(attractors, match_radius)
     bounds = list(bounds)
     if len(bounds) != 3:
         raise ValueError("bounds must give (lo, hi) for each of the three slice axes")
@@ -74,6 +89,14 @@ def _check_box(bounds: Sequence[tuple[float, float]]) -> None:
             raise ValueError(f"degenerate bounds ({lo}, {hi})")
         if lo < 0.0:
             raise ValueError(f"slice box ({lo}, {hi}) reaches outside the nonnegative orthant")
+    if not isinstance(resolution, int) or resolution < 2:
+        raise ValueError(f"resolution must be an int >= 2, got {resolution!r}")
+    return targets
+
+
+def _check_bisect_tol(bisect_tol: float) -> None:
+    if not bisect_tol > 0.0:
+        raise ValueError(f"bisect_tol must be positive, got {bisect_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -100,28 +123,22 @@ class BasinGrid:
 def classify_grid(
     params: ModelParameters,
     bounds: Sequence[tuple[float, float]],
-    resolution: int | tuple[int, int, int],
+    resolution: int,
     attractors: Iterable,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
-    max_undecided: float = 0.05,
 ) -> BasinGrid:
-    """Integrate every grid node to an attractor (or undecided), as one batch.
+    """Integrate every node of a ``resolution``-per-axis grid to an attractor
+    (or undecided), as one batch.
 
-    Emits a warning (never an error) when more than ``max_undecided`` of
-    the nodes fail to classify: points exactly on basin boundaries or on
-    invariant faces that drain to an unlisted attractor are legitimate.
+    Every input is checked before any run. Emits a warning (never an
+    error) when more than 5% of the nodes fail to classify: points exactly
+    on basin boundaries or on invariant faces that drain to an unlisted
+    attractor are legitimate.
     """
-    targets = _attractor_list(attractors)
-    _check_box(bounds)
-    if isinstance(resolution, int):
-        shape = (resolution, resolution, resolution)
-    else:
-        shape = tuple(int(n) for n in resolution)
-    if len(shape) != 3 or any(n < 2 for n in shape):
-        raise ValueError("resolution must be an int >= 2 or three ints >= 2")
-
-    axes_1d = tuple(np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, shape))
+    targets = _check_grid(bounds, resolution, attractors, match_radius)
+    shape = (resolution, resolution, resolution)
+    axes_1d = tuple(np.linspace(lo, hi, resolution) for lo, hi in bounds)
     labels = np.full(shape, -1, dtype=np.int8)
     index_of = {name: i for i, (name, _) in enumerate(targets)}
 
@@ -137,10 +154,10 @@ def classify_grid(
         labels=labels,
         attractor_ids=tuple(name for name, _ in targets),
     )
-    if grid.undecided_fraction > max_undecided:
+    if grid.undecided_fraction > _MAX_UNDECIDED:
         warnings.warn(
             f"{grid.undecided_fraction:.1%} of grid nodes undecided "
-            f"(threshold {max_undecided:.1%})",
+            f"(threshold {_MAX_UNDECIDED:.1%})",
             stacklevel=2,
         )
     return grid
@@ -228,7 +245,7 @@ def boundary_edge_segments(grid: BasinGrid) -> list[tuple[np.ndarray, np.ndarray
 
 def separatrix_points(
     params: ModelParameters,
-    segments: Sequence[tuple],
+    segments: Sequence[tuple[np.ndarray, np.ndarray, str, str]],
     attractors: Iterable,
     bisect_tol: float = 1e-4,
     config: IntegrationConfig | None = None,
@@ -236,64 +253,54 @@ def separatrix_points(
 ) -> SeparatrixSample:
     """Bisect each segment to a basin-boundary point.
 
-    A segment is ``(start, end)``, whose endpoints are classified first,
-    or ``(start, end, start_label, end_label)`` as ``boundary_edge_segments``
-    returns it, whose endpoint labels are taken as given so that only
-    midpoints are integrated. Every segment must lie in the nonnegative
-    orthant; that is checked before anything is integrated. The endpoints
-    to classify go in one batch, and then all segments are bisected in
-    lockstep, one batch of midpoints per halving round. Segments whose
-    endpoints classify identically, or fail to classify, are skipped with
-    a note, in segment order. The bisection stops once the bracket is
-    shorter than ``bisect_tol`` in slice coordinates; the returned point
-    is the bracket midpoint.
+    A segment is ``(start, end, start_label, end_label)``, as
+    ``boundary_edge_segments`` returns it: the two labels are different
+    ids of ``attractors``, taken as given, so only midpoints are
+    integrated. Every segment must lie in the nonnegative orthant, and
+    ``bisect_tol`` must be positive; all of that is checked before
+    anything is integrated. All segments are bisected in lockstep, one
+    batch of midpoints per halving round. A segment whose midpoint fails
+    to classify is skipped with a note, in segment order. The bisection
+    stops once the bracket is shorter than ``bisect_tol`` in slice
+    coordinates; the returned point is the bracket midpoint.
     """
-    targets = _attractor_list(attractors)
-    ends = [(np.asarray(seg[0], dtype=float), np.asarray(seg[1], dtype=float)) for seg in segments]
-    for u_lo, u_hi in ends:
+    targets = _separated_attractors(attractors, match_radius)
+    _check_bisect_tol(bisect_tol)
+    names = {name for name, _ in targets}
+    ends = []
+    sides = []
+    for start, end, lab_lo, lab_hi in segments:
+        u_lo, u_hi = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
         for u in (u_lo, u_hi):
             if np.any(u < 0.0):
                 raise ValueError(f"segment point {u} maps outside the nonnegative orthant")
-
-    def labels_of(points: Sequence[np.ndarray]) -> list[str | None]:
-        """Attractor ids of slice points, integrated as one batch."""
-        if len(points) == 0:
-            return []
-        results = run_to_attractor_batch(
-            params, [(*u, 0.0) for u in points], targets, config=config, match_radius=match_radius
-        )
-        return [res.attractor_id for res in results]
-
-    unlabelled = [i for i, seg in enumerate(segments) if len(seg) != 4]
-    found = iter(labels_of([u for i in unlabelled for u in ends[i]]))
-    sides = [tuple(seg[2:4]) if len(seg) == 4 else (next(found), next(found)) for seg in segments]
-
-    skipped = []
-    bisected = []
-    for idx, (lab_lo, lab_hi) in enumerate(sides):
-        if lab_lo is None or lab_hi is None:
-            skipped.append((idx, "undecided endpoint"))
-        elif lab_lo == lab_hi:
-            skipped.append((idx, f"both endpoints reach {lab_lo}"))
-        else:
-            bisected.append(idx)
+        if lab_lo == lab_hi or lab_lo not in names or lab_hi not in names:
+            raise ValueError(
+                f"segment labels ({lab_lo!r}, {lab_hi!r}) must be two different ids of {sorted(names)}"
+            )
+        ends.append((u_lo, u_hi))
+        sides.append((lab_lo, lab_hi))
 
     # Bisect every bracket in lockstep: one batch of midpoints per halving.
-    lo = np.array([ends[idx][0] for idx in bisected]).reshape(len(bisected), 3)
-    hi = np.array([ends[idx][1] for idx in bisected]).reshape(len(bisected), 3)
-    length = np.array([float(np.linalg.norm(ends[idx][1] - ends[idx][0])) for idx in bisected])
-    decided = np.ones(len(bisected), dtype=bool)
+    n = len(ends)
+    lo = np.array([u_lo for u_lo, _ in ends]).reshape(n, 3)
+    hi = np.array([u_hi for _, u_hi in ends]).reshape(n, 3)
+    length = np.array([float(np.linalg.norm(u_hi - u_lo)) for u_lo, u_hi in ends])
+    decided = np.ones(n, dtype=bool)
+    skipped = []
     while True:
         rows = np.flatnonzero(decided & (length > bisect_tol))
         if not rows.size:
             break
         mids = 0.5 * (lo[rows] + hi[rows])
-        for row, mid, lab_mid in zip(rows, mids, labels_of(mids)):
-            idx = bisected[row]
-            if lab_mid is None:
+        results = run_to_attractor_batch(
+            params, [(*u, 0.0) for u in mids], targets, config=config, match_radius=match_radius
+        )
+        for row, mid, res in zip(rows, mids, results):
+            if res.attractor_id is None:
                 decided[row] = False
-                skipped.append((idx, "undecided midpoint during bisection"))
-            elif lab_mid == sides[idx][0]:
+                skipped.append((int(row), "undecided midpoint during bisection"))
+            elif res.attractor_id == sides[row][0]:
                 lo[row] = mid
             else:
                 hi[row] = mid
@@ -302,8 +309,8 @@ def separatrix_points(
 
     rows = np.flatnonzero(decided)
     pts = 0.5 * (lo[rows] + hi[rows])
-    side_labels = [sides[bisected[row]] for row in rows]
-    segs = np.array([ends[bisected[row]] for row in rows]).reshape(len(rows), 2, 3)
+    side_labels = [sides[row] for row in rows]
+    segs = np.array([ends[row] for row in rows]).reshape(len(rows), 2, 3)
     return SeparatrixSample(points=pts, side_labels=side_labels, segments=segs, skipped=skipped)
 
 
@@ -316,20 +323,6 @@ def write_points_csv(sample: SeparatrixSample, stream: IO[str]) -> None:
 # ----------------------------------------------------------------------
 # Surface fitting
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Settings of the thin-plate spline (r^2 log r) boundary interpolant.
-
-    ``min_points`` is the smallest sample count accepted by the fit.
-    """
-
-    min_points: int = 10
-
-    def __post_init__(self) -> None:
-        if self.min_points < 3:
-            raise ValueError("min_points must be at least 3")
 
 
 def _thin_plate(r: np.ndarray) -> np.ndarray:
@@ -350,7 +343,6 @@ class SeparatrixModel:
 
     graph_axis: int
     plane_axes: tuple[int, int]
-    kernel: KernelConfig
     sites: np.ndarray
     center: np.ndarray
     scale: float
@@ -374,14 +366,6 @@ class SeparatrixModel:
         vals = phi @ self.weights + self.poly[0] + z @ self.poly[1:]
         return float(vals[0]) if single else vals
 
-    def point_on_surface(self, plane_coords: Sequence[float]) -> np.ndarray:
-        """Full slice-coordinate point above the given plane coordinates."""
-        out = np.zeros(3)
-        out[self.plane_axes[0]] = plane_coords[0]
-        out[self.plane_axes[1]] = plane_coords[1]
-        out[self.graph_axis] = self.evaluate(plane_coords)
-        return out
-
 
 _AXIS_BY_NAME = {"0": 0, "1": 1, "2": 2}
 
@@ -398,11 +382,7 @@ def _resolve_axis(graph_axis: int | str) -> int:
     return graph_axis
 
 
-def fit_surface(
-    points: np.ndarray,
-    graph_axis: int | str = 2,
-    kernel: KernelConfig | None = None,
-) -> SeparatrixModel:
+def fit_surface(points: np.ndarray, graph_axis: int | str = 2) -> SeparatrixModel:
     """Interpolate boundary points as a graph over the remaining plane.
 
     The interpolant is a thin-plate spline expansion augmented with an
@@ -411,11 +391,10 @@ def fit_surface(
     reproduces the samples exactly (residual enforced below 1e-8) and
     degrades to the pure affine part far from data.
 
-    Raises DegenerateGeometryError for too few, duplicated, or collinear
-    sites, and FitResidualError if the solved system fails to reproduce
-    the samples.
+    Raises DegenerateGeometryError for fewer than 10, duplicated, or
+    collinear sites, and FitResidualError if the solved system fails to
+    reproduce the samples.
     """
-    kernel = kernel or KernelConfig()
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
@@ -423,10 +402,8 @@ def fit_surface(
     plane = tuple(k for k in range(3) if k != axis)
 
     n = pts.shape[0]
-    if n < kernel.min_points:
-        raise DegenerateGeometryError(
-            f"need at least {kernel.min_points} points, got {n}"
-        )
+    if n < _MIN_FIT_POINTS:
+        raise DegenerateGeometryError(f"need at least {_MIN_FIT_POINTS} points, got {n}")
 
     proj = pts[:, plane]
     vals = pts[:, axis]
@@ -471,7 +448,6 @@ def fit_surface(
     model = SeparatrixModel(
         graph_axis=axis,
         plane_axes=plane,
-        kernel=kernel,
         sites=z,
         center=center,
         scale=scale,
@@ -496,7 +472,6 @@ def probe_surface_sides(
     expected_above: str,
     expected_below: str,
     n_probes: int = 100,
-    offset: float = 0.05,
     rng: np.random.Generator | None = None,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
@@ -504,16 +479,15 @@ def probe_surface_sides(
     """Check that points offset from the surface reach the expected side.
 
     Draws probe sites as convex combinations of random sample triples (so
-    they stay inside the sampled region), offsets them by ``offset``
-    along the graph axis in both directions, classifies each offset
-    point, and counts matches against the expected attractor for that
-    side. Offsets that leave the nonnegative orthant are redrawn. All
+    they stay inside the sampled region), offsets them by 0.05 along the
+    graph axis in both directions, classifies each offset point, and
+    counts matches against the expected attractor for that side. Offsets that leave the nonnegative orthant are redrawn. All
     probe points are drawn first and then classified in one batch.
 
     Returns (matches, total) with total = 2 * n_probes.
     """
     rng = rng or np.random.default_rng(0)
-    targets = _attractor_list(attractors)
+    targets = _separated_attractors(attractors, match_radius)
     proj = model.points[:, model.plane_axes]
     n = proj.shape[0]
 
@@ -530,7 +504,7 @@ def probe_surface_sides(
         pair = np.zeros((2, 3))
         pair[:, model.plane_axes[0]] = site[0]
         pair[:, model.plane_axes[1]] = site[1]
-        pair[:, model.graph_axis] = (g + offset, g - offset)
+        pair[:, model.graph_axis] = (g + _PROBE_OFFSET, g - _PROBE_OFFSET)
         if not np.any(pair < 0.0):
             starts.extend((*u, 0.0) for u in pair)
 
@@ -540,19 +514,16 @@ def probe_surface_sides(
     return matches, len(starts)
 
 
-def write_surface_obj(
-    model: SeparatrixModel,
-    stream: IO[str],
-    resolution: tuple[int, int] = (40, 40),
-) -> None:
+def write_surface_obj(model: SeparatrixModel, stream: IO[str]) -> None:
     """Triangulated Wavefront OBJ mesh of the fitted surface.
 
     Vertices are written in slice coordinates (the three axis values in
-    order), evaluated on a regular lattice over the sampled plane region.
+    order), evaluated on a regular 40x40 lattice over the sampled plane
+    region.
     """
     proj = model.points[:, model.plane_axes]
     lo, hi = proj.min(axis=0), proj.max(axis=0)
-    nu, nv = resolution
+    nu = nv = _LATTICE
     us = np.linspace(lo[0], hi[0], nu)
     vs = np.linspace(lo[1], hi[1], nv)
     uu, vv = np.meshgrid(us, vs, indexing="ij")
@@ -574,19 +545,14 @@ def write_surface_obj(
             stream.write(f"f {v00} {v11} {v01}\n")
 
 
-def write_surface_lattice_csv(
-    model: SeparatrixModel,
-    stream: IO[str],
-    resolution: tuple[int, int] = (40, 40),
-) -> None:
-    """Regular lattice of surface evaluations over the sampled plane region, as CSV."""
+def write_surface_lattice_csv(model: SeparatrixModel, stream: IO[str]) -> None:
+    """Regular 40x40 lattice of surface evaluations over the sampled plane region, as CSV."""
     proj = model.points[:, model.plane_axes]
     lo, hi = proj.min(axis=0), proj.max(axis=0)
-    nu, nv = resolution
     u_name, v_name = (_AXIS_NAMES[k] for k in model.plane_axes)
     stream.write(f"{u_name},{v_name},{_AXIS_NAMES[model.graph_axis]}\n")
-    for u in np.linspace(lo[0], hi[0], nu):
-        for v in np.linspace(lo[1], hi[1], nv):
+    for u in np.linspace(lo[0], hi[0], _LATTICE):
+        for v in np.linspace(lo[1], hi[1], _LATTICE):
             g = float(model.evaluate((u, v)))
             stream.write(f"{u:.17g},{v:.17g},{g:.17g}\n")
 
@@ -594,7 +560,7 @@ def write_surface_lattice_csv(
 def reconstruct_separatrix(
     params: ModelParameters,
     bounds: Sequence[tuple[float, float]],
-    resolution: int | tuple[int, int, int],
+    resolution: int,
     attractors: Iterable,
     outdir: str | Path,
     graph_axis: int | str = 2,
@@ -607,18 +573,22 @@ def reconstruct_separatrix(
     Writes ``labels.csv``, ``boundary_points.csv``, ``surface.obj`` and
     ``surface_lattice.csv`` into the existing directory ``outdir``, each
     as soon as its stage is done, and returns (grid, segments, sample,
-    model). An unknown ``graph_axis`` raises ValueError before any work.
+    model). An unknown ``graph_axis``, or any other input that
+    ``classify_grid`` or ``separatrix_points`` would reject, raises
+    ValueError before any work.
     """
     axis = _resolve_axis(graph_axis)
+    targets = _check_grid(bounds, resolution, attractors, match_radius)
+    _check_bisect_tol(bisect_tol)
     out = Path(outdir)
     grid = classify_grid(
-        params, bounds, resolution, attractors, config=config, match_radius=match_radius
+        params, bounds, resolution, targets, config=config, match_radius=match_radius
     )
     with open(out / "labels.csv", "w") as fh:
         write_grid_csv(grid, fh)
     segments = boundary_edge_segments(grid)
     sample = separatrix_points(
-        params, segments, attractors, bisect_tol=bisect_tol, config=config, match_radius=match_radius
+        params, segments, targets, bisect_tol=bisect_tol, config=config, match_radius=match_radius
     )
     with open(out / "boundary_points.csv", "w") as fh:
         write_points_csv(sample, fh)

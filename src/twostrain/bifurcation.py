@@ -12,6 +12,7 @@ that each carries an eigenvalue crossing zero.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from typing import IO, Callable
 
@@ -134,7 +135,8 @@ def write_sweep_csv(result: SweepResult, stream: IO[str]) -> None:
 
 # Signed margins that vanish exactly where the two equilibria exchange.
 # Each is a smooth closed-form expression of the parameters, cheap to
-# bisect without computing the equilibria themselves.
+# bisect without computing the equilibria themselves. They read only
+# attributes, so they also take a plain view of the parameter fields.
 _MARGINS: dict[tuple[str, str], Callable[[ModelParameters], float]] = {
     ("E2", "E4"): lambda p: p.lam * p.K - (p.psi + p.mu),
     ("E2", "E5"): lambda p: p.beta * p.K - (p.phi + p.nu),
@@ -200,9 +202,16 @@ def find_transcritical(
         )
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    # Validity is componentwise, so valid ends make the whole interval
+    # valid, and the bisection steps need not rebuild ModelParameters.
+    _substitute(params, parameter, lo)
+    _substitute(params, parameter, hi)
+    view = types.SimpleNamespace(**vars(params))
+    field = "lam" if parameter == "lambda" else parameter
 
     def margin(v: float) -> float:
-        return margin_fn(_substitute(params, parameter, v))
+        setattr(view, field, float(v))
+        return margin_fn(view)
 
     g_lo = margin(lo)
     g_hi = margin(hi)

@@ -2,12 +2,14 @@
 
 Subcommands wrap the library operations: simulate, equilibria, stability,
 sweep, basin, separatrix, reproduce. Each takes a config file (except
-reproduce, which carries its own presets), writes its primary outputs as
-CSV/JSONL files under --out, and prints a short summary to stdout.
+reproduce, which carries its own presets and takes only --out and --tol),
+writes its primary outputs as CSV/JSONL files under --out, and prints a
+short summary to stdout.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 numerical
-failure, 5 a reproduced scenario missed its tolerance (every requested
-scenario still runs and writes its outputs first).
+Exit codes: 0 success, 2 configuration error (basin and separatrix inputs
+are all checked before any run), 3 I/O error, 4 numerical failure, 5 a
+reproduced scenario missed its tolerance (every requested scenario still
+runs and writes its outputs first).
 """
 
 from __future__ import annotations
@@ -56,15 +58,16 @@ _NUMERIC_ERRORS = (
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=Path, help="INI run configuration")
-    common.add_argument("--out", type=Path, default=Path("."), help="output directory")
-    common.add_argument(
+    base = argparse.ArgumentParser(add_help=False)
+    base.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    base.add_argument(
         "--tol",
         type=float,
         default=None,
         help="override the relative integration tolerance (absolute = value/100)",
     )
+    common = argparse.ArgumentParser(add_help=False, parents=[base])
+    common.add_argument("--config", type=Path, help="INI run configuration")
     common.add_argument(
         "--dump-config",
         action="store_true",
@@ -116,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sep.add_argument("--match-radius", type=float, default=0.05)
     p_sep.add_argument("--bisect-tol", type=float, default=1e-4)
 
-    p_repro = sub.add_parser("reproduce", parents=[common], help="run a named scenario")
+    p_repro = sub.add_parser("reproduce", parents=[base], help="run a named scenario")
     p_repro.add_argument("figure", choices=FIGURE_NAMES + ("all",))
     return parser
 
@@ -153,6 +156,19 @@ def _parse_bounds(text: str) -> tuple[tuple[float, float], ...]:
     if len(bounds) != 3 or any(len(b) != 2 for b in bounds):
         raise ConfigError(f"--bounds needs three lo:hi ranges, got {text!r}")
     return bounds
+
+
+def _basin_inputs(args: argparse.Namespace, run: RunConfig):
+    """Bounds and attractors of a basin command, every input checked before any run."""
+    bounds = _parse_bounds(args.bounds)
+    attractors = _select_attractors(run, args.attractors)
+    try:
+        basin_mod._check_grid(bounds, args.resolution, attractors, args.match_radius)
+        if args.command == "separatrix":
+            basin_mod._check_bisect_tol(args.bisect_tol)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return bounds, attractors
 
 
 def _select_attractors(run: RunConfig, selection: str | None):
@@ -277,8 +293,7 @@ def _cmd_basin(args: argparse.Namespace) -> int:
     run = _load(args)
     if _maybe_dump(args, run):
         return EXIT_OK
-    bounds = _parse_bounds(args.bounds)
-    attractors = _select_attractors(run, args.attractors)
+    bounds, attractors = _basin_inputs(args, run)
     grid = basin_mod.classify_grid(
         run.params,
         bounds,
@@ -303,12 +318,11 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
     run = _load(args)
     if _maybe_dump(args, run):
         return EXIT_OK
-    bounds = _parse_bounds(args.bounds)
     try:
         graph_axis = basin_mod._resolve_axis(args.graph_axis)
     except ValueError as err:
         raise ConfigError(f"--graph-axis: {err}") from err
-    attractors = _select_attractors(run, args.attractors)
+    bounds, attractors = _basin_inputs(args, run)
     args.out.mkdir(parents=True, exist_ok=True)
     _, segments, sample, model = basin_mod.reconstruct_separatrix(
         run.params,

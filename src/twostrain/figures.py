@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basin import probe_surface_sides, reconstruct_separatrix
+from .basin import _PROBE_OFFSET, probe_surface_sides, reconstruct_separatrix
 from .equilibria import compute_equilibrium
 from .integrate import IntegrationConfig, Trajectory, integrate, write_trajectory_csv
 from .model import ModelParameters, rhs
@@ -255,7 +255,6 @@ def _reproduce_basin(
     config: IntegrationConfig,
     resolution: int = 21,
     n_probes: int = 100,
-    probe_offset: float = 0.05,
 ) -> dict:
     t0 = time.perf_counter()
     params = preset.params
@@ -296,7 +295,6 @@ def _reproduce_basin(
         expected_above=above,
         expected_below=below,
         n_probes=n_probes,
-        offset=probe_offset,
         rng=np.random.default_rng(20260814),
         config=config,
     )
@@ -319,7 +317,7 @@ def _reproduce_basin(
         f"graph value over the saddle: {saddle_gap:.3e} "
         f"(saddle at {saddle_plane} with zero infected component)",
         f"side-consistency probes: {matches}/{total} = {side_fraction:.4f} "
-        f"at offset {probe_offset:g}",
+        f"at offset {_PROBE_OFFSET:g}",
         f"verdict (saddle gap <= {preset.tolerance:g}, side probes >= 95%, "
         "no skipped segment): " + ("PASS" if ok else "FAIL"),
     ]
@@ -351,8 +349,8 @@ def reproduce(
 ) -> dict:
     """Run one named scenario, writing its outputs under ``outdir``.
 
-    ``basin_options`` (resolution, n_probes, probe_offset) only apply to
-    the basin scenario.
+    ``basin_options`` (resolution, n_probes) only apply to the basin
+    scenario.
     """
     preset = PRESETS.get(name)
     if preset is None:

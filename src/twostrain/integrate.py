@@ -22,7 +22,8 @@ scheme:
   compartment equal to exactly zero is excluded from the expansion test,
   because zero compartments are invariant and cannot be excited.
 
-``run_to_attractor`` runs one start in a plain-float loop.
+``run_to_attractor`` runs one start in a plain-float loop until it has
+dwelt 10 time units in the ball of one attractor.
 ``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper
 and returns, for every start, exactly what ``run_to_attractor`` returns.
 """
@@ -156,6 +157,9 @@ _State = tuple[float, float, float, float]
 _SETTLE_EXPANSION_BAND = 1e-8
 _SETTLE_REARM_FACTOR = 10.0
 
+# Time a run must stay inside one attractor ball to be attributed to it.
+_DWELL_TIME = 10.0
+
 
 def _stationary_check(params: ModelParameters) -> Callable[[_State], bool]:
     """Build the test deciding whether a settled state counts as converged.
@@ -185,8 +189,8 @@ def _integrate_core(
     field: _Field,
     y0: Sequence[float],
     cfg: IntegrationConfig,
+    settle_check: Callable[[_State], bool],
     stop: Callable[[float, _State], bool] | None = None,
-    settle_check: Callable[[_State], bool] | None = None,
 ) -> tuple[list[float], list[tuple[float, float, float, float]], str]:
     """Run the stepper; returns (times, states, termination)."""
     y = tuple(float(v) for v in y0)
@@ -308,7 +312,7 @@ def _integrate_core(
                 if settle_since is None:
                     settle_since = t
                 elif t - settle_since >= cfg.settle_time:
-                    if settle_check is None or settle_check(y):
+                    if settle_check(y):
                         termination = CONVERGED
                         break
                     # Quiet fly-by past a non-attracting rest point: keep
@@ -359,7 +363,7 @@ def integrate(
     if any(v < 0.0 for v in start):
         raise ValueError("initial state must be nonnegative")
     times, states, termination = _integrate_core(
-        scalar_field(params), start, cfg, settle_check=_stationary_check(params)
+        scalar_field(params), start, cfg, _stationary_check(params)
     )
     traj = _as_trajectory(times, states, termination)
     if termination == STEP_FAILURE:
@@ -404,6 +408,8 @@ def _attractor_list(attractors: Iterable) -> list[tuple[str, tuple[float, float,
 def _separated_attractors(
     attractors: Iterable, match_radius: float
 ) -> list[tuple[str, tuple[float, float, float, float]]]:
+    if not match_radius > 0.0:
+        raise ValueError(f"match_radius must be positive, got {match_radius!r}")
     targets = _attractor_list(attractors)
     for i in range(len(targets)):
         for j in range(i + 1, len(targets)):
@@ -423,14 +429,13 @@ def run_to_attractor(
     attractors: Iterable,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
-    dwell_time: float = 10.0,
 ) -> ReachResult:
     """Integrate until the state has dwelt near one attractor.
 
     A run is attributed to an attractor after the state stays inside the
-    Euclidean ball of ``match_radius`` around it for ``dwell_time`` time
-    units without leaving. Attractor centres must be separated by more
-    than twice the radius so membership is unambiguous. Runs that settle
+    Euclidean ball of ``match_radius`` around it for 10 time units without
+    leaving. Attractor centres must be separated by more than twice the
+    radius so membership is unambiguous. Runs that settle
     elsewhere or exhaust ``t_max`` come back undecided; step failures
     raise StepFailureError.
     """
@@ -452,7 +457,7 @@ def run_to_attractor(
         if inside != current["ball"]:
             current["ball"] = inside
             current["entered"] = t
-        if inside >= 0 and t - current["entered"] >= dwell_time:
+        if inside >= 0 and t - current["entered"] >= _DWELL_TIME:
             current["hit"] = inside
             current["t_hit"] = t
             return True
@@ -462,7 +467,7 @@ def run_to_attractor(
     if any(v < 0.0 for v in start):
         raise ValueError("initial state must be nonnegative")
     times, states, termination = _integrate_core(
-        scalar_field(params), start, cfg, stop=stop, settle_check=_stationary_check(params)
+        scalar_field(params), start, cfg, _stationary_check(params), stop=stop
     )
     if termination == STEP_FAILURE:
         raise StepFailureError(
@@ -499,7 +504,6 @@ def run_to_attractor_batch(
     attractors: Iterable,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
-    dwell_time: float = 10.0,
 ) -> list[ReachResult]:
     """``run_to_attractor`` from every row of the ``(n, 4)`` array ``starts``.
 
@@ -527,7 +531,7 @@ def run_to_attractor_batch(
     n = len(x0)
     if n == 1:
         # One lane costs the batch machinery's overhead and gains nothing.
-        return [run_to_attractor(params, x0[0], targets, cfg, match_radius, dwell_time)]
+        return [run_to_attractor(params, x0[0], targets, cfg, match_radius)]
     # 0-d arrays: numpy multiplies them into a column faster than floats.
     values = tuple(np.array(v) for v in _parameter_values(params))
     settle_check = _stationary_check(params)
@@ -681,14 +685,14 @@ def run_to_attractor_batch(
             moved = accepted & (inside != ball)
             ball = np.where(moved, inside, ball)
             entered = np.where(moved, t, entered)
-            stopped = accepted & (inside >= 0) & (t - entered >= dwell_time)
+            stopped = accepted & (inside >= 0) & (t - entered >= _DWELL_TIME)
             done = converged | stopped
             if np.count_nonzero(done | failed):
                 finish(stopped, _STOPPED, inside)
                 drop(done, failed)
 
     if first_failure < n:
-        run_to_attractor(params, x0[first_failure], targets, cfg, match_radius, dwell_time)
+        run_to_attractor(params, x0[first_failure], targets, cfg, match_radius)
         raise RuntimeError(f"batched run of start {first_failure} failed where the scalar run did not")
 
     results = []

@@ -39,7 +39,6 @@ __all__ = [
     "SADDLE",
     "MARGINAL",
     "MARGINALITY_BAND",
-    "ANALYTIC_IDS",
     "numeric_eigenvalues",
     "analytic_eigenvalues",
     "classify_eigenvalues",
@@ -56,10 +55,6 @@ MARGINAL = "marginal"
 
 # Real parts within this band of zero defeat a strict classification.
 MARGINALITY_BAND = 1e-10
-
-# Equilibria with closed-form spectra. The mixed equilibria E6/E7 are
-# classified numerically only.
-ANALYTIC_IDS = ("E0", "E1", "E2", "E3", "E4", "E5", "Q0", "Q1", "Q2", "Q3", "SV_endemic")
 
 _LETTERS = "PSVW"
 
@@ -294,13 +289,10 @@ def _condition_report(
 _FACE_INDEX = {letter: i for i, letter in enumerate(_LETTERS)}
 
 
-def classify(
-    params: ModelParameters,
-    eq_id: str,
-    band: float = MARGINALITY_BAND,
-) -> StabilityVerdict:
+def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
     """Full stability verdict for one equilibrium.
 
+    Real parts within ``MARGINALITY_BAND`` of zero classify as marginal.
     Closed-form spectra are cross-checked against the numeric solver; the
     reported eigenvalues are the closed-form ones when available. Raises
     DegenerateEquilibriumError when the point itself is undefined.
@@ -329,7 +321,7 @@ def classify(
         eigs = numeric
         method = "numeric"
 
-    classification = classify_eigenvalues(eigs, band=band)
+    classification = classify_eigenvalues(eigs)
     diagnostics["lead_real_part"] = float(eigs[0].real)
 
     face_classes: dict[str, str] = {}
@@ -338,7 +330,7 @@ def classify(
         for face in _invariant_faces(zero_letters):
             idx = [_FACE_INDEX[l] for l in face]
             sub = J_full[np.ix_(idx, idx)]
-            face_classes[face] = classify_eigenvalues(numeric_eigenvalues(sub), band=band)
+            face_classes[face] = classify_eigenvalues(numeric_eigenvalues(sub))
 
     return StabilityVerdict(
         id=eq_id,

@@ -10,7 +10,6 @@ from twostrain import basin
 from twostrain.basin import (
     BasinGrid,
     DegenerateGeometryError,
-    KernelConfig,
     boundary_edge_segments,
     classify_grid,
     fit_surface,
@@ -36,13 +35,18 @@ def fig4_attractors(fig4_params):
 
 @pytest.fixture(scope="module")
 def spot_grid(fig4_params, fig4_attractors):
-    return classify_grid(
-        fig4_params,
-        bounds=((1.3, 1.9), (0.1, 0.2), (0.0, 2.5)),
-        resolution=2,
-        attractors=fig4_attractors,
-        max_undecided=0.2,
-    )
+    # One node in eight is undecided, above the 5% warning threshold.
+    with pytest.warns(UserWarning, match="undecided"):
+        return classify_grid(
+            fig4_params,
+            bounds=((1.3, 1.9), (0.1, 0.2), (0.0, 2.5)),
+            resolution=2,
+            attractors=fig4_attractors,
+        )
+
+
+def _no_runs(*args, **kwargs):
+    raise AssertionError("integrated before validating every input")
 
 
 class TestGridClassification:
@@ -141,7 +145,7 @@ class TestBisection:
     def test_column_through_the_basin_boundary(self, fig4_params, fig4_attractors):
         sample = separatrix_points(
             fig4_params,
-            [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5))],
+            [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")],
             fig4_attractors,
         )
         assert sample.skipped == []
@@ -162,23 +166,24 @@ class TestBisection:
         assert low.attractor_id == "E1"
         assert high.attractor_id == "E4"
 
-    def test_single_basin_segment_is_skipped(self, fig4_params, fig4_attractors):
-        sample = separatrix_points(
-            fig4_params,
-            [((0.1, 0.5, 1.0), (1.9, 0.5, 1.0))],
-            fig4_attractors,
-        )
-        assert sample.points.shape == (0, 3)
-        assert sample.skipped == [(0, "both endpoints reach E4")]
+    def test_single_basin_segment_is_rejected_before_any_run(
+        self, fig4_params, fig4_attractors, monkeypatch
+    ):
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _no_runs)
+        with pytest.raises(ValueError, match="two different ids"):
+            separatrix_points(
+                fig4_params,
+                [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"), ((0.1, 0.5, 1.0), (1.9, 0.5, 1.0), "E4", "E4")],
+                fig4_attractors,
+            )
 
     def test_in_plane_boundary_matches_the_saddle(self, fig4_params, fig4_attractors):
-        e1 = fig4_attractors[0]
+        attractors = [fig4_attractors[0], ("E2", (0.0, 3.0, 0.0, 0.0))]
+        ends = run_to_attractor_batch(fig4_params, [(0.0, 0.1875, 0.0, 0.0), (1.9, 0.1875, 0.0, 0.0)], attractors)
+        assert [end.attractor_id for end in ends] == ["E2", "E1"]
         sample = separatrix_points(
-            fig4_params,
-            [((0.0, 0.1875, 0.0), (1.9, 0.1875, 0.0))],
-            [e1, ("E2", (0.0, 3.0, 0.0, 0.0))],
+            fig4_params, [((0.0, 0.1875, 0.0), (1.9, 0.1875, 0.0), "E2", "E1")], attractors
         )
-        assert sample.side_labels == [("E2", "E1")]
         assert sample.points[0][0] == pytest.approx(1.3125, abs=1e-3)
 
     def test_midpoint_landing_on_the_saddle_is_skipped(self, fig4_params, fig4_attractors):
@@ -187,54 +192,66 @@ class TestBisection:
         e1 = fig4_attractors[0]
         sample = separatrix_points(
             fig4_params,
-            [((0.0, 0.1875, 0.0), (2.0, 0.1875, 0.0))],
+            [((0.0, 0.1875, 0.0), (2.0, 0.1875, 0.0), "E2", "E1")],
             [e1, ("E2", (0.0, 3.0, 0.0, 0.0))],
         )
         assert sample.points.shape == (0, 3)
         assert sample.skipped == [(0, "undecided midpoint during bisection")]
 
-    def test_undecided_endpoint_is_skipped(self, fig4_params, fig4_attractors):
-        sample = separatrix_points(
-            fig4_params,
-            [((0.0, 2.9, 0.0), (0.0, 2.9, 0.5))],
-            fig4_attractors,
-        )
-        assert sample.skipped == [(0, "undecided endpoint")]
+    @pytest.mark.parametrize("labels", [("undecided", "E4"), ("E1", "E2")])
+    def test_unknown_label_is_rejected_before_any_run(
+        self, fig4_params, fig4_attractors, monkeypatch, labels
+    ):
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _no_runs)
+        with pytest.raises(ValueError, match="two different ids"):
+            separatrix_points(
+                fig4_params,
+                [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"), ((0.0, 2.9, 0.0), (0.0, 2.9, 0.5), *labels)],
+                fig4_attractors,
+            )
+
+    @pytest.mark.parametrize("bisect_tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_bisect_tol_is_rejected_before_any_run(
+        self, fig4_params, fig4_attractors, monkeypatch, bisect_tol
+    ):
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _no_runs)
+        with pytest.raises(ValueError, match="bisect_tol must be positive"):
+            separatrix_points(
+                fig4_params,
+                [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")],
+                fig4_attractors,
+                bisect_tol=bisect_tol,
+            )
 
     def test_orthant_validation(self, fig4_params, fig4_attractors):
         with pytest.raises(ValueError, match="nonnegative orthant"):
             separatrix_points(
                 fig4_params,
-                [((-0.1, 0.2, 0.0), (1.9, 0.2, 0.0))],
+                [((-0.1, 0.2, 0.0), (1.9, 0.2, 0.0), "E1", "E4")],
                 fig4_attractors,
             )
 
     def test_orthant_is_checked_before_any_run(self, fig4_params, fig4_attractors, monkeypatch):
-        def no_runs(*args, **kwargs):
-            raise AssertionError("integrated before validating every segment")
-
-        monkeypatch.setattr(basin, "run_to_attractor_batch", no_runs)
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _no_runs)
         with pytest.raises(ValueError, match="nonnegative orthant"):
             separatrix_points(
                 fig4_params,
-                [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"), ((1.9, 0.2, 0.0), (1.9, -0.2, 2.5))],
+                [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"), ((1.9, 0.2, 0.0), (1.9, -0.2, 2.5), "E1", "E4")],
                 fig4_attractors,
             )
 
     def test_lockstep_bisection_matches_one_segment_at_a_time(self, fig4_params, fig4_attractors):
         segments = [
-            ((0.1, 0.5, 1.0), (1.9, 0.5, 1.0)),
             ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
-            ((0.0, 2.9, 0.0), (0.0, 2.9, 0.5)),
-            ((1.9, 0.1, 0.0), (1.9, 0.1, 2.5)),
+            ((1.3, 0.1, 2.5), (1.3, 0.1, 0.0), "E4", "E1"),
+            ((1.9, 0.1, 0.0), (1.9, 0.1, 2.5), "E1", "E4"),
         ]
         together = separatrix_points(fig4_params, segments, fig4_attractors, bisect_tol=1e-2)
-        assert together.skipped == [(0, "both endpoints reach E4"), (2, "undecided endpoint")]
+        assert together.skipped == []
         alone = [separatrix_points(fig4_params, [seg], fig4_attractors, bisect_tol=1e-2) for seg in segments]
-        kept = [one for one in alone if not one.skipped]
-        assert together.points.tobytes() == np.concatenate([one.points for one in kept]).tobytes()
-        assert together.segments.tobytes() == np.concatenate([one.segments for one in kept]).tobytes()
-        assert together.side_labels == [one.side_labels[0] for one in kept]
+        assert together.points.tobytes() == np.concatenate([one.points for one in alone]).tobytes()
+        assert together.segments.tobytes() == np.concatenate([one.segments for one in alone]).tobytes()
+        assert together.side_labels == [one.side_labels[0] for one in alone]
 
     def test_unknown_graph_axis_fails_before_any_work(self, fig4_params, fig4_attractors, tmp_path):
         with pytest.raises(ValueError, match="unknown graph axis"):
@@ -272,10 +289,17 @@ class TestBisection:
         assert nodes.isdisjoint(bisection_starts)
 
     def test_deterministic(self, fig4_params, fig4_attractors):
-        seg = [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5))]
+        seg = [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")]
         a = separatrix_points(fig4_params, seg, fig4_attractors)
         b = separatrix_points(fig4_params, seg, fig4_attractors)
         np.testing.assert_array_equal(a.points, b.points)
+
+
+def _flat_sites(height):
+    """Ten sites over the unit square, not collinear, all at one height."""
+    u = np.array([0.0, 1.0, 0.0, 1.0, 0.5, 0.25, 0.75, 0.25, 0.75, 0.5])
+    v = np.array([0.0, 0.0, 1.0, 1.0, 0.5, 0.25, 0.25, 0.75, 0.75, 0.1])
+    return np.column_stack((u, v, np.full(10, height)))
 
 
 class TestSurfaceFit:
@@ -290,9 +314,10 @@ class TestSurfaceFit:
         assert far == pytest.approx(0.3 + 0.2 * 12.0 - 0.1 * (-7.0), abs=1e-9)
 
     def test_constant_data_with_three_points(self):
-        pts = np.array([[0.0, 0.0, 0.7], [1.0, 0.0, 0.7], [0.0, 1.0, 0.7]])
-        model = fit_surface(pts, kernel=KernelConfig(min_points=3))
-        assert model.fit_residual == 0.0
+        # Ten sites leave rounding error in the radial weights, so the
+        # residual is not exactly zero.
+        model = fit_surface(_flat_sites(0.7))
+        assert model.fit_residual <= 1e-12
         assert float(model.evaluate((0.3, 0.3))) == pytest.approx(0.7, abs=1e-10)
 
     def test_interpolates_smooth_samples(self):
@@ -308,12 +333,12 @@ class TestSurfaceFit:
     def test_degenerate_geometry(self):
         with pytest.raises(DegenerateGeometryError, match="need at least"):
             fit_surface(np.zeros((5, 3)) + np.arange(5)[:, None])
-        dup = np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.2], [1.0, 1.0, 0.3]])
+        dup = np.vstack((_flat_sites(0.1), [[0.0, 0.0, 0.2]]))
         with pytest.raises(DegenerateGeometryError, match="duplicate"):
-            fit_surface(dup, kernel=KernelConfig(min_points=3))
-        line = np.column_stack((np.arange(5.0), np.arange(5.0), np.ones(5)))
+            fit_surface(dup)
+        line = np.column_stack((np.arange(10.0), np.arange(10.0), np.ones(10)))
         with pytest.raises(DegenerateGeometryError, match="collinear"):
-            fit_surface(line, kernel=KernelConfig(min_points=3))
+            fit_surface(line)
 
     def test_graph_axis_resolution(self):
         rng = np.random.default_rng(13)
@@ -330,17 +355,6 @@ class TestSurfaceFit:
         with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
             fit_surface(pts[:, :2])
 
-    def test_kernel_validation(self):
-        with pytest.raises(ValueError, match="min_points"):
-            KernelConfig(min_points=2)
-
-    def test_point_on_surface_assembly(self):
-        pts = np.array([[0.0, 0.0, 0.7], [1.0, 0.0, 0.7], [0.0, 1.0, 0.7]])
-        model = fit_surface(pts, kernel=KernelConfig(min_points=3))
-        point = model.point_on_surface((0.25, 0.5))
-        assert point[0] == 0.25 and point[1] == 0.5
-        assert point[2] == pytest.approx(0.7, abs=1e-10)
-
 
 class TestProbes:
     def _patch_model(self):
@@ -348,7 +362,7 @@ class TestProbes:
         u = rng.uniform(1.88, 1.92, 12)
         v = rng.uniform(0.19, 0.21, 12)
         pts = np.column_stack((u, v, np.full(12, 0.37784576)))
-        return fit_surface(pts, kernel=KernelConfig(min_points=3))
+        return fit_surface(pts)
 
     def test_counts_and_determinism(self, fig4_params, fig4_attractors):
         model = self._patch_model()
@@ -360,7 +374,6 @@ class TestProbes:
             expected_above="E4",
             expected_below="E1",
             n_probes=4,
-            offset=0.05,
             rng=np.random.default_rng(11),
         )
         assert counts == (8, 8)
@@ -371,14 +384,12 @@ class TestProbes:
             expected_above="E4",
             expected_below="E1",
             n_probes=4,
-            offset=0.05,
             rng=np.random.default_rng(11),
         )
         assert again == counts
 
     def test_probes_that_leave_the_orthant_exhaust(self, fig4_params, fig4_attractors):
-        pts = np.array([[0.0, 0.0, 0.02], [1.0, 0.0, 0.02], [0.0, 1.0, 0.02]])
-        model = fit_surface(pts, kernel=KernelConfig(min_points=3))
+        model = fit_surface(_flat_sites(0.02))
         with pytest.raises(RuntimeError, match="inside the orthant"):
             probe_surface_sides(
                 fig4_params,
@@ -387,7 +398,6 @@ class TestProbes:
                 expected_above="E4",
                 expected_below="E1",
                 n_probes=2,
-                offset=0.05,
                 rng=np.random.default_rng(1),
             )
 
@@ -396,7 +406,7 @@ class TestWriters:
     def test_points_csv(self, fig4_params, fig4_attractors):
         sample = separatrix_points(
             fig4_params,
-            [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5))],
+            [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")],
             fig4_attractors,
         )
         buf = io.StringIO()
@@ -409,30 +419,28 @@ class TestWriters:
         assert fields[3] == "E1" and fields[4] == "E4"
 
     def test_surface_obj(self):
-        pts = np.array([[0.0, 0.0, 0.7], [1.0, 0.0, 0.7], [0.0, 1.0, 0.7]])
-        model = fit_surface(pts, kernel=KernelConfig(min_points=3))
+        model = fit_surface(_flat_sites(0.7))
         buf = io.StringIO()
-        write_surface_obj(model, buf, resolution=(3, 2))
+        write_surface_obj(model, buf)
         lines = buf.getvalue().splitlines()
         verts = [l for l in lines if l.startswith("v ")]
         faces = [l for l in lines if l.startswith("f ")]
-        assert len(verts) == 6
-        assert len(faces) == 4
+        assert len(verts) == 1600
+        assert len(faces) == 3042
         first = verts[0].split()
         assert float(first[1]) == 0.0 and float(first[2]) == 0.0
         assert float(first[3]) == pytest.approx(0.7, abs=1e-9)
         for face in faces:
             idx = [int(tok) for tok in face.split()[1:]]
-            assert all(1 <= i <= 6 for i in idx)
+            assert all(1 <= i <= 1600 for i in idx)
 
     def test_surface_lattice_csv(self):
-        pts = np.array([[0.0, 0.0, 0.7], [1.0, 0.0, 0.7], [0.0, 1.0, 0.7]])
-        model = fit_surface(pts, kernel=KernelConfig(min_points=3))
+        model = fit_surface(_flat_sites(0.7))
         buf = io.StringIO()
-        write_surface_lattice_csv(model, buf, resolution=(3, 2))
+        write_surface_lattice_csv(model, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "P,S,V"
-        assert len(lines) == 1 + 6
+        assert len(lines) == 1 + 1600
         u, v, g = (float(x) for x in lines[1].split(","))
         assert (u, v) == (0.0, 0.0)
         assert g == pytest.approx(0.7, abs=1e-9)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twostrain import cli
+from twostrain import basin, cli
 from twostrain.cli import main
 from twostrain.bifurcation import SUPPORTED_PAIRS
 from twostrain.config import (
@@ -443,6 +443,47 @@ class TestCliAnalysis:
         assert main(["reproduce", "fig5", "--tol", tol, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "--tol must be positive" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--dump-config"], ["--config", "missing.ini"], ["--dump-config", "--config", "missing.ini"]]
+    )
+    def test_reproduce_rejects_the_config_options(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["reproduce", "fig5", *flags, "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, options, message",
+        [
+            (command, options, message)
+            for command in ("basin", "separatrix")
+            for options, message in (
+                (["--resolution", "1"], "resolution must be an int >= 2"),
+                (["--bounds", "0:2,0:3,-1:2.5"], "outside the nonnegative orthant"),
+                (["--attractors", "E1,E1"], "attractors E1 and E1 are separated by 0"),
+                (["--match-radius", "5"], "2 * match_radius"),
+                (["--match-radius", "-0.1"], "match_radius must be positive"),
+            )
+        ]
+        + [("separatrix", ["--resolution", "6", "--bisect-tol", "-1"], "bisect_tol must be positive")],
+    )
+    def test_basin_input_out_of_range_is_a_config_error_before_any_run(
+        self, tmp_path, capsys, monkeypatch, fig4_params, command, options, message
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("integrated before checking the inputs")
+
+        monkeypatch.setattr(basin, "run_to_attractor_batch", no_runs)
+        cfg = _write_cfg(tmp_path, fig4_params)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out), *options]) == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
         assert not out.exists()
 
