@@ -18,9 +18,10 @@ the three stages and writes their files, after checking every input
 before any run.
 
 Every stage integrates its starts together with
-``integrate.run_to_attractor_batch``: the grid in one batch, bisection in
-one batch per halving round over all segments, and the probes in one
-batch. The lanes of a batch reproduce one-at-a-time runs bit for bit.
+``integrate.run_to_attractor_batch``: the grid in one batch, the probes in
+one batch, and bisection as one stream of runs, in which a segment's next
+midpoint starts as soon as the run of its last one ends. The lanes of a
+batch reproduce one-at-a-time runs bit for bit.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .integrate import IntegrationConfig, UNDECIDED, _separated_attractors, run_to_attractor_batch
+from .integrate import IntegrationConfig, ReachResult, UNDECIDED, _separated_attractors, run_to_attractor_batch
 from .model import ModelParameters
 
 __all__ = [
@@ -258,11 +259,13 @@ def separatrix_points(
     ids of ``attractors``, taken as given, so only midpoints are
     integrated. Every segment must lie in the nonnegative orthant, and
     ``bisect_tol`` must be positive; all of that is checked before
-    anything is integrated. All segments are bisected in lockstep, one
-    batch of midpoints per halving round. A segment whose midpoint fails
-    to classify is skipped with a note, in segment order. The bisection
-    stops once the bracket is shorter than ``bisect_tol`` in slice
-    coordinates; the returned point is the bracket midpoint.
+    anything is integrated. The segments are bisected as one stream of
+    runs: each segment's first midpoint is launched at once, and its next
+    one as soon as the run of the last one ends, so no segment waits for
+    another. A segment whose midpoint fails to classify is skipped with a
+    note, in segment order. The bisection stops once the bracket is
+    shorter than ``bisect_tol`` in slice coordinates; the returned point
+    is the bracket midpoint.
     """
     targets = _separated_attractors(attractors, match_radius)
     _check_bisect_tol(bisect_tol)
@@ -281,30 +284,38 @@ def separatrix_points(
         ends.append((u_lo, u_hi))
         sides.append((lab_lo, lab_hi))
 
-    # Bisect every bracket in lockstep: one batch of midpoints per halving.
+    # Bisect every bracket as one stream of runs: a segment's next
+    # midpoint is launched as soon as the run of its last one ends.
     n = len(ends)
     lo = np.array([u_lo for u_lo, _ in ends]).reshape(n, 3)
     hi = np.array([u_hi for _, u_hi in ends]).reshape(n, 3)
     length = np.array([float(np.linalg.norm(u_hi - u_lo)) for u_lo, u_hi in ends])
     decided = np.ones(n, dtype=bool)
     skipped = []
-    while True:
-        rows = np.flatnonzero(decided & (length > bisect_tol))
-        if not rows.size:
-            break
-        mids = 0.5 * (lo[rows] + hi[rows])
-        results = run_to_attractor_batch(
-            params, [(*u, 0.0) for u in mids], targets, config=config, match_radius=match_radius
-        )
-        for row, mid, res in zip(rows, mids, results):
-            if res.attractor_id is None:
-                decided[row] = False
-                skipped.append((int(row), "undecided midpoint during bisection"))
-            elif res.attractor_id == sides[row][0]:
-                lo[row] = mid
-            else:
-                hi[row] = mid
-        length[rows] *= 0.5
+    row_of: list[int] = []  # the segment of each launch, by launch index
+
+    def midpoint(row: int) -> tuple[float, float, float, float]:
+        row_of.append(row)
+        return (*(0.5 * (lo[row] + hi[row])), 0.0)
+
+    def halve(index: int, res: ReachResult) -> list[tuple[float, float, float, float]]:
+        row = row_of[index]
+        if res.attractor_id is None:
+            decided[row] = False
+            skipped.append((row, "undecided midpoint during bisection"))
+            return []
+        mid = 0.5 * (lo[row] + hi[row])
+        if res.attractor_id == sides[row][0]:
+            lo[row] = mid
+        else:
+            hi[row] = mid
+        length[row] *= 0.5
+        return [midpoint(row)] if length[row] > bisect_tol else []
+
+    first = [midpoint(int(row)) for row in np.flatnonzero(length > bisect_tol)]
+    run_to_attractor_batch(
+        params, first, targets, config=config, match_radius=match_radius, on_result=halve
+    )
     skipped.sort()
 
     rows = np.flatnonzero(decided)

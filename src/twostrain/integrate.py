@@ -24,8 +24,9 @@ scheme:
 
 ``run_to_attractor`` runs one start in a plain-float loop until it has
 dwelt 10 time units in the ball of one attractor.
-``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper
-and returns, for every start, exactly what ``run_to_attractor`` returns.
+``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper,
+launches more as runs end if asked to, and returns, for every start,
+exactly what ``run_to_attractor`` returns.
 """
 
 from __future__ import annotations
@@ -107,16 +108,19 @@ class IntegrationConfig:
     min_step: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        # Written so that NaN fails every check.
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         if not 0.0 < self.initial_step <= self.max_step:
             raise ValueError("need 0 < initial_step <= max_step")
-        if self.min_step <= 0.0:
+        if not self.min_step > 0.0:
             raise ValueError("min_step must be positive")
-        if self.settle_tol <= 0.0:
+        if not self.settle_tol > 0.0:
             raise ValueError("settle_tol must be positive")
+        if not self.settle_time >= 0.0:
+            raise ValueError("settle_time must be nonnegative")
 
     def with_tolerance(self, rel_tol: float) -> "IntegrationConfig":
         """Scale both tolerances from a single knob (abs = rel / 100)."""
@@ -504,6 +508,7 @@ def run_to_attractor_batch(
     attractors: Iterable,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
+    on_result: Callable[[int, ReachResult], Sequence[Sequence[float]]] | None = None,
 ) -> list[ReachResult]:
     """``run_to_attractor`` from every row of the ``(n, 4)`` array ``starts``.
 
@@ -518,26 +523,39 @@ def run_to_attractor_batch(
     error-norm squares and the step-factor powers are taken per lane on
     Python floats, and so are ball distances close to the radius.
 
-    If a run fails on step size, the failing start of lowest index is run
-    again by ``run_to_attractor``, whose StepFailureError (with the
-    partial trajectory) propagates. A batch of one start is run by
-    ``run_to_attractor`` directly.
+    Every run has a launch index, and ``starts`` are launches 0 to n-1.
+    If ``on_result`` is given, ``on_result(launch_index, result)`` is
+    called as each run ends. The starts it returns are launched with the
+    next indices, in the order returned, and join the running lanes in
+    the next pass. The result of every launch comes back, in launch order.
+
+    A start offered while no lane is running, and alone, is run by
+    ``run_to_attractor`` directly: one lane costs the batch machinery's
+    overhead and gains nothing.
+
+    Once a run fails on step size, nothing more is launched
+    (``on_result`` is not called again) and lanes of higher launch index
+    stop. The failing launch of lowest index is then run again by
+    ``run_to_attractor``, whose StepFailureError (with the partial
+    trajectory) propagates.
     """
     cfg = config or IntegrationConfig()
     targets = _separated_attractors(attractors, match_radius)
-    x0 = np.asarray(starts, dtype=float).reshape(len(starts), 4)
-    if np.any(x0 < 0.0):
-        raise ValueError("initial state must be nonnegative")
-    n = len(x0)
-    if n == 1:
-        # One lane costs the batch machinery's overhead and gains nothing.
-        return [run_to_attractor(params, x0[0], targets, cfg, match_radius)]
+
+    def start_rows(batch: Sequence[Sequence[float]] | np.ndarray) -> list[np.ndarray]:
+        x = np.asarray(batch, dtype=float).reshape(len(batch), 4)
+        if np.any(x < 0.0):
+            raise ValueError("initial state must be nonnegative")
+        return list(x)
+
+    pending = start_rows(starts)
     # 0-d arrays: numpy multiplies them into a column faster than floats.
     values = tuple(np.array(v) for v in _parameter_values(params))
     settle_check = _stationary_check(params)
     centres = np.array([c for _, c in targets])[:, :, None]
     r2 = match_radius * match_radius
     rel, atol = cfg.rel_tol, cfg.abs_tol
+    h0 = min(cfg.initial_step, cfg.max_step, cfg.t_max)
 
     def field(u: np.ndarray) -> np.ndarray:
         return np.array(_field(*u, *values))
@@ -559,24 +577,63 @@ def run_to_attractor_batch(
             inside = np.where(d2[index] <= r2, index, inside)
         return inside
 
-    # Outcome of every start, filled in as its lane finishes.
-    final = x0.copy()
-    termination = [REACHED_T_MAX] * n
-    hit = [-1] * n
-    t_hit = [0.0] * n
-    first_failure = n
+    # Start and outcome of every launch, by launch index.
+    launched: list[np.ndarray] = []
+    results: list[ReachResult | None] = []
+    ended: list[tuple[int, ReachResult]] = []  # (launch index, result) of this pass
+    first_failure = math.inf
+
+    def launch() -> None:
+        """Give the pending starts the next launch indices, and run them.
+
+        A start offered alone while no lane runs goes to the scalar loop,
+        and the starts its end queues are launched in turn.
+        """
+        nonlocal pending, lane, y, k1, t, h, facold, armed, since, ball, entered
+        while pending:
+            first, m = len(results), len(pending)
+            launched.extend(pending)
+            results.extend([None] * m)
+            x, pending = np.array(pending).T, []
+            if m == 1 and not lane.size:
+                # One lane costs the batch machinery's overhead and gains nothing.
+                ended.append((first, run_to_attractor(params, x[:, 0], targets, cfg, match_radius)))
+                report()
+                continue
+            k = field(x)
+            new = (
+                np.arange(first, first + m),
+                x,
+                k,
+                np.zeros(m),
+                np.full(m, h0),
+                np.full(m, 1e-4),
+                np.ones(m, dtype=bool),
+                np.where(settle_ratio(x, k) <= 1.0, 0.0, np.nan),  # NaN: not quiet
+                ball_of(x),
+                np.zeros(m),
+            )
+            lane, y, k1, t, h, facold, armed, since, ball, entered = (
+                np.concatenate((a, b), axis=-1)
+                for a, b in zip((lane, y, k1, t, h, facold, armed, since, ball, entered), new)
+            )
 
     def finish(mask: np.ndarray, how: str, index: np.ndarray | None = None) -> None:
         for j in np.flatnonzero(mask):
-            start = int(lane[j])
-            final[start] = y[:, j]
-            termination[start] = how
-            if index is not None:
-                hit[start] = int(index[j])
-                t_hit[start] = float(t[j])
+            hit = -1 if index is None else int(index[j])
+            found = (targets[hit][0], float(t[j])) if hit >= 0 else (None, None)
+            ended.append((int(lane[j]), ReachResult(*found, y[:, j].copy(), how)))
+
+    def report() -> None:
+        """Store the ended runs and queue the starts ``on_result`` returns."""
+        for index, result in ended:
+            results[index] = result
+            if on_result is not None and first_failure == math.inf:
+                pending.extend(start_rows(on_result(index, result)))
+        ended.clear()
 
     def drop(done: np.ndarray, failed: np.ndarray) -> None:
-        """Drop finished lanes, and every lane past the lowest failing start."""
+        """Drop finished lanes, and every lane past the lowest failing launch."""
         nonlocal first_failure, lane, y, k1, t, h, facold, armed, since, ball, entered
         if failed.any():
             first_failure = min(first_failure, int(lane[failed].min()))
@@ -584,22 +641,22 @@ def run_to_attractor_batch(
         lane, y, k1, t, h, facold, armed, since, ball, entered = (
             a[..., keep] for a in (lane, y, k1, t, h, facold, armed, since, ball, entered)
         )
+        report()
 
     # Overflow and NaN pass silently, as in Python float arithmetic.
     with np.errstate(over="ignore", invalid="ignore"):
         # Lane state, one column per running run.
-        lane = np.arange(n)
-        y = x0.T.copy()
-        k1 = field(y)
-        t = np.zeros(n)
-        h = np.full(n, min(cfg.initial_step, cfg.max_step, cfg.t_max))
-        facold = np.full(n, 1e-4)
-        armed = np.ones(n, dtype=bool)
-        since = np.where(settle_ratio(y, k1) <= 1.0, 0.0, np.nan)  # NaN: not quiet
-        ball = ball_of(y)
-        entered = np.zeros(n)
+        lane = np.zeros(0, dtype=int)
+        y = k1 = np.zeros((4, 0))
+        t = h = facold = since = entered = np.zeros(0)
+        armed = np.zeros(0, dtype=bool)
+        ball = np.zeros(0, dtype=int)
 
-        while lane.size:
+        while True:
+            launch()
+            if not lane.size:
+                break
+
             # Loop head: out of time, or a step too small to take.
             remaining = cfg.t_max - t
             h = np.minimum(h, remaining)
@@ -691,17 +748,9 @@ def run_to_attractor_batch(
                 finish(stopped, _STOPPED, inside)
                 drop(done, failed)
 
-    if first_failure < n:
-        run_to_attractor(params, x0[first_failure], targets, cfg, match_radius)
-        raise RuntimeError(f"batched run of start {first_failure} failed where the scalar run did not")
-
-    results = []
-    for j in range(n):
-        state = final[j].copy()
-        if termination[j] == REACHED_T_MAX or hit[j] < 0:
-            results.append(ReachResult(None, None, state, termination[j]))
-        else:
-            results.append(ReachResult(targets[hit[j]][0], t_hit[j], state, termination[j]))
+    if first_failure < math.inf:
+        run_to_attractor(params, launched[first_failure], targets, cfg, match_radius)
+        raise RuntimeError(f"batched run of launch {first_failure} failed where the scalar run did not")
     return results
 
 

@@ -241,17 +241,29 @@ class TestBisection:
             )
 
     def test_lockstep_bisection_matches_one_segment_at_a_time(self, fig4_params, fig4_attractors):
+        # Streamed bisection: segments need different numbers of halvings
+        # (an edge 5, a face and a body diagonal 6, the columns 8), and
+        # the saddle segment is skipped at its fifth midpoint, so the
+        # segments' runs fall out of step.
         segments = [
             ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
+            ((0.6, 0.0, 0.0), (0.6, 0.0, 0.25), "E1", "E4"),
             ((1.3, 0.1, 2.5), (1.3, 0.1, 0.0), "E4", "E1"),
+            ((0.0, 0.1875, 0.0), (2.0, 0.1875, 0.0), "E2", "E1"),
+            ((0.2, 0.0, 0.0), (0.2, 0.3, 0.25), "E1", "E4"),
+            ((0.0, 0.3, 0.25), (0.2, 0.0, 0.0), "E4", "E1"),
             ((1.9, 0.1, 0.0), (1.9, 0.1, 2.5), "E1", "E4"),
         ]
-        together = separatrix_points(fig4_params, segments, fig4_attractors, bisect_tol=1e-2)
-        assert together.skipped == []
-        alone = [separatrix_points(fig4_params, [seg], fig4_attractors, bisect_tol=1e-2) for seg in segments]
+        attractors = [*fig4_attractors, ("E2", (0.0, 3.0, 0.0, 0.0))]
+        together = separatrix_points(fig4_params, segments, attractors, bisect_tol=1e-2)
+        assert together.skipped == [(3, "undecided midpoint during bisection")]
+        alone = [separatrix_points(fig4_params, [seg], attractors, bisect_tol=1e-2) for seg in segments]
+        assert [one.skipped for one in alone] == [
+            [(0, "undecided midpoint during bisection")] if i == 3 else [] for i in range(len(segments))
+        ]
         assert together.points.tobytes() == np.concatenate([one.points for one in alone]).tobytes()
         assert together.segments.tobytes() == np.concatenate([one.segments for one in alone]).tobytes()
-        assert together.side_labels == [one.side_labels[0] for one in alone]
+        assert together.side_labels == [label for one in alone for label in one.side_labels]
 
     def test_unknown_graph_axis_fails_before_any_work(self, fig4_params, fig4_attractors, tmp_path):
         with pytest.raises(ValueError, match="unknown graph axis"):
@@ -267,9 +279,15 @@ class TestBisection:
     ):
         starts = []
 
-        def recording_batch(params, batch_starts, *args, **kwargs):
-            starts.extend(tuple(float(v) for v in x0) for x0 in batch_starts)
-            return run_to_attractor_batch(params, batch_starts, *args, **kwargs)
+        def record(batch):
+            starts.extend(tuple(float(v) for v in x0) for x0 in batch)
+            return batch
+
+        def recording_batch(params, batch_starts, *args, on_result=None, **kwargs):
+            # Bisection launches most of its runs from the callback.
+            if on_result is not None:
+                kwargs["on_result"] = lambda index, result: record(on_result(index, result))
+            return run_to_attractor_batch(params, record(batch_starts), *args, **kwargs)
 
         monkeypatch.setattr(basin, "run_to_attractor_batch", recording_batch)
         grid, segments, sample, _ = reconstruct_separatrix(
@@ -285,8 +303,17 @@ class TestBisection:
         bisection_starts = starts[grid.labels.size :]
         assert set(grid_starts) == nodes
         assert len(segments) > 0 and len(sample.points) == len(segments)
-        assert len(bisection_starts) > 0
         assert nodes.isdisjoint(bisection_starts)
+
+        def halvings(start, end):
+            length, runs = float(np.linalg.norm(end - start)), 0
+            while length > 1e-2:
+                length *= 0.5
+                runs += 1
+            return runs
+
+        assert sample.skipped == []
+        assert len(bisection_starts) == sum(halvings(start, end) for start, end, _, _ in segments) > 0
 
     def test_deterministic(self, fig4_params, fig4_attractors):
         seg = [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")]

@@ -212,6 +212,35 @@ class TestCliSimulate:
         assert "numerical failure" in err
         assert "step size underflowed" in err
 
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("t_max = nan", "t_max"),
+            ("t_max = inf", "t_max"),
+            ("rel_tol = nan", "tolerances"),
+            ("min_step = nan", "min_step"),
+            ("settle_tol = nan", "settle_tol"),
+            ("settle_time = nan", "settle_time"),
+            ("settle_time = -1", "settle_time"),
+        ],
+    )
+    def test_invalid_integration_setting_is_a_config_error(
+        self, tmp_path, capsys, fig1_params, setting, message
+    ):
+        key = setting.split(" = ")[0]
+        text = "".join(
+            setting + "\n" if line.startswith(key + " = ") else line + "\n"
+            for line in _cfg_text(fig1_params, initial=(0.0, 1.8, 0.1, 0.1)).splitlines()
+        )
+        assert setting in text.splitlines()
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid integration settings" in err and message in err
+        assert not out.exists()
+
     def test_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main([])
@@ -317,6 +346,18 @@ class TestCliAnalysis:
         assert lines[0] == "P,S,V,label"
         assert lines[1] == "0,0,0,undecided"
         assert lines[-1] == "2,3,2.5,E4"
+
+    def test_undecided_grid_warning_is_one_line(self, tmp_path, capsys, fig4_params):
+        # One node in eight is undecided, above the 5% warning threshold.
+        cfg = _write_cfg(tmp_path, fig4_params)
+        rc = main([
+            "basin", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "--resolution", "2", "--bounds", "1.3:1.9,0.1:0.2,0:2.5",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == "warning: 12.5% of grid nodes undecided (threshold 5.0%)\n"
+        assert "87.5% decided" in captured.out
 
     def test_unknown_attractor_id(self, tmp_path, capsys, fig4_params):
         cfg = _write_cfg(tmp_path, fig4_params)

@@ -52,6 +52,25 @@ class TestConfig:
             IntegrationConfig(min_step=0.0)
         with pytest.raises(ValueError, match="settle_tol"):
             IntegrationConfig(settle_tol=0.0)
+        nan = float("nan")
+        with pytest.raises(ValueError, match="settle_time"):
+            IntegrationConfig(settle_time=-1.0)
+        # NaN fails every check, and t_max must be finite.
+        for field, message in [
+            ("rel_tol", "tolerances"),
+            ("abs_tol", "tolerances"),
+            ("t_max", "t_max"),
+            ("initial_step", "initial_step"),
+            ("max_step", "initial_step"),
+            ("min_step", "min_step"),
+            ("settle_tol", "settle_tol"),
+            ("settle_time", "settle_time"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                IntegrationConfig(**{field: nan})
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            IntegrationConfig(t_max=math.inf)
+        assert IntegrationConfig(settle_time=0.0).settle_time == 0.0
 
 
 class TestKnownEndpoints:
@@ -301,6 +320,67 @@ class TestBatchedReach:
         assert got.times.tobytes() == want.times.tobytes()
         assert got.states.tobytes() == want.states.tobytes()
 
+    def test_step_failure_is_the_scalar_failure_of_the_lowest_failing_launch(
+        self, fig4_params, monkeypatch
+    ):
+        cfg = IntegrationConfig(
+            rel_tol=1e-12, abs_tol=1e-14, initial_step=0.9, max_step=1.0, min_step=0.5
+        )
+        e1 = compute_equilibrium(fig4_params, "E1")
+        e4 = compute_equilibrium(fig4_params, "E4")
+        ok, fail_late, fail_now = tuple(e1.coordinates), (1.5, 1e-5, 0.0, 0.0), (1.4, 0.1, 0.1, 0.0)
+        with pytest.raises(StepFailureError) as scalar:
+            run_to_attractor(fig4_params, fail_late, [e1, e4], cfg)
+        calls, reruns = [], []
+
+        def on_result(index, result):
+            calls.append(index)
+            return {0: [ok, fail_late, fail_now], 1: [ok]}.get(index, [])
+
+        def recording(params, start, *args):
+            reruns.append(tuple(start))
+            return run_to_attractor(params, start, *args)
+
+        # Launches 0 and 1 end on their rest points and launch 2 to 5.
+        # Launch 4 fails at once, launch 3 one pass later, while launch 2
+        # still runs: its end calls nothing, and launch 3 is the one rerun.
+        monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
+        with pytest.raises(StepFailureError) as batched:
+            run_to_attractor_batch(
+                fig4_params, [ok, tuple(e4.coordinates)], [e1, e4], cfg, on_result=on_result
+            )
+        assert calls == [0, 1]
+        assert reruns == [fail_late]
+        assert str(batched.value) == str(scalar.value)
+        got, want = batched.value.trajectory, scalar.value.trajectory
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+
+    def test_refilled_lanes_match_the_scalar_runs(self, fig4_params):
+        # Starts the callback returns join lanes that are still running,
+        # after other lanes have ended; one call returns two starts.
+        attractors = [compute_equilibrium(fig4_params, "E1"), compute_equilibrium(fig4_params, "E4")]
+        axes = [np.linspace(lo, hi, 4) for lo, hi in _FIG4_BOUNDS]
+        nodes = [(u1, u2, u3, 0.0) for u1, u2, u3 in itertools.product(*axes)]
+        launched, refill = nodes[:6], nodes[6:]
+        ended = []
+
+        def on_result(index, result):
+            ended.append(index)
+            batch = refill[: 2 if index == 1 else 1]
+            del refill[: len(batch)]
+            launched.extend(batch)
+            return batch
+
+        results = run_to_attractor_batch(fig4_params, launched[:6], attractors, on_result=on_result)
+        assert refill == [] and len(launched) == len(nodes)
+        assert sorted(ended) == list(range(len(nodes)))
+        assert ended != sorted(ended)  # runs end out of launch order
+        assert len(results) == len(nodes)
+        for x0, got in zip(launched, results):
+            assert _same_reach(got, run_to_attractor(fig4_params, x0, attractors)), x0
+        assert {got.label for got in results} == {"E1", "E4", UNDECIDED}
+
     @pytest.mark.parametrize("x0", [(1e160, 1.0, 1.0, 0.0), (1e200, 3.0, 2.5, 0.0)])
     def test_start_far_outside_the_balls_fails_on_step_size(self, fig4_params, x0):
         # The squared distance to the balls overflows Python floats there;
@@ -335,6 +415,18 @@ class TestBatchedReach:
         with pytest.raises(ValueError, match="nonnegative"):
             run_to_attractor_batch(fig4_params, [(-0.1, 1.0, 0.0, 0.0)], [e1, e4])
         assert calls == [x0]
+
+        # A start the callback offers alone, with no lane running, is a
+        # scalar run too; two offered together run as lanes.
+        x1, x2, x3 = (1.9, 0.2, 0.3, 0.0), (0.5, 2.0, 1.0, 0.0), (1.0, 1.0, 2.0, 0.0)
+        offers = {0: [x1], 1: [x2, x3]}
+        calls.clear()
+        got = run_to_attractor_batch(
+            fig4_params, [x0], [e1, e4], on_result=lambda index, result: offers.get(index, [])
+        )
+        assert calls == [x0, x1]
+        for start, result in zip([x0, x1, x2, x3], got):
+            assert _same_reach(result, run_to_attractor(fig4_params, start, [e1, e4]))
 
 
 class TestCsv:
