@@ -1,12 +1,12 @@
 """Parameter sweeps and precise location of transcritical crossings.
 
-A sweep re-derives the full equilibrium catalog and stability verdicts on
-a uniform grid of one parameter, producing a long-format table suitable
-for plotting branch diagrams. Transcritical points, where two equilibria
-exchange both position and stability, are located by bisecting the signed
-closed-form margin that controls the exchange; the located point is then
-validated by checking that the two equilibria actually coincide there and
-that each carries an eigenvalue crossing zero.
+A sweep re-derives the equilibrium catalog on a uniform grid of one
+parameter and classifies each point from its spectrum alone, giving a
+long-format table for plotting branch diagrams. Transcritical points, where
+two equilibria exchange both position and stability, are located by
+bisecting the signed closed-form margin that controls the exchange; the
+located point is then validated by checking that the two equilibria
+actually coincide there and that each carries an eigenvalue crossing zero.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .equilibria import EquilibriumRecord, ThresholdSet, _equilibrium, catalog, thresholds
-from .model import ModelParameters, PARAMETER_KEYS, jacobian
-from .stability import _analytic_eigenvalues, classify, numeric_eigenvalues
+from .equilibria import _catalog, _equilibrium, thresholds
+from .model import ModelParameters, PARAMETER_KEYS
+from .stability import _spectrum, classify_eigenvalues
 
 __all__ = [
     "SweepRow",
@@ -75,9 +75,11 @@ def sweep(
 ) -> SweepResult:
     """Catalog and classify every equilibrium across a parameter grid.
 
-    Degenerate points (vanishing closed-form denominators at isolated grid
-    values) produce rows with missing coordinates rather than aborting the
-    sweep.
+    Each row's class and lead real part come from the spectrum that
+    ``stability.classify`` reports, so they equal its verdict's bit for
+    bit; the rest of that verdict is left to ``classify``. Degenerate
+    points (vanishing closed-form denominators at isolated grid values)
+    produce rows with missing coordinates rather than aborting the sweep.
     """
     if parameter not in PARAMETER_KEYS:
         raise ValueError(f"unknown parameter {parameter!r}; expected one of {PARAMETER_KEYS}")
@@ -94,21 +96,14 @@ def sweep(
     rows: list[SweepRow] = []
     for v in values:
         p = _substitute(params, parameter, float(v))
-        for rec in catalog(p):
+        t = thresholds(p)
+        for rec in _catalog(p, t):
             if rec.coordinates is None:
                 rows.append(SweepRow(float(v), rec.id, None, False, None, math.nan))
                 continue
-            verdict = classify(p, rec.id)
-            rows.append(
-                SweepRow(
-                    float(v),
-                    rec.id,
-                    rec.coordinates,
-                    rec.feasible,
-                    verdict.classification,
-                    verdict.lead_real_part,
-                )
-            )
+            eigs = _spectrum(p, rec, t)
+            cls, lead = classify_eigenvalues(eigs), float(eigs[0].real)
+            rows.append(SweepRow(float(v), rec.id, rec.coordinates, rec.feasible, cls, lead))
     return SweepResult(parameter=parameter, values=values, rows=rows)
 
 
@@ -167,13 +162,6 @@ class TranscriticalPoint:
     crossing_index: tuple[int, int]
     coincidence_gap: float
     crossing_real_part: float
-
-
-def _spectrum(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> np.ndarray:
-    try:
-        return _analytic_eigenvalues(params, rec.id, t)
-    except ValueError:
-        return numeric_eigenvalues(jacobian(params, rec.coordinates))
 
 
 def find_transcritical(

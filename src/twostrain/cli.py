@@ -33,13 +33,15 @@ from .config import ConfigError, RunConfig, dump_config, load_config
 from .equilibria import (
     DegenerateEquilibriumError,
     EQUILIBRIUM_IDS,
+    _catalog,
     catalog,
     compute_equilibrium,
     records_to_jsonl,
+    thresholds,
 )
 from .figures import FIGURE_NAMES, reproduce
 from .integrate import IntegrationConfig, StepFailureError, integrate, write_trajectory_csv
-from .stability import EigenSolverError, classify, verdicts_to_jsonl
+from .stability import EigenSolverError, _spectrum, classify, classify_eigenvalues, verdicts_to_jsonl
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -177,11 +179,9 @@ def _select_attractors(run: RunConfig, selection: str | None):
         ids = [token.strip() for token in selection.split(",") if token.strip()]
     else:
         ids = []
-        for rec in catalog(run.params):
-            if not rec.feasible or rec.coordinates is None:
-                continue
-            verdict = classify(run.params, rec.id)
-            if verdict.classification.startswith("stable"):
+        t = thresholds(run.params)
+        for rec in _catalog(run.params, t):
+            if rec.feasible and classify_eigenvalues(_spectrum(run.params, rec, t)).startswith("stable"):
                 ids.append(rec.id)
         if len(ids) < 2:
             raise ConfigError(
@@ -403,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_IO
     except _NUMERIC_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except OverflowError as err:
+        print(f"numerical failure: float overflow {err}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -353,7 +353,11 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
 
 def catalog(params: ModelParameters) -> list[EquilibriumRecord]:
     """All eight full-space equilibria, degenerate ones kept with a note."""
-    t = thresholds(params)
+    return _catalog(params, thresholds(params))
+
+
+def _catalog(params: ModelParameters, t: ThresholdSet) -> list[EquilibriumRecord]:
+    """``catalog`` with the thresholds of ``params`` given."""
     records = []
     for eq_id in EQUILIBRIUM_IDS:
         try:

@@ -198,6 +198,14 @@ def _analytic_eigenvalues(params: ModelParameters, eq_id: str, t: ThresholdSet) 
     raise ValueError(f"no closed-form spectrum for {eq_id!r}")
 
 
+def _spectrum(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> np.ndarray:
+    """A full-space point's spectrum as ``classify`` reports it: closed-form, else numeric."""
+    try:
+        return _analytic_eigenvalues(params, rec.id, t)
+    except ValueError:
+        return numeric_eigenvalues(jacobian(params, rec.coordinates))
+
+
 def classify_eigenvalues(eigs: np.ndarray, band: float = MARGINALITY_BAND) -> str:
     """Map a spectrum to a coarse qualitative label."""
     # A handful of values: comparing Python floats beats numpy calls on

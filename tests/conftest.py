@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from twostrain import equilibria
+from twostrain import equilibria, stability
 from twostrain.figures import PRESETS, reproduce
 from twostrain.model import ModelParameters, PARAMETER_KEYS
 
@@ -44,6 +44,15 @@ def fig5_params() -> ModelParameters:
     return PRESETS["fig5"].params
 
 
+def _replace_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace a function in every twostrain namespace that refers to it."""
+    for name, module in list(sys.modules.items()):
+        if name == "twostrain" or name.startswith("twostrain."):
+            for attr, obj in list(vars(module).items()):
+                if obj is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture
 def threshold_calls(monkeypatch) -> list:
     """Record every ``thresholds`` call, whichever module makes it.
@@ -58,12 +67,22 @@ def threshold_calls(monkeypatch) -> list:
         calls.append(params)
         return original(params)
 
-    for name, module in list(sys.modules.items()):
-        if name == "twostrain" or name.startswith("twostrain."):
-            for attr, obj in list(vars(module).items()):
-                if obj is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _replace_everywhere(monkeypatch, original, counted)
     return calls
+
+
+@pytest.fixture
+def classify_forbidden(monkeypatch) -> None:
+    """Make every call of the full ``stability.classify`` verdict fail.
+
+    For work that should read only the spectrum it needs. The failure is
+    an AssertionError, which no twostrain caller or CLI handler catches.
+    """
+
+    def forbidden(params, eq_id):
+        raise AssertionError(f"stability.classify reached for {eq_id}")
+
+    _replace_everywhere(monkeypatch, stability.classify, forbidden)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from twostrain.bifurcation import (
     write_sweep_csv,
 )
 from twostrain.equilibria import EQUILIBRIUM_IDS, compute_equilibrium
-from twostrain.stability import SADDLE, STABLE_NODE, analytic_eigenvalues
+from twostrain.stability import SADDLE, STABLE_NODE, analytic_eigenvalues, classify
 
 
 class TestSweep:
@@ -75,6 +75,29 @@ class TestSweep:
         assert first[0] == "0.5" and first[1] == "E0"
         np.testing.assert_allclose([float(v) for v in first[2:6]], 0.0, atol=0)
         assert first[6] == "true"
+
+    @pytest.mark.parametrize("parameter, lo, hi", [("K", 0.1, 2.0), ("a", 0.05, 2.0)])
+    def test_rows_carry_the_full_verdict_bit_for_bit(self, fig1_params, parameter, lo, hi):
+        rng = np.random.default_rng(23)
+        draws = [fig1_params] + [params_from_row(row) for row in draw_parameter_matrix(rng, 50)]
+        seen = set()
+        for params in draws:
+            for row in sweep(params, parameter, lo, hi, 6).rows:
+                if row.coordinates is None:
+                    continue
+                verdict = classify(params.replace(**{parameter: row.param_value}), row.id)
+                assert row.classification == verdict.classification
+                assert row.lead_real_part.hex() == verdict.lead_real_part.hex()
+                seen.add(row.id)
+        # Closed-form spectra (E0-E5) and numeric-only ones (E6, E7) alike.
+        assert seen == set(EQUILIBRIUM_IDS)
+
+    def test_one_thresholds_call_per_grid_value_and_no_full_verdict(
+        self, fig1_params, threshold_calls, classify_forbidden
+    ):
+        result = sweep(fig1_params, "K", 0.5, 3.0, 26)
+        assert len(result.rows) == 26 * 8
+        assert len(threshold_calls) == 26
 
 
 class TestTranscritical:

@@ -419,6 +419,32 @@ class TestCliAnalysis:
         assert "step size underflowed" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "K, command",
+        [
+            (1e200, ["equilibria"]),
+            (1e200, ["stability"]),
+            (1e200, ["sweep", "--param", "a", "--lo", "0.1", "--hi", "1", "--n", "3"]),
+            (2.0, ["sweep", "--param", "K", "--lo", "0.5", "--hi", "1e200", "--n", "3"]),
+        ],
+    )
+    def test_overflowing_closed_forms_exit_code(self, tmp_path, capsys, fig1_params, K, command):
+        # The thresholds square K, past the float range for K = 1e200.
+        cfg = _write_cfg(tmp_path, fig1_params.replace(K=K))
+        rc = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_basin_auto_attractors_skip_the_full_verdict(
+        self, tmp_path, capsys, fig4_params, classify_forbidden
+    ):
+        cfg = _write_cfg(tmp_path, fig4_params)
+        rc = main(["basin", "--config", str(cfg), "--out", str(tmp_path / "o"), "--resolution", "2"])
+        assert rc == 0
+        assert "toward E1, E4;" in capsys.readouterr().out
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_separatrix_writes_what_reproduce_fig4_writes(self, tmp_path, fig4_params):
         # Both run the one basin pipeline. On the fig4 parameters the
