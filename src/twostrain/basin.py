@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,6 +91,8 @@ def _check_grid(
             raise ValueError(f"degenerate bounds ({lo}, {hi})")
         if lo < 0.0:
             raise ValueError(f"slice box ({lo}, {hi}) reaches outside the nonnegative orthant")
+        if hi == math.inf:
+            raise ValueError(f"slice box ({lo}, {hi}) is not finite")
     if not isinstance(resolution, int) or resolution < 2:
         raise ValueError(f"resolution must be an int >= 2, got {resolution!r}")
     return targets

@@ -133,7 +133,10 @@ def _integration(args: argparse.Namespace, base: IntegrationConfig) -> Integrati
         return base
     if not args.tol > 0.0:
         raise ConfigError("--tol must be positive")
-    return base.with_tolerance(args.tol)
+    try:
+        return base.with_tolerance(args.tol)
+    except ValueError as err:
+        raise ConfigError(f"--tol {args.tol!r}: {err}") from err
 
 
 def _load(args: argparse.Namespace) -> RunConfig:

@@ -13,12 +13,20 @@ flagged rather than hidden. A point is feasible when all coordinates are
 nonnegative (within 1e-12); it is marginal when one of its feasibility
 margins sits within 1e-12 of zero, which is exactly the transcritical
 boundary where it exchanges position with a neighbouring equilibrium.
+
+The two strains are one mechanism with different rates: swapping V with W
+and (lambda, psi, mu, e) with (beta, phi, nu, f) maps the model onto
+itself. So each strain closed form is written once, for strain one, and
+``_STRAINS`` holds one row per strain (its rates, the names its messages
+use, its ids, its infected slot and its ``ThresholdSet`` fields) that the
+formula reads. ``stability`` reads the same rows.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -80,7 +88,8 @@ class ThresholdSet:
     equilibrium with strain one, with ``M``/``G`` the resulting window of
     competition pressure ``a`` in which that equilibrium is feasible, and
     ``N`` an upper comparison point that always exceeds ``G``. Hatted
-    fields are the strain-two analogues.
+    fields are the strain-two analogues: ``_strain_thresholds`` writes each
+    strain's fields once, and ``_STRAINS`` says which fields are whose.
 
     A field is ``None`` when its denominator vanishes; the ``undefined``
     tuple lists those field names.
@@ -106,21 +115,74 @@ class ThresholdSet:
     undefined: tuple[str, ...] = field(default=())
 
 
+@dataclass
+class _Strain:
+    """One row of the strain table: a strain's rates, names, ids and thresholds."""
+
+    ordinal: str  # "one" or "two", as notes and keys spell it
+    names: tuple[str, str, str, str]  # its (lambda, psi, mu, e) as messages spell them
+    endemic_id: str  # endemic without the first competitor
+    mixed_id: str  # endemic alongside the first competitor
+    slot: int  # index of its infected class in (P, S, V, W)
+    fields: tuple[str, ...]  # its ThresholdSet fields, in _strain_thresholds order
+    # ``rates(p)`` reads its rates from ModelParameters, ``results(t)`` its fields from a ThresholdSet.
+    rates: attrgetter = field(init=False)
+    results: attrgetter = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.rates = attrgetter(*("lam" if name == "lambda" else name for name in self.names))
+        self.results = attrgetter(*self.fields)
+
+
+# Strain two is strain one with V <-> W and (lambda, psi, mu, e) <->
+# (beta, phi, nu, f) swapped; every strain closed form is written once,
+# over a row of this table.
+_STRAINS = (
+    _Strain("one", ("lambda", "psi", "mu", "e"), "E4", "E6", 2, ("A", "C", "Delta4", "E", "F", "M", "N", "G")),
+    _Strain("two", ("beta", "phi", "nu", "f"), "E5", "E7", 3,
+            ("B", "Dtilde", "Delta5", "Ehat", "Fhat", "Mhat", "Nhat", "Ghat")),
+)
+# Each endemic id with its strain and the other strain; SV_endemic is E4
+# seen inside the strain-one face.
+_ENDEMIC = {strain.endemic_id: (strain, other) for strain, other in (_STRAINS, _STRAINS[::-1])}
+_ENDEMIC["SV_endemic"] = _ENDEMIC["E4"]
+_MIXED = {strain.mixed_id: strain for strain in _STRAINS}
+
+
+def _strain_thresholds(p: ModelParameters, lam: float, psi: float, mu: float, e: float) -> tuple:
+    """One strain's (A, C, Delta, E, F, M, N, G), None where a denominator vanishes."""
+    rs = p.r * p.s
+    A = (psi + mu) / lam if lam != 0.0 else None
+    C = mu**2 + p.K * lam * psi - psi**2
+    Delta = (p.r * C) ** 2 - 4.0 * p.r * p.K * lam * mu**2 * (mu + psi) * (p.K * lam - mu - psi)
+    E = (
+        p.r * p.L * p.K * e * p.a
+        - e * p.L * p.r * p.s
+        - p.L * p.K * p.b * lam * p.s
+        + p.b * p.L * p.K * p.a * psi
+        + p.b * p.L * p.K * p.a * mu
+        - rs * psi
+        + p.r * p.K * lam * p.s
+        - rs * mu
+    )
+    F = p.s * lam * e * p.L + p.s * lam * mu - psi * e * p.L * p.a
+    M_den = p.L * p.K * (e * p.r + p.b * psi + p.b * mu)
+    M = (
+        p.s * (e * p.L * p.r + p.b * p.L * p.K * lam + p.r * psi - p.r * p.K * lam + p.r * mu) / M_den
+        if M_den != 0.0 else None
+    )
+    N_den = e * p.L * psi
+    N = p.s * lam * (e * p.L + mu) / N_den if N_den != 0.0 else None
+    G_den = mu + psi
+    G = lam * p.s / G_den if G_den != 0.0 else None
+    return A, C, Delta, E, F, M, N, G
+
+
 def thresholds(params: ModelParameters) -> ThresholdSet:
     """Evaluate every named threshold for one parameter set."""
     p = params
-    undefined: list[str] = []
-
-    def guard(name: str, num: float, den: float) -> float | None:
-        if den == 0.0:
-            undefined.append(name)
-            return None
-        return num / den
-
-    A = guard("A", p.psi + p.mu, p.lam)
-    B = guard("B", p.phi + p.nu, p.beta)
-    C = p.mu**2 + p.K * p.lam * p.psi - p.psi**2
-    Dtilde = p.nu**2 + p.K * p.beta * p.phi - p.phi**2
+    A, C, Delta4, E, F, M, N, G = _strain_thresholds(p, *_STRAINS[0].rates(p))
+    B, Dtilde, Delta5, Ehat, Fhat, Mhat, Nhat, Ghat = _strain_thresholds(p, *_STRAINS[1].rates(p))
 
     # Discriminant of the in-plane eigenvalue pair at disease-free
     # coexistence, written so it is defined even when that point is not.
@@ -130,57 +192,13 @@ def thresholds(params: ModelParameters) -> ThresholdSet:
         p.a * p.K - p.s
     ) * (p.b * p.L - p.r) * D3den
 
-    Delta4 = (p.r * C) ** 2 - 4.0 * p.r * p.K * p.lam * p.mu**2 * (p.mu + p.psi) * (
-        p.K * p.lam - p.mu - p.psi
-    )
-    Delta5 = (p.r * Dtilde) ** 2 - 4.0 * p.r * p.K * p.beta * p.nu**2 * (
-        p.nu + p.phi
-    ) * (p.K * p.beta - p.nu - p.phi)
-
-    E = (
-        p.r * p.L * p.K * p.e * p.a
-        - p.e * p.L * p.r * p.s
-        - p.L * p.K * p.b * p.lam * p.s
-        + p.b * p.L * p.K * p.a * p.psi
-        + p.b * p.L * p.K * p.a * p.mu
-        - rs * p.psi
-        + p.r * p.K * p.lam * p.s
-        - rs * p.mu
-    )
-    F = p.s * p.lam * p.e * p.L + p.s * p.lam * p.mu - p.psi * p.e * p.L * p.a
-    M = guard(
-        "M",
-        p.s * (p.e * p.L * p.r + p.b * p.L * p.K * p.lam + p.r * p.psi - p.r * p.K * p.lam + p.r * p.mu),
-        p.L * p.K * (p.e * p.r + p.b * p.psi + p.b * p.mu),
-    )
-    N = guard("N", p.s * p.lam * (p.e * p.L + p.mu), p.e * p.L * p.psi)
-    G = guard("G", p.lam * p.s, p.mu + p.psi)
-
-    Ehat = (
-        p.r * p.L * p.K * p.f * p.a
-        - p.f * p.L * p.r * p.s
-        - p.L * p.K * p.b * p.beta * p.s
-        + p.b * p.L * p.K * p.a * p.phi
-        + p.b * p.L * p.K * p.a * p.nu
-        - rs * p.phi
-        + p.r * p.K * p.beta * p.s
-        - rs * p.nu
-    )
-    Fhat = p.s * p.beta * p.f * p.L + p.s * p.beta * p.nu - p.phi * p.f * p.L * p.a
-    Mhat = guard(
-        "Mhat",
-        p.s * (p.f * p.L * p.r + p.b * p.L * p.K * p.beta + p.r * p.phi - p.r * p.K * p.beta + p.r * p.nu),
-        p.L * p.K * (p.f * p.r + p.b * p.phi + p.b * p.nu),
-    )
-    Nhat = guard("Nhat", p.s * p.beta * (p.f * p.L + p.nu), p.f * p.L * p.phi)
-    Ghat = guard("Ghat", p.beta * p.s, p.nu + p.phi)
-
+    guarded = {"A": A, "B": B, "M": M, "N": N, "G": G, "Mhat": Mhat, "Nhat": Nhat, "Ghat": Ghat}
     return ThresholdSet(
         A=A, B=B, C=C, Dtilde=Dtilde,
         Delta3=Delta3, Delta4=Delta4, Delta5=Delta5,
         E=E, F=F, M=M, N=N, G=G,
         Ehat=Ehat, Fhat=Fhat, Mhat=Mhat, Nhat=Nhat, Ghat=Ghat,
-        undefined=tuple(undefined),
+        undefined=tuple(name for name, value in guarded.items() if value is None),
     )
 
 
@@ -269,72 +287,49 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
         return _finish(eq_id, (P3, S3, 0.0, 0.0), margins, subsystem=subsystem,
                        notes="disease-free coexistence")
 
-    if eq_id in ("E4", "SV_endemic"):
-        if p.lam == 0.0:
-            raise DegenerateEquilibriumError(eq_id, "lambda")
-        if p.mu == 0.0:
-            raise DegenerateEquilibriumError(eq_id, "mu")
-        S4 = t.A
-        V4 = p.r * (p.mu + p.psi) * (p.K * p.lam - p.mu - p.psi) / (p.K * p.lam**2 * p.mu)
-        margins = {"strain_one_invades": p.K - t.A}
+    if eq_id in _ENDEMIC:
+        strain = _ENDEMIC[eq_id][0]
+        lam, psi, mu, _ = strain.rates(p)
+        if lam == 0.0:
+            raise DegenerateEquilibriumError(eq_id, strain.names[0])
+        if mu == 0.0:
+            raise DegenerateEquilibriumError(eq_id, strain.names[2])
+        A = strain.results(t)[0]
+        coords = [0.0, A, 0.0, 0.0]
+        coords[strain.slot] = p.r * (mu + psi) * (p.K * lam - mu - psi) / (p.K * lam**2 * mu)
+        margins = {f"strain_{strain.ordinal}_invades": p.K - A}
         subsystem = "one_strain_SV" if eq_id == "SV_endemic" else "full"
-        return _finish(eq_id, (0.0, S4, V4, 0.0), margins, subsystem=subsystem,
-                       notes="strain one endemic, first competitor absent")
+        return _finish(eq_id, coords, margins, subsystem=subsystem,
+                       notes=f"strain {strain.ordinal} endemic, first competitor absent")
 
-    if eq_id == "E5":
-        if p.beta == 0.0:
-            raise DegenerateEquilibriumError(eq_id, "beta")
-        if p.nu == 0.0:
-            raise DegenerateEquilibriumError(eq_id, "nu")
-        S5 = t.B
-        W5 = p.r * (p.nu + p.phi) * (p.K * p.beta - p.nu - p.phi) / (p.K * p.beta**2 * p.nu)
-        margins = {"strain_two_invades": p.K - t.B}
-        return _finish("E5", (0.0, S5, 0.0, W5), margins,
-                       notes="strain two endemic, first competitor absent")
-
-    if eq_id == "E6":
-        den = p.lam * p.s + p.e * p.L * p.a
+    if eq_id in _MIXED:
+        strain = _MIXED[eq_id]
+        lam, psi, mu, e = strain.rates(p)
+        _, _, _, E, F, M, _, G = strain.results(t)
+        den = lam * p.s + e * p.L * p.a
         if den <= _DEGENERATE_TOL:
-            raise DegenerateEquilibriumError(eq_id, "lambda*s + e*L*a")
-        if abs(t.F) <= _DEGENERATE_TOL * max(abs(p.s * p.lam * (p.e * p.L + p.mu)) + abs(p.psi * p.e * p.L * p.a), 1.0):
-            raise DegenerateEquilibriumError(eq_id, "F = s*lambda*e*L + s*lambda*mu - psi*e*L*a")
-        P6 = p.L * (p.lam * p.s - p.a * (p.mu + p.psi)) / den
-        S6 = p.s * (p.mu + p.psi + p.e * p.L) / den
-        V6 = p.s * (p.mu + p.psi + p.e * p.L) * t.E / (p.K * den * t.F)
+            raise DegenerateEquilibriumError(eq_id, "{0}*s + {3}*L*a".format(*strain.names))
+        if abs(F) <= _DEGENERATE_TOL * max(abs(p.s * lam * (e * p.L + mu)) + abs(psi * e * p.L * p.a), 1.0):
+            raise DegenerateEquilibriumError(
+                eq_id, "{4} = s*{0}*{3}*L + s*{0}*{2} - {1}*{3}*L*a".format(*strain.names, strain.fields[4])
+            )
+        P = p.L * (lam * p.s - p.a * (mu + psi)) / den
+        S = p.s * (mu + psi + e * p.L) / den
+        infected = p.s * (mu + psi + e * p.L) * E / (p.K * den * F)
+        coords = [P, S, 0.0, 0.0]
+        coords[strain.slot] = infected
         margins = {}
-        notes = "strain one endemic alongside the first competitor"
-        if t.M is not None:
-            margins["infected_branch_positive"] = p.a - t.M
+        notes = f"strain {strain.ordinal} endemic alongside the first competitor"
+        if M is not None:
+            margins["infected_branch_positive"] = p.a - M
         else:
-            margins["infected_branch_positive"] = float(np.sign(t.E)) * abs(V6)
+            margins["infected_branch_positive"] = float(np.sign(E)) * abs(infected)
             notes += "; lower feasibility threshold undefined, using coordinate sign"
-        if t.G is not None:
-            margins["first_competitor_positive"] = t.G - p.a
+        if G is not None:
+            margins["first_competitor_positive"] = G - p.a
         else:
-            margins["first_competitor_positive"] = P6
-        return _finish("E6", (P6, S6, V6, 0.0), margins, notes=notes)
-
-    if eq_id == "E7":
-        den = p.beta * p.s + p.f * p.L * p.a
-        if den <= _DEGENERATE_TOL:
-            raise DegenerateEquilibriumError(eq_id, "beta*s + f*L*a")
-        if abs(t.Fhat) <= _DEGENERATE_TOL * max(abs(p.s * p.beta * (p.f * p.L + p.nu)) + abs(p.phi * p.f * p.L * p.a), 1.0):
-            raise DegenerateEquilibriumError(eq_id, "Fhat = s*beta*f*L + s*beta*nu - phi*f*L*a")
-        P7 = p.L * (p.beta * p.s - p.a * (p.nu + p.phi)) / den
-        S7 = p.s * (p.nu + p.phi + p.f * p.L) / den
-        W7 = p.s * (p.nu + p.phi + p.f * p.L) * t.Ehat / (p.K * den * t.Fhat)
-        margins = {}
-        notes = "strain two endemic alongside the first competitor"
-        if t.Mhat is not None:
-            margins["infected_branch_positive"] = p.a - t.Mhat
-        else:
-            margins["infected_branch_positive"] = float(np.sign(t.Ehat)) * abs(W7)
-            notes += "; lower feasibility threshold undefined, using coordinate sign"
-        if t.Ghat is not None:
-            margins["first_competitor_positive"] = t.Ghat - p.a
-        else:
-            margins["first_competitor_positive"] = P7
-        return _finish("E7", (P7, S7, 0.0, W7), margins, notes=notes)
+            margins["first_competitor_positive"] = P
+        return _finish(eq_id, coords, margins, notes=notes)
 
     if eq_id == "Q0":
         return _finish("Q0", (0.0, 0.0, 0.0, 0.0), {}, subsystem="competition_PS",

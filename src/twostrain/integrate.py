@@ -108,17 +108,20 @@ class IntegrationConfig:
     min_step: float = 1e-14
 
     def __post_init__(self) -> None:
-        # Written so that NaN fails every check.
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        # Written so that NaN fails every check. An infinite tolerance,
+        # settle_tol or min_step voids the error test, the settle test or
+        # the step floor, so those must be finite; max_step and settle_time
+        # may be infinite.
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if not 0.0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
         if not 0.0 < self.initial_step <= self.max_step:
             raise ValueError("need 0 < initial_step <= max_step")
-        if not self.min_step > 0.0:
-            raise ValueError("min_step must be positive")
-        if not self.settle_tol > 0.0:
-            raise ValueError("settle_tol must be positive")
+        if not 0.0 < self.min_step < math.inf:
+            raise ValueError("min_step must be positive and finite")
+        if not 0.0 < self.settle_tol < math.inf:
+            raise ValueError("settle_tol must be positive and finite")
         if not self.settle_time >= 0.0:
             raise ValueError("settle_time must be nonnegative")
 

@@ -24,6 +24,7 @@ from .equilibria import (
     EquilibriumRecord,
     DegenerateEquilibriumError,
     ThresholdSet,
+    _ENDEMIC,
     _equilibrium,
     thresholds,
 )
@@ -168,22 +169,17 @@ def _analytic_eigenvalues(params: ModelParameters, eq_id: str, t: ThresholdSet) 
         ]
         return _sorted(pair + extra)
 
-    if eq_id in ("E4", "SV_endemic"):
-        if p.lam == 0.0 or p.mu == 0.0:
-            raise DegenerateEquilibriumError(eq_id, "lambda*mu")
-        pair = _quadratic_pair(-p.r * t.C, t.Delta4, p.K * p.lam * p.mu)
+    if eq_id in _ENDEMIC:
+        strain, other = _ENDEMIC[eq_id]
+        lam, _, mu, _ = strain.rates(p)
+        if lam == 0.0 or mu == 0.0:
+            raise DegenerateEquilibriumError(eq_id, f"{strain.names[0]}*{strain.names[2]}")
+        A, C, Delta = strain.results(t)[:3]
+        pair = _quadratic_pair(-p.r * C, Delta, p.K * lam * mu)
         if eq_id == "SV_endemic":
             return _sorted(pair)
-        A = t.A
-        extra = [p.s - p.a * A, p.beta * A - p.phi - p.nu]
-        return _sorted(pair + extra)
-
-    if eq_id == "E5":
-        if p.beta == 0.0 or p.nu == 0.0:
-            raise DegenerateEquilibriumError(eq_id, "beta*nu")
-        pair = _quadratic_pair(-p.r * t.Dtilde, t.Delta5, p.K * p.beta * p.nu)
-        B = t.B
-        extra = [p.s - p.a * B, p.lam * B - p.psi - p.mu]
+        beta, phi, nu, _ = other.rates(p)
+        extra = [p.s - p.a * A, beta * A - phi - nu]
         return _sorted(pair + extra)
 
     if eq_id == "Q0":
@@ -267,28 +263,22 @@ def _condition_report(
             report["strain_one_subcritical"] = p.psi + p.mu + p.e * P3 - p.lam * S3
             report["strain_two_subcritical"] = p.phi + p.nu + p.f * P3 - p.beta * S3
         return report
-    if eq_id in ("E4", "SV_endemic"):
+    if eq_id in _ENDEMIC:
+        strain, other = _ENDEMIC[eq_id]
+        lam, psi, mu, _ = strain.rates(p)
+        A, C, Delta = strain.results(t)[:3]
         report = {
             # Two candidate forms of the endemic damping coefficient;
             # they differ by a power of the recovery rate in one term.
             # The eigenvalue formula arbitrates: the first drives it.
-            "endemic_damping": p.r * t.C,
-            "endemic_damping_variant": p.r * (p.mu**2 + p.K * p.lam * p.psi**2 - p.psi**2),
-            "endemic_discriminant": t.Delta4,
+            "endemic_damping": p.r * C,
+            "endemic_damping_variant": p.r * (mu**2 + p.K * lam * psi**2 - psi**2),
+            "endemic_discriminant": Delta,
         }
-        if eq_id == "E4" and t.A is not None:
-            report["first_excluded"] = p.a * t.A - p.s
-            report["strain_two_subcritical"] = p.phi + p.nu - p.beta * t.A
-        return report
-    if eq_id == "E5":
-        report = {
-            "endemic_damping": p.r * t.Dtilde,
-            "endemic_damping_variant": p.r * (p.nu**2 + p.K * p.beta * p.phi**2 - p.phi**2),
-            "endemic_discriminant": t.Delta5,
-        }
-        if t.B is not None:
-            report["first_excluded"] = p.a * t.B - p.s
-            report["strain_one_subcritical"] = p.psi + p.mu - p.lam * t.B
+        if eq_id != "SV_endemic" and A is not None:
+            beta, phi, nu, _ = other.rates(p)
+            report["first_excluded"] = p.a * A - p.s
+            report[f"strain_{other.ordinal}_subcritical"] = phi + nu - beta * A
         return report
     # Mixed equilibria: no tidy closed-form chain; report the lead part.
     return {}

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -99,6 +100,8 @@ class TestGridClassification:
             classify_grid(fig4_params, ((0.0, 2.0), (0.0, 3.0)), 2, fig4_attractors)
         with pytest.raises(ValueError, match="nonnegative orthant"):
             classify_grid(fig4_params, ((-0.1, 2.0), (0.0, 3.0), (0.0, 2.5)), 2, fig4_attractors)
+        with pytest.raises(ValueError, match="not finite"):
+            classify_grid(fig4_params, ((0.0, 2.0), (0.0, math.inf), (0.0, 2.5)), 2, fig4_attractors)
         with pytest.raises(ValueError, match="at least one attractor"):
             classify_grid(fig4_params, box, 2, [])
 

@@ -222,6 +222,10 @@ class TestCliSimulate:
             ("settle_tol = nan", "settle_tol"),
             ("settle_time = nan", "settle_time"),
             ("settle_time = -1", "settle_time"),
+            ("rel_tol = inf", "tolerances must be positive and finite"),
+            ("abs_tol = inf", "tolerances must be positive and finite"),
+            ("min_step = inf", "min_step must be positive and finite"),
+            ("settle_tol = inf", "settle_tol must be positive and finite"),
         ],
     )
     def test_invalid_integration_setting_is_a_config_error(
@@ -239,6 +243,17 @@ class TestCliSimulate:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "invalid integration settings" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reproduce"])
+    def test_infinite_tol_is_a_config_error(self, tmp_path, capsys, fig1_params, command):
+        cfg = _write_cfg(tmp_path, fig1_params, initial=(0.0, 1.8, 0.1, 0.1))
+        options = ["--config", str(cfg)] if command == "simulate" else ["fig1"]
+        out = tmp_path / "out"
+        assert main([command, *options, "--tol", "inf", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --tol inf: tolerances must be positive and finite" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_usage_error(self):
@@ -532,6 +547,7 @@ class TestCliAnalysis:
             for options, message in (
                 (["--resolution", "1"], "resolution must be an int >= 2"),
                 (["--bounds", "0:2,0:3,-1:2.5"], "outside the nonnegative orthant"),
+                (["--bounds", "0:inf,0:3,0:2.5"], "slice box (0.0, inf) is not finite"),
                 (["--attractors", "E1,E1"], "attractors E1 and E1 are separated by 0"),
                 (["--match-radius", "5"], "2 * match_radius"),
                 (["--match-radius", "-0.1"], "match_radius must be positive"),

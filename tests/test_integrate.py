@@ -70,6 +70,20 @@ class TestConfig:
                 IntegrationConfig(**{field: nan})
         with pytest.raises(ValueError, match="t_max must be positive and finite"):
             IntegrationConfig(t_max=math.inf)
+        # Tolerances, min_step and settle_tol must be finite too;
+        # max_step and settle_time may be infinite.
+        for field, message in [
+            ("rel_tol", "tolerances must be positive and finite"),
+            ("abs_tol", "tolerances must be positive and finite"),
+            ("min_step", "min_step must be positive and finite"),
+            ("settle_tol", "settle_tol must be positive and finite"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                IntegrationConfig(**{field: math.inf})
+        with pytest.raises(ValueError, match="tolerances"):
+            IntegrationConfig().with_tolerance(math.inf)
+        assert IntegrationConfig(max_step=math.inf).max_step == math.inf
+        assert IntegrationConfig(settle_time=math.inf).settle_time == math.inf
         assert IntegrationConfig(settle_time=0.0).settle_time == 0.0
 
 
