@@ -26,7 +26,8 @@ scheme:
 dwelt 10 time units in the ball of one attractor.
 ``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper,
 launches more as runs end if asked to, and returns, for every start,
-exactly what ``run_to_attractor`` returns.
+exactly what ``run_to_attractor`` returns. Its squares and powers use
+``np.float_power``, which rounds like Python's ``**``; ``np.power`` does not.
 """
 
 from __future__ import annotations
@@ -95,7 +96,10 @@ class IntegrationConfig:
 
     ``settle_tol``/``settle_time`` define the convergence stop: the scaled
     field norm must stay small for that long. ``min_step`` is the step
-    size below which the run is abandoned as a step failure.
+    size below which the run is abandoned as a step failure. A ``max_step``
+    above the default can pin a run at the stepper's stability limit, where
+    it ends as ``reached_t_max``: fig1 from (0, 1.8, 0.1, 0.1) with
+    ``max_step`` 10 stops at t = 2000 instead of converging at t ≈ 116.8.
     """
 
     rel_tol: float = 1e-8
@@ -279,7 +283,10 @@ def _integrate_core(
         s2 = atol + rel * max(abs(y2), abs(v2))
         s3 = atol + rel * max(abs(y3), abs(v3))
         s4 = atol + rel * max(abs(y4), abs(v4))
-        err = math.sqrt(((d1 / s1) ** 2 + (d2 / s2) ** 2 + (d3 / s3) ** 2 + (d4 / s4) ** 2) / 4.0)
+        try:
+            err = math.sqrt(((d1 / s1) ** 2 + (d2 / s2) ** 2 + (d3 / s3) ** 2 + (d4 / s4) ** 2) / 4.0)
+        except OverflowError:  # a square past the float range is inf, as in the lanes
+            err = math.inf
 
         if not math.isfinite(err):
             h *= _FAC_MIN
@@ -522,9 +529,9 @@ def run_to_attractor_batch(
     with the same rejections, settle and fly-by decisions and dwell ball,
     so every returned ``ReachResult`` equals ``run_to_attractor``'s bit
     for bit. Elementwise numpy ``+ - * /`` round like Python's float
-    operators, but numpy's ``**`` does not match Python's, so the
-    error-norm squares and the step-factor powers are taken per lane on
-    Python floats, and so are ball distances close to the radius.
+    operators, and ``np.float_power`` rounds like Python's ``**`` (numpy's
+    ``**``, ``np.power``, does not), so the error-norm squares, the
+    step-factor powers and the ball distances are whole-lane numpy too.
 
     Every run has a launch index, and ``starts`` are launches 0 to n-1.
     If ``on_result`` is given, ``on_result(launch_index, result)`` is
@@ -568,13 +575,8 @@ def run_to_attractor_batch(
 
     def ball_of(y: np.ndarray) -> np.ndarray:
         """Index of the first attractor ball holding each lane, or -1."""
-        dy = y - centres
-        d2 = np.add.reduce(dy * dy, axis=1)
-        # x * x may differ from Python's x ** 2 by an ulp: decide lanes
-        # this close to the radius on Python floats.
-        for i, j in zip(*(np.abs(d2 - r2) <= 1e-9 * r2).nonzero()):
-            a, b, c, d = dy[i, :, j].tolist()
-            d2[i, j] = a**2 + b**2 + c**2 + d**2
+        q = np.float_power(y - centres, 2.0)
+        d2 = ((q[:, 0] + q[:, 1]) + q[:, 2]) + q[:, 3]
         inside = -1
         for index in range(len(d2) - 1, -1, -1):
             inside = np.where(d2[index] <= r2, index, inside)
@@ -646,8 +648,8 @@ def run_to_attractor_batch(
         )
         report()
 
-    # Overflow and NaN pass silently, as in Python float arithmetic.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Overflow, NaN and the power of a zero error pass silently.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # Lane state, one column per running run.
         lane = np.zeros(0, dtype=int)
         y = k1 = np.zeros((4, 0))
@@ -686,21 +688,18 @@ def run_to_attractor_batch(
             d = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
             # A NaN in v comes with a non-finite d, so the error is
             # non-finite whichever max the scale takes.
-            q = (d / (atol + rel * np.maximum(np.abs(y), np.abs(v)))).tolist()
-            errs = [math.sqrt((a**2 + b**2 + c**2 + e**2) / 4.0) for a, b, c, e in zip(*q)]
-            # The factor a rejected step shrinks by, or an accepted one grows by.
-            factors = [
-                min(1.0, max(_FAC_MIN, _SAFETY * e**-_EXPO)) if e > 1.0
-                else _FAC_MAX if e == 0.0
-                else min(_FAC_MAX, max(_FAC_MIN, _SAFETY * e**-_EXPO * f**_BETA))
-                for e, f in zip(errs, facold.tolist())
-            ]
-            err = np.array(errs)
+            q = np.float_power(d / (atol + rel * np.maximum(np.abs(y), np.abs(v))), 2.0)
+            err = np.sqrt((((q[0] + q[1]) + q[2]) + q[3]) / 4.0)
+            finite = np.isfinite(err)
+            big = err > 1.0
+            # The factor a rejected step shrinks by, or an accepted one grows
+            # by; an error of 0 has an infinite power, so it grows by _FAC_MAX.
+            grow = _SAFETY * np.float_power(err, -_EXPO)
+            pi = np.minimum(_FAC_MAX, np.maximum(_FAC_MIN, grow * np.float_power(facold, _BETA)))
+            factors = np.where(big, np.minimum(1.0, np.maximum(_FAC_MIN, grow)), pi)
 
             # Reject on a non-finite error, an error above one, or real
             # undershoot; clamp rounding undershoot of an accepted step.
-            finite = np.isfinite(err)
-            big = err > 1.0
             low = np.minimum.reduce(v)  # no NaN where the error is finite
             accepted = finite & ~big & (low >= -atol)
             hf = h * factors

@@ -212,6 +212,15 @@ class TestCliSimulate:
         assert "numerical failure" in err
         assert "step size underflowed" in err
 
+    def test_overflowing_error_norm_is_a_step_failure(self, tmp_path, capsys, fig1_params):
+        # At --tol 1e-200 the squared error ratios overflow; the run rejects
+        # its steps until the step size underflows.
+        cfg = _write_cfg(tmp_path, fig1_params, initial=(0.0, 1.8, 0.1, 0.1))
+        args = ["simulate", "--config", str(cfg), "--tol", "1e-200", "--out", str(tmp_path / "o")]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err == "numerical failure: step size underflowed below 1e-14 at t=0\n"
+
     @pytest.mark.parametrize(
         "setting, message",
         [

@@ -15,6 +15,8 @@ from conftest import draw_parameter_matrix, params_from_row
 from twostrain.equilibria import catalog, compute_equilibrium
 from twostrain.figures import _FIG4_BOUNDS, PRESETS
 from twostrain.integrate import (
+    _BETA,
+    _EXPO,
     CONVERGED,
     STEP_FAILURE,
     UNDECIDED,
@@ -233,6 +235,38 @@ class TestStepFailure:
         assert len(partial) >= 1
 
 
+def _python_pow(x: float, p: float) -> float:
+    """``x ** p``, with inf where Python raises instead of returning it."""
+    try:
+        return x**p
+    except (OverflowError, ZeroDivisionError):  # past the float range, or 0 ** -p
+        return math.inf
+
+
+@pytest.mark.parametrize("exponent", [2.0, -_EXPO, _BETA], ids=["square", "minus_expo", "beta"])
+def test_float_power_rounds_like_python_pow(exponent):
+    # The lane stepper squares, and raises errors to the controller's
+    # powers, with np.float_power because it rounds like Python's **: both
+    # call libm's pow, where np.power takes its own kernel. If a numpy or
+    # libm change breaks that, this fails here rather than as an obscure
+    # lane-vs-scalar mismatch.
+    rng = np.random.default_rng(20240611)
+    x = rng.uniform(1.0, 10.0, 200_000) * 10.0 ** rng.integers(-300, 300, 200_000)
+    special = [0.0, 5e-324, 2.5e-320, 1e-310, 2.2250738585072014e-308, 1e-200, 1e200, 1.7e308]
+    x = np.concatenate((special, x, [math.inf, math.nan]))
+    if exponent == 2.0:  # error ratios and ball offsets are signed
+        x = np.concatenate((x, -x))
+    with np.errstate(over="ignore", divide="ignore"):
+        got = np.float_power(x, exponent).tolist()
+    want = [_python_pow(v, exponent) for v in x.tolist()]
+    wrong = [(v, a, b) for v, a, b in zip(x.tolist(), got, want) if a.hex() != b.hex()]
+    assert not wrong, (
+        f"np.float_power(x, {exponent!r}) differs from Python's x ** {exponent!r} on {len(wrong)} of "
+        f"{len(x)} inputs, e.g. (x, numpy, Python) = {wrong[:3]}; the lane stepper would no longer "
+        f"match the scalar loop bit for bit"
+    )
+
+
 def _same_reach(batched, scalar) -> bool:
     return (
         batched.attractor_id == scalar.attractor_id
@@ -410,6 +444,24 @@ class TestBatchedReach:
             with pytest.raises(StepFailureError) as batched:
                 run_to_attractor_batch(fig4_params, starts, [e1, e4])
             assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("tol", [1e-200, 1e-300])
+    def test_overflowing_error_norm_fails_on_step_size_everywhere(self, fig4_params, tol):
+        # The squared error ratios overflow: Python's ** raises where numpy
+        # returns inf. Both steppers reject as on any non-finite error, shrink
+        # by _FAC_MIN and fail on step size, with the same message.
+        cfg = IntegrationConfig().with_tolerance(tol)
+        e1 = compute_equilibrium(fig4_params, "E1")
+        e4 = compute_equilibrium(fig4_params, "E4")
+        x0 = (1.4, 0.1, 0.1, 0.0)
+        with pytest.raises(StepFailureError) as plain:
+            integrate(fig4_params, x0, cfg)
+        with pytest.raises(StepFailureError) as scalar:
+            run_to_attractor(fig4_params, x0, [e1, e4], cfg)
+        with pytest.raises(StepFailureError) as batched:
+            run_to_attractor_batch(fig4_params, [x0, (1.0, 1.0, 1.0, 0.0)], [e1, e4], cfg)
+        assert str(plain.value) == str(scalar.value) == str(batched.value)
+        assert str(batched.value) == f"step size underflowed below {cfg.min_step} at t=0"
 
     def test_one_start_is_a_scalar_run(self, fig4_params, monkeypatch):
         e1 = compute_equilibrium(fig4_params, "E1")
