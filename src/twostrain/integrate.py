@@ -22,8 +22,11 @@ scheme:
   compartment equal to exactly zero is excluded from the expansion test,
   because zero compartments are invariant and cannot be excited.
 
+``integrate`` steps at most the config's ``max_step``.
 ``run_to_attractor`` runs one start in a plain-float loop until it has
-dwelt 10 time units in the ball of one attractor.
+dwelt 10 time units in the ball of one attractor. Its output is a label,
+not samples, so its steps are bounded by a quarter of that dwell time
+(2.5) instead, whatever ``max_step`` says.
 ``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper,
 launches more as runs end if asked to, and returns, for every start,
 exactly what ``run_to_attractor`` returns. Its squares and powers use
@@ -96,10 +99,16 @@ class IntegrationConfig:
 
     ``settle_tol``/``settle_time`` define the convergence stop: the scaled
     field norm must stay small for that long. ``min_step`` is the step
-    size below which the run is abandoned as a step failure. A ``max_step``
-    above the default can pin a run at the stepper's stability limit, where
-    it ends as ``reached_t_max``: fig1 from (0, 1.8, 0.1, 0.1) with
-    ``max_step`` 10 stops at t = 2000 instead of converging at t ≈ 116.8.
+    size below which the run is abandoned as a step failure.
+
+    ``max_step`` bounds the steps of ``integrate`` runs only (``simulate``
+    and the trajectory scenarios). A ``max_step`` above the default can pin
+    such a run at the stepper's stability limit, where it ends as
+    ``reached_t_max``: fig1 from (0, 1.8, 0.1, 0.1) with ``max_step`` 10
+    stops at t = 2000 instead of converging at t ≈ 116.8. Attractor runs
+    (``run_to_attractor`` and its batch, so ``basin``, ``separatrix`` and
+    fig4) step at most a quarter of their 10-unit dwell time, 2.5, whatever
+    ``max_step`` says; their first step is ``min(initial_step, 2.5, t_max)``.
     """
 
     rel_tol: float = 1e-8
@@ -170,6 +179,9 @@ _SETTLE_REARM_FACTOR = 10.0
 
 # Time a run must stay inside one attractor ball to be attributed to it.
 _DWELL_TIME = 10.0
+# Longest step of an attractor run, whatever the config's max_step: the
+# dwell window then holds at least four accepted samples.
+_ATTRACTOR_MAX_STEP = _DWELL_TIME / 4
 
 
 def _stationary_check(params: ModelParameters) -> Callable[[_State], bool]:
@@ -200,10 +212,14 @@ def _integrate_core(
     field: _Field,
     y0: Sequence[float],
     cfg: IntegrationConfig,
+    max_step: float,
     settle_check: Callable[[_State], bool],
     stop: Callable[[float, _State], bool] | None = None,
 ) -> tuple[list[float], list[tuple[float, float, float, float]], str]:
-    """Run the stepper; returns (times, states, termination)."""
+    """Run the stepper, no step longer than ``max_step``.
+
+    Returns (times, states, termination).
+    """
     y = tuple(float(v) for v in y0)
     t = 0.0
     times = [t]
@@ -222,7 +238,7 @@ def _integrate_core(
     if stop is not None:
         stop(t, y)
 
-    h = min(cfg.initial_step, cfg.max_step, cfg.t_max)
+    h = min(cfg.initial_step, max_step, cfg.t_max)
     facold = 1e-4
     termination = REACHED_T_MAX
 
@@ -347,7 +363,7 @@ def _integrate_core(
         else:
             factor = min(_FAC_MAX, max(_FAC_MIN, _SAFETY * err**-_EXPO * facold**_BETA))
         facold = max(err, 1e-4)
-        h = min(h * factor, cfg.max_step)
+        h = min(h * factor, max_step)
 
     return times, states, termination
 
@@ -377,7 +393,7 @@ def integrate(
     if any(v < 0.0 for v in start):
         raise ValueError("initial state must be nonnegative")
     times, states, termination = _integrate_core(
-        scalar_field(params), start, cfg, _stationary_check(params)
+        scalar_field(params), start, cfg, cfg.max_step, _stationary_check(params)
     )
     traj = _as_trajectory(times, states, termination)
     if termination == STEP_FAILURE:
@@ -452,6 +468,10 @@ def run_to_attractor(
     radius so membership is unambiguous. Runs that settle
     elsewhere or exhaust ``t_max`` come back undecided; step failures
     raise StepFailureError.
+
+    Steps are bounded by a quarter of the dwell time (2.5), not by the
+    config's ``max_step``, so the dwell window holds at least four
+    accepted samples.
     """
     cfg = config or IntegrationConfig()
     targets = _separated_attractors(attractors, match_radius)
@@ -481,7 +501,7 @@ def run_to_attractor(
     if any(v < 0.0 for v in start):
         raise ValueError("initial state must be nonnegative")
     times, states, termination = _integrate_core(
-        scalar_field(params), start, cfg, _stationary_check(params), stop=stop
+        scalar_field(params), start, cfg, _ATTRACTOR_MAX_STEP, _stationary_check(params), stop=stop
     )
     if termination == STEP_FAILURE:
         raise StepFailureError(
@@ -526,12 +546,14 @@ def run_to_attractor_batch(
     of the ``(4, m)`` state is one run, every pass of the loop makes one
     step attempt on every running lane, and finished lanes drop out. Each
     lane takes exactly the steps ``_integrate_core`` takes from its start,
-    with the same rejections, settle and fly-by decisions and dwell ball,
-    so every returned ``ReachResult`` equals ``run_to_attractor``'s bit
-    for bit. Elementwise numpy ``+ - * /`` round like Python's float
-    operators, and ``np.float_power`` rounds like Python's ``**`` (numpy's
-    ``**``, ``np.power``, does not), so the error-norm squares, the
-    step-factor powers and the ball distances are whole-lane numpy too.
+    with the same rejections, settle and fly-by decisions, dwell ball and
+    step bound (a quarter of the dwell time, not the config's
+    ``max_step``), so every returned ``ReachResult`` equals
+    ``run_to_attractor``'s bit for bit. Elementwise numpy ``+ - * /``
+    round like Python's float operators, and ``np.float_power`` rounds
+    like Python's ``**`` (numpy's ``**``, ``np.power``, does not), so the
+    error-norm squares, the step-factor powers and the ball distances are
+    whole-lane numpy too.
 
     Every run has a launch index, and ``starts`` are launches 0 to n-1.
     If ``on_result`` is given, ``on_result(launch_index, result)`` is
@@ -565,7 +587,7 @@ def run_to_attractor_batch(
     centres = np.array([c for _, c in targets])[:, :, None]
     r2 = match_radius * match_radius
     rel, atol = cfg.rel_tol, cfg.abs_tol
-    h0 = min(cfg.initial_step, cfg.max_step, cfg.t_max)
+    h0 = min(cfg.initial_step, _ATTRACTOR_MAX_STEP, cfg.t_max)
 
     def field(u: np.ndarray) -> np.ndarray:
         return np.array(_field(*u, *values))
@@ -715,7 +737,7 @@ def run_to_attractor_batch(
             y = np.where(accepted, v, y)
             k1 = np.where(accepted, k7, k1)
             facold = np.where(accepted, np.maximum(err, 1e-4), facold)
-            h = np.where(accepted, np.minimum(hf, cfg.max_step), shrunk)
+            h = np.where(accepted, np.minimum(hf, _ATTRACTOR_MAX_STEP), shrunk)
 
             # Settle test. A lane is timed while armed and quiet (since is
             # NaN while it is not); a fly-by disarms it until the field

@@ -1,5 +1,6 @@
 """Basin grids, boundary bisection, surface fitting and probing."""
 
+import hashlib
 import io
 import itertools
 import math
@@ -474,3 +475,52 @@ class TestWriters:
         u, v, g = (float(x) for x in lines[1].split(","))
         assert (u, v) == (0.0, 0.0)
         assert g == pytest.approx(0.7, abs=1e-9)
+
+
+# sha256 of the two files fig4 writes from its runs alone, at resolution 21.
+_FIG4_RUN_DIGESTS = {
+    "labels.csv": "466f960accd99b605cbeefc7eabc150ee87d4bd163cdfa493f74e28a279b3161",
+    "boundary_points.csv": "aa1f2f68878ee3e042c571d34fb9b6883f98d4a7ff0c53bbd0e43a180d9e73c4",
+}
+# fig4's summary.txt, with the two numbers that come from the surface fit
+# left as fields.
+_FIG4_SUMMARY = """\
+scenario fig4: basin geometry of the bistable exclusion/endemic pair
+stability: E1 stable_node (lead Re -0.05); E3 saddle (lead Re 0.0381138); E4 stable_node (lead Re -0.0666667)
+grid: 9261 nodes at resolution 21, undecided fraction 0.0439
+boundary: 463 points from 463 opposite-basin cell corner pairs (0 skipped)
+surface fit residual: {residual:.3e}
+graph value over the saddle: {gap:.3e} (saddle at (1.3125000000000002, 0.1875000000000001) with zero infected component)
+side-consistency probes: 200/200 = 1.0000 at offset 0.05
+verdict (saddle gap <= 0.01, side probes >= 95%, no skipped segment): PASS
+"""
+
+
+def test_fig4_outputs_are_pinned(fig4_pipeline, fig4_params):
+    """fig4's five files, byte for byte.
+
+    The labels and boundary points are pinned by digest. The surface files
+    and the fit's two numbers in the summary come from a linear solve whose
+    last bits depend on the BLAS build and its thread count, so they are
+    checked against a refit of the pinned points instead.
+    """
+    _, outdir = fig4_pipeline
+    for name, digest in _FIG4_RUN_DIGESTS.items():
+        assert hashlib.sha256((outdir / name).read_bytes()).hexdigest() == digest, (
+            f"fig4's {name} changed. The lane stepper matches the scalar loop only while "
+            "np.float_power rounds like Python's **: run "
+            "tests/test_integrate.py::test_float_power_rounds_like_python_pow first"
+        )
+
+    rows = (outdir / "boundary_points.csv").read_text().splitlines()[1:]
+    points = np.array([[float(v) for v in row.split(",")[:3]] for row in rows])
+    model = fit_surface(points)
+    writers = {"surface.obj": write_surface_obj, "surface_lattice.csv": write_surface_lattice_csv}
+    for name, write in writers.items():
+        buf = io.StringIO()
+        write(model, buf)
+        assert (outdir / name).read_text() == buf.getvalue(), name
+    saddle = compute_equilibrium(fig4_params, "E3").coordinates
+    gap = abs(float(model.evaluate((saddle[0], saddle[1]))) - float(saddle[2]))
+    summary = _FIG4_SUMMARY.format(residual=model.fit_residual, gap=gap)
+    assert (outdir / "summary.txt").read_text() == summary

@@ -430,6 +430,17 @@ class TestCliAnalysis:
         assert "numerical failure" in err
         assert "step size underflowed" in err
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_basin_initial_step_above_the_attractor_step_bound(self, tmp_path, capsys, fig4_params):
+        # Attractor runs clamp the first step to their bound of 2.5; the
+        # config itself (initial_step 5 <= max_step 10) is valid as given.
+        integration = IntegrationConfig(initial_step=5.0, max_step=10.0)
+        cfg = _write_cfg(tmp_path, fig4_params, integration=integration)
+        rc = main(["basin", "--config", str(cfg), "--out", str(tmp_path / "o"), "--resolution", "3"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert "classified 27 nodes toward E1, E4" in captured.out
+
     def test_basin_corner_far_outside_the_model_scale_is_a_step_failure(
         self, tmp_path, capsys, fig4_params
     ):

@@ -15,7 +15,9 @@ from conftest import draw_parameter_matrix, params_from_row
 from twostrain.equilibria import catalog, compute_equilibrium
 from twostrain.figures import _FIG4_BOUNDS, PRESETS
 from twostrain.integrate import (
+    _ATTRACTOR_MAX_STEP,
     _BETA,
+    _DWELL_TIME,
     _EXPO,
     CONVERGED,
     STEP_FAILURE,
@@ -493,6 +495,93 @@ class TestBatchedReach:
         assert calls == [x0, x1]
         for start, result in zip([x0, x1, x2, x3], got):
             assert _same_reach(result, run_to_attractor(fig4_params, start, [e1, e4]))
+
+
+def _record_accepted_times(monkeypatch) -> list:
+    """Collect the accepted times of every scalar run, one list per run."""
+    runs = []
+    core = twostrain.integrate._integrate_core
+
+    def recording(*args, **kwargs):
+        times, states, termination = core(*args, **kwargs)
+        runs.append(times)
+        return times, states, termination
+
+    monkeypatch.setattr(twostrain.integrate, "_integrate_core", recording)
+    return runs
+
+
+class TestAttractorStepBound:
+    """Attractor runs step at most a quarter of the dwell time, whatever max_step says."""
+
+    def test_outcomes_do_not_depend_on_max_step_and_the_bound_binds(
+        self, fig4_params, monkeypatch
+    ):
+        attractors = [compute_equilibrium(fig4_params, "E1"), compute_equilibrium(fig4_params, "E4")]
+        axes = [np.linspace(lo, hi, 3) for lo, hi in _FIG4_BOUNDS]
+        nodes = [(u1, u2, u3, 0.0) for u1, u2, u3 in itertools.product(*axes)]
+        # 0.05 to either side of points on fig4's boundary surface.
+        probes = [
+            (1.106, 0.0, 0.192, 0.0),
+            (1.106, 0.0, 0.292, 0.0),
+            (1.408, 0.012, 0.325, 0.0),
+            (1.408, 0.012, 0.425, 0.0),
+            (1.631, 0.253, 0.036, 0.0),
+            (1.631, 0.253, 0.136, 0.0),
+        ]
+        starts = nodes + probes
+        runs = _record_accepted_times(monkeypatch)
+        configs = [IntegrationConfig(max_step=m) for m in (1.0, 0.5, math.inf)]
+        assert configs[0] == IntegrationConfig()
+        outcomes = []
+        for cfg in configs:
+            scalar = [run_to_attractor(fig4_params, x0, attractors, cfg) for x0 in starts]
+            batched = run_to_attractor_batch(fig4_params, starts, attractors, cfg)
+            for x0, got, want in zip(starts, batched, scalar):
+                assert _same_reach(got, want), (cfg.max_step, x0)
+            outcomes.append(
+                [(r.label, r.t_detected, r.termination, r.final_state.tobytes()) for r in scalar]
+            )
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        assert {label for label, *_ in outcomes[0]} == {"E1", "E4", UNDECIDED}
+
+        # The documented bound, a quarter of the dwell time.
+        assert _ATTRACTOR_MAX_STEP == _DWELL_TIME / 4 == 2.5
+        # Each scalar run above; the lanes take the same steps. An accepted
+        # time is t + h rounded, so a step of exactly the bound may read a
+        # few units in the last place of t off it.
+        assert len(runs) == 3 * len(starts)
+        longest = []
+        for times in runs:
+            t = np.asarray(times)
+            slack = 4.0 * np.spacing(t[1:])
+            assert np.all(np.diff(t) <= _ATTRACTOR_MAX_STEP + slack)
+            longest.append(np.max(np.diff(t) - slack))
+        assert max(longest) >= _ATTRACTOR_MAX_STEP - 1e-9
+
+    def test_initial_step_above_the_bound_is_clamped(self, fig4_params, monkeypatch):
+        # A valid config whose initial_step exceeds the bound: the first
+        # attempt is min(initial_step, bound, t_max), and nothing rebuilds
+        # the config (whose checks would reject initial_step > max_step).
+        cfg = IntegrationConfig(initial_step=5.0, max_step=10.0)
+        attractors = [compute_equilibrium(fig4_params, "E1"), compute_equilibrium(fig4_params, "E4")]
+        # A start on E1 has a zero field, so its first attempt is accepted.
+        starts = [
+            tuple(attractors[0].coordinates),
+            (1.4, 0.1, 0.1, 0.0),
+            (0.5, 2.0, 1.0, 0.0),
+            (1.0, 1.0, 2.0, 0.0),
+        ]
+        runs = _record_accepted_times(monkeypatch)
+        scalar = [run_to_attractor(fig4_params, x0, attractors, cfg) for x0 in starts]
+        batched = run_to_attractor_batch(fig4_params, starts, attractors, cfg)
+        for x0, got, want in zip(starts, batched, scalar):
+            assert _same_reach(got, want), x0
+        assert {r.label for r in scalar} == {"E1", "E4"}
+        assert len(runs) == len(starts)
+        assert runs[0][1] == _ATTRACTOR_MAX_STEP
+        for times in runs:
+            assert 0.0 < times[1] - times[0] <= _ATTRACTOR_MAX_STEP
 
 
 class TestCsv:
