@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import draw_parameter_matrix, params_from_row
+from twostrain import equilibria
 from twostrain.equilibria import (
     ALL_IDS,
     EQUILIBRIUM_IDS,
@@ -301,6 +302,183 @@ class TestVectorizedRootSearch:
         assert np.all(starts > 0.0)
         assert np.all(starts[:, 0] <= 2.0 * L)
         assert np.all(starts[:, 1:] <= 2.0 * K[:, None])
+
+    @pytest.mark.parametrize(
+        "params_shape, starts_shape, iterations, name",
+        [
+            ((2, 13), (2, 4), 40, "param_matrix"),
+            ((2, 15), (2, 4), 40, "param_matrix"),
+            ((14,), (2, 4), 40, "param_matrix"),
+            ((2, 14), (2, 3), 40, "starts"),
+            ((2, 14), (2, 5), 40, "starts"),
+            ((2, 14), (4,), 40, "starts"),
+            ((2, 14), (2, 4), -1, "iterations"),
+            ((2, 14), (2, 4), 2.0, "iterations"),
+            ((2, 14), (2, 4), None, "iterations"),
+        ],
+    )
+    def test_bad_newton_input_is_rejected_before_any_work(
+        self, monkeypatch, params_shape, starts_shape, iterations, name
+    ):
+        def no_work(*args):
+            raise AssertionError("the field was evaluated")
+
+        monkeypatch.setattr(equilibria, "_field", no_work)
+        with pytest.raises(ValueError, match=name):
+            batched_newton(np.ones(params_shape), np.ones(starts_shape), iterations)
+
+    @pytest.mark.parametrize(
+        "params_shape, per_row, name",
+        [
+            ((2, 13), 3, "param_matrix"),
+            ((2, 15), 3, "param_matrix"),
+            ((14,), 3, "param_matrix"),
+            ((2, 14), 0, "per_row"),
+            ((2, 14), -1, "per_row"),
+            ((2, 14), 1.5, "per_row"),
+        ],
+    )
+    def test_bad_start_request_is_rejected_before_any_draw(self, params_shape, per_row, name):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=name):
+            random_interior_starts(np.ones(params_shape), per_row, rng)
+        assert rng.bit_generator.state == state
+
+    def test_singular_rows_take_the_determinant_fallback(self, monkeypatch):
+        # Row 0 of the Jacobian is exactly [0, -0, 0, 0] here: P = 0 and
+        # s = a * S.
+        row = dict.fromkeys(PARAMETER_KEYS, 1.0)
+        row.update(s=1.0, a=0.5)
+        singular = np.array([row[k] for k in PARAMETER_KEYS])
+        start = np.array([0.0, 2.0, 0.3, 0.4])
+        J = _field_jacobian(*start, *singular)
+        assert J[0].tobytes() == np.array([0.0, -0.0, 0.0, 0.0]).tobytes()
+        assert np.linalg.det(J) == 0.0
+
+        rng = np.random.default_rng(37)
+        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 10), 20, rng)
+        at = [0, 101, 202]
+        tiled = np.insert(tiled, [0, 100, 200], singular, axis=0)
+        starts = np.insert(starts, [0, 100, 200], start, axis=0)
+        want = _reference_newton(tiled, starts)
+        seen = _record_determinants(monkeypatch)
+        roots, converged = batched_newton(tiled, starts)
+        _assert_same_newton((roots, converged), want)
+        assert roots[at].tobytes() == np.repeat([start], 3, axis=0).tobytes()
+        assert not converged[at].any()
+        # The singular rows reach np.linalg.det on every iteration until the
+        # batch is compacted, and no other row ever does.
+        assert seen and all(m.tobytes() == np.repeat([J], 3, axis=0).tobytes() for m in seen)
+
+    def test_underflowing_determinants_take_the_fallback(self, monkeypatch, fig4_params):
+        rng = np.random.default_rng(41)
+        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 10), 20, rng)
+        row = np.array([[fig4_params.as_dict()[k] for k in PARAMETER_KEYS]]) * 1e-100
+        tiny_params, tiny_starts = random_interior_starts(row, 4, rng)
+        tiled = np.vstack((tiny_params, tiled))
+        starts = np.vstack((tiny_starts, starts))
+        want = _reference_newton(tiled, starts)
+        seen = _record_determinants(monkeypatch)
+        _assert_same_newton(batched_newton(tiled, starts), want)
+        # Every entry is about 1e-100, so the determinant underflows, LAPACK
+        # reads it as 0 and the rows stay where they started.
+        assert want[0][:4].tobytes() == tiny_starts.tobytes()
+        assert len(seen) >= 1 and all(len(m) == 4 for m in seen)
+
+    def test_non_finite_jacobian_entries_take_the_fallback(self, monkeypatch):
+        # lambda * S overflows in the Jacobian, while the field stays finite
+        # because V = 0; with lambda = 1 only the determinant overflows.
+        rows, row_starts = [], []
+        for lam, W in ((1e200, 0.0), (1e200, 0.5), (1.0, 0.0)):
+            row = dict.fromkeys(PARAMETER_KEYS, 1.0)
+            row.update({"lambda": lam, "K": 1e200})
+            rows.append([row[k] for k in PARAMETER_KEYS])
+            row_starts.append([0.0, 1e200, 0.0, W])
+        rng = np.random.default_rng(43)
+        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 10), 20, rng)
+        tiled = np.vstack((rows, tiled))
+        starts = np.vstack((row_starts, starts))
+        with np.errstate(all="ignore"):
+            J = _field_jacobian(*starts[:3].T, *tiled[:3].T)
+            assert np.isinf(J[:2]).any(axis=(1, 2)).all() and np.isfinite(J[2]).all()
+            want = _reference_newton(tiled, starts)
+            seen = _record_determinants(monkeypatch)
+            _assert_same_newton(batched_newton(tiled, starts), want)
+        assert seen and len(seen[0]) == 3
+        assert want[0][:2].tobytes() == starts[:2].tobytes()
+        assert not want[1][1]
+
+
+def _record_determinants(monkeypatch):
+    """Wrap ``np.linalg.det`` and return the list of stacks it is given."""
+    seen = []
+    det = np.linalg.det
+
+    def recording(a):
+        seen.append(np.array(a))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", recording)
+    return seen
+
+
+def _scaled(rng, shape, lo, hi):
+    return 10.0 ** rng.uniform(lo, hi, shape)
+
+
+def _matrix_families(rng, n):
+    """Named (n, 4, 4) stacks that stress a nonsingularity certificate."""
+    A = rng.standard_normal((n, 4, 4))
+    yield "rows 10^U(-100, 100)", A * _scaled(rng, (n, 4, 1), -100, 100)
+    A = rng.standard_normal((n, 4, 4))
+    yield "rows 10^U(-3, 3), all 10^U(-76, 70)", A * _scaled(rng, (n, 4, 1), -3, 3) * _scaled(rng, (n, 1, 1), -76, 70)
+    A = rng.standard_normal((n, 4, 4))
+    yield "rows and columns 10^U(-60, 60)", A * _scaled(rng, (n, 4, 1), -60, 60) * _scaled(rng, (n, 1, 4), -60, 60)
+    A = rng.standard_normal((n, 4, 4))
+    A[:, 3] = np.einsum("ni,nij->nj", rng.standard_normal((n, 3)), A[:, :3])
+    A[:, 3] += rng.standard_normal((n, 4)) * _scaled(rng, (n, 1), -18, -2)
+    yield "near-singular", A[:, rng.permutation(4)]
+    p = draw_parameter_matrix(rng, n) * _scaled(rng, (n, 1), -150, 80)
+    x = rng.uniform(0.0, 2.0, (n, 4)) * _scaled(rng, (n, 1), -150, 150)
+    with np.errstate(all="ignore"):
+        yield "model Jacobians", _field_jacobian(*x.T, *p.T)
+
+
+class TestSingularityCertificate:
+    """``equilibria._certified_nonsingular`` never certifies a matrix whose
+    LAPACK determinant is at most 1e-300, the test ``_reference_newton``
+    freezes rows by."""
+
+    def test_certified_matrices_pass_the_lapack_test(self):
+        rng = np.random.default_rng(47)
+        counts = {}
+        for name, A in _matrix_families(rng, 100_000):
+            with np.errstate(all="ignore"):
+                certified = equilibria._certified_nonsingular(A)
+                det = np.abs(np.linalg.det(A[certified]))
+            assert np.all(det > 1e-300), name
+            counts[name] = int(np.count_nonzero(certified))
+        assert counts["rows 10^U(-3, 3), all 10^U(-76, 70)"] > 50_000
+        assert counts["near-singular"] > 10_000
+        assert counts["model Jacobians"] > 10_000
+
+    def test_rows_of_very_different_size_are_not_trusted(self):
+        # Partial pivoting picks the 2**80-scaled row first, and the small
+        # rows' entries vanish below its rounding: LAPACK's det is exactly 0
+        # for many of these matrices although the true determinant is at
+        # least a tenth of the product of the row norms.
+        rng = np.random.default_rng(53)
+        n = 20_000
+        U = rng.integers(-3, 4, (n, 4, 4)).astype(float)
+        U[:, 1:, 0] = rng.choice([-2.0, -1.0, 1.0, 2.0, 4.0], (n, 3))
+        U[:, 0, 0] = 2.0**-60
+        A = U.copy()
+        A[:, 0] *= 2.0**80
+        exact = np.abs(np.linalg.det(U)) * 2.0**80
+        trap = (np.linalg.det(A) == 0.0) & (exact > 0.1 * np.prod(np.linalg.norm(A, axis=2), axis=1))
+        assert np.count_nonzero(trap) > 1000
+        assert not equilibria._certified_nonsingular(A[trap]).any()
 
 
 class TestSerialization:

@@ -4,6 +4,7 @@ import importlib
 import io
 import itertools
 import math
+import sys
 import types
 
 import numpy as np
@@ -594,3 +595,17 @@ class TestCsv:
         assert len(lines) == len(traj) + 1
         first = [float(v) for v in lines[1].split(",")]
         assert first == [0.0, 0.0, 1.8, 0.1, 0.1]
+
+    def test_bytes_match_the_per_row_format(self, fig1_params):
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, 0.1, 1.0 / 3.0]
+        rng = np.random.default_rng(59)
+        values = np.array(special * 4)[rng.permutation(4 * len(special))].reshape(-1, 5)
+        real = integrate(fig1_params, (0.0, 1.8, 0.1, 0.1))
+        for traj in (Trajectory(values[:, 0], values[:, 1:], "converged"), real):
+            want = "t,P,S,V,W\n" + "".join(
+                f"{t:.17g},{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}\n"
+                for t, row in zip(traj.times, traj.states)
+            )
+            buf = io.StringIO()
+            write_trajectory_csv(traj, buf)
+            assert buf.getvalue() == want
