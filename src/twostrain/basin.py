@@ -19,9 +19,14 @@ before any run.
 
 Every stage integrates its starts together with
 ``integrate.run_to_attractor_batch``: the grid in one batch, the probes in
-one batch, and bisection as one stream of runs, in which a segment's next
-midpoint starts as soon as the run of its last one ends. The lanes of a
-batch reproduce one-at-a-time runs bit for bit.
+one batch, and bisection as one stream of runs. Bisection goes in rounds
+of up to two halvings: while other segments are still bisecting, a round
+runs its bracket's midpoint and both quarter points, one of which is the
+next midpoint, so each stepper pass carries more lanes and a segment
+needs about half as many passes in a row. A segment's next round starts
+as soon as the runs it needs have ended. The lanes of a batch reproduce
+one-at-a-time runs bit for bit, so every point and skip is the one that
+plain bisection, one segment and one midpoint at a time, gives.
 """
 
 from __future__ import annotations
@@ -99,8 +104,8 @@ def _check_grid(
 
 
 def _check_bisect_tol(bisect_tol: float) -> None:
-    if not bisect_tol > 0.0:
-        raise ValueError(f"bisect_tol must be positive, got {bisect_tol!r}")
+    if not 0.0 < bisect_tol < math.inf:
+        raise ValueError(f"bisect_tol must be positive and finite, got {bisect_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -261,14 +266,23 @@ def separatrix_points(
     ``boundary_edge_segments`` returns it: the two labels are different
     ids of ``attractors``, taken as given, so only midpoints are
     integrated. Every segment must lie in the nonnegative orthant, and
-    ``bisect_tol`` must be positive; all of that is checked before
-    anything is integrated. The segments are bisected as one stream of
-    runs: each segment's first midpoint is launched at once, and its next
-    one as soon as the run of the last one ends, so no segment waits for
-    another. A segment whose midpoint fails to classify is skipped with a
-    note, in segment order. The bisection stops once the bracket is
-    shorter than ``bisect_tol`` in slice coordinates; the returned point
-    is the bracket midpoint.
+    ``bisect_tol`` must be positive and finite; all of that is checked
+    before anything is integrated. A segment whose midpoint fails to
+    classify is skipped with a note, in segment order. The bisection stops
+    once the bracket is shorter than ``bisect_tol`` in slice coordinates;
+    the returned point is the bracket midpoint.
+
+    The segments are bisected as one stream of runs, in rounds: each
+    segment's first round is launched at once, and its next one as soon as
+    the runs it needs have ended, so no segment waits for another. A round
+    runs the bracket's midpoint. If two or more halvings remain and another
+    segment has a round in flight, it also runs both quarter points, the
+    two midpoints plain bisection could take next, and applies two
+    halvings once the midpoint and the quarter its label selects have
+    ended. The other quarter's run is ignored, even if it is undecided. A
+    segment bisected alone runs its midpoints one at a time, so each goes
+    through the scalar loop. Every point, segment and skip is the one that
+    bisecting one segment and one midpoint at a time gives.
     """
     targets = _separated_attractors(attractors, match_radius)
     _check_bisect_tol(bisect_tol)
@@ -287,37 +301,73 @@ def separatrix_points(
         ends.append((u_lo, u_hi))
         sides.append((lab_lo, lab_hi))
 
-    # Bisect every bracket as one stream of runs: a segment's next
-    # midpoint is launched as soon as the run of its last one ends.
+    # Bisect every bracket as one stream of runs, in rounds of up to two
+    # halvings. Each launch is tagged (segment, round, point), point 0 the
+    # midpoint and 1 and 2 the lower and upper quarter. A run whose round
+    # is not its segment's current one, or whose segment is done, is stale.
     n = len(ends)
     lo = np.array([u_lo for u_lo, _ in ends]).reshape(n, 3)
     hi = np.array([u_hi for _, u_hi in ends]).reshape(n, 3)
     length = np.array([float(np.linalg.norm(u_hi - u_lo)) for u_lo, u_hi in ends])
     decided = np.ones(n, dtype=bool)
     skipped = []
-    row_of: list[int] = []  # the segment of each launch, by launch index
+    round_of = [0] * n
+    two_level = [False] * n
+    got: list[dict[int, ReachResult]] = [{} for _ in range(n)]  # the current round's results by point
+    tag_of: list[tuple[int, int, int]] = []  # by launch index
+    in_flight = int(np.count_nonzero(length > bisect_tol))  # segments not yet done
 
-    def midpoint(row: int) -> tuple[float, float, float, float]:
-        row_of.append(row)
-        return (*(0.5 * (lo[row] + hi[row])), 0.0)
+    def launch(row: int) -> list[tuple[float, float, float, float]]:
+        mid = 0.5 * (lo[row] + hi[row])
+        points = [mid]
+        # Halving is exact, so this is the length test of the next halving.
+        two_level[row] = in_flight > 1 and length[row] * 0.5 > bisect_tol
+        if two_level[row]:
+            points += [0.5 * (lo[row] + mid), 0.5 * (mid + hi[row])]
+        round_of[row] += 1
+        got[row] = {}
+        tag_of.extend((row, round_of[row], point) for point in range(len(points)))
+        return [(*u, 0.0) for u in points]
 
-    def halve(index: int, res: ReachResult) -> list[tuple[float, float, float, float]]:
-        row = row_of[index]
+    def halve(row: int, res: ReachResult) -> bool:
+        """Move the bracket end that ``res``'s label names to the midpoint;
+        False, and the segment skipped, if the midpoint did not classify."""
         if res.attractor_id is None:
             decided[row] = False
             skipped.append((row, "undecided midpoint during bisection"))
-            return []
+            return False
         mid = 0.5 * (lo[row] + hi[row])
         if res.attractor_id == sides[row][0]:
             lo[row] = mid
         else:
             hi[row] = mid
         length[row] *= 0.5
-        return [midpoint(row)] if length[row] > bisect_tol else []
+        return True
 
-    first = [midpoint(int(row)) for row in np.flatnonzero(length > bisect_tol)]
+    def on_result(index: int, res: ReachResult) -> list[tuple[float, float, float, float]]:
+        nonlocal in_flight
+        row, round_no, point = tag_of[index]
+        if round_no != round_of[row]:
+            return []
+        got[row][point] = res
+        mid = got[row].get(0)
+        if mid is None:
+            return []
+        chain = [mid]
+        if two_level[row] and mid.attractor_id is not None:
+            selected = 2 if mid.attractor_id == sides[row][0] else 1
+            if selected not in got[row]:
+                return []
+            chain.append(got[row][selected])
+        if all(halve(row, r) for r in chain) and length[row] > bisect_tol:
+            return launch(row)
+        round_of[row] += 1  # done: every run still out is stale
+        in_flight -= 1
+        return []
+
+    first = [start for row in np.flatnonzero(length > bisect_tol) for start in launch(int(row))]
     run_to_attractor_batch(
-        params, first, targets, config=config, match_radius=match_radius, on_result=halve
+        params, first, targets, config=config, match_radius=match_radius, on_result=on_result
     )
     skipped.sort()
 

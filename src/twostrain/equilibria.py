@@ -25,6 +25,7 @@ formula reads. ``stability`` reads the same rows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -484,7 +485,8 @@ def batched_newton(
             its update depends only on its own iterate and parameter row,
             so the rest of the budget would not change it either, and the
             result is the same as running every row for the whole budget.
-        tol: convergence threshold on the scaled residual max-norm.
+        tol: convergence threshold on the scaled residual max-norm,
+            positive and finite.
 
     Returns:
         (roots, converged): the final iterates and a boolean mask of rows
@@ -494,7 +496,8 @@ def batched_newton(
 
     Raises:
         ValueError: on a wrong shape of ``param_matrix`` or ``starts``,
-            mismatched row counts or a bad ``iterations``, before any work.
+            mismatched row counts, a bad ``iterations`` or a ``tol`` that
+            is not positive and finite, before any work.
 
     Each row-iteration takes one LU factorization of its Jacobian, in
     ``np.linalg.solve``. A row is frozen (identity Jacobian, zero step)
@@ -514,6 +517,8 @@ def batched_newton(
     if param_matrix.shape[0] != x.shape[0]:
         raise ValueError("param_matrix and starts must have matching row counts")
     _check_count("iterations", iterations, 0)
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     n = len(x)
     cols = tuple(param_matrix.T)
     # x holds the rows still iterating, with their parameter columns in

@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,6 +50,102 @@ def spot_grid(fig4_params, fig4_attractors):
 
 def _no_runs(*args, **kwargs):
     raise AssertionError("integrated before validating every input")
+
+
+def _record_launches(monkeypatch):
+    """Record every start basin launches, in launch order, and the attractor
+    id (or None) reached from each start of a batch with a callback."""
+    starts, reached = [], {}
+
+    def record(batch):
+        starts.extend(tuple(float(v) for v in x0) for x0 in batch)
+        return batch
+
+    def recording_batch(params, batch_starts, *args, on_result=None, **kwargs):
+        offset = len(starts)
+        # Bisection launches most of its runs from the callback.
+        if on_result is not None:
+
+            def heard(index, result):
+                reached[starts[offset + index]] = result.attractor_id
+                return record(on_result(index, result))
+
+            kwargs["on_result"] = heard
+        return run_to_attractor_batch(params, record(batch_starts), *args, **kwargs)
+
+    monkeypatch.setattr(basin, "run_to_attractor_batch", recording_batch)
+    return starts, reached
+
+
+def _plain_bisection(segments, reach, bisect_tol):
+    """Bisect one segment at a time, one run per midpoint.
+
+    ``reach(start)`` gives the attractor id (or None) of the run from a
+    4-tuple start. Returns the four fields of a ``SeparatrixSample`` and,
+    per segment, its halvings as (midpoint, lower quarter, upper quarter)
+    starts; a skipped segment's last midpoint is the undecided one.
+    """
+    points, side_labels, ends, skipped, rounds = [], [], [], [], []
+    for index, (start, end, lab_lo, lab_hi) in enumerate(segments):
+        lo, hi = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
+        length = float(np.linalg.norm(hi - lo))
+        halvings = []
+        rounds.append(halvings)
+        while length > bisect_tol:
+            mid = 0.5 * (lo + hi)
+            halvings.append(
+                tuple((*(float(v) for v in u), 0.0) for u in (mid, 0.5 * (lo + mid), 0.5 * (mid + hi)))
+            )
+            label = reach(halvings[-1][0])
+            if label is None:
+                skipped.append((index, "undecided midpoint during bisection"))
+                break
+            if label == lab_lo:
+                lo = mid
+            else:
+                hi = mid
+            length *= 0.5
+        else:
+            points.append(0.5 * (lo + hi))
+            side_labels.append((lab_lo, lab_hi))
+            ends.append((np.asarray(start, dtype=float), np.asarray(end, dtype=float)))
+    return (
+        np.array(points).reshape(len(points), 3),
+        side_labels,
+        np.array(ends).reshape(len(ends), 2, 3),
+        skipped,
+        rounds,
+    )
+
+
+def _check_launches(starts, rounds, skipped):
+    """Check that ``starts`` launch each midpoint of ``_plain_bisection``'s
+    rounds once per segment, and otherwise only the quarters of two-level
+    rounds that plain bisection did not take next; return how many
+    two-level rounds there were.
+
+    A round is two-level when its midpoint is launched directly followed
+    by its lower and upper quarter. Its selected quarter is the segment's
+    next midpoint, so the other one is the extra launch. Both quarters are
+    extra when the round's midpoint is the undecided one of a skipped
+    segment, and no segment's last halving may launch quarters otherwise.
+    Segments that reach the same bracket go on alike, so a launched round
+    may be credited to either, but only once.
+    """
+    follows = Counter(zip(starts, starts[1:], starts[2:]))
+    skipped_rows = {row for row, _ in skipped}
+    expected = Counter()
+    two_level = 0
+    for row, halvings in enumerate(rounds):
+        for j, (mid, lower, upper) in enumerate(halvings):
+            expected[mid] += 1
+            last = j + 1 == len(halvings)
+            if follows[mid, lower, upper] and (not last or row in skipped_rows):
+                follows[mid, lower, upper] -= 1
+                two_level += 1
+                expected.update(q for q in (lower, upper) if last or q != halvings[j + 1][0])
+    assert Counter(starts) == expected
+    return two_level
 
 
 class TestGridClassification:
@@ -214,7 +311,7 @@ class TestBisection:
                 fig4_attractors,
             )
 
-    @pytest.mark.parametrize("bisect_tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("bisect_tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_bisect_tol_is_rejected_before_any_run(
         self, fig4_params, fig4_attractors, monkeypatch, bisect_tol
     ):
@@ -281,19 +378,7 @@ class TestBisection:
     def test_pipeline_integrates_no_grid_node_twice(
         self, fig4_params, fig4_attractors, tmp_path, monkeypatch
     ):
-        starts = []
-
-        def record(batch):
-            starts.extend(tuple(float(v) for v in x0) for x0 in batch)
-            return batch
-
-        def recording_batch(params, batch_starts, *args, on_result=None, **kwargs):
-            # Bisection launches most of its runs from the callback.
-            if on_result is not None:
-                kwargs["on_result"] = lambda index, result: record(on_result(index, result))
-            return run_to_attractor_batch(params, record(batch_starts), *args, **kwargs)
-
-        monkeypatch.setattr(basin, "run_to_attractor_batch", recording_batch)
+        starts, reached = _record_launches(monkeypatch)
         grid, segments, sample, _ = reconstruct_separatrix(
             fig4_params,
             ((1.3, 1.9), (0.1, 0.3), (0.0, 0.8)),
@@ -309,15 +394,58 @@ class TestBisection:
         assert len(segments) > 0 and len(sample.points) == len(segments)
         assert nodes.isdisjoint(bisection_starts)
 
-        def halvings(start, end):
-            length, runs = float(np.linalg.norm(end - start)), 0
-            while length > 1e-2:
-                length *= 0.5
-                runs += 1
-            return runs
+        # Plain bisection with the pipeline's own runs as its oracle: a
+        # midpoint it needs that was never launched raises KeyError.
+        points, _, _, skipped, rounds = _plain_bisection(segments, reached.__getitem__, 1e-2)
+        assert sample.skipped == skipped == []
+        assert sample.points.tobytes() == points.tobytes()
+        assert _check_launches(bisection_starts, rounds, skipped) > 0
 
-        assert sample.skipped == []
-        assert len(bisection_starts) == sum(halvings(start, end) for start, end, _, _ in segments) > 0
+    def test_two_level_rounds_match_one_segment_at_a_time(
+        self, fig4_params, fig4_attractors, monkeypatch
+    ):
+        attractors = [*fig4_attractors, ("E2", (0.0, 3.0, 0.0, 0.0))]
+        saddle = (1.3125, 0.1875, 0.0, 0.0)
+        segments = [
+            # 12 halvings, then 9: even and odd counts.
+            ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
+            ((0.6, 0.0, 0.0), (0.6, 0.0, 0.5), "E1", "E4"),
+            # Already shorter than bisect_tol: no run at all.
+            ((1.9, 0.2, 0.3778), (1.9, 0.2, 0.3785), "E1", "E4"),
+            # The saddle is the fifth midpoint, so the midpoint of a round,
+            ((0.0, 0.1875, 0.0), (2.0, 0.1875, 0.0), "E2", "E1"),
+            # and here the sixth, so the quarter a round's midpoint selects.
+            ((0.0, 0.1875, 0.0), (4.0, 0.1875, 0.0), "E2", "E1"),
+            # Labels are taken as given. P = 1.0 reaches E2, but is given
+            # as E1, so the first midpoint (P = 1.625, E1) discards the lower
+            # half and its quarter, the undecided saddle. 11 halvings.
+            ((1.0, 0.1875, 0.0), (2.25, 0.1875, 0.0), "E1", "E4"),
+        ]
+        starts, _ = _record_launches(monkeypatch)
+        sample = separatrix_points(fig4_params, segments, attractors, bisect_tol=1e-3)
+
+        def reach(start):
+            return run_to_attractor(fig4_params, start, attractors).attractor_id
+
+        points, side_labels, ends, skipped, rounds = _plain_bisection(segments, reach, 1e-3)
+        assert [len(halvings) for halvings in rounds] == [12, 9, 0, 5, 6, 11]
+        assert skipped == [(3, "undecided midpoint during bisection"), (4, "undecided midpoint during bisection")]
+        assert rounds[3][-1][0] == rounds[4][-1][0] == rounds[5][0][1] == saddle
+        assert sample.points.tobytes() == points.tobytes()
+        assert sample.segments.tobytes() == ends.tobytes()
+        assert sample.side_labels == side_labels
+        assert sample.skipped == skipped
+        _check_launches(starts, rounds, skipped)
+        # Each case was met in a two-level round: the midpoint run
+        # directly followed by its lower and upper quarter.
+        follows = set(zip(starts, starts[1:], starts[2:]))
+        assert {rounds[3][-1], rounds[4][-2], rounds[5][0]} <= follows
+
+        # A segment bisected alone launches only its midpoints, in order.
+        starts.clear()
+        alone = separatrix_points(fig4_params, segments[:1], attractors, bisect_tol=1e-3)
+        assert starts == [mid for mid, _, _ in rounds[0]]
+        assert alone.points.tobytes() == points[:1].tobytes()
 
     def test_deterministic(self, fig4_params, fig4_attractors):
         seg = [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")]

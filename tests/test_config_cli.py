@@ -573,7 +573,10 @@ class TestCliAnalysis:
                 (["--match-radius", "-0.1"], "match_radius must be positive"),
             )
         ]
-        + [("separatrix", ["--resolution", "6", "--bisect-tol", "-1"], "bisect_tol must be positive")],
+        + [
+            ("separatrix", ["--resolution", "6", "--bisect-tol", "-1"], "bisect_tol must be positive"),
+            ("separatrix", ["--resolution", "6", "--bisect-tol", "inf"], "bisect_tol must be positive and finite, got inf"),
+        ],
     )
     def test_basin_input_out_of_range_is_a_config_error_before_any_run(
         self, tmp_path, capsys, monkeypatch, fig4_params, command, options, message

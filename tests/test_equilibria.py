@@ -315,6 +315,11 @@ class TestVectorizedRootSearch:
             ((2, 14), (2, 4), -1, "iterations"),
             ((2, 14), (2, 4), 2.0, "iterations"),
             ((2, 14), (2, 4), None, "iterations"),
+            # A tol case gives (iterations, tol) in the iterations column.
+            ((2, 14), (2, 4), (40, 0.0), "tol"),
+            ((2, 14), (2, 4), (40, -1.0), "tol"),
+            ((2, 14), (2, 4), (40, float("nan")), "tol"),
+            ((2, 14), (2, 4), (40, float("inf")), "tol"),
         ],
     )
     def test_bad_newton_input_is_rejected_before_any_work(
@@ -324,8 +329,9 @@ class TestVectorizedRootSearch:
             raise AssertionError("the field was evaluated")
 
         monkeypatch.setattr(equilibria, "_field", no_work)
+        trailing = iterations if isinstance(iterations, tuple) else (iterations,)
         with pytest.raises(ValueError, match=name):
-            batched_newton(np.ones(params_shape), np.ones(starts_shape), iterations)
+            batched_newton(np.ones(params_shape), np.ones(starts_shape), *trailing)
 
     @pytest.mark.parametrize(
         "params_shape, per_row, name",
