@@ -19,14 +19,15 @@ before any run.
 
 Every stage integrates its starts together with
 ``integrate.run_to_attractor_batch``: the grid in one batch, the probes in
-one batch, and bisection as one stream of runs. Bisection goes in rounds
-of up to two halvings: while other segments are still bisecting, a round
-runs its bracket's midpoint and both quarter points, one of which is the
-next midpoint, so each stepper pass carries more lanes and a segment
-needs about half as many passes in a row. A segment's next round starts
-as soon as the runs it needs have ended. The lanes of a batch reproduce
-one-at-a-time runs bit for bit, so every point and skip is the one that
-plain bisection, one segment and one midpoint at a time, gives.
+one batch, and bisection as one stream of runs. Each segment is plain
+bisection over a memo of the runs it launched: it halves while its
+midpoint's result is known and launches the midpoint when it is not.
+While other segments are still bisecting, it launches both quarter
+points with the midpoint, since one of them is its next midpoint, so
+each stepper pass carries more lanes and a segment needs about half as
+many passes in a row. The lanes of a batch reproduce one-at-a-time runs
+bit for bit, so every point and skip is the one that plain bisection,
+one segment and one midpoint at a time, gives.
 """
 
 from __future__ import annotations
@@ -272,14 +273,15 @@ def separatrix_points(
     once the bracket is shorter than ``bisect_tol`` in slice coordinates;
     the returned point is the bracket midpoint.
 
-    The segments are bisected as one stream of runs, in rounds: each
-    segment's first round is launched at once, and its next one as soon as
-    the runs it needs have ended, so no segment waits for another. A round
-    runs the bracket's midpoint. If two or more halvings remain and another
-    segment has a round in flight, it also runs both quarter points, the
-    two midpoints plain bisection could take next, and applies two
-    halvings once the midpoint and the quarter its label selects have
-    ended. The other quarter's run is ignored, even if it is undecided. A
+    The segments are bisected as one stream of runs, and each is plain
+    bisection reading a memo of the results of the points it launched,
+    keyed by the point's bytes. As each run ends, its segment halves its
+    bracket while the midpoint has a result, and then waits for the
+    midpoint's run or launches it, so no segment waits for another. If
+    two or more halvings remain and another segment is still bisecting,
+    the launch also runs both quarter points: halving is exact, so the
+    quarter the midpoint's label selects is bitwise the next midpoint,
+    and the other is a memo entry never read, even if it is undecided. A
     segment bisected alone runs its midpoints one at a time, so each goes
     through the scalar loop. Every point, segment and skip is the one that
     bisecting one segment and one midpoint at a time gives.
@@ -301,71 +303,56 @@ def separatrix_points(
         ends.append((u_lo, u_hi))
         sides.append((lab_lo, lab_hi))
 
-    # Bisect every bracket as one stream of runs, in rounds of up to two
-    # halvings. Each launch is tagged (segment, round, point), point 0 the
-    # midpoint and 1 and 2 the lower and upper quarter. A run whose round
-    # is not its segment's current one, or whose segment is done, is stale.
+    # Plain bisection of every bracket, as one stream of runs. memo[row]
+    # maps each point the segment launched (its bytes) to the run's
+    # result, None while the run is out.
     n = len(ends)
     lo = np.array([u_lo for u_lo, _ in ends]).reshape(n, 3)
     hi = np.array([u_hi for _, u_hi in ends]).reshape(n, 3)
     length = np.array([float(np.linalg.norm(u_hi - u_lo)) for u_lo, u_hi in ends])
     decided = np.ones(n, dtype=bool)
     skipped = []
-    round_of = [0] * n
-    two_level = [False] * n
-    got: list[dict[int, ReachResult]] = [{} for _ in range(n)]  # the current round's results by point
-    tag_of: list[tuple[int, int, int]] = []  # by launch index
-    in_flight = int(np.count_nonzero(length > bisect_tol))  # segments not yet done
+    running = {int(row) for row in np.flatnonzero(length > bisect_tol)}
+    memo: list[dict[bytes, ReachResult | None]] = [{} for _ in range(n)]
+    tag_of: list[tuple[int, bytes]] = []  # (segment, point) by launch index
 
-    def launch(row: int) -> list[tuple[float, float, float, float]]:
-        mid = 0.5 * (lo[row] + hi[row])
-        points = [mid]
-        # Halving is exact, so this is the length test of the next halving.
-        two_level[row] = in_flight > 1 and length[row] * 0.5 > bisect_tol
-        if two_level[row]:
-            points += [0.5 * (lo[row] + mid), 0.5 * (mid + hi[row])]
-        round_of[row] += 1
-        got[row] = {}
-        tag_of.extend((row, round_of[row], point) for point in range(len(points)))
-        return [(*u, 0.0) for u in points]
-
-    def halve(row: int, res: ReachResult) -> bool:
-        """Move the bracket end that ``res``'s label names to the midpoint;
-        False, and the segment skipped, if the midpoint did not classify."""
-        if res.attractor_id is None:
-            decided[row] = False
-            skipped.append((row, "undecided midpoint during bisection"))
-            return False
-        mid = 0.5 * (lo[row] + hi[row])
-        if res.attractor_id == sides[row][0]:
-            lo[row] = mid
-        else:
-            hi[row] = mid
-        length[row] *= 0.5
-        return True
-
-    def on_result(index: int, res: ReachResult) -> list[tuple[float, float, float, float]]:
-        nonlocal in_flight
-        row, round_no, point = tag_of[index]
-        if round_no != round_of[row]:
-            return []
-        got[row][point] = res
-        mid = got[row].get(0)
-        if mid is None:
-            return []
-        chain = [mid]
-        if two_level[row] and mid.attractor_id is not None:
-            selected = 2 if mid.attractor_id == sides[row][0] else 1
-            if selected not in got[row]:
+    def advance(row: int) -> list[tuple[float, float, float, float]]:
+        """Halve the bracket while its midpoint's result is in the memo;
+        return the starts to launch if the midpoint never was."""
+        while length[row] > bisect_tol:
+            mid = 0.5 * (lo[row] + hi[row])
+            key = mid.tobytes()
+            if key not in memo[row]:
+                points = [mid]
+                # Halving is exact, so the quarters are bitwise the two
+                # midpoints that could come next.
+                if len(running) > 1 and length[row] * 0.5 > bisect_tol:
+                    points += [0.5 * (lo[row] + mid), 0.5 * (mid + hi[row])]
+                for u in points:
+                    memo[row][u.tobytes()] = None
+                    tag_of.append((row, u.tobytes()))
+                return [(*u, 0.0) for u in points]
+            res = memo[row][key]
+            if res is None:  # still running
                 return []
-            chain.append(got[row][selected])
-        if all(halve(row, r) for r in chain) and length[row] > bisect_tol:
-            return launch(row)
-        round_of[row] += 1  # done: every run still out is stale
-        in_flight -= 1
+            if res.attractor_id is None:
+                decided[row] = False
+                skipped.append((row, "undecided midpoint during bisection"))
+                break
+            if res.attractor_id == sides[row][0]:
+                lo[row] = mid
+            else:
+                hi[row] = mid
+            length[row] *= 0.5
+        running.discard(row)
         return []
 
-    first = [start for row in np.flatnonzero(length > bisect_tol) for start in launch(int(row))]
+    def on_result(index: int, res: ReachResult) -> list[tuple[float, float, float, float]]:
+        row, key = tag_of[index]
+        memo[row][key] = res
+        return advance(row) if row in running else []
+
+    first = [start for row in sorted(running) for start in advance(row)]
     run_to_attractor_batch(
         params, first, targets, config=config, match_radius=match_radius, on_result=on_result
     )

@@ -21,17 +21,9 @@ from .model import ModelParameters, PARAMETER_KEYS, StateVector
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "load_config", "dump_config"]
 
-_INITIAL_KEYS = ("P", "S", "V", "W")
-_INTEGRATION_KEYS = (
-    "rel_tol",
-    "abs_tol",
-    "t_max",
-    "initial_step",
-    "max_step",
-    "settle_tol",
-    "settle_time",
-    "min_step",
-)
+# Every field is settable from its section, in declaration order.
+_INITIAL_KEYS = tuple(field.name for field in dataclasses.fields(StateVector))
+_INTEGRATION_KEYS = tuple(field.name for field in dataclasses.fields(IntegrationConfig))
 _SECTIONS = ("parameters", "initial", "integration")
 
 
@@ -98,12 +90,7 @@ def parse_config(text: str) -> RunConfig:
         if missing:
             raise ConfigError(f"missing initial-state keys: {sorted(missing)}")
         try:
-            initial = StateVector(
-                P=_float("initial", "P", raw_init["P"]),
-                S=_float("initial", "S", raw_init["S"]),
-                V=_float("initial", "V", raw_init["V"]),
-                W=_float("initial", "W", raw_init["W"]),
-            )
+            initial = StateVector(**{k: _float("initial", k, raw_init[k]) for k in _INITIAL_KEYS})
         except ValueError as err:
             raise ConfigError(f"invalid initial state: {err}") from err
 

@@ -15,7 +15,11 @@ the scenario's tolerance, and returns the same numbers as a dict
 whose ``tolerance_met`` holds the verdict. For fig4 the tolerance bounds
 the fitted graph's gap over the saddle, and the verdict also needs 95% of
 the side probes right and no skipped segment. Outputs contain no
-timestamps or machine state, so reruns are byte-identical.
+timestamps or machine state, so reruns on one BLAS build and thread count
+are byte-identical. fig4's ``surface.obj``, ``surface_lattice.csv`` and the
+fit residual in its ``summary.txt`` come from a linear solve whose last
+bits move with the BLAS build and thread count; its labels and boundary
+points do not.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basin import _PROBE_OFFSET, probe_surface_sides, reconstruct_separatrix
+from .basin import _PROBE_OFFSET, SeparatrixSample, probe_surface_sides, reconstruct_separatrix
 from .equilibria import compute_equilibrium
 from .integrate import IntegrationConfig, Trajectory, integrate, write_trajectory_csv
 from .model import ModelParameters, rhs
@@ -249,6 +253,28 @@ def _reproduce_trajectory(preset: FigurePreset, outdir: Path, config: Integratio
     return summary
 
 
+def _graph_sides(sample: SeparatrixSample, graph_axis: int) -> tuple[str, str]:
+    """The attractor ids (above, below) the fitted graph separates.
+
+    A majority vote over the segments that cross the graph axis: the end
+    with the larger graph-axis coordinate is above. Segments run either
+    way (face and body diagonals also run downward), so the end label is
+    not always the upper one.
+    """
+    above_votes: Counter = Counter()
+    below_votes: Counter = Counter()
+    for seg, (lo, hi) in zip(sample.segments, sample.side_labels):
+        rise = seg[1, graph_axis] - seg[0, graph_axis]
+        if abs(rise) > 1e-12:
+            up, down = (hi, lo) if rise > 0.0 else (lo, hi)
+            above_votes[up] += 1
+            below_votes[down] += 1
+    if not above_votes:
+        above_votes = Counter(hi for _, hi in sample.side_labels)
+        below_votes = Counter(lo for lo, _ in sample.side_labels)
+    return above_votes.most_common(1)[0][0], below_votes.most_common(1)[0][0]
+
+
 def _reproduce_basin(
     preset: FigurePreset,
     outdir: Path,
@@ -275,19 +301,7 @@ def _reproduce_basin(
     saddle_plane = (float(saddle.coordinates[0]), float(saddle.coordinates[1]))
     saddle_gap = abs(float(model.evaluate(saddle_plane)) - float(saddle.coordinates[2]))
 
-    # Orient the two sides of the fitted graph by majority vote over the
-    # segments aligned with the graph axis (their low end is below).
-    above_votes: Counter = Counter()
-    below_votes: Counter = Counter()
-    for seg, (lo, hi) in zip(sample.segments, sample.side_labels):
-        if abs(seg[1, 2] - seg[0, 2]) > 1e-12:
-            above_votes[hi] += 1
-            below_votes[lo] += 1
-    if not above_votes:
-        above_votes = Counter(hi for _, hi in sample.side_labels)
-        below_votes = Counter(lo for lo, _ in sample.side_labels)
-    above = above_votes.most_common(1)[0][0]
-    below = below_votes.most_common(1)[0][0]
+    above, below = _graph_sides(sample, model.graph_axis)
     matches, total = probe_surface_sides(
         params,
         model,

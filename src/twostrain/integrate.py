@@ -385,13 +385,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate from ``x0`` until ``t_max``, convergence, or failure.
 
-    Raises StepFailureError (with the partial trajectory attached) if the
-    step size underflows.
+    Raises ValueError unless ``x0`` is finite and nonnegative, and
+    StepFailureError (with the partial trajectory attached) if the step
+    size underflows.
     """
     cfg = config or IntegrationConfig()
     start = tuple(float(v) for v in x0)
-    if any(v < 0.0 for v in start):
-        raise ValueError("initial state must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in start):  # NaN fails too
+        raise ValueError("initial state must be finite and nonnegative")
     times, states, termination = _integrate_core(
         scalar_field(params), start, cfg, cfg.max_step, _stationary_check(params)
     )
@@ -467,7 +468,11 @@ def run_to_attractor(
     leaving. Attractor centres must be separated by more than twice the
     radius so membership is unambiguous. Runs that settle
     elsewhere or exhaust ``t_max`` come back undecided; step failures
-    raise StepFailureError.
+    raise StepFailureError. A listed point that does not attract, such as
+    a saddle, captures runs that dwell near it on their way past: on the
+    fig4 parameters with E2 = (0, 3, 0, 0) listed next to E1 and E4, the
+    start (0.6, 0, 0.25, 0) is labelled E2 at t = 47.4 while V grows away
+    from it. A start must be finite and nonnegative.
 
     Steps are bounded by a quarter of the dwell time (2.5), not by the
     config's ``max_step``, so the dwell window holds at least four
@@ -498,8 +503,8 @@ def run_to_attractor(
         return False
 
     start = tuple(float(v) for v in x0)
-    if any(v < 0.0 for v in start):
-        raise ValueError("initial state must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in start):  # NaN fails too
+        raise ValueError("initial state must be finite and nonnegative")
     times, states, termination = _integrate_core(
         scalar_field(params), start, cfg, _ATTRACTOR_MAX_STEP, _stationary_check(params), stop=stop
     )
@@ -549,7 +554,8 @@ def run_to_attractor_batch(
     with the same rejections, settle and fly-by decisions, dwell ball and
     step bound (a quarter of the dwell time, not the config's
     ``max_step``), so every returned ``ReachResult`` equals
-    ``run_to_attractor``'s bit for bit. Elementwise numpy ``+ - * /``
+    ``run_to_attractor``'s bit for bit, labels by listed points that do
+    not attract included. Elementwise numpy ``+ - * /``
     round like Python's float operators, and ``np.float_power`` rounds
     like Python's ``**`` (numpy's ``**``, ``np.power``, does not), so the
     error-norm squares, the step-factor powers and the ball distances are
@@ -560,6 +566,8 @@ def run_to_attractor_batch(
     called as each run ends. The starts it returns are launched with the
     next indices, in the order returned, and join the running lanes in
     the next pass. The result of every launch comes back, in launch order.
+    Every start, those ``on_result`` returns included, must be finite and
+    nonnegative, or ValueError is raised before it steps.
 
     A start offered while no lane is running, and alone, is run by
     ``run_to_attractor`` directly: one lane costs the batch machinery's
@@ -576,8 +584,8 @@ def run_to_attractor_batch(
 
     def start_rows(batch: Sequence[Sequence[float]] | np.ndarray) -> list[np.ndarray]:
         x = np.asarray(batch, dtype=float).reshape(len(batch), 4)
-        if np.any(x < 0.0):
-            raise ValueError("initial state must be nonnegative")
+        if not np.all((x >= 0.0) & (x < math.inf)):  # NaN fails too
+            raise ValueError("initial state must be finite and nonnegative")
         return list(x)
 
     pending = start_rows(starts)

@@ -13,6 +13,7 @@ from twostrain import basin
 from twostrain.basin import (
     BasinGrid,
     DegenerateGeometryError,
+    SeparatrixSample,
     boundary_edge_segments,
     classify_grid,
     fit_surface,
@@ -25,7 +26,8 @@ from twostrain.basin import (
     write_surface_obj,
 )
 from twostrain.equilibria import compute_equilibrium
-from twostrain.integrate import run_to_attractor, run_to_attractor_batch
+from twostrain.figures import _graph_sides
+from twostrain.integrate import ReachResult, run_to_attractor, run_to_attractor_batch
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +449,51 @@ class TestBisection:
         assert starts == [mid for mid, _, _ in rounds[0]]
         assert alone.points.tobytes() == points[:1].tobytes()
 
+    @pytest.mark.parametrize("order", ["reverse", "launch"])
+    def test_arrival_order_does_not_matter(self, fig4_params, fig4_attractors, monkeypatch, order):
+        # Each wave of launches is answered in full by scalar runs, and its
+        # results reach the callback in reverse launch order (so a round's
+        # selected quarter arrives before its midpoint) or in launch order.
+        # The starts the callback returns form the next wave.
+        attractors = [*fig4_attractors, ("E2", (0.0, 3.0, 0.0, 0.0))]
+        segments = [
+            ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
+            # Skipped at a round's midpoint, and at a selected quarter.
+            ((0.0, 0.1875, 0.0), (2.0, 0.1875, 0.0), "E2", "E1"),
+            ((0.0, 0.1875, 0.0), (4.0, 0.1875, 0.0), "E2", "E1"),
+            # The first round's unselected lower quarter is the undecided saddle.
+            ((1.0, 0.1875, 0.0), (2.25, 0.1875, 0.0), "E1", "E4"),
+        ]
+        reached = {}
+
+        def reach(start):
+            if start not in reached:
+                reached[start] = run_to_attractor(fig4_params, start, attractors).attractor_id
+            return reached[start]
+
+        starts = []
+
+        def answering_batch(params, batch_starts, targets, *, on_result, **kwargs):
+            starts.extend(tuple(float(v) for v in x0) for x0 in batch_starts)
+            done = 0
+            while done < len(starts):
+                wave = range(done, len(starts))
+                done = len(starts)
+                for index in reversed(wave) if order == "reverse" else wave:
+                    result = ReachResult(reach(starts[index]), None, np.zeros(4), "fake")
+                    starts.extend(tuple(float(v) for v in x0) for x0 in on_result(index, result))
+
+        monkeypatch.setattr(basin, "run_to_attractor_batch", answering_batch)
+        sample = separatrix_points(fig4_params, segments, attractors, bisect_tol=1e-3)
+        points, side_labels, ends, skipped, rounds = _plain_bisection(segments, reach, 1e-3)
+        assert len(skipped) == 2
+        assert reach(rounds[3][0][1]) is None and rounds[3][1][0] != rounds[3][0][1]
+        assert sample.points.tobytes() == points.tobytes()
+        assert sample.segments.tobytes() == ends.tobytes()
+        assert sample.side_labels == side_labels
+        assert sample.skipped == skipped
+        assert _check_launches(starts, rounds, skipped) > 0
+
     def test_deterministic(self, fig4_params, fig4_attractors):
         seg = [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")]
         a = separatrix_points(fig4_params, seg, fig4_attractors)
@@ -652,3 +699,20 @@ def test_fig4_outputs_are_pinned(fig4_pipeline, fig4_params):
     gap = abs(float(model.evaluate((saddle[0], saddle[1]))) - float(saddle[2]))
     summary = _FIG4_SUMMARY.format(residual=model.fit_residual, gap=gap)
     assert (outdir / "summary.txt").read_text() == summary
+
+
+def test_fig4_side_vote_reads_each_segment_by_its_direction():
+    # Three diagonals run down from E4 to E1 and one edge runs up from E1
+    # to E4: counting every end label as above would make E1 the upper
+    # side, 3 votes to 1.
+    down = [((0.0, 0.0, 1.0), (0.0, 1.0, 0.0)), ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)), ((0.0, 0.0, 1.0), (1.0, 1.0, 0.0))]
+    up = [((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))]
+    sample = SeparatrixSample(
+        points=np.zeros((4, 3)),
+        side_labels=[("E4", "E1")] * 3 + [("E1", "E4")],
+        segments=np.array(down + up),
+        skipped=[],
+    )
+    assert _graph_sides(sample, 2) == ("E4", "E1")
+    # Along P two diagonals rise and the rest are flat, without a vote.
+    assert _graph_sides(sample, 0) == ("E1", "E4")

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,17 @@ class TestParseConfig:
         again = parse_config(text)
         assert again == run
         assert dump_config(again) == text
+
+    def test_every_field_is_settable_from_the_file(self, fig1_params):
+        # Every IntegrationConfig field is an [integration] key: none keeps
+        # its default whatever the file says.
+        changed = {field.name: 2.0 * field.default for field in fields(IntegrationConfig)}
+        text = _MINIMAL + "[initial]\nP = 0.5\nS = 1.8\nV = 0.1\nW = 0.2\n[integration]\n"
+        text += "".join(f"{key} = {value!r}\n" for key, value in changed.items())
+        run = parse_config(text)
+        assert run.integration == IntegrationConfig(**changed)
+        assert run.initial == StateVector(0.5, 1.8, 0.1, 0.2)
+        assert parse_config(dump_config(run)) == run
 
     def test_lambda_key(self, fig1_params):
         text = _cfg_text(fig1_params)

@@ -224,6 +224,32 @@ class TestRunToAttractor:
         with pytest.raises(ValueError, match="nonnegative"):
             run_to_attractor(fig4_params, (-0.1, 1.0, 0.0, 0.0), [e1, e4])
 
+    @pytest.mark.parametrize("component", [0, 2])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_start_is_rejected_before_any_step(self, fig4_params, monkeypatch, component, value):
+        # NaN compares False with 0.0, so a sign test alone lets it through
+        # to a step-size failure at t = 0.
+        e1 = compute_equilibrium(fig4_params, "E1")
+        e4 = compute_equilibrium(fig4_params, "E4")
+        good = (1.0, 1.0, 0.1, 0.0)
+        bad = list(good)
+        bad[component] = value
+        finite = "initial state must be finite and nonnegative"
+        # The offered start is rejected after the first run has ended.
+        with pytest.raises(ValueError, match=finite):
+            run_to_attractor_batch(fig4_params, [good], [e1, e4], on_result=lambda index, result: [bad])
+        monkeypatch.setattr(twostrain.integrate, "_integrate_core", _no_steps)
+        with pytest.raises(ValueError, match=finite):
+            integrate(fig4_params, bad)
+        with pytest.raises(ValueError, match=finite):
+            run_to_attractor(fig4_params, bad, [e1, e4])
+        with pytest.raises(ValueError, match=finite):
+            run_to_attractor_batch(fig4_params, [good, bad], [e1, e4])
+
+
+def _no_steps(*args, **kwargs):
+    raise AssertionError("stepped before validating the start")
+
 
 class TestStepFailure:
     def test_unreachable_accuracy_raises_with_partial_trajectory(self, fig1_params):
