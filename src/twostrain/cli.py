@@ -67,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="override the relative integration tolerance (absolute = value/100)",
+        help="override the relative integration tolerance (absolute = value/100); "
+        "separatrix and fig4 bisect at no tighter than 1e-5 and certify each final "
+        "bracket at this tolerance",
     )
     common = argparse.ArgumentParser(add_help=False, parents=[base])
     common.add_argument("--config", type=Path, help="INI run configuration")
@@ -109,7 +111,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_basin.add_argument("--match-radius", type=float, default=0.05)
 
-    p_sep = sub.add_parser("separatrix", parents=[common], help="locate and fit the basin boundary")
+    p_sep = sub.add_parser(
+        "separatrix",
+        parents=[common],
+        help="locate and fit the basin boundary",
+        description="Locate the basin boundary by bisecting the opposite-basin corner pairs of a "
+        "grid, and fit a surface to it. Bisection midpoints run at a relative tolerance of at "
+        "least 1e-5; each final bracket's ends are then certified at the configured tolerance, "
+        "and a segment with an end that changes side is bisected again at it.",
+    )
     p_sep.add_argument("--graph-axis", default="V", help="axis the boundary is a graph over")
     p_sep.add_argument(
         "--resolution",

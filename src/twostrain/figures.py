@@ -345,6 +345,7 @@ def _reproduce_basin(
         "n_boundary_points": int(len(sample.points)),
         "n_segments": len(segments),
         "n_skipped": len(sample.skipped),
+        "n_rebisected": len(sample.rebisected),
         "fit_residual": model.fit_residual,
         "saddle_gap": saddle_gap,
         "side_matches": matches,

@@ -109,6 +109,13 @@ class IntegrationConfig:
     (``run_to_attractor`` and its batch, so ``basin``, ``separatrix`` and
     fig4) step at most a quarter of their 10-unit dwell time, 2.5, whatever
     ``max_step`` says; their first step is ``min(initial_step, 2.5, t_max)``.
+
+    ``rel_tol`` and ``abs_tol`` hold for every run but one kind:
+    ``basin.separatrix_points`` runs its bisection midpoints at ``rel_tol``
+    raised to at least 1e-5 and ``abs_tol`` to at least a hundredth of
+    that, never tighter than given here. Grid nodes, side probes, the
+    certificate runs of each final bracket's ends and the second bisection
+    of a segment that fails its certificate all run at these tolerances.
     """
 
     rel_tol: float = 1e-8

@@ -1,5 +1,6 @@
 """Basin grids, boundary bisection, surface fitting and probing."""
 
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -27,7 +28,7 @@ from twostrain.basin import (
 )
 from twostrain.equilibria import compute_equilibrium
 from twostrain.figures import _graph_sides
-from twostrain.integrate import ReachResult, run_to_attractor, run_to_attractor_batch
+from twostrain.integrate import IntegrationConfig, ReachResult, run_to_attractor, run_to_attractor_batch
 
 
 @pytest.fixture(scope="module")
@@ -55,39 +56,43 @@ def _no_runs(*args, **kwargs):
 
 
 def _record_launches(monkeypatch):
-    """Record every start basin launches, in launch order, and the attractor
-    id (or None) reached from each start of a batch with a callback."""
-    starts, reached = [], {}
+    """Record every batch basin runs, as (config, streamed, starts in launch
+    order), where ``streamed`` says that it had a callback, and the attractor
+    id (or None) reached from each start, keyed by (start, config)."""
+    batches, reached = [], {}
 
-    def record(batch):
-        starts.extend(tuple(float(v) for v in x0) for x0 in batch)
-        return batch
+    def recording_batch(params, batch_starts, *args, config=None, on_result=None, **kwargs):
+        config = config or IntegrationConfig()
+        starts = []
+        batches.append((config, on_result is not None, starts))
 
-    def recording_batch(params, batch_starts, *args, on_result=None, **kwargs):
-        offset = len(starts)
+        def record(batch):
+            starts.extend(tuple(float(v) for v in x0) for x0 in batch)
+            return batch
+
         # Bisection launches most of its runs from the callback.
         if on_result is not None:
-
-            def heard(index, result):
-                reached[starts[offset + index]] = result.attractor_id
-                return record(on_result(index, result))
-
-            kwargs["on_result"] = heard
-        return run_to_attractor_batch(params, record(batch_starts), *args, **kwargs)
+            kwargs["on_result"] = lambda index, result: record(on_result(index, result))
+        results = run_to_attractor_batch(params, record(batch_starts), *args, config=config, **kwargs)
+        for start, result in zip(starts, results):
+            reached[start, config] = result.attractor_id
+        return results
 
     monkeypatch.setattr(basin, "run_to_attractor_batch", recording_batch)
-    return starts, reached
+    return batches, reached
 
 
 def _plain_bisection(segments, reach, bisect_tol):
     """Bisect one segment at a time, one run per midpoint.
 
     ``reach(start)`` gives the attractor id (or None) of the run from a
-    4-tuple start. Returns the four fields of a ``SeparatrixSample`` and,
-    per segment, its halvings as (midpoint, lower quarter, upper quarter)
-    starts; a skipped segment's last midpoint is the undecided one.
+    4-tuple start. Returns the four fields of a ``SeparatrixSample``; per
+    segment, its halvings as (midpoint, lower quarter, upper quarter)
+    starts, where a skipped segment's last midpoint is the undecided one;
+    and the starts of the final bracket ends that are not segment ends,
+    lower end first, in segment order.
     """
-    points, side_labels, ends, skipped, rounds = [], [], [], [], []
+    points, side_labels, ends, skipped, rounds, moved = [], [], [], [], [], []
     for index, (start, end, lab_lo, lab_hi) in enumerate(segments):
         lo, hi = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
         length = float(np.linalg.norm(hi - lo))
@@ -111,12 +116,14 @@ def _plain_bisection(segments, reach, bisect_tol):
             points.append(0.5 * (lo + hi))
             side_labels.append((lab_lo, lab_hi))
             ends.append((np.asarray(start, dtype=float), np.asarray(end, dtype=float)))
+            moved.extend((*(float(v) for v in u), 0.0) for u, own in ((lo, start), (hi, end)) if tuple(u) != tuple(own))
     return (
         np.array(points).reshape(len(points), 3),
         side_labels,
         np.array(ends).reshape(len(ends), 2, 3),
         skipped,
         rounds,
+        moved,
     )
 
 
@@ -148,6 +155,69 @@ def _check_launches(starts, rounds, skipped):
                 expected.update(q for q in (lower, upper) if last or q != halvings[j + 1][0])
     assert Counter(starts) == expected
     return two_level
+
+
+def _check_bisection_batches(batches, segments, reach, config, bisect_tol, rebisected):
+    """Check the batches of one ``separatrix_points`` call at ``config``,
+    as ``_record_launches`` records them, and return how many two-level
+    rounds they ran.
+
+    ``reach(start, config)`` gives the attractor id (or None) of the run
+    from a start at a config. The first batch is a stream at the labelling
+    config that launches what plain bisection there needs. If that config
+    is looser than ``config``, a batch at ``config`` follows that runs
+    exactly the final bracket ends of that bisection that are not segment
+    ends, and then, if any segment is ``rebisected``, a stream at ``config``
+    that launches what plain bisection of those segments there needs.
+    """
+    label = basin._labelling_config(config)
+    certified = label != config
+    kinds = [(label, True)] + [(config, False)] * certified + [(config, True)] * bool(rebisected)
+    assert [(c, streamed) for c, streamed, _ in batches] == kinds
+    _, _, _, skipped, rounds, moved = _plain_bisection(segments, lambda u: reach(u, label), bisect_tol)
+    two_level = _check_launches(batches[0][2], rounds, skipped)
+    if certified:
+        assert batches[1][2] == moved
+    if rebisected:
+        again = [segments[row] for row in rebisected]
+        _, _, _, skipped, rounds, _ = _plain_bisection(again, lambda u: reach(u, config), bisect_tol)
+        two_level += _check_launches(batches[-1][2], rounds, skipped)
+    return two_level
+
+
+def _scalar_reach(params, attractors):
+    """``reach(start, config)``: the attractor id (or None) of a scalar run
+    from a 4-tuple start, at the default config unless one is given."""
+    memo = {}
+
+    def reach(start, config=IntegrationConfig()):
+        if (start, config) not in memo:
+            memo[start, config] = run_to_attractor(params, start, attractors, config).attractor_id
+        return memo[start, config]
+
+    return reach
+
+
+def _answering_batch(reach, batches, order):
+    """A stand-in for ``run_to_attractor_batch`` that answers each run with
+    ``reach(start, config)`` and records its batch as ``_record_launches``
+    does. Each wave of launches is answered in full, and its results reach
+    the callback in launch order or, for ``order`` "reverse", in reverse
+    launch order. The starts the callback returns form the next wave."""
+
+    def answering_batch(params, batch_starts, targets, *, config, on_result=None, **kwargs):
+        starts = [tuple(float(v) for v in x0) for x0 in batch_starts]
+        batches.append((config, on_result is not None, starts))
+        results = {}
+        while len(results) < len(starts):
+            wave = range(len(results), len(starts))
+            for index in reversed(wave) if order == "reverse" else wave:
+                results[index] = ReachResult(reach(starts[index], config), None, np.zeros(4), "fake")
+                if on_result is not None:
+                    starts.extend(tuple(float(v) for v in x0) for x0 in on_result(index, results[index]))
+        return [results[index] for index in range(len(starts))]
+
+    return answering_batch
 
 
 class TestGridClassification:
@@ -380,7 +450,7 @@ class TestBisection:
     def test_pipeline_integrates_no_grid_node_twice(
         self, fig4_params, fig4_attractors, tmp_path, monkeypatch
     ):
-        starts, reached = _record_launches(monkeypatch)
+        batches, reached = _record_launches(monkeypatch)
         grid, segments, sample, _ = reconstruct_separatrix(
             fig4_params,
             ((1.3, 1.9), (0.1, 0.3), (0.0, 0.8)),
@@ -390,18 +460,21 @@ class TestBisection:
             bisect_tol=1e-2,
         )
         nodes = {(*u, 0.0) for u in itertools.product(*grid.axes_1d)}
-        grid_starts = starts[: grid.labels.size]
-        bisection_starts = starts[grid.labels.size :]
-        assert set(grid_starts) == nodes
+        config, streamed, grid_starts = batches[0]
+        assert config == IntegrationConfig() and not streamed
+        assert len(grid_starts) == grid.labels.size and set(grid_starts) == nodes
         assert len(segments) > 0 and len(sample.points) == len(segments)
-        assert nodes.isdisjoint(bisection_starts)
+        assert all(nodes.isdisjoint(starts) for _, _, starts in batches[1:])
 
-        # Plain bisection with the pipeline's own runs as its oracle: a
-        # midpoint it needs that was never launched raises KeyError.
-        points, _, _, skipped, rounds = _plain_bisection(segments, reached.__getitem__, 1e-2)
+        # Plain bisection with the pipeline's own runs as its oracle, each
+        # read at the config it ran at: a midpoint it needs that was never
+        # launched raises KeyError.
+        assert sample.rebisected == []
+        bisection = batches[1:]
+        assert _check_bisection_batches(bisection, segments, lambda u, c: reached[u, c], config, 1e-2, []) > 0
+        points, _, _, skipped, _, _ = _plain_bisection(segments, _scalar_reach(fig4_params, fig4_attractors), 1e-2)
         assert sample.skipped == skipped == []
         assert sample.points.tobytes() == points.tobytes()
-        assert _check_launches(bisection_starts, rounds, skipped) > 0
 
     def test_two_level_rounds_match_one_segment_at_a_time(
         self, fig4_params, fig4_attractors, monkeypatch
@@ -423,13 +496,10 @@ class TestBisection:
             # half and its quarter, the undecided saddle. 11 halvings.
             ((1.0, 0.1875, 0.0), (2.25, 0.1875, 0.0), "E1", "E4"),
         ]
-        starts, _ = _record_launches(monkeypatch)
+        batches, _ = _record_launches(monkeypatch)
         sample = separatrix_points(fig4_params, segments, attractors, bisect_tol=1e-3)
-
-        def reach(start):
-            return run_to_attractor(fig4_params, start, attractors).attractor_id
-
-        points, side_labels, ends, skipped, rounds = _plain_bisection(segments, reach, 1e-3)
+        reach = _scalar_reach(fig4_params, attractors)
+        points, side_labels, ends, skipped, rounds, _ = _plain_bisection(segments, reach, 1e-3)
         assert [len(halvings) for halvings in rounds] == [12, 9, 0, 5, 6, 11]
         assert skipped == [(3, "undecided midpoint during bisection"), (4, "undecided midpoint during bisection")]
         assert rounds[3][-1][0] == rounds[4][-1][0] == rounds[5][0][1] == saddle
@@ -437,16 +507,25 @@ class TestBisection:
         assert sample.segments.tobytes() == ends.tobytes()
         assert sample.side_labels == side_labels
         assert sample.skipped == skipped
-        _check_launches(starts, rounds, skipped)
-        # Each case was met in a two-level round: the midpoint run
-        # directly followed by its lower and upper quarter.
+        # Every midpoint here takes the same side at the labelling
+        # tolerance. The saddle is undecided at both, so the two segments
+        # that meet it are bisected again, and skipped there.
+        label = basin._labelling_config(IntegrationConfig())
+        assert _plain_bisection(segments, lambda u: reach(u, label), 1e-3)[4] == rounds
+        assert sample.rebisected == [3, 4]
+        _check_bisection_batches(batches, segments, reach, IntegrationConfig(), 1e-3, [3, 4])
+        # Each case was met in a two-level round of the labelling stream:
+        # the midpoint run directly followed by its lower and upper quarter.
+        starts = batches[0][2]
         follows = set(zip(starts, starts[1:], starts[2:]))
         assert {rounds[3][-1], rounds[4][-2], rounds[5][0]} <= follows
 
-        # A segment bisected alone launches only its midpoints, in order.
-        starts.clear()
+        # A segment bisected alone launches only its midpoints, in order,
+        # and then its final bracket ends.
+        batches.clear()
         alone = separatrix_points(fig4_params, segments[:1], attractors, bisect_tol=1e-3)
-        assert starts == [mid for mid, _, _ in rounds[0]]
+        assert batches[0][2] == [mid for mid, _, _ in rounds[0]]
+        _check_bisection_batches(batches, segments[:1], reach, IntegrationConfig(), 1e-3, [])
         assert alone.points.tobytes() == points[:1].tobytes()
 
     @pytest.mark.parametrize("order", ["reverse", "launch"])
@@ -454,7 +533,6 @@ class TestBisection:
         # Each wave of launches is answered in full by scalar runs, and its
         # results reach the callback in reverse launch order (so a round's
         # selected quarter arrives before its midpoint) or in launch order.
-        # The starts the callback returns form the next wave.
         attractors = [*fig4_attractors, ("E2", (0.0, 3.0, 0.0, 0.0))]
         segments = [
             ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
@@ -464,35 +542,111 @@ class TestBisection:
             # The first round's unselected lower quarter is the undecided saddle.
             ((1.0, 0.1875, 0.0), (2.25, 0.1875, 0.0), "E1", "E4"),
         ]
-        reached = {}
-
-        def reach(start):
-            if start not in reached:
-                reached[start] = run_to_attractor(fig4_params, start, attractors).attractor_id
-            return reached[start]
-
-        starts = []
-
-        def answering_batch(params, batch_starts, targets, *, on_result, **kwargs):
-            starts.extend(tuple(float(v) for v in x0) for x0 in batch_starts)
-            done = 0
-            while done < len(starts):
-                wave = range(done, len(starts))
-                done = len(starts)
-                for index in reversed(wave) if order == "reverse" else wave:
-                    result = ReachResult(reach(starts[index]), None, np.zeros(4), "fake")
-                    starts.extend(tuple(float(v) for v in x0) for x0 in on_result(index, result))
-
-        monkeypatch.setattr(basin, "run_to_attractor_batch", answering_batch)
+        reach = _scalar_reach(fig4_params, attractors)
+        batches = []
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _answering_batch(reach, batches, order))
         sample = separatrix_points(fig4_params, segments, attractors, bisect_tol=1e-3)
-        points, side_labels, ends, skipped, rounds = _plain_bisection(segments, reach, 1e-3)
+        points, side_labels, ends, skipped, rounds, _ = _plain_bisection(segments, reach, 1e-3)
         assert len(skipped) == 2
         assert reach(rounds[3][0][1]) is None and rounds[3][1][0] != rounds[3][0][1]
         assert sample.points.tobytes() == points.tobytes()
         assert sample.segments.tobytes() == ends.tobytes()
         assert sample.side_labels == side_labels
         assert sample.skipped == skipped
-        assert _check_launches(starts, rounds, skipped) > 0
+        assert sample.rebisected == [1, 2]
+        assert _check_bisection_batches(batches, segments, reach, IntegrationConfig(), 1e-3, [1, 2]) > 0
+
+    @pytest.mark.parametrize("answer", ["E1", None])
+    def test_a_wrong_or_undecided_labelling_run_rebisects_its_segment(
+        self, fig4_params, fig4_attractors, monkeypatch, answer
+    ):
+        # The labelling run of segment 0's first midpoint, V = 1.25, which
+        # reaches E4, answers E1 (so the bracket closes in on V = 1.25,
+        # whose certificate run reaches E4) or undecided. Segment 2's first
+        # midpoint is undecided at every tolerance, as a point on the
+        # boundary would be, so segment 2 is bisected again and skipped.
+        segments = [
+            ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
+            ((0.6, 0.0, 0.0), (0.6, 0.0, 0.5), "E1", "E4"),
+            ((1.3, 0.1, 2.5), (1.3, 0.1, 0.0), "E4", "E1"),
+        ]
+        config = IntegrationConfig()
+        label = basin._labelling_config(config)
+        reach = _scalar_reach(fig4_params, fig4_attractors)
+        wrong, stuck = (1.9, 0.2, 1.25, 0.0), (1.3, 0.1, 1.25, 0.0)
+        assert reach(wrong) == reach(wrong, label) == "E4"
+
+        def faulty(start, config=config):
+            if start == stuck:
+                return None
+            return answer if (start, config) == (wrong, label) else reach(start, config)
+
+        batches = []
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _answering_batch(faulty, batches, "launch"))
+        sample = separatrix_points(fig4_params, segments, fig4_attractors, bisect_tol=1e-3)
+        points, side_labels, ends, skipped, _, _ = _plain_bisection(segments, faulty, 1e-3)
+        assert skipped == [(2, "undecided midpoint during bisection")]
+        assert sample.rebisected == [0, 2]
+        assert sample.points.tobytes() == points.tobytes()
+        assert sample.segments.tobytes() == ends.tobytes()
+        assert sample.side_labels == side_labels
+        assert sample.skipped == skipped
+        assert wrong in batches[0][2]
+        _check_bisection_batches(batches, segments, faulty, config, 1e-3, [0, 2])
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-4])
+    def test_a_config_as_loose_as_labelling_certifies_nothing(
+        self, fig4_params, fig4_attractors, monkeypatch, tol
+    ):
+        # --tol 1e-5 or looser: plain bisection at the config, one stream,
+        # and the saddle segment is skipped without a second bisection.
+        config = IntegrationConfig().with_tolerance(tol)
+        assert basin._labelling_config(config) == config
+        attractors = [*fig4_attractors, ("E2", (0.0, 3.0, 0.0, 0.0))]
+        segments = [
+            ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
+            ((0.6, 0.0, 0.0), (0.6, 0.0, 0.5), "E1", "E4"),
+            ((0.0, 0.1875, 0.0), (2.0, 0.1875, 0.0), "E2", "E1"),
+        ]
+        batches, _ = _record_launches(monkeypatch)
+        sample = separatrix_points(fig4_params, segments, attractors, bisect_tol=1e-3, config=config)
+        reach = _scalar_reach(fig4_params, attractors)
+        points, side_labels, ends, skipped, _, _ = _plain_bisection(segments, lambda u: reach(u, config), 1e-3)
+        assert skipped == [(2, "undecided midpoint during bisection")]
+        assert [(c, streamed) for c, streamed, _ in batches] == [(config, True)]
+        assert _check_bisection_batches(batches, segments, reach, config, 1e-3, []) > 0
+        assert sample.points.tobytes() == points.tobytes()
+        assert sample.segments.tobytes() == ends.tobytes()
+        assert sample.side_labels == side_labels
+        assert sample.skipped == skipped
+        assert sample.rebisected == []
+
+    @pytest.mark.parametrize(
+        "rel_tol, abs_tol", [(1e-8, 1e-10), (1e-8, 1e-3), (1e-3, 1e-12), (1e-6, 1e-9), (0.5, 0.5)]
+    )
+    def test_labelling_never_tightens_the_config(self, rel_tol, abs_tol):
+        config = IntegrationConfig(rel_tol=rel_tol, abs_tol=abs_tol, t_max=50.0, settle_tol=1e-9)
+        label = basin._labelling_config(config)
+        assert label.rel_tol == max(rel_tol, 1e-5)
+        assert label.abs_tol == max(abs_tol, label.rel_tol / 100)
+        assert label.rel_tol >= config.rel_tol and label.abs_tol >= config.abs_tol
+        assert dataclasses.replace(label, rel_tol=rel_tol, abs_tol=abs_tol) == config
+
+    def test_a_loose_absolute_tolerance_is_kept(self, fig4_params, fig4_attractors, monkeypatch):
+        # A large abs_tol and a small rel_tol: the labelling runs loosen
+        # rel_tol only, and every run is at least as loose as the config.
+        config = IntegrationConfig(rel_tol=1e-8, abs_tol=1e-3)
+        segments = [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"), ((0.6, 0.0, 0.0), (0.6, 0.0, 0.5), "E1", "E4")]
+        batches, _ = _record_launches(monkeypatch)
+        sample = separatrix_points(fig4_params, segments, fig4_attractors, bisect_tol=1e-3, config=config)
+        label = IntegrationConfig(rel_tol=1e-5, abs_tol=1e-3)
+        assert [c for c, _, _ in batches][:2] == [label, config]
+        assert all(c.rel_tol >= config.rel_tol and c.abs_tol >= config.abs_tol for c, _, _ in batches)
+        reach = _scalar_reach(fig4_params, fig4_attractors)
+        assert sample.rebisected == []
+        _check_bisection_batches(batches, segments, reach, config, 1e-3, [])
+        points = _plain_bisection(segments, lambda u: reach(u, config), 1e-3)[0]
+        assert sample.points.tobytes() == points.tobytes()
 
     def test_deterministic(self, fig4_params, fig4_attractors):
         seg = [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")]
@@ -699,6 +853,15 @@ def test_fig4_outputs_are_pinned(fig4_pipeline, fig4_params):
     gap = abs(float(model.evaluate((saddle[0], saddle[1]))) - float(saddle[2]))
     summary = _FIG4_SUMMARY.format(residual=model.fit_residual, gap=gap)
     assert (outdir / "summary.txt").read_text() == summary
+
+
+def test_fig4_bisects_no_segment_twice(fig4_pipeline):
+    # Every final bracket end of fig4's labelling-tolerance bisection keeps
+    # its side at the config's tolerance; the count stays out of the files.
+    summary, outdir = fig4_pipeline
+    assert summary["n_rebisected"] == 0
+    assert summary["n_boundary_points"] == summary["n_segments"] == 463
+    assert "rebisect" not in (outdir / "summary.txt").read_text()
 
 
 def test_fig4_side_vote_reads_each_segment_by_its_direction():
