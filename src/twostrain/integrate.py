@@ -31,6 +31,9 @@ not samples, so its steps are bounded by a quarter of that dwell time
 launches more as runs end if asked to, and returns, for every start,
 exactly what ``run_to_attractor`` returns. Its squares and powers use
 ``np.float_power``, which rounds like Python's ``**``; ``np.power`` does not.
+Both take optional ``SaddleGate``s, which end a run as it leaves a saddle
+along the saddle's unstable direction, with the label of the attractor
+that side's branch reaches.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
     "Trajectory",
     "StepFailureError",
     "ReachResult",
+    "SaddleGate",
     "UNDECIDED",
     "integrate",
     "run_to_attractor",
@@ -61,6 +65,7 @@ REACHED_T_MAX = "reached_t_max"
 CONVERGED = "converged"
 STEP_FAILURE = "step_failure"
 _STOPPED = "stopped"
+_GATED = "gated"
 
 # Dormand-Prince 5(4) coefficients.
 _A21 = 1.0 / 5.0
@@ -113,9 +118,10 @@ class IntegrationConfig:
     ``rel_tol`` and ``abs_tol`` hold for every run but one kind:
     ``basin.separatrix_points`` runs its bisection midpoints at ``rel_tol``
     raised to at least 1e-5 and ``abs_tol`` to at least a hundredth of
-    that, never tighter than given here. Grid nodes, side probes, the
-    certificate runs of each final bracket's ends and the second bisection
-    of a segment that fails its certificate all run at these tolerances.
+    that, never tighter than given here, and through its saddle gates.
+    Grid nodes, side probes, the certificate runs of each final bracket's
+    ends and the second bisection of a segment that fails its certificate
+    all run at these tolerances, ungated.
     """
 
     rel_tol: float = 1e-8
@@ -189,6 +195,13 @@ _DWELL_TIME = 10.0
 # Longest step of an attractor run, whatever the config's max_step: the
 # dwell window then holds at least four accepted samples.
 _ATTRACTOR_MAX_STEP = _DWELL_TIME / 4
+# Saddle gates: the radius of the ball around the saddle, and the least
+# share of a state's distance from the saddle that its unstable coordinate
+# must make up for the gate to decide it. Within a thousandth of the radius
+# a run is left undecided, as it is ungated.
+_GATE_RADIUS = 0.1
+_GATE_CONE = 0.5
+_GATE_INNER2, _GATE_OUTER2, _GATE_CONE2 = (_GATE_RADIUS / 1000) ** 2, _GATE_RADIUS**2, _GATE_CONE**2
 
 
 def _stationary_check(params: ModelParameters) -> Callable[[_State], bool]:
@@ -416,7 +429,8 @@ class ReachResult:
     """Outcome of running a start state toward a set of attractors.
 
     ``attractor_id`` is None when the run ended undecided. ``t_detected``
-    is the time the dwell requirement was met (None if undecided).
+    is the time the dwell requirement was met or a gate decided the run
+    (None if undecided); a gated run ends with termination ``"gated"``.
     """
 
     attractor_id: str | None
@@ -427,6 +441,40 @@ class ReachResult:
     @property
     def label(self) -> str:
         return self.attractor_id if self.attractor_id is not None else UNDECIDED
+
+
+@dataclass(frozen=True)
+class SaddleGate:
+    """An early exit from a saddle whose unstable direction separates two basins.
+
+    ``left`` is the saddle's unit left eigenvector of its one unstable
+    eigenvalue, so ``p = left · (y - centre)`` is the state's unstable
+    coordinate. A run whose accepted state y has ``r = |y - centre|`` with
+    ``1e-4 <= r <= 0.1`` and ``|p| >= 0.5 r`` ends with the label
+    ``sides[0]`` if ``p > 0`` and ``sides[1]`` if ``p < 0``: the attractors
+    the two branches of the saddle's unstable manifold reach. The inner
+    radius leaves a run that sits on the saddle undecided.
+    """
+
+    centre: tuple[float, float, float, float]
+    left: tuple[float, float, float, float]
+    sides: tuple[str, str]
+
+
+# A gate as the steppers read it: centre, left eigenvector, and the target
+# index of each side.
+_Gate = tuple[_State, _State, tuple[int, int]]
+
+
+def _gate_list(gates: Iterable[SaddleGate], targets: list[tuple[str, _State]]) -> list[_Gate]:
+    index_of = {name: i for i, (name, _) in enumerate(targets)}
+    out = []
+    for gate in gates:
+        if not all(side in index_of for side in gate.sides):
+            raise ValueError(f"gate sides {gate.sides} must be ids of {sorted(index_of)}")
+        centre, left = (tuple(float(v) for v in u) for u in (gate.centre, gate.left))
+        out.append((centre, left, (index_of[gate.sides[0]], index_of[gate.sides[1]])))
+    return out
 
 
 def _attractor_list(attractors: Iterable) -> list[tuple[str, tuple[float, float, float, float]]]:
@@ -467,6 +515,7 @@ def run_to_attractor(
     attractors: Iterable,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
+    gates: Iterable[SaddleGate] = (),
 ) -> ReachResult:
     """Integrate until the state has dwelt near one attractor.
 
@@ -484,11 +533,20 @@ def run_to_attractor(
     Steps are bounded by a quarter of the dwell time (2.5), not by the
     config's ``max_step``, so the dwell window holds at least four
     accepted samples.
+
+    Each accepted step that does not complete a dwell is tested against
+    the ``gates`` in order, and the first whose exit test the state meets
+    ends the run with that side's label and termination ``"gated"``. The
+    sides must be ids of ``attractors``. A gate's label is the label of
+    the run only as far as the saddle's linearisation holds, so its
+    callers must check what they keep: ``basin.separatrix_points`` gates
+    only its labelling runs, and certifies their final brackets ungated.
     """
     cfg = config or IntegrationConfig()
     targets = _separated_attractors(attractors, match_radius)
+    gate_list = _gate_list(gates, targets)
     r2 = match_radius * match_radius
-    current = {"ball": -1, "entered": 0.0, "hit": -1, "t_hit": math.nan}
+    current = {"ball": -1, "entered": 0.0, "hit": -1, "t_hit": math.nan, "how": _STOPPED}
 
     def stop(t: float, y: tuple[float, float, float, float]) -> bool:
         inside = -1
@@ -504,9 +562,18 @@ def run_to_attractor(
             current["ball"] = inside
             current["entered"] = t
         if inside >= 0 and t - current["entered"] >= _DWELL_TIME:
-            current["hit"] = inside
-            current["t_hit"] = t
+            current.update(hit=inside, t_hit=t, how=_STOPPED)
             return True
+        for c, l, sides in gate_list:
+            z0, z1, z2, z3 = y[0] - c[0], y[1] - c[1], y[2] - c[2], y[3] - c[3]
+            try:
+                d2 = ((z0**2 + z1**2) + z2**2) + z3**2
+            except OverflowError:  # far outside the gate
+                continue
+            p = ((l[0] * z0 + l[1] * z1) + l[2] * z2) + l[3] * z3
+            if _GATE_INNER2 <= d2 <= _GATE_OUTER2 and p**2 >= _GATE_CONE2 * d2:
+                current.update(hit=sides[0] if p > 0.0 else sides[1], t_hit=t, how=_GATED)
+                return True
         return False
 
     start = tuple(float(v) for v in x0)
@@ -523,7 +590,7 @@ def run_to_attractor(
 
     final = np.asarray(states[-1], dtype=float)
     if termination == _STOPPED:
-        return ReachResult(targets[current["hit"]][0], float(current["t_hit"]), final, termination)
+        return ReachResult(targets[current["hit"]][0], float(current["t_hit"]), final, current["how"])
     if termination == CONVERGED and current["ball"] >= 0:
         # Settled in place inside a ball: the dwell is implied.
         return ReachResult(targets[current["ball"]][0], float(times[-1]), final, termination)
@@ -544,6 +611,25 @@ def _column_max(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gate_sides(gates: list[_Gate], y: np.ndarray, tested: np.ndarray) -> np.ndarray:
+    """Target index of the side of the first of ``gates`` whose exit test
+    each tested lane of ``y`` meets, or -1.
+
+    ``run_to_attractor_batch`` calls this once in every pass of its loop
+    that makes a step attempt, gates or none.
+    """
+    side = np.full(y.shape[1], -1)
+    for c, l, (plus, minus) in reversed(gates):
+        z = y - np.array(c)[:, None]
+        q = np.float_power(z, 2.0)
+        d2 = ((q[0] + q[1]) + q[2]) + q[3]
+        p = ((l[0] * z[0] + l[1] * z[1]) + l[2] * z[2]) + l[3] * z[3]
+        inside = (_GATE_INNER2 <= d2) & (d2 <= _GATE_OUTER2)
+        fire = tested & inside & (np.float_power(p, 2.0) >= _GATE_CONE2 * d2)
+        side = np.where(fire, np.where(p > 0.0, plus, minus), side)
+    return side
+
+
 def run_to_attractor_batch(
     params: ModelParameters,
     starts: Sequence[Sequence[float]] | np.ndarray,
@@ -551,6 +637,7 @@ def run_to_attractor_batch(
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
     on_result: Callable[[int, ReachResult], Sequence[Sequence[float]]] | None = None,
+    gates: Iterable[SaddleGate] = (),
 ) -> list[ReachResult]:
     """``run_to_attractor`` from every row of the ``(n, 4)`` array ``starts``.
 
@@ -565,8 +652,10 @@ def run_to_attractor_batch(
     not attract included. Elementwise numpy ``+ - * /``
     round like Python's float operators, and ``np.float_power`` rounds
     like Python's ``**`` (numpy's ``**``, ``np.power``, does not), so the
-    error-norm squares, the step-factor powers and the ball distances are
-    whole-lane numpy too.
+    error-norm squares, the step-factor powers, the ball distances and the
+    ``gates``' exit tests are whole-lane numpy too. A lane is tested
+    against the gates, in order, on each accepted step that completes no
+    dwell, as ``run_to_attractor`` tests its run.
 
     Every run has a launch index, and ``starts`` are launches 0 to n-1.
     If ``on_result`` is given, ``on_result(launch_index, result)`` is
@@ -588,6 +677,8 @@ def run_to_attractor_batch(
     """
     cfg = config or IntegrationConfig()
     targets = _separated_attractors(attractors, match_radius)
+    gates = tuple(gates)
+    gate_list = _gate_list(gates, targets)
 
     def start_rows(batch: Sequence[Sequence[float]] | np.ndarray) -> list[np.ndarray]:
         x = np.asarray(batch, dtype=float).reshape(len(batch), 4)
@@ -639,7 +730,7 @@ def run_to_attractor_batch(
             x, pending = np.array(pending).T, []
             if m == 1 and not lane.size:
                 # One lane costs the batch machinery's overhead and gains nothing.
-                ended.append((first, run_to_attractor(params, x[:, 0], targets, cfg, match_radius)))
+                ended.append((first, run_to_attractor(params, x[:, 0], targets, cfg, match_radius, gates)))
                 report()
                 continue
             k = field(x)
@@ -782,13 +873,16 @@ def run_to_attractor_batch(
             ball = np.where(moved, inside, ball)
             entered = np.where(moved, t, entered)
             stopped = accepted & (inside >= 0) & (t - entered >= _DWELL_TIME)
-            done = converged | stopped
+            side = _gate_sides(gate_list, y, accepted & ~stopped)
+            gated = side >= 0
+            done = converged | stopped | gated
             if np.count_nonzero(done | failed):
                 finish(stopped, _STOPPED, inside)
+                finish(gated, _GATED, side)
                 drop(done, failed)
 
     if first_failure < math.inf:
-        run_to_attractor(params, launched[first_failure], targets, cfg, match_radius)
+        run_to_attractor(params, launched[first_failure], targets, cfg, match_radius, gates)
         raise RuntimeError(f"batched run of launch {first_failure} failed where the scalar run did not")
     return results
 

@@ -5,7 +5,7 @@ import hashlib
 import io
 import itertools
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -26,9 +26,11 @@ from twostrain.basin import (
     write_surface_lattice_csv,
     write_surface_obj,
 )
+from twostrain import integrate
 from twostrain.equilibria import compute_equilibrium
-from twostrain.figures import _graph_sides
+from twostrain.figures import _graph_sides, reproduce
 from twostrain.integrate import IntegrationConfig, ReachResult, run_to_attractor, run_to_attractor_batch
+from twostrain.model import jacobian
 
 
 @pytest.fixture(scope="module")
@@ -55,27 +57,32 @@ def _no_runs(*args, **kwargs):
     raise AssertionError("integrated before validating every input")
 
 
+# One batch basin ran: its config, whether it had a callback (a stream),
+# its starts in launch order, its gates and its results.
+_Batch = namedtuple("_Batch", "config streamed starts gates results")
+
+
 def _record_launches(monkeypatch):
-    """Record every batch basin runs, as (config, streamed, starts in launch
-    order), where ``streamed`` says that it had a callback, and the attractor
-    id (or None) reached from each start, keyed by (start, config)."""
+    """Record every batch basin runs as a ``_Batch``, and the attractor id
+    (or None) reached from each start, keyed by (start, config, gates)."""
     batches, reached = [], {}
 
-    def recording_batch(params, batch_starts, *args, config=None, on_result=None, **kwargs):
-        config = config or IntegrationConfig()
-        starts = []
-        batches.append((config, on_result is not None, starts))
+    def recording_batch(params, batch_starts, *args, config=None, on_result=None, gates=(), **kwargs):
+        config, gates = config or IntegrationConfig(), tuple(gates)
+        batch = _Batch(config, on_result is not None, [], gates, [])
+        batches.append(batch)
 
-        def record(batch):
-            starts.extend(tuple(float(v) for v in x0) for x0 in batch)
-            return batch
+        def record(starts):
+            batch.starts.extend(tuple(float(v) for v in x0) for x0 in starts)
+            return starts
 
         # Bisection launches most of its runs from the callback.
         if on_result is not None:
             kwargs["on_result"] = lambda index, result: record(on_result(index, result))
-        results = run_to_attractor_batch(params, record(batch_starts), *args, config=config, **kwargs)
-        for start, result in zip(starts, results):
-            reached[start, config] = result.attractor_id
+        results = run_to_attractor_batch(params, record(batch_starts), *args, config=config, gates=gates, **kwargs)
+        batch.results.extend(results)
+        for start, result in zip(batch.starts, results):
+            reached[start, config, gates] = result.attractor_id
         return results
 
     monkeypatch.setattr(basin, "run_to_attractor_batch", recording_batch)
@@ -157,65 +164,121 @@ def _check_launches(starts, rounds, skipped):
     return two_level
 
 
-def _check_bisection_batches(batches, segments, reach, config, bisect_tol, rebisected):
+def _slice_saddles(params, ids):
+    """(x*, v_u) of each equilibrium of ``ids``: its coordinates, and the
+    unit right eigenvector of the one unstable eigenvalue of its slice
+    Jacobian, with numpy's sign."""
+    saddles = []
+    for eq_id in ids:
+        x = np.asarray(compute_equilibrium(params, eq_id).coordinates, dtype=float)
+        w, right = np.linalg.eig(jacobian(params, x)[:3, :3])
+        assert np.count_nonzero(w.real > 0.0) == 1
+        v = right[:, np.argmax(w.real)].real
+        saddles.append((x, v / np.linalg.norm(v)))
+    return saddles
+
+
+def _check_gate_calibration(batch, saddles, reach):
+    """Check that ``batch`` runs exactly the two unstable branches of each
+    of ``saddles``, from x* plus and minus 0.1 v_u with every slice
+    coordinate raised to at least 0.001, ungated; return (x*, sides, plus
+    branch start) of each saddle whose branches reach two different
+    attractors, as ``reach(start)`` gives them."""
+    assert batch.gates == () and len(batch.starts) == 2 * len(saddles)
+    kept = []
+    for (x, v), plus, minus in zip(saddles, batch.starts[::2], batch.starts[1::2]):
+        assert plus[3] == minus[3] == 0.0
+        want = [np.maximum(x[:3] + sign * 0.1 * v, 0.001) for sign in (1.0, -1.0)]
+        if abs(plus[0] - want[0][0]) + abs(plus[1] - want[0][1]) > 1e-9:
+            want.reverse()  # eig may give either sign of v_u
+        np.testing.assert_allclose([plus[:3], minus[:3]], want, rtol=0.0, atol=1e-12)
+        sides = (reach(plus), reach(minus))
+        if None not in sides and sides[0] != sides[1]:
+            kept.append((x, sides, plus))
+    return kept
+
+
+def _check_bisection_batches(batches, segments, reach, config, bisect_tol, rebisected, saddles=()):
     """Check the batches of one ``separatrix_points`` call at ``config``,
     as ``_record_launches`` records them, and return how many two-level
     rounds they ran.
 
-    ``reach(start, config)`` gives the attractor id (or None) of the run
-    from a start at a config. The first batch is a stream at the labelling
-    config that launches what plain bisection there needs. If that config
-    is looser than ``config``, a batch at ``config`` follows that runs
-    exactly the final bracket ends of that bisection that are not segment
-    ends, and then, if any segment is ``rebisected``, a stream at ``config``
-    that launches what plain bisection of those segments there needs.
+    ``reach(start, config, gates)`` gives the attractor id (or None) of the
+    run from a start at a config through gates. If the labelling config is
+    looser than ``config`` and there are ``saddles``, the first batch runs
+    their unstable branches there, ungated (``_check_gate_calibration``).
+    Next is a stream at the labelling config, with a gate at each saddle
+    whose branches reach two different attractors, that launches what
+    plain bisection through those gates needs. If that config is looser
+    than ``config``, a batch at ``config`` follows that runs exactly the
+    final bracket ends of that bisection that are not segment ends, and
+    then, if any segment is ``rebisected``, a stream at ``config`` that
+    launches what plain bisection of those segments there needs. Only the
+    labelling stream is gated.
     """
     label = basin._labelling_config(config)
     certified = label != config
-    kinds = [(label, True)] + [(config, False)] * certified + [(config, True)] * bool(rebisected)
-    assert [(c, streamed) for c, streamed, _ in batches] == kinds
-    _, _, _, skipped, rounds, moved = _plain_bisection(segments, lambda u: reach(u, label), bisect_tol)
-    two_level = _check_launches(batches[0][2], rounds, skipped)
+    calibrated = certified and bool(saddles)
+    kinds = [(label, False)] * calibrated + [(label, True)] + [(config, False)] * certified
+    assert [(b.config, b.streamed) for b in batches] == kinds + [(config, True)] * bool(rebisected)
+    kept = _check_gate_calibration(batches[0], saddles, lambda u: reach(u, label)) if calibrated else []
+    stream, *rest = batches[calibrated:]
+    gates = stream.gates
+    assert [(g.centre, g.sides) for g in gates] == [(tuple(x), sides) for x, sides, _ in kept]
+    for gate, (x, _, plus) in zip(gates, kept):
+        # The plus branch's start is on the side a positive unstable
+        # coordinate labels.
+        assert np.dot(gate.left, np.subtract(plus, x)) > 0.0 and gate.left[3] == 0.0
+        assert np.linalg.norm(gate.left) == pytest.approx(1.0, abs=1e-12)
+    assert all(b.gates == () for b in rest)
+    _, _, _, skipped, rounds, moved = _plain_bisection(segments, lambda u: reach(u, label, gates), bisect_tol)
+    two_level = _check_launches(stream.starts, rounds, skipped)
     if certified:
-        assert batches[1][2] == moved
+        assert rest[0].starts == moved
     if rebisected:
         again = [segments[row] for row in rebisected]
         _, _, _, skipped, rounds, _ = _plain_bisection(again, lambda u: reach(u, config), bisect_tol)
-        two_level += _check_launches(batches[-1][2], rounds, skipped)
+        two_level += _check_launches(rest[-1].starts, rounds, skipped)
     return two_level
 
 
 def _scalar_reach(params, attractors):
-    """``reach(start, config)``: the attractor id (or None) of a scalar run
-    from a 4-tuple start, at the default config unless one is given."""
+    """``reach(start, config, gates)``: the attractor id (or None) of a
+    scalar run from a 4-tuple start, at the default config and ungated
+    unless given."""
     memo = {}
 
-    def reach(start, config=IntegrationConfig()):
-        if (start, config) not in memo:
-            memo[start, config] = run_to_attractor(params, start, attractors, config).attractor_id
-        return memo[start, config]
+    def reach(start, config=IntegrationConfig(), gates=()):
+        key = (start, config, tuple(gates))
+        if key not in memo:
+            memo[key] = run_to_attractor(params, start, attractors, config, gates=gates).attractor_id
+        return memo[key]
 
     return reach
 
 
 def _answering_batch(reach, batches, order):
     """A stand-in for ``run_to_attractor_batch`` that answers each run with
-    ``reach(start, config)`` and records its batch as ``_record_launches``
-    does. Each wave of launches is answered in full, and its results reach
-    the callback in launch order or, for ``order`` "reverse", in reverse
-    launch order. The starts the callback returns form the next wave."""
+    ``reach(start, config, gates)`` and records its batch as
+    ``_record_launches`` does. Each wave of launches is answered in full,
+    and its results reach the callback in launch order or, for ``order``
+    "reverse", in reverse launch order. The starts the callback returns
+    form the next wave."""
 
-    def answering_batch(params, batch_starts, targets, *, config, on_result=None, **kwargs):
+    def answering_batch(params, batch_starts, targets, *, config, on_result=None, gates=(), **kwargs):
+        gates = tuple(gates)
         starts = [tuple(float(v) for v in x0) for x0 in batch_starts]
-        batches.append((config, on_result is not None, starts))
+        batch = _Batch(config, on_result is not None, starts, gates, [])
+        batches.append(batch)
         results = {}
         while len(results) < len(starts):
             wave = range(len(results), len(starts))
             for index in reversed(wave) if order == "reverse" else wave:
-                results[index] = ReachResult(reach(starts[index], config), None, np.zeros(4), "fake")
+                results[index] = ReachResult(reach(starts[index], config, gates), None, np.zeros(4), "fake")
                 if on_result is not None:
                     starts.extend(tuple(float(v) for v in x0) for x0 in on_result(index, results[index]))
-        return [results[index] for index in range(len(starts))]
+        batch.results.extend(results[index] for index in range(len(starts)))
+        return batch.results
 
     return answering_batch
 
@@ -460,18 +523,20 @@ class TestBisection:
             bisect_tol=1e-2,
         )
         nodes = {(*u, 0.0) for u in itertools.product(*grid.axes_1d)}
-        config, streamed, grid_starts = batches[0]
-        assert config == IntegrationConfig() and not streamed
+        config, streamed, grid_starts, gates, _ = batches[0]
+        assert config == IntegrationConfig() and not streamed and gates == ()
         assert len(grid_starts) == grid.labels.size and set(grid_starts) == nodes
         assert len(segments) > 0 and len(sample.points) == len(segments)
-        assert all(nodes.isdisjoint(starts) for _, _, starts in batches[1:])
+        assert all(nodes.isdisjoint(batch.starts) for batch in batches[1:])
 
         # Plain bisection with the pipeline's own runs as its oracle, each
         # read at the config it ran at: a midpoint it needs that was never
         # launched raises KeyError.
         assert sample.rebisected == []
         bisection = batches[1:]
-        assert _check_bisection_batches(bisection, segments, lambda u, c: reached[u, c], config, 1e-2, []) > 0
+        saddles = _slice_saddles(fig4_params, ("E2", "E3"))
+        oracle = lambda u, c, g=(): reached[u, c, g]
+        assert _check_bisection_batches(bisection, segments, oracle, config, 1e-2, [], saddles) > 0
         points, _, _, skipped, _, _ = _plain_bisection(segments, _scalar_reach(fig4_params, fig4_attractors), 1e-2)
         assert sample.skipped == skipped == []
         assert sample.points.tobytes() == points.tobytes()
@@ -508,15 +573,19 @@ class TestBisection:
         assert sample.side_labels == side_labels
         assert sample.skipped == skipped
         # Every midpoint here takes the same side at the labelling
-        # tolerance. The saddle is undecided at both, so the two segments
-        # that meet it are bisected again, and skipped there.
+        # tolerance, through E3's gate. The saddle is undecided at both, so
+        # the two segments that meet it are bisected again, and skipped there.
+        # E2 is listed, so only E3 has a gate.
+        saddles = _slice_saddles(fig4_params, ("E3",))
         label = basin._labelling_config(IntegrationConfig())
-        assert _plain_bisection(segments, lambda u: reach(u, label), 1e-3)[4] == rounds
+        stream = batches[1]
+        assert len(stream.gates) == 1
+        assert _plain_bisection(segments, lambda u: reach(u, label, stream.gates), 1e-3)[4] == rounds
         assert sample.rebisected == [3, 4]
-        _check_bisection_batches(batches, segments, reach, IntegrationConfig(), 1e-3, [3, 4])
+        _check_bisection_batches(batches, segments, reach, IntegrationConfig(), 1e-3, [3, 4], saddles)
         # Each case was met in a two-level round of the labelling stream:
         # the midpoint run directly followed by its lower and upper quarter.
-        starts = batches[0][2]
+        starts = stream.starts
         follows = set(zip(starts, starts[1:], starts[2:]))
         assert {rounds[3][-1], rounds[4][-2], rounds[5][0]} <= follows
 
@@ -524,8 +593,8 @@ class TestBisection:
         # and then its final bracket ends.
         batches.clear()
         alone = separatrix_points(fig4_params, segments[:1], attractors, bisect_tol=1e-3)
-        assert batches[0][2] == [mid for mid, _, _ in rounds[0]]
-        _check_bisection_batches(batches, segments[:1], reach, IntegrationConfig(), 1e-3, [])
+        assert batches[1].starts == [mid for mid, _, _ in rounds[0]]
+        _check_bisection_batches(batches, segments[:1], reach, IntegrationConfig(), 1e-3, [], saddles)
         assert alone.points.tobytes() == points[:1].tobytes()
 
     @pytest.mark.parametrize("order", ["reverse", "launch"])
@@ -554,7 +623,8 @@ class TestBisection:
         assert sample.side_labels == side_labels
         assert sample.skipped == skipped
         assert sample.rebisected == [1, 2]
-        assert _check_bisection_batches(batches, segments, reach, IntegrationConfig(), 1e-3, [1, 2]) > 0
+        saddles = _slice_saddles(fig4_params, ("E3",))
+        assert _check_bisection_batches(batches, segments, reach, IntegrationConfig(), 1e-3, [1, 2], saddles) > 0
 
     @pytest.mark.parametrize("answer", ["E1", None])
     def test_a_wrong_or_undecided_labelling_run_rebisects_its_segment(
@@ -576,10 +646,10 @@ class TestBisection:
         wrong, stuck = (1.9, 0.2, 1.25, 0.0), (1.3, 0.1, 1.25, 0.0)
         assert reach(wrong) == reach(wrong, label) == "E4"
 
-        def faulty(start, config=config):
+        def faulty(start, config=config, gates=()):
             if start == stuck:
                 return None
-            return answer if (start, config) == (wrong, label) else reach(start, config)
+            return answer if (start, config) == (wrong, label) else reach(start, config, gates)
 
         batches = []
         monkeypatch.setattr(basin, "run_to_attractor_batch", _answering_batch(faulty, batches, "launch"))
@@ -591,8 +661,9 @@ class TestBisection:
         assert sample.segments.tobytes() == ends.tobytes()
         assert sample.side_labels == side_labels
         assert sample.skipped == skipped
-        assert wrong in batches[0][2]
-        _check_bisection_batches(batches, segments, faulty, config, 1e-3, [0, 2])
+        assert wrong in batches[1].starts
+        saddles = _slice_saddles(fig4_params, ("E2", "E3"))
+        _check_bisection_batches(batches, segments, faulty, config, 1e-3, [0, 2], saddles)
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-4])
     def test_a_config_as_loose_as_labelling_certifies_nothing(
@@ -613,7 +684,8 @@ class TestBisection:
         reach = _scalar_reach(fig4_params, attractors)
         points, side_labels, ends, skipped, _, _ = _plain_bisection(segments, lambda u: reach(u, config), 1e-3)
         assert skipped == [(2, "undecided midpoint during bisection")]
-        assert [(c, streamed) for c, streamed, _ in batches] == [(config, True)]
+        # Nothing is certified, so nothing is gated.
+        assert [(c, streamed, gates) for c, streamed, _, gates, _ in batches] == [(config, True, ())]
         assert _check_bisection_batches(batches, segments, reach, config, 1e-3, []) > 0
         assert sample.points.tobytes() == points.tobytes()
         assert sample.segments.tobytes() == ends.tobytes()
@@ -640,11 +712,11 @@ class TestBisection:
         batches, _ = _record_launches(monkeypatch)
         sample = separatrix_points(fig4_params, segments, fig4_attractors, bisect_tol=1e-3, config=config)
         label = IntegrationConfig(rel_tol=1e-5, abs_tol=1e-3)
-        assert [c for c, _, _ in batches][:2] == [label, config]
-        assert all(c.rel_tol >= config.rel_tol and c.abs_tol >= config.abs_tol for c, _, _ in batches)
+        assert [batch.config for batch in batches][:3] == [label, label, config]
+        assert all(c.rel_tol >= config.rel_tol and c.abs_tol >= config.abs_tol for c, *_ in batches)
         reach = _scalar_reach(fig4_params, fig4_attractors)
         assert sample.rebisected == []
-        _check_bisection_batches(batches, segments, reach, config, 1e-3, [])
+        _check_bisection_batches(batches, segments, reach, config, 1e-3, [], _slice_saddles(fig4_params, ("E2", "E3")))
         points = _plain_bisection(segments, lambda u: reach(u, config), 1e-3)[0]
         assert sample.points.tobytes() == points.tobytes()
 
@@ -653,6 +725,118 @@ class TestBisection:
         a = separatrix_points(fig4_params, seg, fig4_attractors)
         b = separatrix_points(fig4_params, seg, fig4_attractors)
         np.testing.assert_array_equal(a.points, b.points)
+
+
+class TestSaddleGates:
+    @pytest.mark.parametrize(
+        "J",
+        [
+            np.diag([-1.0, -2.0, -3.0]),  # no unstable eigenvalue
+            np.diag([1.0, 2.0, -3.0]),  # two
+            np.array([[0.1, -1.0, 0.0], [1.0, 0.1, 0.0], [0.0, 0.0, -1.0]]),  # a complex pair
+        ],
+    )
+    def test_a_saddle_needs_exactly_one_real_unstable_direction(self, J):
+        assert basin._unstable_direction(J) is None
+
+    def test_the_unstable_direction_and_its_left_eigenvector(self):
+        # One real unstable eigenvalue next to a stable complex pair.
+        J = np.array([[-0.1, -1.0, 0.3], [1.0, -0.1, 0.2], [0.0, 0.0, 0.5]])
+        v, l = basin._unstable_direction(J)
+        np.testing.assert_allclose(J @ v, 0.5 * v, atol=1e-12)
+        np.testing.assert_allclose(l @ J, 0.5 * l, atol=1e-12)
+        assert np.linalg.norm(v) == pytest.approx(1.0) and np.linalg.norm(l) == pytest.approx(1.0)
+        assert l @ v > 0.0
+
+    def test_fig4_gates_its_slice_saddle_only(self, fig4_params, fig4_attractors, monkeypatch):
+        # E0 has two unstable directions and E1, E4 none. Both branches of
+        # E2 reach E4 (raised off the V = 0 face, where E2 is unstable in
+        # V), so only E3 separates two basins.
+        batches, reached = _record_launches(monkeypatch)
+        targets = [(rec.id, rec.coordinates) for rec in fig4_attractors]
+        label = basin._labelling_config(IntegrationConfig())
+        gates = basin._saddle_gates(fig4_params, targets, label, 0.05)
+        ((config, streamed, starts, batch_gates, results),) = batches
+        assert (config, streamed, batch_gates) == (label, False, ())
+        assert [res.attractor_id for res in results] == ["E4", "E4", "E1", "E4"]
+        _check_gate_calibration(batches[0], _slice_saddles(fig4_params, ("E2", "E3")), lambda u: reached[u, label, ()])
+        (gate,) = gates
+        e3 = compute_equilibrium(fig4_params, "E3").coordinates
+        assert gate.centre == tuple(e3) and gate.sides == ("E1", "E4")
+        l = np.array(gate.left[:3])
+        J = jacobian(fig4_params, e3)[:3, :3]
+        np.testing.assert_allclose(l @ J, 0.03811377 * l, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "listed, branches",
+        # E2's two branches, then E3's: with E4 alone, E2's both reach E4
+        # and one of E3's nothing; with E1 alone, E2's reach nothing.
+        [("E4", ["E4", "E4", None, "E4"]), ("E1", [None, None, "E1", None])],
+    )
+    def test_branches_that_reach_one_attractor_or_none_give_no_gate(self, fig4_params, monkeypatch, listed, branches):
+        batches, _ = _record_launches(monkeypatch)
+        targets = [(listed, compute_equilibrium(fig4_params, listed).coordinates)]
+        label = basin._labelling_config(IntegrationConfig())
+        assert basin._saddle_gates(fig4_params, targets, label, 0.05) == []
+        assert [res.attractor_id for res in batches[0].results] == branches
+
+    @pytest.mark.parametrize("near, offset", [("E2", 0.0), ("E3", 0.14)])
+    def test_a_gate_ball_that_meets_an_attractor_ball_gives_no_gate(
+        self, fig4_params, fig4_attractors, monkeypatch, near, offset
+    ):
+        # A listed point at E2, or 0.14 from E3: within 0.1 + 0.05 of it.
+        x = np.array(compute_equilibrium(fig4_params, near).coordinates) + [0.0, offset, 0.0, 0.0]
+        targets = [(rec.id, rec.coordinates) for rec in fig4_attractors] + [("X", tuple(x))]
+        batches, reached = _record_launches(monkeypatch)
+        label = basin._labelling_config(IntegrationConfig())
+        gates = basin._saddle_gates(fig4_params, targets, label, 0.05)
+        other = {"E2": "E3", "E3": "E2"}[near]
+        _check_gate_calibration(batches[0], _slice_saddles(fig4_params, (other,)), lambda u: reached[u, label, ()])
+        assert [gate.centre for gate in gates] == ([tuple(compute_equilibrium(fig4_params, "E3").coordinates)] if near == "E2" else [])
+
+    def test_the_certificate_catches_a_wrong_gate(self, fig4_params, fig4_attractors, monkeypatch):
+        # Gate discovery swaps the two sides, so every gated labelling run
+        # takes the wrong side. Each segment that read a gated midpoint is
+        # bisected again at the config, and the sample equals plain
+        # bisection there.
+        found = basin._saddle_gates
+
+        def swapped(*args):
+            return [dataclasses.replace(gate, sides=gate.sides[::-1]) for gate in found(*args)]
+
+        monkeypatch.setattr(basin, "_saddle_gates", swapped)
+        segments = [
+            ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
+            ((1.3, 0.1, 2.5), (1.3, 0.1, 0.0), "E4", "E1"),
+            ((1.5, 0.3, 0.0), (1.5, 0.3, 1.0), "E1", "E4"),
+            ((0.6, 0.0, 0.0), (0.6, 0.0, 0.5), "E1", "E4"),
+            ((0.2, 0.0, 0.0), (0.2, 0.3, 0.25), "E1", "E4"),
+        ]
+        batches, _ = _record_launches(monkeypatch)
+        sample = separatrix_points(fig4_params, segments, fig4_attractors, bisect_tol=1e-3)
+        reach = _scalar_reach(fig4_params, fig4_attractors)
+        points, side_labels, ends, skipped, _, _ = _plain_bisection(segments, reach, 1e-3)
+        assert sample.points.tobytes() == points.tobytes()
+        assert sample.segments.tobytes() == ends.tobytes()
+        assert sample.side_labels == side_labels
+        assert sample.skipped == skipped == []
+
+        stream = batches[1]
+        assert stream.streamed and len(stream.gates) == 1
+        gated = {start for start, res in zip(stream.starts, stream.results) if res.termination == "gated"}
+        label = basin._labelling_config(IntegrationConfig())
+        rounds = _plain_bisection(segments, lambda u: reach(u, label, stream.gates), 1e-3)[4]
+        read_gated = [row for row, halvings in enumerate(rounds) if gated & {mid for mid, _, _ in halvings}]
+        # Bisection closes in on E3's stable manifold, so every segment here
+        # reads a gated midpoint before its bracket is short.
+        assert read_gated == sample.rebisected == list(range(len(segments)))
+
+    def test_a_config_as_loose_as_labelling_gates_nothing(self, fig4_params, fig4_attractors, monkeypatch):
+        config = IntegrationConfig().with_tolerance(1e-5)
+        monkeypatch.setattr(basin, "_saddle_gates", _no_runs)
+        batches, _ = _record_launches(monkeypatch)
+        separatrix_points(fig4_params, [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")], fig4_attractors, config=config)
+        assert [(b.config, b.streamed, b.gates) for b in batches] == [(config, True, ())]
 
 
 def _flat_sites(height):
@@ -862,6 +1046,36 @@ def test_fig4_bisects_no_segment_twice(fig4_pipeline):
     assert summary["n_rebisected"] == 0
     assert summary["n_boundary_points"] == summary["n_segments"] == 463
     assert "rebisect" not in (outdir / "summary.txt").read_text()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fig4_stepper_passes_per_batch(tmp_path, monkeypatch):
+    # The stepper loop of run_to_attractor_batch calls _gate_sides once in
+    # every pass that makes a step attempt, so counting its calls counts
+    # passes without timing anything. At resolution 11 the labelling stream
+    # took 1,115 passes ungated; a gate that stops firing shows here.
+    passes = []
+    gate_sides = integrate._gate_sides
+
+    def counted(*args):
+        passes[-1][1] += 1
+        return gate_sides(*args)
+
+    batch = basin.run_to_attractor_batch
+
+    def tagged(params, starts, *args, on_result=None, gates=(), **kwargs):
+        passes.append([(on_result is not None, bool(gates)), 0])
+        return batch(params, starts, *args, on_result=on_result, gates=gates, **kwargs)
+
+    monkeypatch.setattr(integrate, "_gate_sides", counted)
+    monkeypatch.setattr(basin, "run_to_attractor_batch", tagged)
+    summary = reproduce("fig4", tmp_path, resolution=11)
+    assert summary["n_rebisected"] == 0
+    kinds = [kind for kind, _ in passes]
+    assert kinds == [(False, False), (False, False), (True, True), (False, False), (False, False)]
+    grid, calibration, stream, certificate, probes = (count for _, count in passes)
+    assert stream <= 400
+    assert (grid, calibration, certificate, probes) == (372, 81, 538, 392)
 
 
 def test_fig4_side_vote_reads_each_segment_by_its_direction():

@@ -24,6 +24,7 @@ from twostrain.integrate import (
     STEP_FAILURE,
     UNDECIDED,
     IntegrationConfig,
+    SaddleGate,
     StepFailureError,
     Trajectory,
     integrate,
@@ -31,6 +32,7 @@ from twostrain.integrate import (
     run_to_attractor_batch,
     write_trajectory_csv,
 )
+from twostrain.model import jacobian
 
 
 def test_package_attribute_is_the_integrate_module():
@@ -522,6 +524,93 @@ class TestBatchedReach:
         assert calls == [x0, x1]
         for start, result in zip([x0, x1, x2, x3], got):
             assert _same_reach(result, run_to_attractor(fig4_params, start, [e1, e4]))
+
+
+def _e3_gate(params, sides=("E1", "E4")):
+    """A gate at fig4's slice saddle E3, built from its slice Jacobian: the
+    unit left eigenvector of the unstable eigenvalue, signed to have a
+    positive product with the right one. Its positive side is toward E1."""
+    x = compute_equilibrium(params, "E3").coordinates
+    J = jacobian(params, x)[:3, :3]
+    w, right = np.linalg.eig(J)
+    w_left, left = np.linalg.eig(J.T)
+    v, l = right[:, np.argmax(w.real)].real, left[:, np.argmax(w_left.real)].real
+    l = l / np.linalg.norm(l) * np.sign(l @ v)
+    return SaddleGate(tuple(float(c) for c in x), (*l.tolist(), 0.0), sides)
+
+
+class TestGatedReach:
+    """Gated lanes must reproduce gated scalar runs bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def fig4_pair(self, fig4_params):
+        return [compute_equilibrium(fig4_params, "E1"), compute_equilibrium(fig4_params, "E4")]
+
+    def test_lanes_match_the_scalar_runs(self, fig4_params, fig4_pair):
+        gate = _e3_gate(fig4_params)
+        cfg = IntegrationConfig().with_tolerance(1e-5)
+        saddle = gate.centre
+        # A start at E3 itself, two already in the cone on either side, a
+        # column across the separatrix whose runs pass the saddle, and
+        # starts that reach an attractor ball before they come near it.
+        starts = [
+            saddle,
+            (saddle[0] + 0.04, saddle[1] - 0.04, 0.001, 0.0),
+            (saddle[0] - 0.04, saddle[1] + 0.04, 0.001, 0.0),
+            *((1.9, 0.2, v, 0.0) for v in np.linspace(0.3, 0.45, 7)),
+            (1.5, 0.0, 0.0001, 0.0),
+            (0.5, 1.0, 1.0, 0.0),
+        ]
+        batched = run_to_attractor_batch(fig4_params, starts, fig4_pair, cfg, gates=[gate])
+        scalar = [run_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]) for x0 in starts]
+        for x0, got, want in zip(starts, batched, scalar):
+            assert _same_reach(got, want), x0
+        terminations = [res.termination for res in scalar]
+        # On the saddle the inner radius keeps the run undecided, as ungated.
+        assert scalar[0].label == UNDECIDED and terminations[0] == "reached_t_max"
+        # In the cone: decided at the first accepted step.
+        assert [res.label for res in scalar[1:3]] == ["E1", "E4"]
+        assert terminations[1:3] == ["gated", "gated"] and scalar[1].t_detected == scalar[2].t_detected == 1e-3
+        assert terminations[3:-2].count("gated") >= 5
+        assert terminations[-2:] == ["stopped", "stopped"]
+        # Every gated label is the label of the full, ungated run.
+        for x0, res in zip(starts, scalar):
+            if res.termination == "gated":
+                assert res.label == run_to_attractor(fig4_params, x0, fig4_pair, cfg).label, x0
+
+    def test_the_first_gate_in_order_decides(self, fig4_params, fig4_pair):
+        gate = _e3_gate(fig4_params)
+        swapped = _e3_gate(fig4_params, sides=("E4", "E1"))
+        x0 = (gate.centre[0] + 0.04, gate.centre[1] - 0.04, 0.001, 0.0)
+        starts = [x0, (1.9, 0.2, 0.37, 0.0)]
+        for gates, label in (([gate, swapped], "E1"), ([swapped, gate], "E4")):
+            batched = run_to_attractor_batch(fig4_params, starts, fig4_pair, gates=gates)
+            assert batched[0].label == label
+            for start, got in zip(starts, batched):
+                assert _same_reach(got, run_to_attractor(fig4_params, start, fig4_pair, gates=gates))
+
+    def test_a_lone_start_is_a_gated_scalar_run(self, fig4_params, fig4_pair, monkeypatch):
+        gate = _e3_gate(fig4_params)
+        x0 = (1.9, 0.2, 0.37, 0.0)
+        want = run_to_attractor(fig4_params, x0, fig4_pair, gates=[gate])
+        assert want.termination == "gated"
+        calls = []
+
+        def recording(params, start, *args):
+            calls.append((tuple(start), args[-1]))
+            return run_to_attractor(params, start, *args)
+
+        monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
+        (got,) = run_to_attractor_batch(fig4_params, [x0], fig4_pair, gates=[gate])
+        assert calls == [(x0, (gate,))]
+        assert _same_reach(got, want)
+
+    def test_gate_sides_must_be_attractor_ids(self, fig4_params, fig4_pair):
+        gate = _e3_gate(fig4_params, sides=("E1", "E2"))
+        with pytest.raises(ValueError, match="gate sides"):
+            run_to_attractor(fig4_params, (1.0, 1.0, 1.0, 0.0), fig4_pair, gates=[gate])
+        with pytest.raises(ValueError, match="gate sides"):
+            run_to_attractor_batch(fig4_params, [(1.0, 1.0, 1.0, 0.0)] * 2, fig4_pair, gates=[gate])
 
 
 def _record_accepted_times(monkeypatch) -> list:
