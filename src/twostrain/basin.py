@@ -37,12 +37,10 @@ with the label of the attractor that side's branch reaches, instead of
 escaping the saddle and then dwelling in an attractor ball. Both ends of
 each final bracket are then certified in one batch at the caller's
 tolerance, ungated; a segment that fails, or met an undecided midpoint,
-is bisected again at the caller's tolerance. The grid and the probes run
-at the caller's tolerance. On fig4 at resolution 11 the stepper loop
-makes 372 passes for the grid, 81 to find the gates, 344 for the
-labelling stream (1,115 ungated), 538 for the certificate and 392 for the
-probes: 1,727 in all, down from 2,417 without the gates, with every
-output byte-identical.
+is bisected again at the caller's tolerance. So at every tolerance each
+boundary point is the midpoint of a bracket whose ends carry ungated
+labels at the caller's tolerance. The grid and the probes run at the
+caller's tolerance.
 """
 
 from __future__ import annotations
@@ -458,20 +456,21 @@ def separatrix_points(
     through the scalar loop.
 
     A midpoint only yields a label, so the stream runs at a labelling
-    config: ``rel_tol`` at least 1e-5 and ``abs_tol`` at least a hundredth
-    of that, never tighter than ``config``. Then both ends of every final
-    bracket run in one batch at ``config``, except an end that is still
-    one of the segment's own. A segment whose loose midpoint was undecided,
-    or whose bracket end reaches the other side at ``config``, is listed
-    in ``rebisected`` and bisected again from its own ends at ``config``,
-    where an undecided midpoint skips it. Every returned point is thus
-    the midpoint of a bracket whose ends carry ``config`` labels of two
-    different attractors, as plain bisection at ``config`` promises. If
-    ``config`` is already as loose as the labelling config, the stream
-    runs at ``config`` and nothing is certified.
+    config, ``rel_tol`` at least 1e-5 and ``abs_tol`` at least a hundredth
+    of that, never tighter than ``config``, and through saddle gates
+    (below). Then both ends of every final bracket run in one batch at
+    ``config``, ungated, except an end that is still one of the segment's
+    own. A segment whose labelling midpoint was undecided, or whose
+    bracket end reaches the other side at ``config``, is listed in
+    ``rebisected`` and bisected again from its own ends at ``config``,
+    ungated, where an undecided midpoint skips it. Every returned point is
+    thus the midpoint of a bracket whose ends carry ungated ``config``
+    labels of two different attractors, as plain bisection at ``config``
+    promises. Only a stream that ran ungated at ``config`` itself, with
+    no gate found and ``config`` as loose as the labelling config, is
+    plain bisection already and is not certified.
 
-    When the certificate runs, the stream also runs through saddle gates
-    (``integrate.SaddleGate``). A candidate is a feasible
+    A saddle gate is an ``integrate.SaddleGate``. A candidate is a feasible
     ``equilibria.catalog`` point x* with W = 0 whose slice Jacobian has
     exactly one eigenvalue with positive real part, a real one, with unit
     right eigenvector v_u, and whose gate ball of radius 0.1 stays farther
@@ -482,11 +481,9 @@ def separatrix_points(
     different attractors gets a gate: a labelling run that comes within 0.1
     of x*, but not within 1e-4, with at least half of its distance along
     the unstable coordinate, ends with the label of that side's branch.
-    The certificate and any second bisection run ungated, so a gate that
-    labels a run wrongly costs a rebisection, not a wrong point. On fig4
-    only E3 gets a gate (both branches of E2 reach E4). At resolution 11
-    the gate search takes 81 stepper passes, the stream 344 where it took
-    1,115 ungated, and the certificate 538, and no segment is rebisected.
+    Since the certificate runs ungated, a gate that labels a run wrongly
+    costs a rebisection, not a wrong point. On fig4 only E3 gets a gate
+    (both branches of E2 reach E4).
     """
     cfg = config or IntegrationConfig()
     targets = _separated_attractors(attractors, match_radius)
@@ -508,11 +505,10 @@ def separatrix_points(
 
     n = len(ends)
     label_cfg = _labelling_config(cfg)
-    certify = label_cfg != cfg
-    gates = _saddle_gates(params, targets, label_cfg, match_radius) if certify else []
+    gates = _saddle_gates(params, targets, label_cfg, match_radius)
     brackets = _bisect(params, targets, ends, sides, range(n), bisect_tol, label_cfg, match_radius, gates)
     rebisected = []
-    if certify:
+    if gates or label_cfg != cfg:
         # (segment, side, point) of every final bracket end that moved: an
         # end still the segment's own array has its grid label already.
         moved = [

@@ -116,9 +116,10 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="locate and fit the basin boundary",
         description="Locate the basin boundary by bisecting the opposite-basin corner pairs of a "
-        "grid, and fit a surface to it. Bisection midpoints run at a relative tolerance of at "
-        "least 1e-5; each final bracket's ends are then certified at the configured tolerance, "
-        "and a segment with an end that changes side is bisected again at it.",
+        "grid, and fit a surface to it. At every --tol, bisection midpoints run at a relative "
+        "tolerance of at least 1e-5 and through saddle gates; each final bracket's ends are then "
+        "certified at the configured tolerance, ungated, and a segment with an end that changes "
+        "side is bisected again at it.",
     )
     p_sep.add_argument("--graph-axis", default="V", help="axis the boundary is a graph over")
     p_sep.add_argument(

@@ -54,16 +54,10 @@ _BASE = ModelParameters(
 # Bistable configuration for the basin pipeline. Only the first strain is
 # active on the analysed slice (the second stays extinct there), so the
 # strain-two rates are carried over unchanged from the base family.
-_BASIN = ModelParameters(
-    s=0.3, L=1.5, a=0.2, r=0.7, K=3.0, b=0.5,
-    lam=0.6, beta=0.2, psi=0.8, phi=0.7, mu=0.3, nu=0.9, e=0.2, f=0.2,
-)
+_BASIN = _BASE.replace(s=0.3, a=0.2, K=3.0, b=0.5, lam=0.6, psi=0.8, mu=0.3)
 
 # Small-capacity configuration where disease-free coexistence attracts.
-_SMALL = ModelParameters(
-    s=0.4, L=0.5, a=0.3, r=0.7, K=1.0, b=0.7,
-    lam=0.7, beta=0.2, psi=0.2, phi=0.7, mu=0.5, nu=0.9, e=0.2, f=0.2,
-)
+_SMALL = _BASE.replace(L=0.5, K=1.0)
 
 # Independently reported endpoint for the fig3 scenario, kept for
 # regression comparison. It is not a rest point (the field there is up to

@@ -198,31 +198,27 @@ def _check_gate_calibration(batch, saddles, reach):
     return kept
 
 
-def _check_bisection_batches(batches, segments, reach, config, bisect_tol, rebisected, saddles=()):
+def _check_bisection_batches(batches, segments, reach, config, bisect_tol, rebisected, saddles):
     """Check the batches of one ``separatrix_points`` call at ``config``,
     as ``_record_launches`` records them, and return how many two-level
     rounds they ran.
 
     ``reach(start, config, gates)`` gives the attractor id (or None) of the
-    run from a start at a config through gates. If the labelling config is
-    looser than ``config`` and there are ``saddles``, the first batch runs
-    their unstable branches there, ungated (``_check_gate_calibration``).
-    Next is a stream at the labelling config, with a gate at each saddle
-    whose branches reach two different attractors, that launches what
-    plain bisection through those gates needs. If that config is looser
-    than ``config``, a batch at ``config`` follows that runs exactly the
-    final bracket ends of that bisection that are not segment ends, and
-    then, if any segment is ``rebisected``, a stream at ``config`` that
-    launches what plain bisection of those segments there needs. Only the
-    labelling stream is gated.
+    run from a start at a config through gates. The first batch runs the
+    unstable branches of ``saddles`` at the labelling config, ungated
+    (``_check_gate_calibration``). Next is a stream at the labelling
+    config, with a gate at each saddle whose branches reach two different
+    attractors, that launches what plain bisection through those gates
+    needs. Then a batch at ``config`` runs exactly the final bracket ends
+    of that bisection that are not segment ends, and, if any segment is
+    ``rebisected``, a stream at ``config`` launches what plain bisection
+    of those segments there needs. Only the labelling stream is gated.
     """
     label = basin._labelling_config(config)
-    certified = label != config
-    calibrated = certified and bool(saddles)
-    kinds = [(label, False)] * calibrated + [(label, True)] + [(config, False)] * certified
-    assert [(b.config, b.streamed) for b in batches] == kinds + [(config, True)] * bool(rebisected)
-    kept = _check_gate_calibration(batches[0], saddles, lambda u: reach(u, label)) if calibrated else []
-    stream, *rest = batches[calibrated:]
+    kinds = [(label, False), (label, True), (config, False)] + [(config, True)] * bool(rebisected)
+    assert [(b.config, b.streamed) for b in batches] == kinds
+    kept = _check_gate_calibration(batches[0], saddles, lambda u: reach(u, label))
+    _, stream, certificate, *rest = batches
     gates = stream.gates
     assert [(g.centre, g.sides) for g in gates] == [(tuple(x), sides) for x, sides, _ in kept]
     for gate, (x, _, plus) in zip(gates, kept):
@@ -230,11 +226,10 @@ def _check_bisection_batches(batches, segments, reach, config, bisect_tol, rebis
         # coordinate labels.
         assert np.dot(gate.left, np.subtract(plus, x)) > 0.0 and gate.left[3] == 0.0
         assert np.linalg.norm(gate.left) == pytest.approx(1.0, abs=1e-12)
-    assert all(b.gates == () for b in rest)
+    assert certificate.gates == () and all(b.gates == () for b in rest)
     _, _, _, skipped, rounds, moved = _plain_bisection(segments, lambda u: reach(u, label, gates), bisect_tol)
     two_level = _check_launches(stream.starts, rounds, skipped)
-    if certified:
-        assert rest[0].starts == moved
+    assert certificate.starts == moved
     if rebisected:
         again = [segments[row] for row in rebisected]
         _, _, _, skipped, rounds, _ = _plain_bisection(again, lambda u: reach(u, config), bisect_tol)
@@ -666,11 +661,13 @@ class TestBisection:
         _check_bisection_batches(batches, segments, faulty, config, 1e-3, [0, 2], saddles)
 
     @pytest.mark.parametrize("tol", [1e-5, 1e-4])
-    def test_a_config_as_loose_as_labelling_certifies_nothing(
+    def test_a_config_as_loose_as_labelling_is_gated_and_certified(
         self, fig4_params, fig4_attractors, monkeypatch, tol
     ):
-        # --tol 1e-5 or looser: plain bisection at the config, one stream,
-        # and the saddle segment is skipped without a second bisection.
+        # --tol 1e-5 or looser: the labelling config is the config, and the
+        # stream still runs through E3's gate, so its final brackets are
+        # certified at the config, ungated. The saddle segment's undecided
+        # midpoint gets it bisected again, and skipped there.
         config = IntegrationConfig().with_tolerance(tol)
         assert basin._labelling_config(config) == config
         attractors = [*fig4_attractors, ("E2", (0.0, 3.0, 0.0, 0.0))]
@@ -684,14 +681,17 @@ class TestBisection:
         reach = _scalar_reach(fig4_params, attractors)
         points, side_labels, ends, skipped, _, _ = _plain_bisection(segments, lambda u: reach(u, config), 1e-3)
         assert skipped == [(2, "undecided midpoint during bisection")]
-        # Nothing is certified, so nothing is gated.
-        assert [(c, streamed, gates) for c, streamed, _, gates, _ in batches] == [(config, True, ())]
-        assert _check_bisection_batches(batches, segments, reach, config, 1e-3, []) > 0
+        # Gate search, gated stream, certificate, second bisection.
+        assert [(b.config, b.streamed, len(b.gates)) for b in batches] == [
+            (config, False, 0), (config, True, 1), (config, False, 0), (config, True, 0)
+        ]
+        assert sample.rebisected == [2]
+        saddles = _slice_saddles(fig4_params, ("E3",))
+        assert _check_bisection_batches(batches, segments, reach, config, 1e-3, [2], saddles) > 0
         assert sample.points.tobytes() == points.tobytes()
         assert sample.segments.tobytes() == ends.tobytes()
         assert sample.side_labels == side_labels
         assert sample.skipped == skipped
-        assert sample.rebisected == []
 
     @pytest.mark.parametrize(
         "rel_tol, abs_tol", [(1e-8, 1e-10), (1e-8, 1e-3), (1e-3, 1e-12), (1e-6, 1e-9), (0.5, 0.5)]
@@ -831,12 +831,46 @@ class TestSaddleGates:
         # reads a gated midpoint before its bracket is short.
         assert read_gated == sample.rebisected == list(range(len(segments)))
 
-    def test_a_config_as_loose_as_labelling_gates_nothing(self, fig4_params, fig4_attractors, monkeypatch):
+    def test_a_loose_config_finds_the_slice_saddle_gate(self, fig4_params, fig4_attractors, monkeypatch):
+        # --tol 1e-5 is as loose as the labelling config, and the gate
+        # search still runs there and gates the stream at E3.
         config = IntegrationConfig().with_tolerance(1e-5)
-        monkeypatch.setattr(basin, "_saddle_gates", _no_runs)
-        batches, _ = _record_launches(monkeypatch)
+        batches, reached = _record_launches(monkeypatch)
         separatrix_points(fig4_params, [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4")], fig4_attractors, config=config)
+        calibration, stream, *_ = batches
+        assert (calibration.config, calibration.streamed) == (config, False)
+        saddles = _slice_saddles(fig4_params, ("E2", "E3"))
+        kept = _check_gate_calibration(calibration, saddles, lambda u: reached[u, config, ()])
+        e3 = compute_equilibrium(fig4_params, "E3").coordinates
+        assert [(tuple(x), sides) for x, sides, _ in kept] == [(tuple(e3), ("E1", "E4"))]
+        (gate,) = stream.gates
+        assert (stream.config, stream.streamed) == (config, True)
+        assert gate.centre == tuple(e3) and gate.sides == ("E1", "E4")
+
+    def test_a_loose_config_without_a_gate_certifies_nothing(self, fig4_params, fig4_attractors, monkeypatch):
+        # No gate and a config as loose as the labelling one: the stream is
+        # plain bisection at the config already, so it runs once, ungated,
+        # and the saddle segment is skipped without a second bisection.
+        config = IntegrationConfig().with_tolerance(1e-5)
+        monkeypatch.setattr(basin, "_saddle_gates", lambda *args: [])
+        attractors = [*fig4_attractors, ("E2", (0.0, 3.0, 0.0, 0.0))]
+        segments = [
+            ((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"),
+            ((0.6, 0.0, 0.0), (0.6, 0.0, 0.5), "E1", "E4"),
+            ((0.0, 0.1875, 0.0), (2.0, 0.1875, 0.0), "E2", "E1"),
+        ]
+        batches, _ = _record_launches(monkeypatch)
+        sample = separatrix_points(fig4_params, segments, attractors, bisect_tol=1e-3, config=config)
         assert [(b.config, b.streamed, b.gates) for b in batches] == [(config, True, ())]
+        reach = _scalar_reach(fig4_params, attractors)
+        points, side_labels, ends, skipped, rounds, _ = _plain_bisection(segments, lambda u: reach(u, config), 1e-3)
+        assert skipped == [(2, "undecided midpoint during bisection")]
+        assert _check_launches(batches[0].starts, rounds, skipped) > 0
+        assert sample.points.tobytes() == points.tobytes()
+        assert sample.segments.tobytes() == ends.tobytes()
+        assert sample.side_labels == side_labels
+        assert sample.skipped == skipped
+        assert sample.rebisected == []
 
 
 def _flat_sites(height):
@@ -1076,6 +1110,36 @@ def test_fig4_stepper_passes_per_batch(tmp_path, monkeypatch):
     grid, calibration, stream, certificate, probes = (count for _, count in passes)
     assert stream <= 400
     assert (grid, calibration, certificate, probes) == (372, 81, 538, 392)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fig4_stepper_passes_per_batch_at_a_loose_tolerance(tmp_path, monkeypatch):
+    # At --tol 1e-4 the labelling config is the config, and the stream
+    # still runs through E3's gate, so its final brackets are certified.
+    # Ungated, the stream takes 976 passes, so a gate that stops firing
+    # shows here.
+    passes = []
+    gate_sides = integrate._gate_sides
+
+    def counted(*args):
+        passes[-1][1] += 1
+        return gate_sides(*args)
+
+    batch = basin.run_to_attractor_batch
+
+    def tagged(params, starts, *args, on_result=None, gates=(), **kwargs):
+        passes.append([(on_result is not None, bool(gates)), 0])
+        return batch(params, starts, *args, on_result=on_result, gates=gates, **kwargs)
+
+    monkeypatch.setattr(integrate, "_gate_sides", counted)
+    monkeypatch.setattr(basin, "run_to_attractor_batch", tagged)
+    summary = reproduce("fig4", tmp_path, resolution=11, config=IntegrationConfig().with_tolerance(1e-4))
+    assert summary["n_rebisected"] == 0
+    kinds = [kind for kind, _ in passes]
+    assert kinds == [(False, False), (False, False), (True, True), (False, False), (False, False)]
+    grid, calibration, stream, certificate, probes = (count for _, count in passes)
+    assert stream <= 350
+    assert (grid, calibration, certificate, probes) == (85, 60, 256, 94)
 
 
 def test_fig4_side_vote_reads_each_segment_by_its_direction():

@@ -492,17 +492,21 @@ class TestCliAnalysis:
         assert "toward E1, E4;" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_separatrix_writes_what_reproduce_fig4_writes(self, tmp_path, fig4_params):
-        # Both run the one basin pipeline. On the fig4 parameters the
-        # auto-detected attractors are fig4's pair, E1 and E4.
+    @pytest.mark.parametrize("tol", [None, 1e-4])
+    def test_separatrix_writes_what_reproduce_fig4_writes(self, tmp_path, fig4_params, tol):
+        # Both run the one basin pipeline, at the default tolerance and at a
+        # --tol as loose as bisection's labelling one. On the fig4
+        # parameters the auto-detected attractors are fig4's pair, E1 and E4.
         cfg = _write_cfg(tmp_path, fig4_params)
         cli_out = tmp_path / "cli"
         rc = main([
             "separatrix", "--config", str(cfg), "--out", str(cli_out), "--resolution", "6",
+            *(["--tol", str(tol)] if tol else []),
         ])
         assert rc == 0
         fig4_out = tmp_path / "fig4"
-        reproduce("fig4", fig4_out, resolution=6, n_probes=10)
+        config = IntegrationConfig().with_tolerance(tol) if tol else None
+        reproduce("fig4", fig4_out, resolution=6, n_probes=10, config=config)
         for name in ("labels.csv", "boundary_points.csv", "surface.obj", "surface_lattice.csv"):
             assert (cli_out / name).read_bytes() == (fig4_out / name).read_bytes(), name
 
