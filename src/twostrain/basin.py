@@ -135,6 +135,11 @@ def _check_bisect_tol(bisect_tol: float) -> None:
         raise ValueError(f"bisect_tol must be positive and finite, got {bisect_tol!r}")
 
 
+def _check_n_probes(n_probes: int) -> None:
+    if not isinstance(n_probes, int) or n_probes < 1:
+        raise ValueError(f"n_probes must be an int >= 1, got {n_probes!r}")
+
+
 @dataclass(frozen=True)
 class BasinGrid:
     """Labelled grid nodes on a slice box.
@@ -710,8 +715,10 @@ def probe_surface_sides(
     counts matches against the expected attractor for that side. Offsets that leave the nonnegative orthant are redrawn. All
     probe points are drawn first and then classified in one batch.
 
-    Returns (matches, total) with total = 2 * n_probes.
+    Returns (matches, total) with total = 2 * n_probes. A ``n_probes`` that
+    is not an int of at least 1 raises ValueError before any run.
     """
+    _check_n_probes(n_probes)
     rng = rng or np.random.default_rng(0)
     targets = _separated_attractors(attractors, match_radius)
     proj = model.points[:, model.plane_axes]
@@ -740,47 +747,40 @@ def probe_surface_sides(
     return matches, len(starts)
 
 
-def write_surface_obj(model: SeparatrixModel, stream: IO[str]) -> None:
-    """Triangulated Wavefront OBJ mesh of the fitted surface.
+def _surface_lattice(model: SeparatrixModel) -> np.ndarray:
+    """(u, v, graph value) rows of the regular 40x40 lattice over the sampled plane region, v fastest.
 
-    Vertices are written in slice coordinates (the three axis values in
-    order), evaluated on a regular 40x40 lattice over the sampled plane
-    region.
+    Both surface files are written from these rows, evaluated in one batch.
     """
     proj = model.points[:, model.plane_axes]
     lo, hi = proj.min(axis=0), proj.max(axis=0)
-    nu = nv = _LATTICE
-    us = np.linspace(lo[0], hi[0], nu)
-    vs = np.linspace(lo[1], hi[1], nv)
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
+    uu, vv = np.meshgrid(np.linspace(lo[0], hi[0], _LATTICE), np.linspace(lo[1], hi[1], _LATTICE), indexing="ij")
     sites = np.column_stack((uu.ravel(), vv.ravel()))
-    gg = model.evaluate(sites)
-    for (u, v), g in zip(sites, gg):
-        coords = np.zeros(3)
-        coords[model.plane_axes[0]] = u
-        coords[model.plane_axes[1]] = v
-        coords[model.graph_axis] = g
-        stream.write(f"v {coords[0]:.10g} {coords[1]:.10g} {coords[2]:.10g}\n")
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            v00 = i * nv + j + 1
-            v01 = v00 + 1
-            v10 = v00 + nv
-            v11 = v10 + 1
-            stream.write(f"f {v00} {v10} {v11}\n")
-            stream.write(f"f {v00} {v11} {v01}\n")
+    return np.column_stack((sites, model.evaluate(sites)))
+
+
+def write_surface_obj(model: SeparatrixModel, stream: IO[str]) -> None:
+    """Triangulated Wavefront OBJ mesh of the fitted surface.
+
+    Vertices are the rows of ``_surface_lattice`` in slice coordinates (the
+    three axis values in order), and each lattice cell is two triangles.
+    """
+    lattice = _surface_lattice(model)
+    vertices = np.empty_like(lattice)
+    vertices[:, [*model.plane_axes, model.graph_axis]] = lattice
+    n = _LATTICE
+    v00 = (np.arange(n - 1)[:, None] * n + np.arange(1, n)).ravel()
+    corners = np.column_stack((v00, v00 + n, v00 + n + 1, v00, v00 + n + 1, v00 + 1))
+    text = "v %.10g %.10g %.10g\n" * len(vertices) + "f %d %d %d\nf %d %d %d\n" * len(corners)
+    stream.write(text % tuple(vertices.ravel().tolist() + corners.ravel().tolist()))
 
 
 def write_surface_lattice_csv(model: SeparatrixModel, stream: IO[str]) -> None:
-    """Regular 40x40 lattice of surface evaluations over the sampled plane region, as CSV."""
-    proj = model.points[:, model.plane_axes]
-    lo, hi = proj.min(axis=0), proj.max(axis=0)
+    """The rows of ``_surface_lattice`` as CSV, named by their slice axes."""
+    lattice = _surface_lattice(model)
     u_name, v_name = (_AXIS_NAMES[k] for k in model.plane_axes)
-    stream.write(f"{u_name},{v_name},{_AXIS_NAMES[model.graph_axis]}\n")
-    for u in np.linspace(lo[0], hi[0], _LATTICE):
-        for v in np.linspace(lo[1], hi[1], _LATTICE):
-            g = float(model.evaluate((u, v)))
-            stream.write(f"{u:.17g},{v:.17g},{g:.17g}\n")
+    header = f"{u_name},{v_name},{_AXIS_NAMES[model.graph_axis]}\n"
+    stream.write(header + ("%.17g,%.17g,%.17g\n" * len(lattice)) % tuple(lattice.ravel().tolist()))
 
 
 def reconstruct_separatrix(

@@ -4,8 +4,11 @@ The full system has eight isolated equilibria: total extinction, each
 competitor alone, disease-free coexistence, one endemic strain without the
 first competitor (one per strain), and one endemic strain coexisting with
 the first competitor (one per strain). The invariant two-species faces
-contribute their own fixed points, which embed into the full space with
-zeros in the removed coordinates.
+contribute their own fixed points, and each of those is one of E0-E4
+seen inside a face: ``_FACES`` maps each face id to its full-space id, the
+variables its face keeps, its subsystem name and its notes, and a face id's
+record is its full id's record under those names. ``stability`` reads the
+same table for the in-face part of the spectrum and condition report.
 
 Every equilibrium is reported whether feasible or not: bifurcation sweeps
 need the sign changes of the feasibility margins, so infeasible points are
@@ -26,9 +29,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,10 +57,26 @@ __all__ = [
 # Full-space equilibria, in conventional order.
 EQUILIBRIUM_IDS = ("E0", "E1", "E2", "E3", "E4", "E5", "E6", "E7")
 
-# Fixed points of the invariant faces, embedded with zeros elsewhere.
+
+class _Face(NamedTuple):
+    """A fixed point of an invariant face: a full-space equilibrium seen inside it."""
+
+    full_id: str
+    variables: str  # the coordinates its face keeps, as letters of "PSVW"
+    subsystem: str
+    notes: str
+
+
 # Q* live in the disease-free competition face (V = W = 0); SV_endemic is
-# the endemic point of the strain-one face (P = W = 0), the face view of E4.
-FACE_EQUILIBRIUM_IDS = ("Q0", "Q1", "Q2", "Q3", "SV_endemic")
+# the endemic point of the strain-one face (P = W = 0).
+_FACES = {
+    "Q0": _Face("E0", "PS", "competition_PS", "extinction, competition face"),
+    "Q1": _Face("E1", "PS", "competition_PS", "first competitor alone, competition face"),
+    "Q2": _Face("E2", "PS", "competition_PS", "second competitor alone, competition face"),
+    "Q3": _Face("E3", "PS", "competition_PS", "disease-free coexistence"),
+    "SV_endemic": _Face("E4", "SV", "one_strain_SV", "strain one endemic, first competitor absent"),
+}
+FACE_EQUILIBRIUM_IDS = tuple(_FACES)
 
 ALL_IDS = EQUILIBRIUM_IDS + FACE_EQUILIBRIUM_IDS
 
@@ -74,6 +94,15 @@ class DegenerateEquilibriumError(ValueError):
         self.eq_id = eq_id
         self.expression = expression
         super().__init__(f"{eq_id} undefined: {expression} vanishes")
+
+
+@contextmanager
+def _as_face(face_id: str):
+    """Re-raise a degenerate closed form of a face's full id under the face id."""
+    try:
+        yield
+    except DegenerateEquilibriumError as err:
+        raise DegenerateEquilibriumError(face_id, err.expression) from None
 
 
 @dataclass(frozen=True)
@@ -143,10 +172,8 @@ _STRAINS = (
     _Strain("two", ("beta", "phi", "nu", "f"), "E5", "E7", 3,
             ("B", "Dtilde", "Delta5", "Ehat", "Fhat", "Mhat", "Nhat", "Ghat")),
 )
-# Each endemic id with its strain and the other strain; SV_endemic is E4
-# seen inside the strain-one face.
+# Each endemic id with its strain and the other strain.
 _ENDEMIC = {strain.endemic_id: (strain, other) for strain, other in (_STRAINS, _STRAINS[::-1])}
-_ENDEMIC["SV_endemic"] = _ENDEMIC["E4"]
 _MIXED = {strain.mixed_id: strain for strain in _STRAINS}
 
 
@@ -230,13 +257,7 @@ class EquilibriumRecord:
         return P, S, V, W
 
 
-def _finish(
-    eq_id: str,
-    coords: Sequence[float],
-    margins: dict[str, float],
-    subsystem: str = "full",
-    notes: str = "",
-) -> EquilibriumRecord:
+def _finish(eq_id: str, coords: Sequence[float], margins: dict[str, float], notes: str = "") -> EquilibriumRecord:
     arr = np.asarray(coords, dtype=float) + 0.0  # folds -0.0 into 0.0
     feasible = bool(np.all(arr >= -FEASIBILITY_TOL))
     marginal = any(abs(m) <= MARGINAL_BAND for m in margins.values())
@@ -246,7 +267,6 @@ def _finish(
         feasible=feasible,
         marginal=marginal,
         margins=margins,
-        subsystem=subsystem,
         notes=notes,
     )
 
@@ -264,6 +284,12 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
     """``compute_equilibrium`` with the thresholds of ``params`` given."""
     p = params
 
+    face = _FACES.get(eq_id)
+    if face is not None:
+        with _as_face(eq_id):
+            rec = _equilibrium(params, face.full_id, t)
+        return replace(rec, id=eq_id, subsystem=face.subsystem, notes=face.notes)
+
     if eq_id == "E0":
         return _finish("E0", (0.0, 0.0, 0.0, 0.0), {}, notes="total extinction")
 
@@ -273,7 +299,7 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
     if eq_id == "E2":
         return _finish("E2", (0.0, p.K, 0.0, 0.0), {}, notes="second competitor alone, disease free")
 
-    if eq_id in ("E3", "Q3"):
+    if eq_id == "E3":
         den = p.b * p.L * p.K * p.a - p.r * p.s
         scale = p.b * p.L * p.K * p.a + p.r * p.s
         if abs(den) <= _DEGENERATE_TOL * max(scale, 1.0):
@@ -284,9 +310,7 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
             "first_invades_second": p.a * p.K - p.s,
             "second_invades_first": p.b * p.L - p.r,
         }
-        subsystem = "competition_PS" if eq_id == "Q3" else "full"
-        return _finish(eq_id, (P3, S3, 0.0, 0.0), margins, subsystem=subsystem,
-                       notes="disease-free coexistence")
+        return _finish(eq_id, (P3, S3, 0.0, 0.0), margins, notes="disease-free coexistence")
 
     if eq_id in _ENDEMIC:
         strain = _ENDEMIC[eq_id][0]
@@ -299,9 +323,7 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
         coords = [0.0, A, 0.0, 0.0]
         coords[strain.slot] = p.r * (mu + psi) * (p.K * lam - mu - psi) / (p.K * lam**2 * mu)
         margins = {f"strain_{strain.ordinal}_invades": p.K - A}
-        subsystem = "one_strain_SV" if eq_id == "SV_endemic" else "full"
-        return _finish(eq_id, coords, margins, subsystem=subsystem,
-                       notes=f"strain {strain.ordinal} endemic, first competitor absent")
+        return _finish(eq_id, coords, margins, notes=f"strain {strain.ordinal} endemic, first competitor absent")
 
     if eq_id in _MIXED:
         strain = _MIXED[eq_id]
@@ -331,18 +353,6 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
         else:
             margins["first_competitor_positive"] = P
         return _finish(eq_id, coords, margins, notes=notes)
-
-    if eq_id == "Q0":
-        return _finish("Q0", (0.0, 0.0, 0.0, 0.0), {}, subsystem="competition_PS",
-                       notes="extinction, competition face")
-
-    if eq_id == "Q1":
-        return _finish("Q1", (p.L, 0.0, 0.0, 0.0), {}, subsystem="competition_PS",
-                       notes="first competitor alone, competition face")
-
-    if eq_id == "Q2":
-        return _finish("Q2", (0.0, p.K, 0.0, 0.0), {}, subsystem="competition_PS",
-                       notes="second competitor alone, competition face")
 
     raise ValueError(f"unknown equilibrium id {eq_id!r}; expected one of {ALL_IDS}")
 

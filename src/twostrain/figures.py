@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basin import _PROBE_OFFSET, SeparatrixSample, probe_surface_sides, reconstruct_separatrix
+from .basin import _PROBE_OFFSET, SeparatrixSample, _check_n_probes, probe_surface_sides, reconstruct_separatrix
 from .equilibria import compute_equilibrium
 from .integrate import IntegrationConfig, Trajectory, integrate, write_trajectory_csv
 from .model import ModelParameters, rhs
@@ -276,6 +276,7 @@ def _reproduce_basin(
     resolution: int = 21,
     n_probes: int = 100,
 ) -> dict:
+    _check_n_probes(n_probes)
     t0 = time.perf_counter()
     params = preset.params
     verdicts = {eq_id: classify(params, eq_id) for eq_id in ("E1", "E3", "E4")}
@@ -359,7 +360,8 @@ def reproduce(
     """Run one named scenario, writing its outputs under ``outdir``.
 
     ``basin_options`` (resolution, n_probes) only apply to the basin
-    scenario.
+    scenario; a ``n_probes`` that is not an int of at least 1 raises
+    ValueError before any run.
     """
     preset = PRESETS.get(name)
     if preset is None:

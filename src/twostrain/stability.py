@@ -8,6 +8,12 @@ slacks that drive the classification, and per-face classifications on
 every invariant coordinate face containing the point. The face report
 matters because several equilibria are saddles of the full system yet
 attract every trajectory that starts inside one of their faces.
+
+A face id (``equilibria._FACES``) is one of E0-E4 seen inside its face, so
+its spectrum and condition report are not written again: each closed form
+is written once per full id, as an in-face part plus the transverse part,
+and a face id takes its full id's in-face part. Its verdict is taken on
+the Jacobian block of the variables its face keeps.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .equilibria import (
     DegenerateEquilibriumError,
     ThresholdSet,
     _ENDEMIC,
+    _FACES,
+    _as_face,
     _equilibrium,
     thresholds,
 )
@@ -58,15 +66,6 @@ MARGINAL = "marginal"
 MARGINALITY_BAND = 1e-10
 
 _LETTERS = "PSVW"
-
-# Variables retained by each id when it lives on an invariant face.
-_FACE_VARIABLES = {
-    "Q0": "PS",
-    "Q1": "PS",
-    "Q2": "PS",
-    "Q3": "PS",
-    "SV_endemic": "SV",
-}
 
 
 class EigenSolverError(RuntimeError):
@@ -131,43 +130,33 @@ def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
 
 def _analytic_eigenvalues(params: ModelParameters, eq_id: str, t: ThresholdSet) -> np.ndarray:
     """``analytic_eigenvalues`` with the thresholds of ``params`` given."""
+    face = _FACES.get(eq_id)
+    if face is None:
+        pair, transverse = _closed_form(params, eq_id, t)
+        return _sorted(pair + transverse)
+    with _as_face(eq_id):
+        return _sorted(_closed_form(params, face.full_id, t)[0])
+
+
+def _closed_form(params: ModelParameters, eq_id: str, t: ThresholdSet) -> tuple[list, list]:
+    """A full id's closed-form spectrum: the pair inside its face, then the two transverse eigenvalues."""
     p = params
 
     if eq_id == "E0":
-        return _sorted([p.s, p.r, -(p.psi + p.mu), -(p.phi + p.nu)])
+        return [p.s, p.r], [-(p.psi + p.mu), -(p.phi + p.nu)]
 
     if eq_id == "E1":
-        return _sorted(
-            [
-                -p.s,
-                p.r - p.b * p.L,
-                -p.mu - p.psi - p.e * p.L,
-                -p.nu - p.phi - p.f * p.L,
-            ]
-        )
+        return [-p.s, p.r - p.b * p.L], [-p.mu - p.psi - p.e * p.L, -p.nu - p.phi - p.f * p.L]
 
     if eq_id == "E2":
-        return _sorted(
-            [
-                -p.r,
-                p.s - p.a * p.K,
-                p.lam * p.K - p.psi - p.mu,
-                p.beta * p.K - p.phi - p.nu,
-            ]
-        )
+        return [-p.r, p.s - p.a * p.K], [p.lam * p.K - p.psi - p.mu, p.beta * p.K - p.phi - p.nu]
 
-    if eq_id in ("E3", "Q3"):
+    if eq_id == "E3":
         rec = _equilibrium(params, eq_id, t)
         P3, S3 = float(rec.coordinates[0]), float(rec.coordinates[1])
         den = p.b * p.L * p.K * p.a - p.r * p.s
         pair = _quadratic_pair(p.r * p.s * (p.r + p.s - p.b * p.L - p.a * p.K), t.Delta3, den)
-        if eq_id == "Q3":
-            return _sorted(pair)
-        extra = [
-            p.lam * S3 - p.psi - p.mu - p.e * P3,
-            p.beta * S3 - p.phi - p.nu - p.f * P3,
-        ]
-        return _sorted(pair + extra)
+        return pair, [p.lam * S3 - p.psi - p.mu - p.e * P3, p.beta * S3 - p.phi - p.nu - p.f * P3]
 
     if eq_id in _ENDEMIC:
         strain, other = _ENDEMIC[eq_id]
@@ -175,21 +164,8 @@ def _analytic_eigenvalues(params: ModelParameters, eq_id: str, t: ThresholdSet) 
         if lam == 0.0 or mu == 0.0:
             raise DegenerateEquilibriumError(eq_id, f"{strain.names[0]}*{strain.names[2]}")
         A, C, Delta = strain.results(t)[:3]
-        pair = _quadratic_pair(-p.r * C, Delta, p.K * lam * mu)
-        if eq_id == "SV_endemic":
-            return _sorted(pair)
         beta, phi, nu, _ = other.rates(p)
-        extra = [p.s - p.a * A, beta * A - phi - nu]
-        return _sorted(pair + extra)
-
-    if eq_id == "Q0":
-        return _sorted([p.s, p.r])
-
-    if eq_id == "Q1":
-        return _sorted([-p.s, p.r - p.b * p.L])
-
-    if eq_id == "Q2":
-        return _sorted([-p.r, p.s - p.a * p.K])
+        return _quadratic_pair(-p.r * C, Delta, p.K * lam * mu), [p.s - p.a * A, beta * A - phi - nu]
 
     raise ValueError(f"no closed-form spectrum for {eq_id!r}")
 
@@ -241,47 +217,45 @@ def _invariant_faces(zero_letters: set[str]) -> list[str]:
 
 def _condition_report(
     params: ModelParameters, eq_id: str, rec: EquilibriumRecord, t: ThresholdSet
-) -> dict[str, float]:
+) -> tuple[dict[str, float], dict[str, float]]:
+    """A full id's named slacks: those inside its face, then the transverse ones."""
     p = params
-    if eq_id in ("E0", "Q0"):
-        return {"first_can_grow": p.s, "second_can_grow": p.r}
-    if eq_id in ("E1", "Q1"):
-        return {"second_excluded": p.b * p.L - p.r}
-    if eq_id in ("E2", "Q2"):
-        report = {"first_excluded": p.a * p.K - p.s}
-        if eq_id == "E2":
-            report["strain_one_subcritical"] = (p.psi + p.mu) - p.lam * p.K
-            report["strain_two_subcritical"] = (p.phi + p.nu) - p.beta * p.K
-        return report
-    if eq_id in ("E3", "Q3"):
+    if eq_id == "E0":
+        return {"first_can_grow": p.s, "second_can_grow": p.r}, {}
+    if eq_id == "E1":
+        return {"second_excluded": p.b * p.L - p.r}, {}
+    if eq_id == "E2":
+        return {"first_excluded": p.a * p.K - p.s}, {
+            "strain_one_subcritical": (p.psi + p.mu) - p.lam * p.K,
+            "strain_two_subcritical": (p.phi + p.nu) - p.beta * p.K,
+        }
+    if eq_id == "E3":
         P3, S3 = float(rec.coordinates[0]), float(rec.coordinates[1])
-        report = {
+        return {
             "in_plane_damping": p.r * p.s - p.a * p.b * p.K * p.L,
             "in_plane_discriminant": t.Delta3,
+        }, {
+            "strain_one_subcritical": p.psi + p.mu + p.e * P3 - p.lam * S3,
+            "strain_two_subcritical": p.phi + p.nu + p.f * P3 - p.beta * S3,
         }
-        if eq_id == "E3":
-            report["strain_one_subcritical"] = p.psi + p.mu + p.e * P3 - p.lam * S3
-            report["strain_two_subcritical"] = p.phi + p.nu + p.f * P3 - p.beta * S3
-        return report
     if eq_id in _ENDEMIC:
         strain, other = _ENDEMIC[eq_id]
         lam, psi, mu, _ = strain.rates(p)
         A, C, Delta = strain.results(t)[:3]
-        report = {
+        beta, phi, nu, _ = other.rates(p)
+        return {
             # Two candidate forms of the endemic damping coefficient;
             # they differ by a power of the recovery rate in one term.
             # The eigenvalue formula arbitrates: the first drives it.
             "endemic_damping": p.r * C,
             "endemic_damping_variant": p.r * (mu**2 + p.K * lam * psi**2 - psi**2),
             "endemic_discriminant": Delta,
+        }, {
+            "first_excluded": p.a * A - p.s,
+            f"strain_{other.ordinal}_subcritical": phi + nu - beta * A,
         }
-        if eq_id != "SV_endemic" and A is not None:
-            beta, phi, nu, _ = other.rates(p)
-            report["first_excluded"] = p.a * A - p.s
-            report[f"strain_{other.ordinal}_subcritical"] = phi + nu - beta * A
-        return report
     # Mixed equilibria: no tidy closed-form chain; report the lead part.
-    return {}
+    return {}, {}
 
 
 _FACE_INDEX = {letter: i for i, letter in enumerate(_LETTERS)}
@@ -300,12 +274,13 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
     coords = rec.coordinates
     J_full = jacobian(params, coords)
 
-    retained = _FACE_VARIABLES.get(eq_id)
-    if retained is not None:
-        idx = [_FACE_INDEX[l] for l in retained]
-        J = J_full[np.ix_(idx, idx)]
+    face = _FACES.get(eq_id)
+    in_face, transverse = _condition_report(params, eq_id if face is None else face.full_id, rec, t)
+    if face is None:
+        J, condition_report = J_full, in_face | transverse
     else:
-        J = J_full
+        idx = [_FACE_INDEX[l] for l in face.variables]
+        J, condition_report = J_full[np.ix_(idx, idx)], in_face
 
     numeric = numeric_eigenvalues(J)
     diagnostics: dict[str, float] = {}
@@ -323,12 +298,12 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
     diagnostics["lead_real_part"] = float(eigs[0].real)
 
     face_classes: dict[str, str] = {}
-    if retained is None:
+    if face is None:
         zero_letters = {l for i, l in enumerate(_LETTERS) if coords[i] == 0.0}
-        for face in _invariant_faces(zero_letters):
-            idx = [_FACE_INDEX[l] for l in face]
+        for kept in _invariant_faces(zero_letters):
+            idx = [_FACE_INDEX[l] for l in kept]
             sub = J_full[np.ix_(idx, idx)]
-            face_classes[face] = classify_eigenvalues(numeric_eigenvalues(sub))
+            face_classes[kept] = classify_eigenvalues(numeric_eigenvalues(sub))
 
     return StabilityVerdict(
         id=eq_id,
@@ -336,7 +311,7 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
         eigenvalues=eigs,
         classification=classification,
         method=method,
-        condition_report=_condition_report(params, eq_id, rec, t),
+        condition_report=condition_report,
         face_classes=face_classes,
         diagnostics=diagnostics,
     )

@@ -979,6 +979,19 @@ class TestProbes:
                 rng=np.random.default_rng(1),
             )
 
+    @pytest.mark.parametrize("n_probes", [0, -3, 2.5])
+    def test_bad_n_probes_is_rejected_before_any_run(
+        self, fig4_params, fig4_attractors, monkeypatch, tmp_path, n_probes
+    ):
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _no_runs)
+        with pytest.raises(ValueError, match="n_probes must be an int >= 1"):
+            probe_surface_sides(
+                fig4_params, self._patch_model(), fig4_attractors, expected_above="E4", expected_below="E1",
+                n_probes=n_probes,
+            )
+        with pytest.raises(ValueError, match="n_probes must be an int >= 1"):
+            reproduce("fig4", tmp_path, n_probes=n_probes)
+
 
 class TestWriters:
     def test_points_csv(self, fig4_params, fig4_attractors):
@@ -1082,12 +1095,15 @@ def test_fig4_bisects_no_segment_twice(fig4_pipeline):
     assert "rebisect" not in (outdir / "summary.txt").read_text()
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
-def test_fig4_stepper_passes_per_batch(tmp_path, monkeypatch):
-    # The stepper loop of run_to_attractor_batch calls _gate_sides once in
-    # every pass that makes a step attempt, so counting its calls counts
-    # passes without timing anything. At resolution 11 the labelling stream
-    # took 1,115 passes ungated; a gate that stops firing shows here.
+def _fig4_passes_per_batch(outdir, monkeypatch, config=None):
+    """Reproduce fig4 at resolution 11 and count the stepper passes of each batch.
+
+    The stepper loop of run_to_attractor_batch calls _gate_sides once in
+    every pass that makes a step attempt, so counting its calls counts
+    passes without timing anything. Returns the grid, gate search, stream,
+    certificate and probe counts, after checking that those are the
+    batches, in that order, and that no segment was bisected again.
+    """
     passes = []
     gate_sides = integrate._gate_sides
 
@@ -1103,11 +1119,18 @@ def test_fig4_stepper_passes_per_batch(tmp_path, monkeypatch):
 
     monkeypatch.setattr(integrate, "_gate_sides", counted)
     monkeypatch.setattr(basin, "run_to_attractor_batch", tagged)
-    summary = reproduce("fig4", tmp_path, resolution=11)
+    summary = reproduce("fig4", outdir, resolution=11, config=config)
     assert summary["n_rebisected"] == 0
     kinds = [kind for kind, _ in passes]
     assert kinds == [(False, False), (False, False), (True, True), (False, False), (False, False)]
-    grid, calibration, stream, certificate, probes = (count for _, count in passes)
+    return tuple(count for _, count in passes)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fig4_stepper_passes_per_batch(tmp_path, monkeypatch):
+    # At resolution 11 the labelling stream took 1,115 passes ungated; a
+    # gate that stops firing shows here.
+    grid, calibration, stream, certificate, probes = _fig4_passes_per_batch(tmp_path, monkeypatch)
     assert stream <= 400
     assert (grid, calibration, certificate, probes) == (372, 81, 538, 392)
 
@@ -1118,26 +1141,8 @@ def test_fig4_stepper_passes_per_batch_at_a_loose_tolerance(tmp_path, monkeypatc
     # still runs through E3's gate, so its final brackets are certified.
     # Ungated, the stream takes 976 passes, so a gate that stops firing
     # shows here.
-    passes = []
-    gate_sides = integrate._gate_sides
-
-    def counted(*args):
-        passes[-1][1] += 1
-        return gate_sides(*args)
-
-    batch = basin.run_to_attractor_batch
-
-    def tagged(params, starts, *args, on_result=None, gates=(), **kwargs):
-        passes.append([(on_result is not None, bool(gates)), 0])
-        return batch(params, starts, *args, on_result=on_result, gates=gates, **kwargs)
-
-    monkeypatch.setattr(integrate, "_gate_sides", counted)
-    monkeypatch.setattr(basin, "run_to_attractor_batch", tagged)
-    summary = reproduce("fig4", tmp_path, resolution=11, config=IntegrationConfig().with_tolerance(1e-4))
-    assert summary["n_rebisected"] == 0
-    kinds = [kind for kind, _ in passes]
-    assert kinds == [(False, False), (False, False), (True, True), (False, False), (False, False)]
-    grid, calibration, stream, certificate, probes = (count for _, count in passes)
+    config = IntegrationConfig().with_tolerance(1e-4)
+    grid, calibration, stream, certificate, probes = _fig4_passes_per_batch(tmp_path, monkeypatch, config)
     assert stream <= 350
     assert (grid, calibration, certificate, probes) == (85, 60, 256, 94)
 
