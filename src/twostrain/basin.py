@@ -18,8 +18,10 @@ the three stages and writes their files, after checking every input
 before any run.
 
 Every stage integrates its starts together with
-``integrate.run_to_attractor_batch``: the grid in one batch, the probes in
-one batch, and bisection as one stream of runs. Each segment is plain
+``integrate.run_to_attractor_batch``: the grid in one batch, and bisection
+as one stream of runs and a certificate batch (below). The side probes
+ride in the certificate batch when ``reconstruct_separatrix`` probes, and
+run in a batch of their own otherwise. Each segment is plain
 bisection over a memo of the runs it launched: it halves while its
 midpoint's result is known and launches the midpoint when it is not.
 While other segments are still bisecting, it launches both quarter
@@ -40,15 +42,19 @@ tolerance, ungated; a segment that fails, or met an undecided midpoint,
 is bisected again at the caller's tolerance. So at every tolerance each
 boundary point is the midpoint of a bracket whose ends carry ungated
 labels at the caller's tolerance. The grid and the probes run at the
-caller's tolerance.
+caller's tolerance. The probes need the fitted surface, so to ride in the
+certificate batch they are drawn on a fit of the points the certificate
+would confirm, and dropped if a segment is bisected again.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -61,6 +67,7 @@ from .integrate import (
     IntegrationConfig,
     ReachResult,
     SaddleGate,
+    StepFailureError,
     UNDECIDED,
     _separated_attractors,
     run_to_attractor_batch,
@@ -125,9 +132,13 @@ def _check_grid(
             raise ValueError(f"slice box ({lo}, {hi}) reaches outside the nonnegative orthant")
         if hi == math.inf:
             raise ValueError(f"slice box ({lo}, {hi}) is not finite")
+    _check_resolution(resolution)
+    return targets
+
+
+def _check_resolution(resolution: int) -> None:
     if not isinstance(resolution, int) or resolution < 2:
         raise ValueError(f"resolution must be an int >= 2, got {resolution!r}")
-    return targets
 
 
 def _check_bisect_tol(bisect_tol: float) -> None:
@@ -136,7 +147,7 @@ def _check_bisect_tol(bisect_tol: float) -> None:
 
 
 def _check_n_probes(n_probes: int) -> None:
-    if not isinstance(n_probes, int) or n_probes < 1:
+    if isinstance(n_probes, bool) or not isinstance(n_probes, int) or n_probes < 1:
         raise ValueError(f"n_probes must be an int >= 1, got {n_probes!r}")
 
 
@@ -493,6 +504,91 @@ def separatrix_points(
     cfg = config or IntegrationConfig()
     targets = _separated_attractors(attractors, match_radius)
     _check_bisect_tol(bisect_tol)
+    labelled = _label_segments(params, segments, targets, bisect_tol, cfg, match_radius)
+    return labelled.certify(labelled.run_certificate())
+
+
+@dataclass
+class _Labelled:
+    """Segments bisected at the labelling config, before their certificate.
+
+    ``brackets`` maps each segment to its final bracket, or None if a
+    midpoint was undecided. ``moved`` lists (segment, side, point) of each
+    final bracket end that is not one of the segment's own, an end that has
+    its grid label already; the certificate runs those points at
+    ``config``. It is None when nothing is certified: a stream that ran
+    ungated at ``config`` itself is plain bisection already.
+    """
+
+    params: ModelParameters
+    targets: list[tuple[str, tuple[float, float, float, float]]]
+    ends: list[tuple[np.ndarray, np.ndarray]]
+    sides: list[tuple[str, str]]
+    bisect_tol: float
+    config: IntegrationConfig
+    match_radius: float
+    brackets: dict[int, list[np.ndarray] | None]
+    moved: list[tuple[int, int, np.ndarray]] | None
+
+    def run_certificate(self, extra: Sequence[Sequence[float]] = ()) -> list[ReachResult] | None:
+        """Run the certificate's points, then ``extra``, in one batch at
+        ``config``, ungated; None if nothing is certified."""
+        if self.moved is None:
+            return None
+        starts = [(*u, 0.0) for _, _, u in self.moved] + list(extra)
+        return run_to_attractor_batch(
+            self.params, starts, self.targets, config=self.config, match_radius=self.match_radius
+        )
+
+    def sample(self, rebisected: list[int] | None = None) -> SeparatrixSample:
+        """The points of the decided brackets, in segment order."""
+        rows = [row for row in range(len(self.ends)) if self.brackets[row] is not None]
+        pts = np.array([0.5 * (self.brackets[row][0] + self.brackets[row][1]) for row in rows])
+        return SeparatrixSample(
+            points=pts.reshape(len(rows), 3),
+            side_labels=[self.sides[row] for row in rows],
+            segments=np.array([self.ends[row] for row in rows]).reshape(len(rows), 2, 3),
+            skipped=[
+                (row, "undecided midpoint during bisection")
+                for row in range(len(self.ends))
+                if self.brackets[row] is None
+            ],
+            rebisected=rebisected or [],
+        )
+
+    def certify(self, certified: list[ReachResult] | None) -> SeparatrixSample:
+        """The sample, once each segment whose labelling midpoint was
+        undecided, or whose bracket end reaches the other side in
+        ``certified`` (the results ``run_certificate`` returns), is bisected
+        again at ``config``, ungated."""
+        if self.moved is None:
+            return self.sample()
+        wrong = {row for row, bracket in self.brackets.items() if bracket is None}
+        for (row, side, _), res in zip(self.moved, certified):
+            upper = res.attractor_id != self.sides[row][0]
+            if res.attractor_id is None or upper != (side == 1):
+                wrong.add(row)
+        rebisected = sorted(wrong)
+        if rebisected:
+            self.brackets.update(
+                _bisect(
+                    self.params, self.targets, self.ends, self.sides, rebisected, self.bisect_tol, self.config,
+                    self.match_radius,
+                )
+            )
+        return self.sample(rebisected)
+
+
+def _label_segments(
+    params: ModelParameters,
+    segments: Sequence[tuple[np.ndarray, np.ndarray, str, str]],
+    targets: list[tuple[str, tuple[float, float, float, float]]],
+    bisect_tol: float,
+    config: IntegrationConfig,
+    match_radius: float,
+) -> _Labelled:
+    """Check ``segments``, then bisect them at the labelling config through
+    the saddle gates, as ``separatrix_points`` does before its certificate."""
     names = {name for name, _ in targets}
     ends = []
     sides = []
@@ -508,14 +604,12 @@ def separatrix_points(
         ends.append((u_lo, u_hi))
         sides.append((lab_lo, lab_hi))
 
-    n = len(ends)
-    label_cfg = _labelling_config(cfg)
+    label_cfg = _labelling_config(config)
     gates = _saddle_gates(params, targets, label_cfg, match_radius)
-    brackets = _bisect(params, targets, ends, sides, range(n), bisect_tol, label_cfg, match_radius, gates)
-    rebisected = []
-    if gates or label_cfg != cfg:
-        # (segment, side, point) of every final bracket end that moved: an
-        # end still the segment's own array has its grid label already.
+    rows = range(len(ends))
+    brackets = _bisect(params, targets, ends, sides, rows, bisect_tol, label_cfg, match_radius, gates)
+    moved = None
+    if gates or label_cfg != config:
         moved = [
             (row, side, u)
             for row, bracket in brackets.items()
@@ -523,26 +617,7 @@ def separatrix_points(
             for side, (u, own) in enumerate(zip(bracket, ends[row]))
             if u is not own
         ]
-        certified = run_to_attractor_batch(
-            params, [(*u, 0.0) for _, _, u in moved], targets, config=cfg, match_radius=match_radius
-        )
-        wrong = {row for row, bracket in brackets.items() if bracket is None}
-        for (row, side, _), res in zip(moved, certified):
-            upper = res.attractor_id != sides[row][0]
-            if res.attractor_id is None or upper != (side == 1):
-                wrong.add(row)
-        rebisected = sorted(wrong)
-        if rebisected:
-            brackets.update(_bisect(params, targets, ends, sides, rebisected, bisect_tol, cfg, match_radius))
-
-    rows = [row for row in range(n) if brackets[row] is not None]
-    pts = np.array([0.5 * (brackets[row][0] + brackets[row][1]) for row in rows]).reshape(len(rows), 3)
-    side_labels = [sides[row] for row in rows]
-    segs = np.array([ends[row] for row in rows]).reshape(len(rows), 2, 3)
-    skipped = [(row, "undecided midpoint during bisection") for row in range(n) if brackets[row] is None]
-    return SeparatrixSample(
-        points=pts, side_labels=side_labels, segments=segs, skipped=skipped, rebisected=rebisected
-    )
+    return _Labelled(params, targets, ends, sides, bisect_tol, config, match_radius, brackets, moved)
 
 
 def write_points_csv(sample: SeparatrixSample, stream: IO[str]) -> None:
@@ -556,10 +631,23 @@ def write_points_csv(sample: SeparatrixSample, stream: IO[str]) -> None:
 # ----------------------------------------------------------------------
 
 
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from every row of ``a`` to every row of ``b``, both (n, 2),
+    worked in place on (len(a), len(b)) arrays."""
+    d0 = a[:, 0, None] - b[:, 0]
+    d1 = a[:, 1, None] - b[:, 1]
+    d0 *= d0
+    d1 *= d1
+    d0 += d1
+    return np.sqrt(d0, out=d0)
+
+
 def _thin_plate(r: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(r)
-    mask = r > 0.0
-    out[mask] = r[mask] ** 2 * np.log(r[mask])
+    """r * r * log(r) where r > 0, and 0 elsewhere."""
+    out = r * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out *= np.log(r)
+    out[~(r > 0.0)] = 0.0
     return out
 
 
@@ -586,14 +674,8 @@ class SeparatrixModel:
         """Graph-axis values at one or many plane points (shape (..., 2))."""
         uv = np.asarray(plane_coords, dtype=float)
         single = uv.ndim == 1
-        uv2 = np.atleast_2d(uv)
-        z = (uv2 - self.center) / self.scale
-        r = np.sqrt(
-            np.maximum(
-                ((z[:, None, :] - self.sites[None, :, :]) ** 2).sum(axis=2), 0.0
-            )
-        )
-        phi = _thin_plate(r)
+        z = (np.atleast_2d(uv) - self.center) / self.scale
+        phi = _thin_plate(_distances(z, self.sites))
         vals = phi @ self.weights + self.poly[0] + z @ self.poly[1:]
         return float(vals[0]) if single else vals
 
@@ -640,9 +722,7 @@ def fit_surface(points: np.ndarray, graph_axis: int | str = 2) -> SeparatrixMode
     vals = pts[:, axis]
 
     # Duplicate sites make the kernel matrix singular.
-    diff = proj[:, None, :] - proj[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    offdiag = dist + np.diag(np.full(n, np.inf))
+    offdiag = _distances(proj, proj) + np.diag(np.full(n, np.inf))
     if float(offdiag.min()) < 1e-10:
         raise DegenerateGeometryError("duplicate projected sites")
 
@@ -658,8 +738,7 @@ def fit_surface(points: np.ndarray, graph_axis: int | str = 2) -> SeparatrixMode
     if sv[-1] <= 1e-10 * sv[0]:
         raise DegenerateGeometryError("projected sites are collinear")
 
-    r = np.sqrt(np.maximum(((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=2), 0.0))
-    phi = _thin_plate(r)
+    phi = _thin_plate(_distances(z, z))
     P = np.column_stack((np.ones(n), z))
     A = np.zeros((n + 3, n + 3))
     A[:n, :n] = phi
@@ -721,9 +800,16 @@ def probe_surface_sides(
     _check_n_probes(n_probes)
     rng = rng or np.random.default_rng(0)
     targets = _separated_attractors(attractors, match_radius)
+    starts = _probe_starts(model, n_probes, rng)
+    results = run_to_attractor_batch(params, starts, targets, config=config, match_radius=match_radius)
+    return _probe_matches(results, expected_above, expected_below)
+
+
+def _probe_starts(model: SeparatrixModel, n_probes: int, rng: np.random.Generator) -> list[tuple[float, ...]]:
+    """The starts of ``probe_surface_sides``: ``n_probes`` pairs, each the
+    point above the surface and then the one below."""
     proj = model.points[:, model.plane_axes]
     n = proj.shape[0]
-
     starts = []
     attempts = 0
     while len(starts) < 2 * n_probes:
@@ -740,11 +826,68 @@ def probe_surface_sides(
         pair[:, model.graph_axis] = (g + _PROBE_OFFSET, g - _PROBE_OFFSET)
         if not np.any(pair < 0.0):
             starts.extend((*u, 0.0) for u in pair)
+    return starts
 
-    results = run_to_attractor_batch(params, starts, targets, config=config, match_radius=match_radius)
-    expected = (expected_above, expected_below) * n_probes
-    matches = sum(res.attractor_id == side for res, side in zip(results, expected))
-    return matches, len(starts)
+
+def _probe_matches(results: Sequence[ReachResult], above: str, below: str) -> tuple[int, int]:
+    """(matches, total) of the results of ``_probe_starts``' pairs."""
+    expected = (above, below) * (len(results) // 2)
+    return sum(res.attractor_id == side for res, side in zip(results, expected)), len(results)
+
+
+def _graph_sides(sample: SeparatrixSample, graph_axis: int) -> tuple[str, str]:
+    """The attractor ids (above, below) the fitted graph separates.
+
+    A majority vote over the segments that cross the graph axis: the end
+    with the larger graph-axis coordinate is above. Segments run either
+    way (face and body diagonals also run downward), so the end label is
+    not always the upper one.
+    """
+    above_votes: Counter = Counter()
+    below_votes: Counter = Counter()
+    for seg, (lo, hi) in zip(sample.segments, sample.side_labels):
+        rise = seg[1, graph_axis] - seg[0, graph_axis]
+        if abs(rise) > 1e-12:
+            up, down = (hi, lo) if rise > 0.0 else (lo, hi)
+            above_votes[up] += 1
+            below_votes[down] += 1
+    if not above_votes:
+        above_votes = Counter(hi for _, hi in sample.side_labels)
+        below_votes = Counter(lo for lo, _ in sample.side_labels)
+    return above_votes.most_common(1)[0][0], below_votes.most_common(1)[0][0]
+
+
+@dataclass(frozen=True)
+class _Probes:
+    """Side probes drawn before the certificate: the fit they were drawn
+    on, the sides it separates, their starts, and the generator after
+    drawing them."""
+
+    model: SeparatrixModel
+    sides: tuple[str, str]
+    starts: list[tuple[float, ...]]
+    rng: np.random.Generator
+
+
+def _speculative_probes(
+    labelled: _Labelled, graph_axis: int, n_probes: int, rng: np.random.Generator
+) -> _Probes | None:
+    """Probes on the fit of the points the certificate would confirm,
+    drawn from a copy of ``rng``; None if there is no certificate, a
+    labelling midpoint was undecided (its segment is bisected again), or
+    the fit or the draw raises."""
+    if labelled.moved is None or any(bracket is None for bracket in labelled.brackets.values()):
+        return None
+    sample = labelled.sample()
+    trial = copy.deepcopy(rng)
+    try:
+        model = fit_surface(sample.points, graph_axis=graph_axis)
+        return _Probes(model, _graph_sides(sample, graph_axis), _probe_starts(model, n_probes, trial), trial)
+    except (ArithmeticError, ValueError, RuntimeError):
+        # The fit's geometry and residual errors, and a draw that cannot
+        # place its probes: raised again by the refit or the draw after the
+        # files are written.
+        return None
 
 
 def _surface_lattice(model: SeparatrixModel) -> np.ndarray:
@@ -793,34 +936,79 @@ def reconstruct_separatrix(
     bisect_tol: float = 1e-4,
     config: IntegrationConfig | None = None,
     match_radius: float = 0.05,
-) -> tuple[BasinGrid, list[tuple[np.ndarray, np.ndarray, str, str]], SeparatrixSample, SeparatrixModel]:
+    n_probes: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> tuple[
+    BasinGrid,
+    list[tuple[np.ndarray, np.ndarray, str, str]],
+    SeparatrixSample,
+    SeparatrixModel,
+    tuple[int, int] | None,
+]:
     """Classify a grid, bisect its boundary cells and fit the boundary surface.
 
     Writes ``labels.csv``, ``boundary_points.csv``, ``surface.obj`` and
     ``surface_lattice.csv`` into the existing directory ``outdir``, each
     as soon as its stage is done, and returns (grid, segments, sample,
-    model). An unknown ``graph_axis``, or any other input that
-    ``classify_grid`` or ``separatrix_points`` would reject, raises
-    ValueError before any work.
+    model, probes). An unknown ``graph_axis``, or any other input that
+    ``classify_grid``, ``separatrix_points`` or ``probe_surface_sides``
+    would reject, raises ValueError before any work.
+
+    With ``n_probes`` None, nothing is probed and ``probes`` is None.
+    Otherwise ``probes`` is what ``probe_surface_sides`` returns for the
+    model, ``n_probes``, ``rng`` and ``config``, with the sides the sample's
+    segments vote for: the end with the larger graph-axis coordinate is
+    above. The probes then ride in the certificate batch of
+    ``separatrix_points``. Once its labelling stream ends, the points it
+    returns unless a segment is bisected again are known, so they are
+    fitted and the probes drawn on that fit, from a copy of ``rng``, before
+    the certificate runs. If a segment is bisected again, or that fit, the
+    draw or a run of the batch fails, the probes are dropped: the sample is
+    refitted, the files written and the probes run on their own, from
+    ``rng`` as given, as without the speculation. Either way the files,
+    the results and any exception are the same, and ``rng`` is left as
+    ``probe_surface_sides`` leaves it.
     """
     axis = _resolve_axis(graph_axis)
     targets = _check_grid(bounds, resolution, attractors, match_radius)
     _check_bisect_tol(bisect_tol)
+    if n_probes is not None:
+        _check_n_probes(n_probes)
+        rng = rng or np.random.default_rng(0)
+    cfg = config or IntegrationConfig()
     out = Path(outdir)
-    grid = classify_grid(
-        params, bounds, resolution, targets, config=config, match_radius=match_radius
-    )
+    grid = classify_grid(params, bounds, resolution, targets, config=cfg, match_radius=match_radius)
     with open(out / "labels.csv", "w") as fh:
         write_grid_csv(grid, fh)
     segments = boundary_edge_segments(grid)
-    sample = separatrix_points(
-        params, segments, targets, bisect_tol=bisect_tol, config=config, match_radius=match_radius
-    )
+    labelled = _label_segments(params, segments, targets, bisect_tol, cfg, match_radius)
+    ride = None if n_probes is None else _speculative_probes(labelled, axis, n_probes, rng)
+    if ride is not None:
+        try:
+            certified = labelled.run_certificate(ride.starts)
+        except (StepFailureError, ValueError):
+            # The run fails, or the start is rejected, again below.
+            ride = None
+    if ride is None:
+        certified = labelled.run_certificate()
+    sample = labelled.certify(certified)
+    if sample.rebisected:
+        ride = None
     with open(out / "boundary_points.csv", "w") as fh:
         write_points_csv(sample, fh)
-    model = fit_surface(sample.points, graph_axis=axis)
+    model = ride.model if ride is not None else fit_surface(sample.points, graph_axis=axis)
     with open(out / "surface.obj", "w") as fh:
         write_surface_obj(model, fh)
     with open(out / "surface_lattice.csv", "w") as fh:
         write_surface_lattice_csv(model, fh)
-    return grid, segments, sample, model
+    if n_probes is None:
+        return grid, segments, sample, model, None
+    if ride is not None:
+        rng.bit_generator.state = ride.rng.bit_generator.state
+        probes = _probe_matches(certified[len(labelled.moved) :], *ride.sides)
+    else:
+        above, below = _graph_sides(sample, axis)
+        probes = probe_surface_sides(
+            params, model, targets, above, below, n_probes=n_probes, rng=rng, config=cfg, match_radius=match_radius
+        )
+    return grid, segments, sample, model, probes

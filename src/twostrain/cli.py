@@ -339,7 +339,7 @@ def _cmd_separatrix(args: argparse.Namespace) -> int:
         raise ConfigError(f"--graph-axis: {err}") from err
     bounds, attractors = _basin_inputs(args, run)
     args.out.mkdir(parents=True, exist_ok=True)
-    _, segments, sample, model = basin_mod.reconstruct_separatrix(
+    _, segments, sample, model, _ = basin_mod.reconstruct_separatrix(
         run.params,
         bounds,
         args.resolution,

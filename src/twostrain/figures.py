@@ -25,13 +25,12 @@ points do not.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .basin import _PROBE_OFFSET, SeparatrixSample, _check_n_probes, probe_surface_sides, reconstruct_separatrix
+from .basin import _PROBE_OFFSET, _check_n_probes, _check_resolution, reconstruct_separatrix
 from .equilibria import compute_equilibrium
 from .integrate import IntegrationConfig, Trajectory, integrate, write_trajectory_csv
 from .model import ModelParameters, rhs
@@ -247,36 +246,13 @@ def _reproduce_trajectory(preset: FigurePreset, outdir: Path, config: Integratio
     return summary
 
 
-def _graph_sides(sample: SeparatrixSample, graph_axis: int) -> tuple[str, str]:
-    """The attractor ids (above, below) the fitted graph separates.
-
-    A majority vote over the segments that cross the graph axis: the end
-    with the larger graph-axis coordinate is above. Segments run either
-    way (face and body diagonals also run downward), so the end label is
-    not always the upper one.
-    """
-    above_votes: Counter = Counter()
-    below_votes: Counter = Counter()
-    for seg, (lo, hi) in zip(sample.segments, sample.side_labels):
-        rise = seg[1, graph_axis] - seg[0, graph_axis]
-        if abs(rise) > 1e-12:
-            up, down = (hi, lo) if rise > 0.0 else (lo, hi)
-            above_votes[up] += 1
-            below_votes[down] += 1
-    if not above_votes:
-        above_votes = Counter(hi for _, hi in sample.side_labels)
-        below_votes = Counter(lo for lo, _ in sample.side_labels)
-    return above_votes.most_common(1)[0][0], below_votes.most_common(1)[0][0]
-
-
 def _reproduce_basin(
     preset: FigurePreset,
     outdir: Path,
     config: IntegrationConfig,
-    resolution: int = 21,
-    n_probes: int = 100,
+    resolution: int,
+    n_probes: int,
 ) -> dict:
-    _check_n_probes(n_probes)
     t0 = time.perf_counter()
     params = preset.params
     verdicts = {eq_id: classify(params, eq_id) for eq_id in ("E1", "E3", "E4")}
@@ -285,9 +261,17 @@ def _reproduce_basin(
     # Bisect exactly the corner pairs of the grid cells the boundary
     # crosses. The exclusion basin here is a small pocket near the
     # strain-free competitor corner, so fixed full-length segments would
-    # waste almost all their runs on single-basin lines.
-    grid, segments, sample, model = reconstruct_separatrix(
-        params, _FIG4_BOUNDS, resolution, attractors, outdir, config=config
+    # waste almost all their runs on single-basin lines. The side probes
+    # ride in the bisection's certificate batch.
+    grid, segments, sample, model, (matches, total) = reconstruct_separatrix(
+        params,
+        _FIG4_BOUNDS,
+        resolution,
+        attractors,
+        outdir,
+        config=config,
+        n_probes=n_probes,
+        rng=np.random.default_rng(20260814),
     )
 
     # The saddle sits on the boundary with its strain-one component zero,
@@ -296,17 +280,6 @@ def _reproduce_basin(
     saddle_plane = (float(saddle.coordinates[0]), float(saddle.coordinates[1]))
     saddle_gap = abs(float(model.evaluate(saddle_plane)) - float(saddle.coordinates[2]))
 
-    above, below = _graph_sides(sample, model.graph_axis)
-    matches, total = probe_surface_sides(
-        params,
-        model,
-        attractors,
-        expected_above=above,
-        expected_below=below,
-        n_probes=n_probes,
-        rng=np.random.default_rng(20260814),
-        config=config,
-    )
     side_fraction = matches / total
     ok = saddle_gap <= preset.tolerance and side_fraction >= 0.95 and not sample.skipped
     runtime = time.perf_counter() - t0
@@ -360,17 +333,28 @@ def reproduce(
     """Run one named scenario, writing its outputs under ``outdir``.
 
     ``basin_options`` (resolution, n_probes) only apply to the basin
-    scenario; a ``n_probes`` that is not an int of at least 1 raises
-    ValueError before any run.
+    scenario. Options are checked before ``outdir`` is made: an option
+    given to another scenario, a ``resolution`` that is not an int of at
+    least 2, or a ``n_probes`` that is not an int of at least 1 raises
+    ValueError, and an unknown option TypeError.
     """
     preset = PRESETS.get(name)
     if preset is None:
         raise ValueError(f"unknown scenario {name!r}; expected one of {FIGURE_NAMES}")
+    if preset.start is None:
+        basin_options = _basin_options(**basin_options)
+    elif basin_options:
+        raise ValueError(f"options {sorted(basin_options)} only apply to fig4")
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = config or IntegrationConfig()
     if preset.start is None:
         return _reproduce_basin(preset, out, cfg, **basin_options)
-    if basin_options:
-        raise ValueError(f"options {sorted(basin_options)} only apply to fig4")
     return _reproduce_trajectory(preset, out, cfg)
+
+
+def _basin_options(resolution: int = 21, n_probes: int = 100) -> dict:
+    """fig4's options, checked, with their defaults."""
+    _check_resolution(resolution)
+    _check_n_probes(n_probes)
+    return {"resolution": resolution, "n_probes": n_probes}

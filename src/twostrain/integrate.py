@@ -29,7 +29,8 @@ not samples, so its steps are bounded by a quarter of that dwell time
 (2.5) instead, whatever ``max_step`` says.
 ``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper,
 launches more as runs end if asked to, and returns, for every start,
-exactly what ``run_to_attractor`` returns. Its squares and powers use
+exactly what ``run_to_attractor`` returns. Both steppers square by
+multiplying, and the lanes take the controller's fractional powers with
 ``np.float_power``, which rounds like Python's ``**``; ``np.power`` does not.
 Both take optional ``SaddleGate``s, which end a run as it leaves a saddle
 along the saddle's unstable direction, with the label of the attractor
@@ -319,10 +320,8 @@ def _integrate_core(
         s2 = atol + rel * max(abs(y2), abs(v2))
         s3 = atol + rel * max(abs(y3), abs(v3))
         s4 = atol + rel * max(abs(y4), abs(v4))
-        try:
-            err = math.sqrt(((d1 / s1) ** 2 + (d2 / s2) ** 2 + (d3 / s3) ** 2 + (d4 / s4) ** 2) / 4.0)
-        except OverflowError:  # a square past the float range is inf, as in the lanes
-            err = math.inf
+        r1, r2, r3, r4 = d1 / s1, d2 / s2, d3 / s3, d4 / s4
+        err = math.sqrt((r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4) / 4.0)
 
         if not math.isfinite(err):
             h *= _FAC_MIN
@@ -551,11 +550,8 @@ def run_to_attractor(
     def stop(t: float, y: tuple[float, float, float, float]) -> bool:
         inside = -1
         for idx, (_, c) in enumerate(targets):
-            try:
-                d2 = (y[0] - c[0]) ** 2 + (y[1] - c[1]) ** 2 + (y[2] - c[2]) ** 2 + (y[3] - c[3]) ** 2
-            except OverflowError:  # a distance past the float range is outside every ball
-                continue
-            if d2 <= r2:
+            z0, z1, z2, z3 = y[0] - c[0], y[1] - c[1], y[2] - c[2], y[3] - c[3]
+            if z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3 <= r2:
                 inside = idx
                 break
         if inside != current["ball"]:
@@ -566,12 +562,9 @@ def run_to_attractor(
             return True
         for c, l, sides in gate_list:
             z0, z1, z2, z3 = y[0] - c[0], y[1] - c[1], y[2] - c[2], y[3] - c[3]
-            try:
-                d2 = ((z0**2 + z1**2) + z2**2) + z3**2
-            except OverflowError:  # far outside the gate
-                continue
+            d2 = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
             p = ((l[0] * z0 + l[1] * z1) + l[2] * z2) + l[3] * z3
-            if _GATE_INNER2 <= d2 <= _GATE_OUTER2 and p**2 >= _GATE_CONE2 * d2:
+            if _GATE_INNER2 <= d2 <= _GATE_OUTER2 and p * p >= _GATE_CONE2 * d2:
                 current.update(hit=sides[0] if p > 0.0 else sides[1], t_hit=t, how=_GATED)
                 return True
         return False
@@ -621,11 +614,11 @@ def _gate_sides(gates: list[_Gate], y: np.ndarray, tested: np.ndarray) -> np.nda
     side = np.full(y.shape[1], -1)
     for c, l, (plus, minus) in reversed(gates):
         z = y - np.array(c)[:, None]
-        q = np.float_power(z, 2.0)
+        q = z * z
         d2 = ((q[0] + q[1]) + q[2]) + q[3]
         p = ((l[0] * z[0] + l[1] * z[1]) + l[2] * z[2]) + l[3] * z[3]
         inside = (_GATE_INNER2 <= d2) & (d2 <= _GATE_OUTER2)
-        fire = tested & inside & (np.float_power(p, 2.0) >= _GATE_CONE2 * d2)
+        fire = tested & inside & (p * p >= _GATE_CONE2 * d2)
         side = np.where(fire, np.where(p > 0.0, plus, minus), side)
     return side
 
@@ -650,10 +643,12 @@ def run_to_attractor_batch(
     ``max_step``), so every returned ``ReachResult`` equals
     ``run_to_attractor``'s bit for bit, labels by listed points that do
     not attract included. Elementwise numpy ``+ - * /``
-    round like Python's float operators, and ``np.float_power`` rounds
-    like Python's ``**`` (numpy's ``**``, ``np.power``, does not), so the
-    error-norm squares, the step-factor powers, the ball distances and the
-    ``gates``' exit tests are whole-lane numpy too. A lane is tested
+    round like Python's float operators, and both steppers square by
+    multiplying, so the error norm, the ball distances and the ``gates``'
+    exit tests are whole-lane numpy too; a square past the float range is
+    inf in both. The step-factor powers are fractional, and
+    ``np.float_power`` rounds them like Python's ``**`` (numpy's ``**``,
+    ``np.power``, does not). A lane is tested
     against the gates, in order, on each accepted step that completes no
     dwell, as ``run_to_attractor`` tests its run.
 
@@ -703,7 +698,8 @@ def run_to_attractor_batch(
 
     def ball_of(y: np.ndarray) -> np.ndarray:
         """Index of the first attractor ball holding each lane, or -1."""
-        q = np.float_power(y - centres, 2.0)
+        z = y - centres
+        q = z * z
         d2 = ((q[:, 0] + q[:, 1]) + q[:, 2]) + q[:, 3]
         inside = -1
         for index in range(len(d2) - 1, -1, -1):
@@ -816,7 +812,8 @@ def run_to_attractor_batch(
             d = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
             # A NaN in v comes with a non-finite d, so the error is
             # non-finite whichever max the scale takes.
-            q = np.float_power(d / (atol + rel * np.maximum(np.abs(y), np.abs(v))), 2.0)
+            r = d / (atol + rel * np.maximum(np.abs(y), np.abs(v)))
+            q = r * r
             err = np.sqrt((((q[0] + q[1]) + q[2]) + q[3]) / 4.0)
             finite = np.isfinite(err)
             big = err > 1.0

@@ -28,8 +28,14 @@ from twostrain.basin import (
 )
 from twostrain import integrate
 from twostrain.equilibria import compute_equilibrium
-from twostrain.figures import _graph_sides, reproduce
-from twostrain.integrate import IntegrationConfig, ReachResult, run_to_attractor, run_to_attractor_batch
+from twostrain.figures import reproduce
+from twostrain.integrate import (
+    IntegrationConfig,
+    ReachResult,
+    StepFailureError,
+    run_to_attractor,
+    run_to_attractor_batch,
+)
 from twostrain.model import jacobian
 
 
@@ -509,7 +515,7 @@ class TestBisection:
         self, fig4_params, fig4_attractors, tmp_path, monkeypatch
     ):
         batches, reached = _record_launches(monkeypatch)
-        grid, segments, sample, _ = reconstruct_separatrix(
+        grid, segments, sample, _, probes = reconstruct_separatrix(
             fig4_params,
             ((1.3, 1.9), (0.1, 0.3), (0.0, 0.8)),
             4,
@@ -523,6 +529,7 @@ class TestBisection:
         assert len(grid_starts) == grid.labels.size and set(grid_starts) == nodes
         assert len(segments) > 0 and len(sample.points) == len(segments)
         assert all(nodes.isdisjoint(batch.starts) for batch in batches[1:])
+        assert probes is None
 
         # Plain bisection with the pipeline's own runs as its oracle, each
         # read at the config it ran at: a midpoint it needs that was never
@@ -979,7 +986,7 @@ class TestProbes:
                 rng=np.random.default_rng(1),
             )
 
-    @pytest.mark.parametrize("n_probes", [0, -3, 2.5])
+    @pytest.mark.parametrize("n_probes", [0, -3, 2.5, True, False])
     def test_bad_n_probes_is_rejected_before_any_run(
         self, fig4_params, fig4_attractors, monkeypatch, tmp_path, n_probes
     ):
@@ -990,7 +997,156 @@ class TestProbes:
                 n_probes=n_probes,
             )
         with pytest.raises(ValueError, match="n_probes must be an int >= 1"):
-            reproduce("fig4", tmp_path, n_probes=n_probes)
+            reconstruct_separatrix(fig4_params, _FIG4_BOX, 4, fig4_attractors, tmp_path, n_probes=n_probes)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ValueError, match="n_probes must be an int >= 1"):
+            reproduce("fig4", tmp_path / "out", n_probes=n_probes)
+        assert not (tmp_path / "out").exists()
+
+
+# fig4's slice box. At resolution 4 its grid has 16 boundary segments.
+_FIG4_BOX = ((0.0, 2.0), (0.0, 3.0), (0.0, 2.5))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestProbesInTheCertificateBatch:
+    """``reconstruct_separatrix`` with ``n_probes``: the side probes are drawn
+    on a speculative fit and ride in the certificate batch, unless that
+    speculation cannot stand; the results are those of probing afterwards."""
+
+    @staticmethod
+    def _reconstruct(params, attractors, outdir, **kwargs):
+        outdir.mkdir()
+        return reconstruct_separatrix(params, _FIG4_BOX, 4, attractors, outdir, bisect_tol=1e-3, **kwargs)
+
+    @staticmethod
+    def _same_files(a, b, names=("labels.csv", "boundary_points.csv", "surface.obj", "surface_lattice.csv")):
+        assert sorted(path.name for path in b.iterdir()) == sorted(names)
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def _probed_afterwards(self, params, attractors, sample, model, seed, config=None):
+        """What probing the returned model afterwards counts, from a fresh
+        generator of ``seed``, and that generator."""
+        fresh = np.random.default_rng(seed)
+        above, below = basin._graph_sides(sample, model.graph_axis)
+        counts = probe_surface_sides(params, model, attractors, above, below, n_probes=5, rng=fresh, config=config)
+        return counts, fresh
+
+    def test_the_probes_ride_in_the_certificate_batch(self, fig4_params, fig4_attractors, tmp_path, monkeypatch):
+        batches, _ = _record_launches(monkeypatch)
+        self._reconstruct(fig4_params, fig4_attractors, tmp_path / "plain")
+        plain = batches[:]
+        assert [(b.streamed, bool(b.gates)) for b in plain] == [(False, False), (False, False), (True, True), (False, False)]
+        rng = np.random.default_rng(7)
+        _, _, sample, model, probes = self._reconstruct(
+            fig4_params, fig4_attractors, tmp_path / "probed", n_probes=5, rng=rng
+        )
+        assert sample.rebisected == []
+        self._same_files(tmp_path / "plain", tmp_path / "probed")
+        ridden = batches[len(plain) :]
+        assert [(b.config, b.streamed, b.gates) for b in ridden] == [(b.config, b.streamed, b.gates) for b in plain]
+        assert [b.starts for b in ridden[:3]] == [b.starts for b in plain[:3]]
+        counts, fresh = self._probed_afterwards(fig4_params, fig4_attractors, sample, model, 7)
+        assert probes == counts == (10, 10)
+        # The certificate's ends, then the probes probe_surface_sides draws.
+        assert ridden[3].starts == plain[3].starts + batches[-1].starts
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_a_certificate_disagreement_runs_the_probes_on_their_own(
+        self, fig4_params, fig4_attractors, tmp_path, monkeypatch
+    ):
+        # The first certificate run answers undecided, so its segment is
+        # bisected again at the config and the speculative probes are
+        # dropped: the probes then run in a batch of their own, on the refit.
+        batches, _ = _record_launches(monkeypatch)
+        recording = basin.run_to_attractor_batch
+
+        def disagreeing(*args, **kwargs):
+            results = recording(*args, **kwargs)
+            if len(batches) == 4:
+                results[0] = dataclasses.replace(results[0], attractor_id=None)
+            return results
+
+        monkeypatch.setattr(basin, "run_to_attractor_batch", disagreeing)
+        rng = np.random.default_rng(7)
+        _, _, sample, model, probes = self._reconstruct(
+            fig4_params, fig4_attractors, tmp_path / "probed", n_probes=5, rng=rng
+        )
+        assert len(sample.rebisected) == 1
+        config = IntegrationConfig()
+        label = basin._labelling_config(config)
+        assert [(b.config, b.streamed, bool(b.gates)) for b in batches] == [
+            (config, False, False), (label, False, False), (label, True, True), (config, False, False),
+            (config, True, False), (config, False, False),
+        ]
+        # The dropped probes rode behind every segment's two moved ends.
+        assert len(batches[3].starts) == 2 * len(sample.points) + 10 and len(batches[5].starts) == 10
+        counts, fresh = self._probed_afterwards(fig4_params, fig4_attractors, sample, model, 7)
+        assert probes == counts
+        assert batches[5].starts == batches[-1].starts
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+    def test_without_a_certificate_the_probes_run_on_their_own(
+        self, fig4_params, fig4_attractors, tmp_path, monkeypatch
+    ):
+        # No gate at --tol 1e-5: the stream is plain bisection at the
+        # config, nothing is certified, and nothing carries the probes.
+        config = IntegrationConfig().with_tolerance(1e-5)
+        monkeypatch.setattr(basin, "_saddle_gates", lambda *args: [])
+        batches, _ = _record_launches(monkeypatch)
+        _, _, sample, model, probes = self._reconstruct(
+            fig4_params, fig4_attractors, tmp_path / "probed", config=config, n_probes=5,
+            rng=np.random.default_rng(7),
+        )
+        assert [(b.config, b.streamed, b.gates) for b in batches] == [
+            (config, False, ()), (config, True, ()), (config, False, ())
+        ]
+        counts, _ = self._probed_afterwards(fig4_params, fig4_attractors, sample, model, 7, config)
+        assert probes == counts
+        assert batches[2].starts == batches[-1].starts
+
+    def test_a_fit_that_raises_raises_after_the_points_are_written(
+        self, fig4_params, fig4_attractors, tmp_path, monkeypatch
+    ):
+        batches, _ = _record_launches(monkeypatch)
+        self._reconstruct(fig4_params, fig4_attractors, tmp_path / "plain")
+        plain = batches[:]
+
+        def failing_fit(*args, **kwargs):
+            raise basin.FitResidualError("stand-in fit failure")
+
+        monkeypatch.setattr(basin, "fit_surface", failing_fit)
+        with pytest.raises(basin.FitResidualError, match="stand-in fit failure"):
+            self._reconstruct(fig4_params, fig4_attractors, tmp_path / "probed", n_probes=5)
+        # The certificate ran without probes, and no probe ran.
+        assert [b.starts for b in batches[len(plain) :]] == [b.starts for b in plain]
+        self._same_files(tmp_path / "plain", tmp_path / "probed", ("labels.csv", "boundary_points.csv"))
+
+    def test_a_probe_that_fails_on_step_size_fails_after_every_file_is_written(
+        self, fig4_params, fig4_attractors, tmp_path, monkeypatch
+    ):
+        # The first probe starts far outside the balls, where every run
+        # fails on step size.
+        far = (1e160, 1.0, 1.0, 0.0)
+        draw = basin._probe_starts
+        monkeypatch.setattr(basin, "_probe_starts", lambda *args: [far, *draw(*args)[1:]])
+        batches, _ = _record_launches(monkeypatch)
+        self._reconstruct(fig4_params, fig4_attractors, tmp_path / "plain")
+        plain = batches[:]
+        with pytest.raises(StepFailureError) as failed:
+            self._reconstruct(fig4_params, fig4_attractors, tmp_path / "probed", n_probes=5)
+        with pytest.raises(StepFailureError) as scalar:
+            run_to_attractor(fig4_params, far, fig4_attractors)
+        assert str(failed.value) == str(scalar.value)
+        self._same_files(tmp_path / "plain", tmp_path / "probed")
+        # The certificate with the probes, which fails; the certificate
+        # alone; then the probes alone, which fail again.
+        certificate = plain[3].starts
+        ridden, alone, probes = batches[len(plain) + 3 :]
+        assert ridden.starts[: len(certificate)] == certificate and ridden.starts[len(certificate)] == far
+        assert alone.starts == certificate
+        assert probes.starts == ridden.starts[len(certificate) :]
 
 
 class TestWriters:
@@ -1100,9 +1256,10 @@ def _fig4_passes_per_batch(outdir, monkeypatch, config=None):
 
     The stepper loop of run_to_attractor_batch calls _gate_sides once in
     every pass that makes a step attempt, so counting its calls counts
-    passes without timing anything. Returns the grid, gate search, stream,
-    certificate and probe counts, after checking that those are the
-    batches, in that order, and that no segment was bisected again.
+    passes without timing anything. Returns the grid, gate search, stream
+    and certificate counts, after checking that those are the batches, in
+    that order, that the side probes ran in the certificate batch, and
+    that no segment was bisected again.
     """
     passes = []
     gate_sides = integrate._gate_sides
@@ -1115,24 +1272,29 @@ def _fig4_passes_per_batch(outdir, monkeypatch, config=None):
 
     def tagged(params, starts, *args, on_result=None, gates=(), **kwargs):
         passes.append([(on_result is not None, bool(gates)), 0])
+        sizes.append(len(starts))
         return batch(params, starts, *args, on_result=on_result, gates=gates, **kwargs)
 
+    sizes = []
     monkeypatch.setattr(integrate, "_gate_sides", counted)
     monkeypatch.setattr(basin, "run_to_attractor_batch", tagged)
     summary = reproduce("fig4", outdir, resolution=11, config=config)
     assert summary["n_rebisected"] == 0
     kinds = [kind for kind, _ in passes]
-    assert kinds == [(False, False), (False, False), (True, True), (False, False), (False, False)]
+    assert kinds == [(False, False), (False, False), (True, True), (False, False)]
+    # Every final bracket end moved off its segment's ends, then 100 pairs.
+    assert sizes[3] == 2 * summary["n_segments"] + summary["side_total"] == 2 * 128 + 200
     return tuple(count for _, count in passes)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_fig4_stepper_passes_per_batch(tmp_path, monkeypatch):
     # At resolution 11 the labelling stream took 1,115 passes ungated; a
-    # gate that stops firing shows here.
-    grid, calibration, stream, certificate, probes = _fig4_passes_per_batch(tmp_path, monkeypatch)
+    # gate that stops firing shows here. The probes, 392 passes in a batch
+    # of their own, add none to the certificate's.
+    grid, calibration, stream, certificate = _fig4_passes_per_batch(tmp_path, monkeypatch)
     assert stream <= 400
-    assert (grid, calibration, certificate, probes) == (372, 81, 538, 392)
+    assert (grid, calibration, certificate) == (372, 81, 538)
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -1142,9 +1304,9 @@ def test_fig4_stepper_passes_per_batch_at_a_loose_tolerance(tmp_path, monkeypatc
     # Ungated, the stream takes 976 passes, so a gate that stops firing
     # shows here.
     config = IntegrationConfig().with_tolerance(1e-4)
-    grid, calibration, stream, certificate, probes = _fig4_passes_per_batch(tmp_path, monkeypatch, config)
+    grid, calibration, stream, certificate = _fig4_passes_per_batch(tmp_path, monkeypatch, config)
     assert stream <= 350
-    assert (grid, calibration, certificate, probes) == (85, 60, 256, 94)
+    assert (grid, calibration, certificate) == (85, 60, 256)
 
 
 def test_fig4_side_vote_reads_each_segment_by_its_direction():
@@ -1159,6 +1321,6 @@ def test_fig4_side_vote_reads_each_segment_by_its_direction():
         segments=np.array(down + up),
         skipped=[],
     )
-    assert _graph_sides(sample, 2) == ("E4", "E1")
+    assert basin._graph_sides(sample, 2) == ("E4", "E1")
     # Along P two diagonals rise and the rest are flat, without a vote.
-    assert _graph_sides(sample, 0) == ("E1", "E4")
+    assert basin._graph_sides(sample, 0) == ("E1", "E4")

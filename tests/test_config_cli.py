@@ -564,6 +564,28 @@ class TestCliAnalysis:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "name, options, error, message",
+        [
+            ("fig1", {"resolution": 5}, ValueError, r"options \['resolution'\] only apply to fig4"),
+            ("fig4", {"n_probes": 0}, ValueError, "n_probes must be an int >= 1, got 0"),
+            ("fig4", {"n_probes": True}, ValueError, "n_probes must be an int >= 1, got True"),
+            ("fig4", {"resolution": 1}, ValueError, "resolution must be an int >= 2, got 1"),
+            ("fig4", {"bins": 3}, TypeError, "bins"),
+        ],
+    )
+    def test_reproduce_checks_its_options_before_making_the_output_directory(
+        self, tmp_path, monkeypatch, name, options, error, message
+    ):
+        def no_runs(*args, **kwargs):
+            raise AssertionError("integrated before checking the options")
+
+        monkeypatch.setattr(basin, "run_to_attractor_batch", no_runs)
+        out = tmp_path / "out"
+        with pytest.raises(error, match=message):
+            reproduce(name, out, **options)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags", [["--dump-config"], ["--config", "missing.ini"], ["--dump-config", "--config", "missing.ini"]]
     )
     def test_reproduce_rejects_the_config_options(self, tmp_path, capsys, flags):

@@ -270,23 +270,21 @@ def _python_pow(x: float, p: float) -> float:
     """``x ** p``, with inf where Python raises instead of returning it."""
     try:
         return x**p
-    except (OverflowError, ZeroDivisionError):  # past the float range, or 0 ** -p
+    except ZeroDivisionError:  # 0 ** -p
         return math.inf
 
 
-@pytest.mark.parametrize("exponent", [2.0, -_EXPO, _BETA], ids=["square", "minus_expo", "beta"])
+@pytest.mark.parametrize("exponent", [-_EXPO, _BETA], ids=["minus_expo", "beta"])
 def test_float_power_rounds_like_python_pow(exponent):
-    # The lane stepper squares, and raises errors to the controller's
-    # powers, with np.float_power because it rounds like Python's **: both
-    # call libm's pow, where np.power takes its own kernel. If a numpy or
-    # libm change breaks that, this fails here rather than as an obscure
-    # lane-vs-scalar mismatch.
+    # The lane stepper raises errors to the controller's fractional powers
+    # with np.float_power because it rounds like Python's **: both call
+    # libm's pow, where np.power takes its own kernel. If a numpy or libm
+    # change breaks that, this fails here rather than as an obscure
+    # lane-vs-scalar mismatch. Squares are products in both steppers.
     rng = np.random.default_rng(20240611)
     x = rng.uniform(1.0, 10.0, 200_000) * 10.0 ** rng.integers(-300, 300, 200_000)
     special = [0.0, 5e-324, 2.5e-320, 1e-310, 2.2250738585072014e-308, 1e-200, 1e200, 1.7e308]
     x = np.concatenate((special, x, [math.inf, math.nan]))
-    if exponent == 2.0:  # error ratios and ball offsets are signed
-        x = np.concatenate((x, -x))
     with np.errstate(over="ignore", divide="ignore"):
         got = np.float_power(x, exponent).tolist()
     want = [_python_pow(v, exponent) for v in x.tolist()]
@@ -462,8 +460,8 @@ class TestBatchedReach:
 
     @pytest.mark.parametrize("x0", [(1e160, 1.0, 1.0, 0.0), (1e200, 3.0, 2.5, 0.0)])
     def test_start_far_outside_the_balls_fails_on_step_size(self, fig4_params, x0):
-        # The squared distance to the balls overflows Python floats there;
-        # it counts as outside every ball, and the run fails as integrate's does.
+        # The squared distance to the balls overflows to inf there, outside
+        # every ball, and the run fails as integrate's does.
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
         with pytest.raises(StepFailureError) as plain:
@@ -478,9 +476,9 @@ class TestBatchedReach:
 
     @pytest.mark.parametrize("tol", [1e-200, 1e-300])
     def test_overflowing_error_norm_fails_on_step_size_everywhere(self, fig4_params, tol):
-        # The squared error ratios overflow: Python's ** raises where numpy
-        # returns inf. Both steppers reject as on any non-finite error, shrink
-        # by _FAC_MIN and fail on step size, with the same message.
+        # The squared error ratios overflow to inf. Both steppers reject as
+        # on any non-finite error, shrink by _FAC_MIN and fail on step size,
+        # with the same message.
         cfg = IntegrationConfig().with_tolerance(tol)
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
