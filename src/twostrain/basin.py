@@ -20,8 +20,8 @@ before any run.
 Every stage integrates its starts together with
 ``integrate.run_to_attractor_batch``: the grid in one batch, and bisection
 as one stream of runs and a certificate batch (below). The side probes
-ride in the certificate batch when ``reconstruct_separatrix`` probes, and
-run in a batch of their own otherwise. Each segment is plain
+of ``reconstruct_separatrix`` ride in the certificate batch unless they
+are dropped, and run in a batch of their own then. Each segment is plain
 bisection over a memo of the runs it launched: it halves while its
 midpoint's result is known and launches the midpoint when it is not.
 While other segments are still bisecting, it launches both quarter
@@ -44,7 +44,7 @@ boundary point is the midpoint of a bracket whose ends carry ungated
 labels at the caller's tolerance. The grid and the probes run at the
 caller's tolerance. The probes need the fitted surface, so to ride in the
 certificate batch they are drawn on a fit of the points the certificate
-would confirm, and dropped if a segment is bisected again.
+would confirm; ``separatrix_points`` says when they are dropped.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -320,25 +320,6 @@ def _unstable_direction(J: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return v / np.linalg.norm(v), l / np.linalg.norm(l)
 
 
-def _gate_candidates(
-    params: ModelParameters, targets: list[tuple[str, tuple[float, float, float, float]]], match_radius: float
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(x*, v_u, l) of each feasible equilibrium in the slice whose slice
-    Jacobian has one unstable direction, real, and whose gate ball stays
-    clear of every attractor ball."""
-    out = []
-    for record in catalog(params):
-        if not record.feasible or record.coordinates[3] != 0.0:
-            continue
-        x = np.asarray(record.coordinates, dtype=float)
-        if any(math.dist(x, c) <= _GATE_RADIUS + match_radius for _, c in targets):
-            continue
-        found = _unstable_direction(jacobian(params, x)[:3, :3])
-        if found is not None:
-            out.append((x, *found))
-    return out
-
-
 def _saddle_gates(
     params: ModelParameters,
     targets: list[tuple[str, tuple[float, float, float, float]]],
@@ -348,25 +329,36 @@ def _saddle_gates(
     """A gate for each candidate saddle whose two unstable branches reach
     two different attractors at ``config``.
 
-    Both branches of every candidate run in one batch, from x* plus and
-    minus ``_GATE_RADIUS`` times v_u, each slice coordinate raised to at
-    least a hundredth of that radius, off the invariant faces.
+    A candidate is a feasible equilibrium x* in the slice whose slice
+    Jacobian has one unstable direction v_u, real, and whose gate ball stays
+    clear of every attractor ball. Both branches of every candidate run in
+    one batch, from x* plus and minus ``_GATE_RADIUS`` times v_u, each slice
+    coordinate raised to at least a hundredth of that radius, off the
+    invariant faces; the coordinates so raised are the gate's ``lifted``.
     """
-    candidates = _gate_candidates(params, targets, match_radius)
+    candidates = []
+    for record in catalog(params):
+        if not record.feasible or record.coordinates[3] != 0.0:
+            continue
+        x = np.asarray(record.coordinates, dtype=float)
+        if any(math.dist(x, c) <= _GATE_RADIUS + match_radius for _, c in targets):
+            continue
+        found = _unstable_direction(jacobian(params, x)[:3, :3])
+        if found is not None:
+            v, l = found
+            candidates.append((x, l, [x[:3] + sign * _GATE_RADIUS * v for sign in (1.0, -1.0)]))
     if not candidates:
         return []
-    starts = [
-        (*np.maximum(x[:3] + sign * _GATE_RADIUS * v, _GATE_RADIUS / 100), 0.0)
-        for x, v, _ in candidates
-        for sign in (1.0, -1.0)
-    ]
+    floor = _GATE_RADIUS / 100
+    starts = [(*np.maximum(u, floor), 0.0) for _, _, branches in candidates for u in branches]
     ends = run_to_attractor_batch(params, starts, targets, config=config, match_radius=match_radius)
     gates = []
-    for (x, _, l), plus, minus in zip(candidates, ends[::2], ends[1::2]):
+    for (x, l, branches), plus, minus in zip(candidates, ends[::2], ends[1::2]):
         sides = (plus.attractor_id, minus.attractor_id)
         if None not in sides and sides[0] != sides[1]:
             left = (*(float(v) for v in l), 0.0)
-            gates.append(SaddleGate(tuple(float(v) for v in x), left, sides))
+            lifted = tuple(int(k) for k in np.flatnonzero(np.minimum(*branches) < floor))
+            gates.append(SaddleGate(tuple(float(v) for v in x), left, sides, lifted))
     return gates
 
 
@@ -486,6 +478,14 @@ def separatrix_points(
     no gate found and ``config`` as loose as the labelling config, is
     plain bisection already and is not certified.
 
+    ``reconstruct_separatrix`` runs its side probes in that certificate
+    batch, behind the bracket ends, drawn on a fit of the points the
+    certificate would confirm. It drops them, and probes the final fit in
+    a batch of their own, when a labelling midpoint was undecided, when the
+    stream was plain bisection already, when that fit or the draw raises,
+    when the batch with them fails (the certificate then runs again
+    alone), or when a segment is bisected again.
+
     A saddle gate is an ``integrate.SaddleGate``. A candidate is a feasible
     ``equilibria.catalog`` point x* with W = 0 whose slice Jacobian has
     exactly one eigenvalue with positive real part, a real one, with unit
@@ -496,99 +496,33 @@ def separatrix_points(
     off the invariant faces. A candidate whose two branches reach two
     different attractors gets a gate: a labelling run that comes within 0.1
     of x*, but not within 1e-4, with at least half of its distance along
-    the unstable coordinate, ends with the label of that side's branch.
-    Since the certificate runs ungated, a gate that labels a run wrongly
-    costs a rebisection, not a wrong point. On fig4 only E3 gets a gate
-    (both branches of E2 reach E4).
+    the unstable coordinate, ends with the label of that side's branch,
+    unless it lies on a face its branches were raised off, which it never
+    leaves. Since the certificate runs ungated, a gate that labels a run
+    wrongly costs a rebisection, not a wrong point. On fig4 only E3 gets a
+    gate (both branches of E2 reach E4), and it never decides a run on
+    V = 0, where runs reach E2 instead.
     """
     cfg = config or IntegrationConfig()
     targets = _separated_attractors(attractors, match_radius)
     _check_bisect_tol(bisect_tol)
-    labelled = _label_segments(params, segments, targets, bisect_tol, cfg, match_radius)
-    return labelled.certify(labelled.run_certificate())
+    return _certified_sample(params, segments, targets, bisect_tol, cfg, match_radius)[0]
 
 
-@dataclass
-class _Labelled:
-    """Segments bisected at the labelling config, before their certificate.
-
-    ``brackets`` maps each segment to its final bracket, or None if a
-    midpoint was undecided. ``moved`` lists (segment, side, point) of each
-    final bracket end that is not one of the segment's own, an end that has
-    its grid label already; the certificate runs those points at
-    ``config``. It is None when nothing is certified: a stream that ran
-    ungated at ``config`` itself is plain bisection already.
-    """
-
-    params: ModelParameters
-    targets: list[tuple[str, tuple[float, float, float, float]]]
-    ends: list[tuple[np.ndarray, np.ndarray]]
-    sides: list[tuple[str, str]]
-    bisect_tol: float
-    config: IntegrationConfig
-    match_radius: float
-    brackets: dict[int, list[np.ndarray] | None]
-    moved: list[tuple[int, int, np.ndarray]] | None
-
-    def run_certificate(self, extra: Sequence[Sequence[float]] = ()) -> list[ReachResult] | None:
-        """Run the certificate's points, then ``extra``, in one batch at
-        ``config``, ungated; None if nothing is certified."""
-        if self.moved is None:
-            return None
-        starts = [(*u, 0.0) for _, _, u in self.moved] + list(extra)
-        return run_to_attractor_batch(
-            self.params, starts, self.targets, config=self.config, match_radius=self.match_radius
-        )
-
-    def sample(self, rebisected: list[int] | None = None) -> SeparatrixSample:
-        """The points of the decided brackets, in segment order."""
-        rows = [row for row in range(len(self.ends)) if self.brackets[row] is not None]
-        pts = np.array([0.5 * (self.brackets[row][0] + self.brackets[row][1]) for row in rows])
-        return SeparatrixSample(
-            points=pts.reshape(len(rows), 3),
-            side_labels=[self.sides[row] for row in rows],
-            segments=np.array([self.ends[row] for row in rows]).reshape(len(rows), 2, 3),
-            skipped=[
-                (row, "undecided midpoint during bisection")
-                for row in range(len(self.ends))
-                if self.brackets[row] is None
-            ],
-            rebisected=rebisected or [],
-        )
-
-    def certify(self, certified: list[ReachResult] | None) -> SeparatrixSample:
-        """The sample, once each segment whose labelling midpoint was
-        undecided, or whose bracket end reaches the other side in
-        ``certified`` (the results ``run_certificate`` returns), is bisected
-        again at ``config``, ungated."""
-        if self.moved is None:
-            return self.sample()
-        wrong = {row for row, bracket in self.brackets.items() if bracket is None}
-        for (row, side, _), res in zip(self.moved, certified):
-            upper = res.attractor_id != self.sides[row][0]
-            if res.attractor_id is None or upper != (side == 1):
-                wrong.add(row)
-        rebisected = sorted(wrong)
-        if rebisected:
-            self.brackets.update(
-                _bisect(
-                    self.params, self.targets, self.ends, self.sides, rebisected, self.bisect_tol, self.config,
-                    self.match_radius,
-                )
-            )
-        return self.sample(rebisected)
-
-
-def _label_segments(
+def _certified_sample(
     params: ModelParameters,
     segments: Sequence[tuple[np.ndarray, np.ndarray, str, str]],
     targets: list[tuple[str, tuple[float, float, float, float]]],
     bisect_tol: float,
     config: IntegrationConfig,
     match_radius: float,
-) -> _Labelled:
-    """Check ``segments``, then bisect them at the labelling config through
-    the saddle gates, as ``separatrix_points`` does before its certificate."""
+    riders: Callable[[SeparatrixSample], Sequence[Sequence[float]]] | None = None,
+) -> tuple[SeparatrixSample, list[ReachResult] | None]:
+    """``separatrix_points``' sample, from checked ``targets``,
+    ``bisect_tol`` and ``config``, and the results of the starts that
+    ``riders`` returns for the sample the certificate would confirm, run
+    behind the certificate's ends; None when the riders are dropped, as
+    ``separatrix_points`` says."""
     names = {name for name, _ in targets}
     ends = []
     sides = []
@@ -606,18 +540,57 @@ def _label_segments(
 
     label_cfg = _labelling_config(config)
     gates = _saddle_gates(params, targets, label_cfg, match_radius)
-    rows = range(len(ends))
-    brackets = _bisect(params, targets, ends, sides, rows, bisect_tol, label_cfg, match_radius, gates)
-    moved = None
-    if gates or label_cfg != config:
-        moved = [
-            (row, side, u)
-            for row, bracket in brackets.items()
-            if bracket is not None
-            for side, (u, own) in enumerate(zip(bracket, ends[row]))
-            if u is not own
-        ]
-    return _Labelled(params, targets, ends, sides, bisect_tol, config, match_radius, brackets, moved)
+    brackets = _bisect(params, targets, ends, sides, range(len(ends)), bisect_tol, label_cfg, match_radius, gates)
+
+    def sample(rebisected: list[int]) -> SeparatrixSample:
+        rows = [row for row in range(len(ends)) if brackets[row] is not None]
+        pts = np.array([0.5 * (brackets[row][0] + brackets[row][1]) for row in rows])
+        return SeparatrixSample(
+            points=pts.reshape(len(rows), 3),
+            side_labels=[sides[row] for row in rows],
+            segments=np.array([ends[row] for row in rows]).reshape(len(rows), 2, 3),
+            skipped=[(row, "undecided midpoint during bisection") for row in range(len(ends)) if brackets[row] is None],
+            rebisected=rebisected,
+        )
+
+    if not gates and label_cfg == config:  # plain bisection at config already
+        return sample([]), None
+    # (segment, side, point) of each final bracket end that is not one of
+    # the segment's own, which carry their grid labels already.
+    moved = [
+        (row, side, u)
+        for row, bracket in brackets.items()
+        if bracket is not None
+        for side, (u, own) in enumerate(zip(bracket, ends[row]))
+        if u is not own
+    ]
+
+    def certificate(riding: list[Sequence[float]]) -> list[ReachResult]:
+        starts = [(*u, 0.0) for _, _, u in moved] + riding
+        return run_to_attractor_batch(params, starts, targets, config=config, match_radius=match_radius)
+
+    riding = None
+    if riders is not None and all(bracket is not None for bracket in brackets.values()):
+        try:
+            riding = list(riders(sample([])))
+        except (ArithmeticError, ValueError, RuntimeError):
+            pass  # the fit's or the draw's error, which the caller meets again
+    if riding is not None:
+        try:
+            certified = certificate(riding)
+        except (StepFailureError, ValueError):
+            riding = None  # a failing run or a rejected start, met again alone
+    if riding is None:
+        certified = certificate([])
+    wrong = {row for row, bracket in brackets.items() if bracket is None}
+    for (row, side, _), res in zip(moved, certified):
+        if res.attractor_id is None or (res.attractor_id != sides[row][0]) != (side == 1):
+            wrong.add(row)
+    rebisected = sorted(wrong)
+    if rebisected:
+        brackets.update(_bisect(params, targets, ends, sides, rebisected, bisect_tol, config, match_radius))
+        riding = None
+    return sample(rebisected), None if riding is None else certified[len(moved) :]
 
 
 def write_points_csv(sample: SeparatrixSample, stream: IO[str]) -> None:
@@ -857,39 +830,6 @@ def _graph_sides(sample: SeparatrixSample, graph_axis: int) -> tuple[str, str]:
     return above_votes.most_common(1)[0][0], below_votes.most_common(1)[0][0]
 
 
-@dataclass(frozen=True)
-class _Probes:
-    """Side probes drawn before the certificate: the fit they were drawn
-    on, the sides it separates, their starts, and the generator after
-    drawing them."""
-
-    model: SeparatrixModel
-    sides: tuple[str, str]
-    starts: list[tuple[float, ...]]
-    rng: np.random.Generator
-
-
-def _speculative_probes(
-    labelled: _Labelled, graph_axis: int, n_probes: int, rng: np.random.Generator
-) -> _Probes | None:
-    """Probes on the fit of the points the certificate would confirm,
-    drawn from a copy of ``rng``; None if there is no certificate, a
-    labelling midpoint was undecided (its segment is bisected again), or
-    the fit or the draw raises."""
-    if labelled.moved is None or any(bracket is None for bracket in labelled.brackets.values()):
-        return None
-    sample = labelled.sample()
-    trial = copy.deepcopy(rng)
-    try:
-        model = fit_surface(sample.points, graph_axis=graph_axis)
-        return _Probes(model, _graph_sides(sample, graph_axis), _probe_starts(model, n_probes, trial), trial)
-    except (ArithmeticError, ValueError, RuntimeError):
-        # The fit's geometry and residual errors, and a draw that cannot
-        # place its probes: raised again by the refit or the draw after the
-        # files are written.
-        return None
-
-
 def _surface_lattice(model: SeparatrixModel) -> np.ndarray:
     """(u, v, graph value) rows of the regular 40x40 lattice over the sampled plane region, v fastest.
 
@@ -958,16 +898,11 @@ def reconstruct_separatrix(
     Otherwise ``probes`` is what ``probe_surface_sides`` returns for the
     model, ``n_probes``, ``rng`` and ``config``, with the sides the sample's
     segments vote for: the end with the larger graph-axis coordinate is
-    above. The probes then ride in the certificate batch of
-    ``separatrix_points``. Once its labelling stream ends, the points it
-    returns unless a segment is bisected again are known, so they are
-    fitted and the probes drawn on that fit, from a copy of ``rng``, before
-    the certificate runs. If a segment is bisected again, or that fit, the
-    draw or a run of the batch fails, the probes are dropped: the sample is
-    refitted, the files written and the probes run on their own, from
-    ``rng`` as given, as without the speculation. Either way the files,
-    the results and any exception are the same, and ``rng`` is left as
-    ``probe_surface_sides`` leaves it.
+    above. The probes ride in the certificate batch of ``separatrix_points``
+    when they can, drawn from a copy of ``rng``, and otherwise run on their
+    own after the surface files are written, from ``rng`` as given. Either
+    way the files, the results and any exception are the same, and ``rng``
+    is left as ``probe_surface_sides`` leaves it.
     """
     axis = _resolve_axis(graph_axis)
     targets = _check_grid(bounds, resolution, attractors, match_radius)
@@ -981,31 +916,29 @@ def reconstruct_separatrix(
     with open(out / "labels.csv", "w") as fh:
         write_grid_csv(grid, fh)
     segments = boundary_edge_segments(grid)
-    labelled = _label_segments(params, segments, targets, bisect_tol, cfg, match_radius)
-    ride = None if n_probes is None else _speculative_probes(labelled, axis, n_probes, rng)
-    if ride is not None:
-        try:
-            certified = labelled.run_certificate(ride.starts)
-        except (StepFailureError, ValueError):
-            # The run fails, or the start is rejected, again below.
-            ride = None
-    if ride is None:
-        certified = labelled.run_certificate()
-    sample = labelled.certify(certified)
-    if sample.rebisected:
-        ride = None
+    ride = {}
+
+    def riders(sample: SeparatrixSample) -> list[tuple[float, ...]]:
+        """The probes on a fit of ``sample``, drawn from a copy of ``rng``."""
+        model, trial = fit_surface(sample.points, graph_axis=axis), copy.deepcopy(rng)
+        ride.update(model=model, sides=_graph_sides(sample, axis), rng=trial)
+        return _probe_starts(model, n_probes, trial)
+
+    sample, ridden = _certified_sample(
+        params, segments, targets, bisect_tol, cfg, match_radius, None if n_probes is None else riders
+    )
     with open(out / "boundary_points.csv", "w") as fh:
         write_points_csv(sample, fh)
-    model = ride.model if ride is not None else fit_surface(sample.points, graph_axis=axis)
+    model = ride["model"] if ridden is not None else fit_surface(sample.points, graph_axis=axis)
     with open(out / "surface.obj", "w") as fh:
         write_surface_obj(model, fh)
     with open(out / "surface_lattice.csv", "w") as fh:
         write_surface_lattice_csv(model, fh)
     if n_probes is None:
         return grid, segments, sample, model, None
-    if ride is not None:
-        rng.bit_generator.state = ride.rng.bit_generator.state
-        probes = _probe_matches(certified[len(labelled.moved) :], *ride.sides)
+    if ridden is not None:
+        rng.bit_generator.state = ride["rng"].bit_generator.state
+        probes = _probe_matches(ridden, *ride["sides"])
     else:
         above, below = _graph_sides(sample, axis)
         probes = probe_surface_sides(

@@ -453,16 +453,22 @@ class SaddleGate:
     ``sides[0]`` if ``p > 0`` and ``sides[1]`` if ``p < 0``: the attractors
     the two branches of the saddle's unstable manifold reach. The inner
     radius leaves a run that sits on the saddle undecided.
+
+    ``lifted`` lists the state coordinates that the runs which found the
+    sides were raised off zero in. A state with any of them exactly 0 lies
+    on an invariant face those runs never saw, and stays on it, so the gate
+    never decides it.
     """
 
     centre: tuple[float, float, float, float]
     left: tuple[float, float, float, float]
     sides: tuple[str, str]
+    lifted: tuple[int, ...] = ()
 
 
-# A gate as the steppers read it: centre, left eigenvector, and the target
-# index of each side.
-_Gate = tuple[_State, _State, tuple[int, int]]
+# A gate as the steppers read it: centre, left eigenvector, the target
+# index of each side, and the lifted coordinates.
+_Gate = tuple[_State, _State, tuple[int, int], tuple[int, ...]]
 
 
 def _gate_list(gates: Iterable[SaddleGate], targets: list[tuple[str, _State]]) -> list[_Gate]:
@@ -471,8 +477,10 @@ def _gate_list(gates: Iterable[SaddleGate], targets: list[tuple[str, _State]]) -
     for gate in gates:
         if not all(side in index_of for side in gate.sides):
             raise ValueError(f"gate sides {gate.sides} must be ids of {sorted(index_of)}")
+        if not set(gate.lifted) <= {0, 1, 2, 3}:
+            raise ValueError(f"gate lifted coordinates {gate.lifted} must be state indices 0 to 3")
         centre, left = (tuple(float(v) for v in u) for u in (gate.centre, gate.left))
-        out.append((centre, left, (index_of[gate.sides[0]], index_of[gate.sides[1]])))
+        out.append((centre, left, (index_of[gate.sides[0]], index_of[gate.sides[1]]), tuple(gate.lifted)))
     return out
 
 
@@ -560,11 +568,12 @@ def run_to_attractor(
         if inside >= 0 and t - current["entered"] >= _DWELL_TIME:
             current.update(hit=inside, t_hit=t, how=_STOPPED)
             return True
-        for c, l, sides in gate_list:
+        for c, l, sides, lifted in gate_list:
             z0, z1, z2, z3 = y[0] - c[0], y[1] - c[1], y[2] - c[2], y[3] - c[3]
             d2 = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
             p = ((l[0] * z0 + l[1] * z1) + l[2] * z2) + l[3] * z3
-            if _GATE_INNER2 <= d2 <= _GATE_OUTER2 and p * p >= _GATE_CONE2 * d2:
+            exits = _GATE_INNER2 <= d2 <= _GATE_OUTER2 and p * p >= _GATE_CONE2 * d2
+            if exits and all(y[k] != 0.0 for k in lifted):
                 current.update(hit=sides[0] if p > 0.0 else sides[1], t_hit=t, how=_GATED)
                 return True
         return False
@@ -612,13 +621,15 @@ def _gate_sides(gates: list[_Gate], y: np.ndarray, tested: np.ndarray) -> np.nda
     that makes a step attempt, gates or none.
     """
     side = np.full(y.shape[1], -1)
-    for c, l, (plus, minus) in reversed(gates):
+    for c, l, (plus, minus), lifted in reversed(gates):
         z = y - np.array(c)[:, None]
         q = z * z
         d2 = ((q[0] + q[1]) + q[2]) + q[3]
         p = ((l[0] * z[0] + l[1] * z[1]) + l[2] * z[2]) + l[3] * z[3]
         inside = (_GATE_INNER2 <= d2) & (d2 <= _GATE_OUTER2)
         fire = tested & inside & (p * p >= _GATE_CONE2 * d2)
+        for k in lifted:
+            fire &= y[k] != 0.0
         side = np.where(fire, np.where(p > 0.0, plus, minus), side)
     return side
 

@@ -1,5 +1,6 @@
 """Adaptive integrator: endpoints, invariants, stopping and failure modes."""
 
+import dataclasses
 import importlib
 import io
 import itertools
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import twostrain
 from conftest import draw_parameter_matrix, params_from_row
+from twostrain import basin
 from twostrain.equilibria import catalog, compute_equilibrium
 from twostrain.figures import _FIG4_BOUNDS, PRESETS
 from twostrain.integrate import (
@@ -609,6 +611,40 @@ class TestGatedReach:
             run_to_attractor(fig4_params, (1.0, 1.0, 1.0, 0.0), fig4_pair, gates=[gate])
         with pytest.raises(ValueError, match="gate sides"):
             run_to_attractor_batch(fig4_params, [(1.0, 1.0, 1.0, 0.0)] * 2, fig4_pair, gates=[gate])
+
+    @pytest.mark.parametrize("lifted", [(4,), (-1,), (2, 7)])
+    def test_lifted_coordinates_must_be_state_indices(self, fig4_params, fig4_pair, lifted):
+        gate = dataclasses.replace(_e3_gate(fig4_params), lifted=lifted)
+        with pytest.raises(ValueError, match="gate lifted coordinates"):
+            run_to_attractor(fig4_params, (1.0, 1.0, 1.0, 0.0), fig4_pair, gates=[gate])
+        with pytest.raises(ValueError, match="gate lifted coordinates"):
+            run_to_attractor_batch(fig4_params, [(1.0, 1.0, 1.0, 0.0)] * 2, fig4_pair, gates=[gate])
+
+    def test_a_gate_leaves_the_face_its_branches_were_raised_off_alone(self, fig4_params, fig4_pair):
+        # E3 and its unstable direction lie in the invariant face V = 0, so
+        # the gate search raises both branches off it, and the minus branch
+        # reaches E4. A run that starts on the face stays there; from most
+        # of fig4's resolution-11 grid nodes on V = 0 it converges to the
+        # unlisted E2 = (0, 3, 0, 0), and three of those pass through E3's
+        # exit cone. The gate, found at the config's tolerance, must leave
+        # every face run as it is ungated, in lanes and in the scalar loop.
+        cfg = IntegrationConfig()
+        targets = [(rec.id, rec.coordinates) for rec in fig4_pair]
+        (gate,) = basin._saddle_gates(fig4_params, targets, cfg, 0.05)
+        assert gate.sides == ("E1", "E4") and gate.lifted == (2,)
+        (p_lo, p_hi), (s_lo, s_hi), _ = _FIG4_BOUNDS
+        starts = [(p, s, 0.0, 0.0) for p in np.linspace(p_lo, p_hi, 11) for s in np.linspace(s_lo, s_hi, 11)]
+        ungated = run_to_attractor_batch(fig4_params, starts, fig4_pair, cfg)
+        batched = run_to_attractor_batch(fig4_params, starts, fig4_pair, cfg, gates=[gate])
+        for x0, got, want in zip(starts, batched, ungated):
+            assert _same_reach(got, want), x0
+            assert _same_reach(run_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]), want), x0
+        assert [res.label for res in ungated].count(UNDECIDED) == 109
+        # The nodes a gate without the face rule labelled E4.
+        for x0 in [(1.4, 0.3, 0.0, 0.0), (1.6, 0.3, 0.0, 0.0), (2.0, 0.6, 0.0, 0.0)]:
+            gated = run_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[dataclasses.replace(gate, lifted=())])
+            assert (gated.label, gated.termination) == ("E4", "gated")
+            assert run_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]).label == UNDECIDED
 
 
 def _record_accepted_times(monkeypatch) -> list:
