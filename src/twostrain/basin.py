@@ -216,17 +216,15 @@ def classify_grid(
 
 
 def write_grid_csv(grid: BasinGrid, stream: IO[str]) -> None:
-    """One row per node: slice coordinates and the attractor label."""
-    stream.write(",".join(_AXIS_NAMES) + ",label\n")
-    n1, n2, n3 = grid.labels.shape
-    for i in range(n1):
-        for j in range(n2):
-            for k in range(n3):
-                name = grid.label_name(int(grid.labels[i, j, k]))
-                stream.write(
-                    f"{grid.axes_1d[0][i]:.17g},{grid.axes_1d[1][j]:.17g},"
-                    f"{grid.axes_1d[2][k]:.17g},{name}\n"
-                )
+    """One row per node: slice coordinates and the attractor label.
+
+    The rows are formatted by one ``%`` over a flat list and written at once.
+    """
+    nodes = np.stack(np.meshgrid(*grid.axes_1d, indexing="ij"), axis=-1).reshape(-1, 3).tolist()
+    names = [grid.label_name(index) for index in grid.labels.ravel().tolist()]
+    flat = [v for node, name in zip(nodes, names) for v in (*node, name)]
+    header = ",".join(_AXIS_NAMES) + ",label\n"
+    stream.write(header + ("%.17g,%.17g,%.17g,%s\n" * len(names)) % tuple(flat))
 
 
 @dataclass(frozen=True)
@@ -663,9 +661,12 @@ def _resolve_axis(graph_axis: int | str) -> int:
         if graph_axis in _AXIS_BY_NAME:
             return _AXIS_BY_NAME[graph_axis]
         raise ValueError(f"unknown graph axis {graph_axis!r}; slice axes are {_AXIS_NAMES}")
+    # 1.0 and True compare equal to an axis index, so the type is checked first.
+    if isinstance(graph_axis, bool) or not isinstance(graph_axis, (int, np.integer)):
+        raise ValueError(f"graph_axis must be an int or an axis name, got {graph_axis!r}")
     if graph_axis not in (0, 1, 2):
         raise ValueError("graph_axis must be 0, 1 or 2")
-    return graph_axis
+    return int(graph_axis)
 
 
 def fit_surface(points: np.ndarray, graph_axis: int | str = 2) -> SeparatrixModel:

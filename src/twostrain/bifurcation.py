@@ -18,7 +18,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .equilibria import _catalog, _equilibrium, thresholds
+from .equilibria import _catalog, _check_count, _equilibrium, thresholds
 from .model import ModelParameters, PARAMETER_KEYS
 from .stability import _spectrum, classify_eigenvalues
 
@@ -85,8 +85,7 @@ def sweep(
         raise ValueError(f"unknown parameter {parameter!r}; expected one of {PARAMETER_KEYS}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if count < 2:
-        raise ValueError("need at least two grid points")
+    _check_count("count", count, 2)
     # Endpoint substitution validates the whole interval for this model:
     # validity is componentwise nonnegativity plus positivity constraints.
     _substitute(params, parameter, lo)

@@ -97,23 +97,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--hi", type=float, required=True)
     p_sweep.add_argument("--n", type=int, required=True, help="grid point count")
 
-    p_basin = sub.add_parser("basin", parents=[common], help="classify a grid of start states")
-    p_basin.add_argument("--resolution", type=int, default=21)
-    p_basin.add_argument(
+    grid = argparse.ArgumentParser(add_help=False, parents=[common])
+    grid.add_argument(
+        "--resolution",
+        type=int,
+        default=21,
+        help="grid nodes per axis; separatrix bisects the opposite-basin corner pairs of its cells",
+    )
+    grid.add_argument(
         "--bounds",
         default="0:2,0:3,0:2.5",
         help="slice box as lo:hi,lo:hi,lo:hi over (P, S, V); the second strain stays absent",
     )
-    p_basin.add_argument(
+    grid.add_argument(
         "--attractors",
         default=None,
         help="comma-separated equilibrium ids (default: all stable feasible ones)",
     )
-    p_basin.add_argument("--match-radius", type=float, default=0.05)
+    grid.add_argument("--match-radius", type=float, default=0.05)
+
+    sub.add_parser("basin", parents=[grid], help="classify a grid of start states")
 
     p_sep = sub.add_parser(
         "separatrix",
-        parents=[common],
+        parents=[grid],
         help="locate and fit the basin boundary",
         description="Locate the basin boundary by bisecting the opposite-basin corner pairs of a "
         "grid, and fit a surface to it. At every --tol, bisection midpoints run at a relative "
@@ -122,15 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "side is bisected again at it.",
     )
     p_sep.add_argument("--graph-axis", default="V", help="axis the boundary is a graph over")
-    p_sep.add_argument(
-        "--resolution",
-        type=int,
-        default=21,
-        help="harvest grid resolution; boundary segments are the opposite-basin corner pairs of its cells",
-    )
-    p_sep.add_argument("--bounds", default="0:2,0:3,0:2.5")
-    p_sep.add_argument("--attractors", default=None)
-    p_sep.add_argument("--match-radius", type=float, default=0.05)
     p_sep.add_argument("--bisect-tol", type=float, default=1e-4)
 
     p_repro = sub.add_parser("reproduce", parents=[base], help="run a named scenario")
@@ -155,13 +153,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("--config is required for this command")
     run = load_config(args.config)
     return replace(run, integration=_integration(args, run.integration))
-
-
-def _maybe_dump(args: argparse.Namespace, run: RunConfig) -> bool:
-    if args.dump_config:
-        sys.stdout.write(dump_config(run))
-        return True
-    return False
 
 
 def _parse_bounds(text: str) -> tuple[tuple[float, float], ...]:
@@ -210,10 +201,7 @@ def _select_attractors(run: RunConfig, selection: str | None):
     return records
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    run = _load(args)
-    if _maybe_dump(args, run):
-        return EXIT_OK
+def _cmd_simulate(args: argparse.Namespace, run: RunConfig) -> int:
     start = run.require_initial()
     traj = integrate(run.params, tuple(start), run.integration)
     args.out.mkdir(parents=True, exist_ok=True)
@@ -225,10 +213,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_equilibria(args: argparse.Namespace) -> int:
-    run = _load(args)
-    if _maybe_dump(args, run):
-        return EXIT_OK
+def _cmd_equilibria(args: argparse.Namespace, run: RunConfig) -> int:
     records = catalog(run.params)
     args.out.mkdir(parents=True, exist_ok=True)
     (args.out / "catalog.jsonl").write_text(records_to_jsonl(records))
@@ -245,10 +230,7 @@ def _cmd_equilibria(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_stability(args: argparse.Namespace) -> int:
-    run = _load(args)
-    if _maybe_dump(args, run):
-        return EXIT_OK
+def _cmd_stability(args: argparse.Namespace, run: RunConfig) -> int:
     verdicts = []
     skipped = []
     for eq_id in EQUILIBRIUM_IDS:
@@ -266,10 +248,7 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    run = _load(args)
-    if _maybe_dump(args, run):
-        return EXIT_OK
+def _cmd_sweep(args: argparse.Namespace, run: RunConfig) -> int:
     try:
         result = sweep(run.params, args.param, args.lo, args.hi, args.n)
     except ValueError as err:
@@ -304,10 +283,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_basin(args: argparse.Namespace) -> int:
-    run = _load(args)
-    if _maybe_dump(args, run):
-        return EXIT_OK
+def _cmd_basin(args: argparse.Namespace, run: RunConfig) -> int:
     bounds, attractors = _basin_inputs(args, run)
     grid = basin_mod.classify_grid(
         run.params,
@@ -329,10 +305,7 @@ def _cmd_basin(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_separatrix(args: argparse.Namespace) -> int:
-    run = _load(args)
-    if _maybe_dump(args, run):
-        return EXIT_OK
+def _cmd_separatrix(args: argparse.Namespace, run: RunConfig) -> int:
     try:
         graph_axis = basin_mod._resolve_axis(args.graph_axis)
     except ValueError as err:
@@ -408,7 +381,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _print_warning
-            return handler(args)
+            if args.command == "reproduce":
+                return handler(args)
+            # Every other command runs on its --config.
+            run = _load(args)
+            if args.dump_config:
+                sys.stdout.write(dump_config(run))
+                return EXIT_OK
+            return handler(args, run)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -29,12 +29,14 @@ not samples, so its steps are bounded by a quarter of that dwell time
 (2.5) instead, whatever ``max_step`` says.
 ``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper,
 launches more as runs end if asked to, and returns, for every start,
-exactly what ``run_to_attractor`` returns. Both steppers square by
-multiplying, and the lanes take the controller's fractional powers with
-``np.float_power``, which rounds like Python's ``**``; ``np.power`` does not.
-Both take optional ``SaddleGate``s, which end a run as it leaves a saddle
-along the saddle's unstable direction, with the label of the attractor
-that side's branch reaches.
+exactly what ``run_to_attractor`` returns: both steppers square by
+multiplying, the lanes take the controller's fractional powers with
+``np.float_power``, which rounds like Python's ``**`` (``np.power`` does
+not), and both end their runs by one function, ``_attractor_exits``, which
+the scalar loop calls on its state as one column. Both take optional
+``SaddleGate``s, which end a run as it leaves a saddle along the saddle's
+unstable direction, with the label of the attractor that side's branch
+reaches.
 """
 
 from __future__ import annotations
@@ -387,14 +389,25 @@ def _integrate_core(
     return times, states, termination
 
 
-def _as_trajectory(
-    times: list[float], states: list[tuple[float, float, float, float]], termination: str
+def _run_scalar(
+    params: ModelParameters,
+    x0: Sequence[float],
+    cfg: IntegrationConfig,
+    max_step: float,
+    stop: Callable[[float, _State], bool] | None = None,
 ) -> Trajectory:
-    return Trajectory(
-        times=np.asarray(times, dtype=float),
-        states=np.asarray(states, dtype=float),
-        termination=termination,
+    """``_integrate_core`` from ``x0``, with the start check and the
+    StepFailureError of ``integrate`` and ``run_to_attractor``."""
+    start = tuple(float(v) for v in x0)
+    if not all(0.0 <= v < math.inf for v in start):  # NaN fails too
+        raise ValueError("initial state must be finite and nonnegative")
+    times, states, termination = _integrate_core(
+        scalar_field(params), start, cfg, max_step, _stationary_check(params), stop
     )
+    traj = Trajectory(np.asarray(times, dtype=float), np.asarray(states, dtype=float), termination)
+    if termination == STEP_FAILURE:
+        raise StepFailureError(f"step size underflowed below {cfg.min_step} at t={times[-1]:.6g}", traj)
+    return traj
 
 
 def integrate(
@@ -409,18 +422,7 @@ def integrate(
     size underflows.
     """
     cfg = config or IntegrationConfig()
-    start = tuple(float(v) for v in x0)
-    if not all(0.0 <= v < math.inf for v in start):  # NaN fails too
-        raise ValueError("initial state must be finite and nonnegative")
-    times, states, termination = _integrate_core(
-        scalar_field(params), start, cfg, cfg.max_step, _stationary_check(params)
-    )
-    traj = _as_trajectory(times, states, termination)
-    if termination == STEP_FAILURE:
-        raise StepFailureError(
-            f"step size underflowed below {cfg.min_step} at t={times[-1]:.6g}", traj
-        )
-    return traj
+    return _run_scalar(params, x0, cfg, cfg.max_step)
 
 
 @dataclass(frozen=True)
@@ -516,6 +518,74 @@ def _separated_attractors(
     return targets
 
 
+def _targets(
+    attractors: Iterable, match_radius: float, gates: Iterable[SaddleGate]
+) -> tuple[list[tuple[str, _State]], list[_Gate], np.ndarray, float]:
+    """Attractors and gates as both steppers read them: the targets, the
+    gates, the ball centres as a ``(k, 4, 1)`` array and the squared radius."""
+    targets = _separated_attractors(attractors, match_radius)
+    centres = np.array([c for _, c in targets])[:, :, None]
+    return targets, _gate_list(gates, targets), centres, match_radius * match_radius
+
+
+def _reach(targets: list[tuple[str, _State]], hit: int, t: float, final: np.ndarray, how: str) -> ReachResult:
+    """The result of a run that ended at time ``t`` on target ``hit``, or undecided if -1."""
+    found = (targets[hit][0], float(t)) if hit >= 0 else (None, None)
+    return ReachResult(*found, final, how)
+
+
+def _ball_index(y: np.ndarray, centres: np.ndarray, r2: float) -> np.ndarray:
+    """Index of the first attractor ball holding each column of ``y``, or -1."""
+    z = y - centres
+    q = z * z
+    d2 = ((q[:, 0] + q[:, 1]) + q[:, 2]) + q[:, 3]
+    inside = -1
+    for index in range(len(d2) - 1, -1, -1):
+        inside = np.where(d2[index] <= r2, index, inside)
+    return inside
+
+
+def _gate_sides(gates: list[_Gate], y: np.ndarray, tested: np.ndarray) -> np.ndarray:
+    """Target index of the side of the first of ``gates`` whose exit test
+    each tested column of ``y`` meets, or -1."""
+    side = np.full(y.shape[1], -1)
+    for c, l, (plus, minus), lifted in reversed(gates):
+        z = y - np.array(c)[:, None]
+        q = z * z
+        d2 = ((q[0] + q[1]) + q[2]) + q[3]
+        p = ((l[0] * z[0] + l[1] * z[1]) + l[2] * z[2]) + l[3] * z[3]
+        inside = (_GATE_INNER2 <= d2) & (d2 <= _GATE_OUTER2)
+        fire = tested & inside & (p * p >= _GATE_CONE2 * d2)
+        for k in lifted:
+            fire &= y[k] != 0.0
+        side = np.where(fire, np.where(p > 0.0, plus, minus), side)
+    return side
+
+
+def _attractor_exits(
+    y: np.ndarray, t: np.ndarray | float, tested: np.ndarray | bool, ball: np.ndarray,
+    entered: np.ndarray, centres: np.ndarray, r2: float, gates: list[_Gate],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stop rule of both steppers, on the ``(4, m)`` columns ``y`` at times ``t``.
+
+    Each column's run has been in dwell ball ``ball`` (-1 for none) since
+    ``entered``. A tested column now in another ball, or in none, enters
+    it at ``t``. One that has then stayed in a ball for the dwell time has
+    dwelt; one that has not is tested against the ``gates`` in order.
+    Returns the new ball and entry time, the dwell-complete mask, and the
+    target index of the side of the first gate each column exits by, or
+    -1. ``run_to_attractor_batch`` calls this once in every pass of its
+    loop that makes a step attempt, gates or none, and ``run_to_attractor``
+    on every accepted step, its state as one column.
+    """
+    inside = _ball_index(y, centres, r2)
+    moved = tested & (inside != ball)
+    ball = np.where(moved, inside, ball)
+    entered = np.where(moved, t, entered)
+    dwelt = tested & (ball >= 0) & (t - entered >= _DWELL_TIME)
+    return ball, entered, dwelt, _gate_sides(gates, y, tested & ~dwelt)
+
+
 def run_to_attractor(
     params: ModelParameters,
     x0: Sequence[float],
@@ -549,54 +619,25 @@ def run_to_attractor(
     callers must check what they keep: ``basin.separatrix_points`` gates
     only its labelling runs, and certifies their final brackets ungated.
     """
-    cfg = config or IntegrationConfig()
-    targets = _separated_attractors(attractors, match_radius)
-    gate_list = _gate_list(gates, targets)
-    r2 = match_radius * match_radius
-    current = {"ball": -1, "entered": 0.0, "hit": -1, "t_hit": math.nan, "how": _STOPPED}
+    targets, gate_list, centres, r2 = _targets(attractors, match_radius, gates)
+    ball, entered, side = np.full(1, -1), np.zeros(1), np.full(1, -1)
 
-    def stop(t: float, y: tuple[float, float, float, float]) -> bool:
-        inside = -1
-        for idx, (_, c) in enumerate(targets):
-            z0, z1, z2, z3 = y[0] - c[0], y[1] - c[1], y[2] - c[2], y[3] - c[3]
-            if z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3 <= r2:
-                inside = idx
-                break
-        if inside != current["ball"]:
-            current["ball"] = inside
-            current["entered"] = t
-        if inside >= 0 and t - current["entered"] >= _DWELL_TIME:
-            current.update(hit=inside, t_hit=t, how=_STOPPED)
-            return True
-        for c, l, sides, lifted in gate_list:
-            z0, z1, z2, z3 = y[0] - c[0], y[1] - c[1], y[2] - c[2], y[3] - c[3]
-            d2 = z0 * z0 + z1 * z1 + z2 * z2 + z3 * z3
-            p = ((l[0] * z0 + l[1] * z1) + l[2] * z2) + l[3] * z3
-            exits = _GATE_INNER2 <= d2 <= _GATE_OUTER2 and p * p >= _GATE_CONE2 * d2
-            if exits and all(y[k] != 0.0 for k in lifted):
-                current.update(hit=sides[0] if p > 0.0 else sides[1], t_hit=t, how=_GATED)
-                return True
-        return False
+    def stop(t: float, y: _State) -> bool:
+        nonlocal ball, entered, side
+        # A state far out squares past the float range, as in the lanes.
+        with np.errstate(over="ignore", invalid="ignore"):
+            ball, entered, dwelt, side = _attractor_exits(
+                np.array(y)[:, None], t, True, ball, entered, centres, r2, gate_list
+            )
+        return bool(dwelt[0] or side[0] >= 0)
 
-    start = tuple(float(v) for v in x0)
-    if not all(0.0 <= v < math.inf for v in start):  # NaN fails too
-        raise ValueError("initial state must be finite and nonnegative")
-    times, states, termination = _integrate_core(
-        scalar_field(params), start, cfg, _ATTRACTOR_MAX_STEP, _stationary_check(params), stop=stop
-    )
-    if termination == STEP_FAILURE:
-        raise StepFailureError(
-            f"step size underflowed below {cfg.min_step} at t={times[-1]:.6g}",
-            _as_trajectory(times, states, termination),
-        )
-
-    final = np.asarray(states[-1], dtype=float)
-    if termination == _STOPPED:
-        return ReachResult(targets[current["hit"]][0], float(current["t_hit"]), final, current["how"])
-    if termination == CONVERGED and current["ball"] >= 0:
-        # Settled in place inside a ball: the dwell is implied.
-        return ReachResult(targets[current["ball"]][0], float(times[-1]), final, termination)
-    return ReachResult(None, None, final, termination)
+    traj = _run_scalar(params, x0, config or IntegrationConfig(), _ATTRACTOR_MAX_STEP, stop)
+    how = traj.termination
+    # Settled in place inside a ball: the dwell is implied.
+    hit = int(ball[0]) if how in (_STOPPED, CONVERGED) else -1
+    if side[0] >= 0:
+        how, hit = _GATED, int(side[0])
+    return _reach(targets, hit, traj.final_time, traj.final_state.copy(), how)
 
 
 def _column_max(x: np.ndarray) -> np.ndarray:
@@ -611,27 +652,6 @@ def _column_max(x: np.ndarray) -> np.ndarray:
         for row in x[1:]:
             out = np.where(row > out, row, out)
     return out
-
-
-def _gate_sides(gates: list[_Gate], y: np.ndarray, tested: np.ndarray) -> np.ndarray:
-    """Target index of the side of the first of ``gates`` whose exit test
-    each tested lane of ``y`` meets, or -1.
-
-    ``run_to_attractor_batch`` calls this once in every pass of its loop
-    that makes a step attempt, gates or none.
-    """
-    side = np.full(y.shape[1], -1)
-    for c, l, (plus, minus), lifted in reversed(gates):
-        z = y - np.array(c)[:, None]
-        q = z * z
-        d2 = ((q[0] + q[1]) + q[2]) + q[3]
-        p = ((l[0] * z[0] + l[1] * z[1]) + l[2] * z[2]) + l[3] * z[3]
-        inside = (_GATE_INNER2 <= d2) & (d2 <= _GATE_OUTER2)
-        fire = tested & inside & (p * p >= _GATE_CONE2 * d2)
-        for k in lifted:
-            fire &= y[k] != 0.0
-        side = np.where(fire, np.where(p > 0.0, plus, minus), side)
-    return side
 
 
 def run_to_attractor_batch(
@@ -653,15 +673,12 @@ def run_to_attractor_batch(
     step bound (a quarter of the dwell time, not the config's
     ``max_step``), so every returned ``ReachResult`` equals
     ``run_to_attractor``'s bit for bit, labels by listed points that do
-    not attract included. Elementwise numpy ``+ - * /``
-    round like Python's float operators, and both steppers square by
-    multiplying, so the error norm, the ball distances and the ``gates``'
-    exit tests are whole-lane numpy too; a square past the float range is
-    inf in both. The step-factor powers are fractional, and
+    not attract included. Elementwise numpy ``+ - * /`` round like
+    Python's float operators, and both steppers square by multiplying, so
+    the error norm is whole-lane numpy too; a square past the float range
+    is inf in both. The step-factor powers are fractional, and
     ``np.float_power`` rounds them like Python's ``**`` (numpy's ``**``,
-    ``np.power``, does not). A lane is tested
-    against the gates, in order, on each accepted step that completes no
-    dwell, as ``run_to_attractor`` tests its run.
+    ``np.power``, does not). Both steppers stop by ``_attractor_exits``.
 
     Every run has a launch index, and ``starts`` are launches 0 to n-1.
     If ``on_result`` is given, ``on_result(launch_index, result)`` is
@@ -682,9 +699,8 @@ def run_to_attractor_batch(
     trajectory) propagates.
     """
     cfg = config or IntegrationConfig()
-    targets = _separated_attractors(attractors, match_radius)
     gates = tuple(gates)
-    gate_list = _gate_list(gates, targets)
+    targets, gate_list, centres, r2 = _targets(attractors, match_radius, gates)
 
     def start_rows(batch: Sequence[Sequence[float]] | np.ndarray) -> list[np.ndarray]:
         x = np.asarray(batch, dtype=float).reshape(len(batch), 4)
@@ -696,8 +712,6 @@ def run_to_attractor_batch(
     # 0-d arrays: numpy multiplies them into a column faster than floats.
     values = tuple(np.array(v) for v in _parameter_values(params))
     settle_check = _stationary_check(params)
-    centres = np.array([c for _, c in targets])[:, :, None]
-    r2 = match_radius * match_radius
     rel, atol = cfg.rel_tol, cfg.abs_tol
     h0 = min(cfg.initial_step, _ATTRACTOR_MAX_STEP, cfg.t_max)
 
@@ -706,16 +720,6 @@ def run_to_attractor_batch(
 
     def settle_ratio(y: np.ndarray, k: np.ndarray) -> np.ndarray:
         return _column_max(np.abs(k)) / (cfg.settle_tol * (1.0 + _column_max(np.abs(y))))
-
-    def ball_of(y: np.ndarray) -> np.ndarray:
-        """Index of the first attractor ball holding each lane, or -1."""
-        z = y - centres
-        q = z * z
-        d2 = ((q[:, 0] + q[:, 1]) + q[:, 2]) + q[:, 3]
-        inside = -1
-        for index in range(len(d2) - 1, -1, -1):
-            inside = np.where(d2[index] <= r2, index, inside)
-        return inside
 
     # Start and outcome of every launch, by launch index.
     launched: list[np.ndarray] = []
@@ -750,7 +754,7 @@ def run_to_attractor_batch(
                 np.full(m, 1e-4),
                 np.ones(m, dtype=bool),
                 np.where(settle_ratio(x, k) <= 1.0, 0.0, np.nan),  # NaN: not quiet
-                ball_of(x),
+                _ball_index(x, centres, r2),
                 np.zeros(m),
             )
             lane, y, k1, t, h, facold, armed, since, ball, entered = (
@@ -761,8 +765,7 @@ def run_to_attractor_batch(
     def finish(mask: np.ndarray, how: str, index: np.ndarray | None = None) -> None:
         for j in np.flatnonzero(mask):
             hit = -1 if index is None else int(index[j])
-            found = (targets[hit][0], float(t[j])) if hit >= 0 else (None, None)
-            ended.append((int(lane[j]), ReachResult(*found, y[:, j].copy(), how)))
+            ended.append((int(lane[j]), _reach(targets, hit, t[j], y[:, j].copy(), how)))
 
     def report() -> None:
         """Store the ended runs and queue the starts ``on_result`` returns."""
@@ -875,17 +878,11 @@ def run_to_attractor_batch(
                 finish(converged & (ball < 0), CONVERGED)
                 accepted &= ~converged
 
-            # Dwell test of run_to_attractor's stop.
-            inside = ball_of(y)
-            moved = accepted & (inside != ball)
-            ball = np.where(moved, inside, ball)
-            entered = np.where(moved, t, entered)
-            stopped = accepted & (inside >= 0) & (t - entered >= _DWELL_TIME)
-            side = _gate_sides(gate_list, y, accepted & ~stopped)
+            ball, entered, stopped, side = _attractor_exits(y, t, accepted, ball, entered, centres, r2, gate_list)
             gated = side >= 0
             done = converged | stopped | gated
             if np.count_nonzero(done | failed):
-                finish(stopped, _STOPPED, inside)
+                finish(stopped, _STOPPED, ball)
                 finish(gated, _GATED, side)
                 drop(done, failed)
 

@@ -510,6 +510,20 @@ class TestBisection:
             )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("graph_axis", [1.0, 2.0, True, False, np.float64(2.0)])
+    def test_a_graph_axis_equal_to_an_index_is_not_one(
+        self, fig4_params, fig4_attractors, tmp_path, monkeypatch, graph_axis
+    ):
+        # These compare equal to 0, 1 or 2 but index no axis; they used to
+        # pass the check and fail in the fit, after every run.
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _no_runs)
+        with pytest.raises(ValueError, match="graph_axis must be an int or an axis name"):
+            reconstruct_separatrix(
+                fig4_params, ((1.3, 1.9), (0.1, 0.3), (0.0, 0.8)), 5, fig4_attractors, tmp_path,
+                graph_axis=graph_axis,
+            )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_pipeline_integrates_no_grid_node_twice(
         self, fig4_params, fig4_attractors, tmp_path, monkeypatch
@@ -937,6 +951,10 @@ class TestSurfaceFit:
             fit_surface(pts, graph_axis="X")
         with pytest.raises(ValueError, match="graph_axis"):
             fit_surface(pts, graph_axis=5)
+        assert fit_surface(pts, graph_axis=np.int64(1)).graph_axis == 1
+        for not_an_axis in (1.0, 2.0, True, False):
+            with pytest.raises(ValueError, match="graph_axis must be an int or an axis name"):
+                fit_surface(pts, graph_axis=not_an_axis)
         with pytest.raises(ValueError, match=r"shape \(n, 3\)"):
             fit_surface(pts[:, :2])
 

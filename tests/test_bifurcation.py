@@ -49,10 +49,19 @@ class TestSweep:
             sweep(fig1_params, "q", 0.0, 1.0, 5)
         with pytest.raises(ValueError, match="lo < hi"):
             sweep(fig1_params, "K", 2.0, 2.0, 5)
-        with pytest.raises(ValueError, match="at least two"):
+        with pytest.raises(ValueError, match="count must be an int of at least 2"):
             sweep(fig1_params, "K", 0.5, 3.0, 1)
         with pytest.raises(ValueError, match="must be > 0"):
             sweep(fig1_params, "s", 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("count", [2.5, 3.0, "3", True, None])
+    def test_a_count_that_is_not_an_int_is_rejected_before_any_work(self, fig1_params, threshold_calls, count):
+        # np.linspace or the comparison with 2 used to raise TypeError, and
+        # only after the endpoint checks had run.
+        with pytest.raises(ValueError, match="count must be an int of at least 2"):
+            sweep(fig1_params, "K", 0.5, 3.0, count)
+        assert threshold_calls == []
+        assert len(sweep(fig1_params, "K", 0.5, 3.0, np.int64(3)).values) == 3
 
     def test_degenerate_grid_point_yields_empty_row(self, fig1_params):
         result = sweep(fig1_params, "lambda", 0.0, 0.7, 2)

@@ -605,6 +605,31 @@ class TestGatedReach:
         assert calls == [(x0, (gate,))]
         assert _same_reach(got, want)
 
+    def test_the_step_that_completes_a_dwell_ends_the_run_as_stopped_in_a_gate_too(self, fig4_params, fig4_pair):
+        # A start on the P axis just above E1 moves straight down to it,
+        # inside E1's ball from t = 0. This gate's ball, of radius 0.1, is
+        # centred just below the run's state at the end of its dwell, so it
+        # overlaps E1's ball, and the run first meets its exit test on the
+        # step that completes the dwell. That step ends the run with the
+        # dwell's label, in lanes and in the scalar loop.
+        x0 = (fig4_pair[0].coordinates[0] + 0.03, 0.0, 0.0, 0.0)
+        other = (1.4, 0.1, 0.1, 0.0)
+        ungated = run_to_attractor(fig4_params, x0, fig4_pair)
+        assert (ungated.label, ungated.termination) == ("E1", "stopped")
+        last = ungated.final_state
+        gate = SaddleGate((last[0] - 0.09999, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), ("E4", "E4"))
+        # Without E1's ball the gate ends the run, on that same step.
+        for alone in (
+            run_to_attractor(fig4_params, x0, fig4_pair[1:], gates=[gate]),
+            run_to_attractor_batch(fig4_params, [x0, other], fig4_pair[1:], gates=[gate])[0],
+        ):
+            assert (alone.label, alone.termination, alone.t_detected) == ("E4", "gated", ungated.t_detected)
+            assert alone.final_state.tobytes() == last.tobytes()
+        assert _same_reach(run_to_attractor(fig4_params, x0, fig4_pair, gates=[gate]), ungated)
+        batched = run_to_attractor_batch(fig4_params, [x0, other], fig4_pair, gates=[gate])
+        assert _same_reach(batched[0], ungated)
+        assert _same_reach(batched[1], run_to_attractor(fig4_params, other, fig4_pair, gates=[gate]))
+
     def test_gate_sides_must_be_attractor_ids(self, fig4_params, fig4_pair):
         gate = _e3_gate(fig4_params, sides=("E1", "E2"))
         with pytest.raises(ValueError, match="gate sides"):
