@@ -61,7 +61,7 @@ from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .equilibria import catalog
+from .equilibria import _check_count, catalog
 from .integrate import (
     _GATE_RADIUS,
     IntegrationConfig,
@@ -132,23 +132,13 @@ def _check_grid(
             raise ValueError(f"slice box ({lo}, {hi}) reaches outside the nonnegative orthant")
         if hi == math.inf:
             raise ValueError(f"slice box ({lo}, {hi}) is not finite")
-    _check_resolution(resolution)
+    _check_count("resolution", resolution, 2)
     return targets
-
-
-def _check_resolution(resolution: int) -> None:
-    if not isinstance(resolution, int) or resolution < 2:
-        raise ValueError(f"resolution must be an int >= 2, got {resolution!r}")
 
 
 def _check_bisect_tol(bisect_tol: float) -> None:
     if not 0.0 < bisect_tol < math.inf:
         raise ValueError(f"bisect_tol must be positive and finite, got {bisect_tol!r}")
-
-
-def _check_n_probes(n_probes: int) -> None:
-    if isinstance(n_probes, bool) or not isinstance(n_probes, int) or n_probes < 1:
-        raise ValueError(f"n_probes must be an int >= 1, got {n_probes!r}")
 
 
 @dataclass(frozen=True)
@@ -442,9 +432,9 @@ def separatrix_points(
     A segment is ``(start, end, start_label, end_label)``, as
     ``boundary_edge_segments`` returns it: the two labels are different
     ids of ``attractors``, taken as given, so only midpoints are
-    integrated. Every segment must lie in the nonnegative orthant, and
-    ``bisect_tol`` must be positive and finite; all of that is checked
-    before anything is integrated. A segment whose midpoint fails to
+    integrated. Every segment end must be finite and in the nonnegative
+    orthant, and ``bisect_tol`` must be positive and finite; all of that
+    is checked before anything is integrated. A segment whose midpoint fails to
     classify is skipped with a note, in segment order. The bisection stops
     once the bracket is shorter than ``bisect_tol`` in slice coordinates;
     the returned point is the bracket midpoint.
@@ -527,8 +517,8 @@ def _certified_sample(
     for start, end, lab_lo, lab_hi in segments:
         u_lo, u_hi = np.asarray(start, dtype=float), np.asarray(end, dtype=float)
         for u in (u_lo, u_hi):
-            if np.any(u < 0.0):
-                raise ValueError(f"segment point {u} maps outside the nonnegative orthant")
+            if not np.all((u >= 0.0) & (u < math.inf)):
+                raise ValueError(f"segment point {u} is not finite or maps outside the nonnegative orthant")
         if lab_lo == lab_hi or lab_lo not in names or lab_hi not in names:
             raise ValueError(
                 f"segment labels ({lab_lo!r}, {lab_hi!r}) must be two different ids of {sorted(names)}"
@@ -678,13 +668,16 @@ def fit_surface(points: np.ndarray, graph_axis: int | str = 2) -> SeparatrixMode
     reproduces the samples exactly (residual enforced below 1e-8) and
     degrades to the pure affine part far from data.
 
-    Raises DegenerateGeometryError for fewer than 10, duplicated, or
-    collinear sites, and FitResidualError if the solved system fails to
-    reproduce the samples.
+    Raises ValueError for points that are not finite or not of shape
+    (n, 3), before any work; DegenerateGeometryError for fewer than 10,
+    duplicated, or collinear sites; and FitResidualError if the solved
+    system fails to reproduce the samples.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     axis = _resolve_axis(graph_axis)
     plane = tuple(k for k in range(3) if k != axis)
 
@@ -742,7 +735,7 @@ def fit_surface(points: np.ndarray, graph_axis: int | str = 2) -> SeparatrixMode
     )
     residual = float(np.max(np.abs(model.evaluate(proj) - vals)))
     model = dataclasses.replace(model, fit_residual=residual)
-    if residual > 1e-8:
+    if not residual <= 1e-8:  # a NaN residual fails too
         raise FitResidualError(
             f"interpolant misses its own samples by {residual:.3g} (> 1e-8)"
         )
@@ -771,7 +764,7 @@ def probe_surface_sides(
     Returns (matches, total) with total = 2 * n_probes. A ``n_probes`` that
     is not an int of at least 1 raises ValueError before any run.
     """
-    _check_n_probes(n_probes)
+    _check_count("n_probes", n_probes, 1)
     rng = rng or np.random.default_rng(0)
     targets = _separated_attractors(attractors, match_radius)
     starts = _probe_starts(model, n_probes, rng)
@@ -909,7 +902,7 @@ def reconstruct_separatrix(
     targets = _check_grid(bounds, resolution, attractors, match_radius)
     _check_bisect_tol(bisect_tol)
     if n_probes is not None:
-        _check_n_probes(n_probes)
+        _check_count("n_probes", n_probes, 1)
         rng = rng or np.random.default_rng(0)
     cfg = config or IntegrationConfig()
     out = Path(outdir)

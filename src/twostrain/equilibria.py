@@ -432,8 +432,9 @@ def _check_columns(name: str, array: np.ndarray, width: int) -> None:
 
 
 def _check_count(name: str, value: int, least: int) -> None:
+    """Reject a count that is not an int (a numpy integer counts, a bool does not) or is below ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an int of at least {least}, got {value!r}")
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def _certified_nonsingular(J: np.ndarray) -> np.ndarray:

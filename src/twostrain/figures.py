@@ -30,8 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basin import _PROBE_OFFSET, _check_n_probes, _check_resolution, reconstruct_separatrix
-from .equilibria import compute_equilibrium
+from .basin import _PROBE_OFFSET, reconstruct_separatrix
+from .equilibria import _check_count, compute_equilibrium
 from .integrate import IntegrationConfig, Trajectory, integrate, write_trajectory_csv
 from .model import ModelParameters, rhs
 from .stability import classify
@@ -355,6 +355,6 @@ def reproduce(
 
 def _basin_options(resolution: int = 21, n_probes: int = 100) -> dict:
     """fig4's options, checked, with their defaults."""
-    _check_resolution(resolution)
-    _check_n_probes(n_probes)
+    _check_count("resolution", resolution, 2)
+    _check_count("n_probes", n_probes, 1)
     return {"resolution": resolution, "n_probes": n_probes}

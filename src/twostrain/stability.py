@@ -9,11 +9,15 @@ every invariant coordinate face containing the point. The face report
 matters because several equilibria are saddles of the full system yet
 attract every trajectory that starts inside one of their faces.
 
-A face id (``equilibria._FACES``) is one of E0-E4 seen inside its face, so
-its spectrum and condition report are not written again: each closed form
-is written once per full id, as an in-face part plus the transverse part,
-and a face id takes its full id's in-face part. Its verdict is taken on
-the Jacobian block of the variables its face keeps.
+The closed forms sit in one if-chain over the full ids, ``_closed_form``,
+which gives the spectrum and the condition report together: an in-face
+eigenvalue pair and its slacks, then the transverse eigenvalues and their
+slacks. E6 and E7 have none, and it says so with a pair of None, so the
+callers choose between closed-form and numeric spectra with an ``if``. A
+face id (``equilibria._FACES``) is one of E0-E4 seen inside its face and
+takes its full id's in-face part; ``_view`` applies that once for
+``analytic_eigenvalues`` and ``classify``. A face id's verdict is taken
+on the Jacobian block of the variables its face keeps.
 """
 
 from __future__ import annotations
@@ -125,57 +129,88 @@ def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
     Raises ValueError for ids without closed forms (E6, E7) and
     DegenerateEquilibriumError when the underlying point is undefined.
     """
-    return _analytic_eigenvalues(params, eq_id, thresholds(params))
+    pair, transverse = _view(params, eq_id, thresholds(params))[:2]
+    if pair is None:
+        raise ValueError(f"no closed-form spectrum for {eq_id!r}")
+    return _sorted(pair + transverse)
 
 
-def _analytic_eigenvalues(params: ModelParameters, eq_id: str, t: ThresholdSet) -> np.ndarray:
-    """``analytic_eigenvalues`` with the thresholds of ``params`` given."""
+def _view(params: ModelParameters, eq_id: str, t: ThresholdSet) -> tuple:
+    """``_closed_form`` of an id: a face id keeps its full id's in-face pair and in-face slacks."""
     face = _FACES.get(eq_id)
     if face is None:
-        pair, transverse = _closed_form(params, eq_id, t)
-        return _sorted(pair + transverse)
+        return _closed_form(params, eq_id, t)
     with _as_face(eq_id):
-        return _sorted(_closed_form(params, face.full_id, t)[0])
+        pair, _, in_face, _ = _closed_form(params, face.full_id, t)
+    return pair, [], in_face, {}
 
 
-def _closed_form(params: ModelParameters, eq_id: str, t: ThresholdSet) -> tuple[list, list]:
-    """A full id's closed-form spectrum: the pair inside its face, then the two transverse eigenvalues."""
+def _closed_form(params: ModelParameters, eq_id: str, t: ThresholdSet) -> tuple:
+    """A full id's closed forms: (in-face pair, transverse eigenvalues, in-face slacks, transverse slacks).
+
+    The pair is None for an id without a closed-form spectrum (E6, E7),
+    and then both lists of slacks are empty too.
+    """
     p = params
 
     if eq_id == "E0":
-        return [p.s, p.r], [-(p.psi + p.mu), -(p.phi + p.nu)]
+        return [p.s, p.r], [-(p.psi + p.mu), -(p.phi + p.nu)], {"first_can_grow": p.s, "second_can_grow": p.r}, {}
 
     if eq_id == "E1":
-        return [-p.s, p.r - p.b * p.L], [-p.mu - p.psi - p.e * p.L, -p.nu - p.phi - p.f * p.L]
+        transverse = [-p.mu - p.psi - p.e * p.L, -p.nu - p.phi - p.f * p.L]
+        return [-p.s, p.r - p.b * p.L], transverse, {"second_excluded": p.b * p.L - p.r}, {}
 
     if eq_id == "E2":
-        return [-p.r, p.s - p.a * p.K], [p.lam * p.K - p.psi - p.mu, p.beta * p.K - p.phi - p.nu]
+        transverse = [p.lam * p.K - p.psi - p.mu, p.beta * p.K - p.phi - p.nu]
+        return [-p.r, p.s - p.a * p.K], transverse, {"first_excluded": p.a * p.K - p.s}, {
+            "strain_one_subcritical": (p.psi + p.mu) - p.lam * p.K,
+            "strain_two_subcritical": (p.phi + p.nu) - p.beta * p.K,
+        }
 
     if eq_id == "E3":
         rec = _equilibrium(params, eq_id, t)
         P3, S3 = float(rec.coordinates[0]), float(rec.coordinates[1])
         den = p.b * p.L * p.K * p.a - p.r * p.s
         pair = _quadratic_pair(p.r * p.s * (p.r + p.s - p.b * p.L - p.a * p.K), t.Delta3, den)
-        return pair, [p.lam * S3 - p.psi - p.mu - p.e * P3, p.beta * S3 - p.phi - p.nu - p.f * P3]
+        transverse = [p.lam * S3 - p.psi - p.mu - p.e * P3, p.beta * S3 - p.phi - p.nu - p.f * P3]
+        return pair, transverse, {
+            "in_plane_damping": p.r * p.s - p.a * p.b * p.K * p.L,
+            "in_plane_discriminant": t.Delta3,
+        }, {
+            "strain_one_subcritical": p.psi + p.mu + p.e * P3 - p.lam * S3,
+            "strain_two_subcritical": p.phi + p.nu + p.f * P3 - p.beta * S3,
+        }
 
     if eq_id in _ENDEMIC:
         strain, other = _ENDEMIC[eq_id]
-        lam, _, mu, _ = strain.rates(p)
+        lam, psi, mu, _ = strain.rates(p)
         if lam == 0.0 or mu == 0.0:
             raise DegenerateEquilibriumError(eq_id, f"{strain.names[0]}*{strain.names[2]}")
         A, C, Delta = strain.results(t)[:3]
         beta, phi, nu, _ = other.rates(p)
-        return _quadratic_pair(-p.r * C, Delta, p.K * lam * mu), [p.s - p.a * A, beta * A - phi - nu]
+        pair = _quadratic_pair(-p.r * C, Delta, p.K * lam * mu)
+        return pair, [p.s - p.a * A, beta * A - phi - nu], {
+            # Two candidate forms of the endemic damping coefficient;
+            # they differ by a power of the recovery rate in one term.
+            # The eigenvalue formula arbitrates: the first drives it.
+            "endemic_damping": p.r * C,
+            "endemic_damping_variant": p.r * (mu**2 + p.K * lam * psi**2 - psi**2),
+            "endemic_discriminant": Delta,
+        }, {
+            "first_excluded": p.a * A - p.s,
+            f"strain_{other.ordinal}_subcritical": phi + nu - beta * A,
+        }
 
-    raise ValueError(f"no closed-form spectrum for {eq_id!r}")
+    # Mixed equilibria: no tidy closed-form chain; the numeric spectrum decides.
+    return None, [], {}, {}
 
 
 def _spectrum(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> np.ndarray:
     """A full-space point's spectrum as ``classify`` reports it: closed-form, else numeric."""
-    try:
-        return _analytic_eigenvalues(params, rec.id, t)
-    except ValueError:
+    pair, transverse = _closed_form(params, rec.id, t)[:2]
+    if pair is None:
         return numeric_eigenvalues(jacobian(params, rec.coordinates))
+    return _sorted(pair + transverse)
 
 
 def classify_eigenvalues(eigs: np.ndarray, band: float = MARGINALITY_BAND) -> str:
@@ -215,49 +250,6 @@ def _invariant_faces(zero_letters: set[str]) -> list[str]:
     return faces
 
 
-def _condition_report(
-    params: ModelParameters, eq_id: str, rec: EquilibriumRecord, t: ThresholdSet
-) -> tuple[dict[str, float], dict[str, float]]:
-    """A full id's named slacks: those inside its face, then the transverse ones."""
-    p = params
-    if eq_id == "E0":
-        return {"first_can_grow": p.s, "second_can_grow": p.r}, {}
-    if eq_id == "E1":
-        return {"second_excluded": p.b * p.L - p.r}, {}
-    if eq_id == "E2":
-        return {"first_excluded": p.a * p.K - p.s}, {
-            "strain_one_subcritical": (p.psi + p.mu) - p.lam * p.K,
-            "strain_two_subcritical": (p.phi + p.nu) - p.beta * p.K,
-        }
-    if eq_id == "E3":
-        P3, S3 = float(rec.coordinates[0]), float(rec.coordinates[1])
-        return {
-            "in_plane_damping": p.r * p.s - p.a * p.b * p.K * p.L,
-            "in_plane_discriminant": t.Delta3,
-        }, {
-            "strain_one_subcritical": p.psi + p.mu + p.e * P3 - p.lam * S3,
-            "strain_two_subcritical": p.phi + p.nu + p.f * P3 - p.beta * S3,
-        }
-    if eq_id in _ENDEMIC:
-        strain, other = _ENDEMIC[eq_id]
-        lam, psi, mu, _ = strain.rates(p)
-        A, C, Delta = strain.results(t)[:3]
-        beta, phi, nu, _ = other.rates(p)
-        return {
-            # Two candidate forms of the endemic damping coefficient;
-            # they differ by a power of the recovery rate in one term.
-            # The eigenvalue formula arbitrates: the first drives it.
-            "endemic_damping": p.r * C,
-            "endemic_damping_variant": p.r * (mu**2 + p.K * lam * psi**2 - psi**2),
-            "endemic_discriminant": Delta,
-        }, {
-            "first_excluded": p.a * A - p.s,
-            f"strain_{other.ordinal}_subcritical": phi + nu - beta * A,
-        }
-    # Mixed equilibria: no tidy closed-form chain; report the lead part.
-    return {}, {}
-
-
 _FACE_INDEX = {letter: i for i, letter in enumerate(_LETTERS)}
 
 
@@ -275,24 +267,20 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
     J_full = jacobian(params, coords)
 
     face = _FACES.get(eq_id)
-    in_face, transverse = _condition_report(params, eq_id if face is None else face.full_id, rec, t)
     if face is None:
-        J, condition_report = J_full, in_face | transverse
+        J = J_full
     else:
         idx = [_FACE_INDEX[l] for l in face.variables]
-        J, condition_report = J_full[np.ix_(idx, idx)], in_face
+        J = J_full[np.ix_(idx, idx)]
 
     numeric = numeric_eigenvalues(J)
+    pair, transverse, in_face, across = _view(params, eq_id, t)
     diagnostics: dict[str, float] = {}
-    try:
-        eigs = _analytic_eigenvalues(params, eq_id, t)
-        method = "both"
-        diagnostics["analytic_numeric_max_diff"] = float(
-            np.max(np.abs(eigs - numeric))
-        )
-    except (ValueError, DegenerateEquilibriumError):
-        eigs = numeric
-        method = "numeric"
+    if pair is None:
+        eigs, method = numeric, "numeric"
+    else:
+        eigs, method = _sorted(pair + transverse), "both"
+        diagnostics["analytic_numeric_max_diff"] = float(np.max(np.abs(eigs - numeric)))
 
     classification = classify_eigenvalues(eigs)
     diagnostics["lead_real_part"] = float(eigs[0].real)
@@ -311,7 +299,7 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
         eigenvalues=eigs,
         classification=classification,
         method=method,
-        condition_report=condition_report,
+        condition_report=in_face | across,
         face_classes=face_classes,
         diagnostics=diagnostics,
     )

@@ -28,7 +28,7 @@ from twostrain.basin import (
 )
 from twostrain import integrate
 from twostrain.equilibria import compute_equilibrium
-from twostrain.figures import reproduce
+from twostrain.figures import _basin_options, reproduce
 from twostrain.integrate import (
     IntegrationConfig,
     ReachResult,
@@ -322,6 +322,16 @@ class TestGridClassification:
         assert np.all(grid.labels[:, :, 0] == -1)
         assert np.all(grid.labels[:, :, 1] == 1)
 
+    def test_a_numpy_int_resolution_is_an_int(self, fig4_params, fig4_attractors, spot_grid):
+        # basin refused np.int64(2), a count that sweep and batched_newton take.
+        with pytest.warns(UserWarning, match="undecided"):
+            grid = classify_grid(fig4_params, ((1.3, 1.9), (0.1, 0.2), (0.0, 2.5)), np.int64(2), fig4_attractors)
+        np.testing.assert_array_equal(grid.labels, spot_grid.labels)
+        assert _basin_options(np.int64(3), np.int64(1)) == {"resolution": 3, "n_probes": 1}
+        for bad in (True, False):
+            with pytest.raises(ValueError, match=rf"^resolution must be an int >= 2, got {bad}$"):
+                classify_grid(fig4_params, ((1.3, 1.9), (0.1, 0.2), (0.0, 2.5)), bad, fig4_attractors)
+
     def test_validation(self, fig4_params, fig4_attractors):
         box = ((0.0, 2.0), (0.0, 3.0), (0.0, 2.5))
         with pytest.raises(ValueError, match="resolution"):
@@ -476,6 +486,17 @@ class TestBisection:
                 [((1.9, 0.2, 0.0), (1.9, 0.2, 2.5), "E1", "E4"), ((1.9, 0.2, 0.0), (1.9, -0.2, 2.5), "E1", "E4")],
                 fig4_attractors,
             )
+
+    @pytest.mark.parametrize("end", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_ends_are_checked_before_any_run(self, fig4_params, fig4_attractors, monkeypatch, end, bad):
+        # A NaN end passed the orthant check and came back as a boundary
+        # point; an inf end failed inside the stream, after the gate search.
+        monkeypatch.setattr(basin, "run_to_attractor_batch", _no_runs)
+        ends = [(1.9, 0.2, 0.0), (1.9, 0.2, 2.5)]
+        ends[end] = (1.9, bad, ends[end][2])
+        with pytest.raises(ValueError, match="is not finite"):
+            separatrix_points(fig4_params, [(*ends, "E1", "E4")], fig4_attractors)
 
     def test_lockstep_bisection_matches_one_segment_at_a_time(self, fig4_params, fig4_attractors):
         # Streamed bisection: segments need different numbers of halvings
@@ -939,6 +960,21 @@ class TestSurfaceFit:
         with pytest.raises(DegenerateGeometryError, match="collinear"):
             fit_surface(line)
 
+    @pytest.mark.parametrize("column", [2, 0], ids=["graph_axis", "plane"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_are_rejected(self, column, bad):
+        # A non-finite graph-axis value gave a model with a NaN residual;
+        # a NaN plane coordinate failed inside the SVD.
+        pts = _flat_sites(0.7)
+        pts[3, column] = bad
+        with pytest.raises(ValueError, match="points must be finite"):
+            fit_surface(pts)
+
+    def test_a_nan_residual_fails_the_residual_gate(self, monkeypatch):
+        monkeypatch.setattr(basin.SeparatrixModel, "evaluate", lambda self, uv: np.full(len(uv), math.nan))
+        with pytest.raises(basin.FitResidualError, match="by nan"):
+            fit_surface(_flat_sites(0.7))
+
     def test_graph_axis_resolution(self):
         rng = np.random.default_rng(13)
         pts = np.column_stack(
@@ -990,6 +1026,18 @@ class TestProbes:
             rng=np.random.default_rng(11),
         )
         assert again == counts
+
+    def test_a_numpy_int_n_probes_is_an_int(self, fig4_params, fig4_attractors):
+        counts = probe_surface_sides(
+            fig4_params,
+            self._patch_model(),
+            fig4_attractors,
+            expected_above="E4",
+            expected_below="E1",
+            n_probes=np.int64(4),
+            rng=np.random.default_rng(11),
+        )
+        assert counts == (8, 8)
 
     def test_probes_that_leave_the_orthant_exhaust(self, fig4_params, fig4_attractors):
         model = fit_surface(_flat_sites(0.02))

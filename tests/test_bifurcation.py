@@ -1,11 +1,13 @@
 """Parameter sweeps and transcritical crossing location."""
 
+import hashlib
 import io
 
 import numpy as np
 import pytest
 
 from conftest import draw_parameter_matrix, params_from_row
+from twostrain import figures
 from twostrain.bifurcation import (
     SUPPORTED_PAIRS,
     NoSignChangeError,
@@ -49,7 +51,7 @@ class TestSweep:
             sweep(fig1_params, "q", 0.0, 1.0, 5)
         with pytest.raises(ValueError, match="lo < hi"):
             sweep(fig1_params, "K", 2.0, 2.0, 5)
-        with pytest.raises(ValueError, match="count must be an int of at least 2"):
+        with pytest.raises(ValueError, match="count must be an int >= 2"):
             sweep(fig1_params, "K", 0.5, 3.0, 1)
         with pytest.raises(ValueError, match="must be > 0"):
             sweep(fig1_params, "s", 0.0, 1.0, 3)
@@ -58,7 +60,7 @@ class TestSweep:
     def test_a_count_that_is_not_an_int_is_rejected_before_any_work(self, fig1_params, threshold_calls, count):
         # np.linspace or the comparison with 2 used to raise TypeError, and
         # only after the endpoint checks had run.
-        with pytest.raises(ValueError, match="count must be an int of at least 2"):
+        with pytest.raises(ValueError, match="count must be an int >= 2"):
             sweep(fig1_params, "K", 0.5, 3.0, count)
         assert threshold_calls == []
         assert len(sweep(fig1_params, "K", 0.5, 3.0, np.int64(3)).values) == 3
@@ -203,3 +205,49 @@ class TestTranscritical:
         with pytest.raises(NoSignChangeError):
             find_transcritical(fig1_params, "K", ("E2", "E4"), 2.0, 3.0)
         assert threshold_calls == []
+
+
+# sha256 of write_sweep_csv over K on [0.1, 2.0] at 11 points, and of the
+# repr of every find_transcritical outcome along K and along a on
+# [0.1, 2.0], one line per supported pair: the critical value and both
+# residuals, or the exception class. Only
+# test_rows_carry_the_full_verdict_bit_for_bit checks sweep rows
+# otherwise, and it checks them against classify, so these pin the
+# equilibrium_scan outputs against any change to the spectrum path.
+_SCAN_DIGESTS = {
+    "_BASE": (
+        "ae90d16cbcf578297d6fd29d627fdbd137efe0e0f5e7c85b5c73269e7d51982f",
+        "69dce7da68f167fd7f75c6b7b21be18849aed355f5bfc82dfde264f01cee214a",
+    ),
+    "_BASIN": (
+        "5ecbfbbbd15b37e199c649f5e090b7984bd9d6fc1d203a65479214094c96df65",
+        "1af978478e2b8c889037bd772e58b712f702f5b8cab0092416050aa299c51977",
+    ),
+    "_SMALL": (
+        "e32fbb4fdb2bb53269da39d9e6763f575de4a87962466da9fb7cd37dafdc9b7a",
+        "0973800c8459800d316b4b45e8b3d575441798aad36b194195df907b99989adf",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _crossing_outcome(*args) -> str:
+    try:
+        tp = find_transcritical(*args)
+    except Exception as err:  # the class is what is pinned
+        return type(err).__name__
+    return repr((tp.critical_value, tp.coincidence_gap, tp.crossing_real_part))
+
+
+@pytest.mark.parametrize("preset", sorted(_SCAN_DIGESTS))
+def test_scan_outputs_are_pinned(preset):
+    p = getattr(figures, preset)
+    buf = io.StringIO()
+    write_sweep_csv(sweep(p, "K", 0.1, 2.0, 11), buf)
+    crossings = "\n".join(
+        _crossing_outcome(p, parameter, pair, 0.1, 2.0) for parameter in ("K", "a") for pair in SUPPORTED_PAIRS
+    )
+    assert (_sha(buf.getvalue()), _sha(crossings)) == _SCAN_DIGESTS[preset]

@@ -315,6 +315,7 @@ class TestVectorizedRootSearch:
             ((2, 14), (2, 4), -1, "iterations"),
             ((2, 14), (2, 4), 2.0, "iterations"),
             ((2, 14), (2, 4), None, "iterations"),
+            ((2, 14), (2, 4), True, "iterations"),
             # A tol case gives (iterations, tol) in the iterations column.
             ((2, 14), (2, 4), (40, 0.0), "tol"),
             ((2, 14), (2, 4), (40, -1.0), "tol"),
@@ -342,6 +343,7 @@ class TestVectorizedRootSearch:
             ((2, 14), 0, "per_row"),
             ((2, 14), -1, "per_row"),
             ((2, 14), 1.5, "per_row"),
+            ((2, 14), True, "per_row"),
         ],
     )
     def test_bad_start_request_is_rejected_before_any_draw(self, params_shape, per_row, name):
