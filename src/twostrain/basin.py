@@ -24,10 +24,10 @@ of ``reconstruct_separatrix`` ride in the certificate batch unless they
 are dropped, and run in a batch of their own then. Each segment is plain
 bisection over a memo of the runs it launched: it halves while its
 midpoint's result is known and launches the midpoint when it is not.
-While other segments are still bisecting, it launches both quarter
-points with the midpoint, since one of them is its next midpoint, so
-each stepper pass carries more lanes and a segment needs about half as
-many passes in a row. The lanes of a batch reproduce one-at-a-time runs
+While two or more halvings remain, it launches both quarter points
+with the midpoint, since one of them is its next midpoint, so each
+stepper pass carries more lanes and a segment needs about half as many
+passes in a row. The lanes of a batch reproduce one-at-a-time runs
 bit for bit, so the stream launches exactly what plain bisection, one
 segment and one midpoint at a time, needs.
 
@@ -387,7 +387,7 @@ def _bisect(
                 points = [mid]
                 # Halving is exact, so the quarters are bitwise the two
                 # midpoints that could come next.
-                if len(running) > 1 and length[row] * 0.5 > bisect_tol:
+                if length[row] * 0.5 > bisect_tol:
                     points += [0.5 * (lo_hi[0] + mid), 0.5 * (mid + lo_hi[1])]
                 for u in points:
                     memo[row][u.tobytes()] = None
@@ -444,12 +444,10 @@ def separatrix_points(
     keyed by the point's bytes. As each run ends, its segment halves its
     bracket while the midpoint has a result, and then waits for the
     midpoint's run or launches it, so no segment waits for another. If
-    two or more halvings remain and another segment is still bisecting,
-    the launch also runs both quarter points: halving is exact, so the
+    two or more halvings remain, the launch also runs both quarter
+    points, a segment bisected alone included: halving is exact, so the
     quarter the midpoint's label selects is bitwise the next midpoint,
-    and the other is a memo entry never read, even if it is undecided. A
-    segment bisected alone runs its midpoints one at a time, so each goes
-    through the scalar loop.
+    and the other is a memo entry never read, even if it is undecided.
 
     A midpoint only yields a label, so the stream runs at a labelling
     config, ``rel_tol`` at least 1e-5 and ``abs_tol`` at least a hundredth
@@ -582,9 +580,10 @@ def _certified_sample(
 
 
 def write_points_csv(sample: SeparatrixSample, stream: IO[str]) -> None:
-    stream.write(",".join(_AXIS_NAMES) + ",side_lo,side_hi\n")
-    for pt, (lo, hi) in zip(sample.points, sample.side_labels):
-        stream.write(f"{pt[0]:.17g},{pt[1]:.17g},{pt[2]:.17g},{lo},{hi}\n")
+    """One row per boundary point and its two side labels, formatted by one ``%`` and written at once."""
+    flat = [v for pt, sides in zip(sample.points.tolist(), sample.side_labels) for v in (*pt, *sides)]
+    header = ",".join(_AXIS_NAMES) + ",side_lo,side_hi\n"
+    stream.write(header + ("%.17g,%.17g,%.17g,%s,%s\n" * len(sample.side_labels)) % tuple(flat))
 
 
 # ----------------------------------------------------------------------

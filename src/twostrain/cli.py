@@ -180,21 +180,21 @@ def _basin_inputs(args: argparse.Namespace, run: RunConfig):
 
 
 def _select_attractors(run: RunConfig, selection: str | None):
-    if selection:
-        ids = [token.strip() for token in selection.split(",") if token.strip()]
-    else:
-        ids = []
+    if not selection:
         t = thresholds(run.params)
-        for rec in _catalog(run.params, t):
-            if rec.feasible and classify_eigenvalues(_spectrum(run.params, rec, t)).startswith("stable"):
-                ids.append(rec.id)
-        if len(ids) < 2:
+        records = [
+            (rec.id, rec.coordinates)
+            for rec in _catalog(run.params, t)
+            if rec.feasible and classify_eigenvalues(_spectrum(run.params, rec, t)).startswith("stable")
+        ]
+        if len(records) < 2:
             raise ConfigError(
-                f"auto-detected {len(ids)} stable feasible equilibria; "
+                f"auto-detected {len(records)} stable feasible equilibria; "
                 "pass --attractors with at least two ids"
             )
+        return records
     records = []
-    for eq_id in ids:
+    for eq_id in [token.strip() for token in selection.split(",") if token.strip()]:
         if eq_id not in EQUILIBRIUM_IDS:
             raise ConfigError(f"unknown equilibrium id {eq_id!r} in --attractors")
         records.append((eq_id, compute_equilibrium(run.params, eq_id).coordinates))

@@ -688,9 +688,9 @@ def run_to_attractor_batch(
     Every start, those ``on_result`` returns included, must be finite and
     nonnegative, or ValueError is raised before it steps.
 
-    A start offered while no lane is running, and alone, is run by
-    ``run_to_attractor`` directly: one lane costs the batch machinery's
-    overhead and gains nothing.
+    Every start runs as a lane, a start offered alone included. The
+    scalar ``run_to_attractor`` is the lanes' bit-for-bit reference, and
+    the batch calls it only to raise a step failure (below).
 
     Once a run fails on step size, nothing more is launched
     (``on_result`` is not called again) and lanes of higher launch index
@@ -728,39 +728,31 @@ def run_to_attractor_batch(
     first_failure = math.inf
 
     def launch() -> None:
-        """Give the pending starts the next launch indices, and run them.
-
-        A start offered alone while no lane runs goes to the scalar loop,
-        and the starts its end queues are launched in turn.
-        """
+        """Give the pending starts the next launch indices, and add their lanes."""
         nonlocal pending, lane, y, k1, t, h, facold, armed, since, ball, entered
-        while pending:
-            first, m = len(results), len(pending)
-            launched.extend(pending)
-            results.extend([None] * m)
-            x, pending = np.array(pending).T, []
-            if m == 1 and not lane.size:
-                # One lane costs the batch machinery's overhead and gains nothing.
-                ended.append((first, run_to_attractor(params, x[:, 0], targets, cfg, match_radius, gates)))
-                report()
-                continue
-            k = field(x)
-            new = (
-                np.arange(first, first + m),
-                x,
-                k,
-                np.zeros(m),
-                np.full(m, h0),
-                np.full(m, 1e-4),
-                np.ones(m, dtype=bool),
-                np.where(settle_ratio(x, k) <= 1.0, 0.0, np.nan),  # NaN: not quiet
-                _ball_index(x, centres, r2),
-                np.zeros(m),
-            )
-            lane, y, k1, t, h, facold, armed, since, ball, entered = (
-                np.concatenate((a, b), axis=-1)
-                for a, b in zip((lane, y, k1, t, h, facold, armed, since, ball, entered), new)
-            )
+        if not pending:
+            return
+        first, m = len(results), len(pending)
+        launched.extend(pending)
+        results.extend([None] * m)
+        x, pending = np.array(pending).T, []
+        k = field(x)
+        new = (
+            np.arange(first, first + m),
+            x,
+            k,
+            np.zeros(m),
+            np.full(m, h0),
+            np.full(m, 1e-4),
+            np.ones(m, dtype=bool),
+            np.where(settle_ratio(x, k) <= 1.0, 0.0, np.nan),  # NaN: not quiet
+            _ball_index(x, centres, r2),
+            np.zeros(m),
+        )
+        lane, y, k1, t, h, facold, armed, since, ball, entered = (
+            np.concatenate((a, b), axis=-1)
+            for a, b in zip((lane, y, k1, t, h, facold, armed, since, ball, entered), new)
+        )
 
     def finish(mask: np.ndarray, how: str, index: np.ndarray | None = None) -> None:
         for j in np.flatnonzero(mask):

@@ -12,10 +12,11 @@ attract every trajectory that starts inside one of their faces.
 The closed forms sit in one if-chain over the full ids, ``_closed_form``,
 which gives the spectrum and the condition report together: an in-face
 eigenvalue pair and its slacks, then the transverse eigenvalues and their
-slacks. E6 and E7 have none, and it says so with a pair of None, so the
-callers choose between closed-form and numeric spectra with an ``if``. A
-face id (``equilibria._FACES``) is one of E0-E4 seen inside its face and
-takes its full id's in-face part; ``_view`` applies that once for
+slacks. E3's reads the point from the record its caller holds. E6 and E7
+have none, and it says so with a pair of None, so the callers choose
+between closed-form and numeric spectra with an ``if``. A face id
+(``equilibria._FACES``) is one of E0-E4 seen inside its face and takes
+its full id's in-face part; ``_view`` applies that once for
 ``analytic_eigenvalues`` and ``classify``. A face id's verdict is taken
 on the Jacobian block of the variables its face keeps.
 """
@@ -129,25 +130,30 @@ def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
     Raises ValueError for ids without closed forms (E6, E7) and
     DegenerateEquilibriumError when the underlying point is undefined.
     """
-    pair, transverse = _view(params, eq_id, thresholds(params))[:2]
+    t = thresholds(params)
+    # Only E3 reads its point; the others raise their own degenerate text.
+    full_id = _FACES[eq_id].full_id if eq_id in _FACES else eq_id
+    x = _equilibrium(params, eq_id, t).coordinates if full_id == "E3" else None
+    pair, transverse = _view(params, eq_id, x, t)[:2]
     if pair is None:
         raise ValueError(f"no closed-form spectrum for {eq_id!r}")
     return _sorted(pair + transverse)
 
 
-def _view(params: ModelParameters, eq_id: str, t: ThresholdSet) -> tuple:
+def _view(params: ModelParameters, eq_id: str, x: np.ndarray | None, t: ThresholdSet) -> tuple:
     """``_closed_form`` of an id: a face id keeps its full id's in-face pair and in-face slacks."""
     face = _FACES.get(eq_id)
     if face is None:
-        return _closed_form(params, eq_id, t)
+        return _closed_form(params, eq_id, x, t)
     with _as_face(eq_id):
-        pair, _, in_face, _ = _closed_form(params, face.full_id, t)
+        pair, _, in_face, _ = _closed_form(params, face.full_id, x, t)
     return pair, [], in_face, {}
 
 
-def _closed_form(params: ModelParameters, eq_id: str, t: ThresholdSet) -> tuple:
+def _closed_form(params: ModelParameters, eq_id: str, x: np.ndarray | None, t: ThresholdSet) -> tuple:
     """A full id's closed forms: (in-face pair, transverse eigenvalues, in-face slacks, transverse slacks).
 
+    ``x`` is the point's coordinates, which only E3's closed form reads.
     The pair is None for an id without a closed-form spectrum (E6, E7),
     and then both lists of slacks are empty too.
     """
@@ -168,8 +174,7 @@ def _closed_form(params: ModelParameters, eq_id: str, t: ThresholdSet) -> tuple:
         }
 
     if eq_id == "E3":
-        rec = _equilibrium(params, eq_id, t)
-        P3, S3 = float(rec.coordinates[0]), float(rec.coordinates[1])
+        P3, S3 = float(x[0]), float(x[1])
         den = p.b * p.L * p.K * p.a - p.r * p.s
         pair = _quadratic_pair(p.r * p.s * (p.r + p.s - p.b * p.L - p.a * p.K), t.Delta3, den)
         transverse = [p.lam * S3 - p.psi - p.mu - p.e * P3, p.beta * S3 - p.phi - p.nu - p.f * P3]
@@ -207,7 +212,7 @@ def _closed_form(params: ModelParameters, eq_id: str, t: ThresholdSet) -> tuple:
 
 def _spectrum(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> np.ndarray:
     """A full-space point's spectrum as ``classify`` reports it: closed-form, else numeric."""
-    pair, transverse = _closed_form(params, rec.id, t)[:2]
+    pair, transverse = _closed_form(params, rec.id, rec.coordinates, t)[:2]
     if pair is None:
         return numeric_eigenvalues(jacobian(params, rec.coordinates))
     return _sorted(pair + transverse)
@@ -274,7 +279,7 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
         J = J_full[np.ix_(idx, idx)]
 
     numeric = numeric_eigenvalues(J)
-    pair, transverse, in_face, across = _view(params, eq_id, t)
+    pair, transverse, in_face, across = _view(params, eq_id, coords, t)
     diagnostics: dict[str, float] = {}
     if pair is None:
         eigs, method = numeric, "numeric"

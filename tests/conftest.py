@@ -8,6 +8,7 @@ from [0.1, 2] so no draw sits near a validation boundary.
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ def threshold_calls(monkeypatch) -> list:
 
     _replace_everywhere(monkeypatch, original, counted)
     return calls
+
+
+@pytest.fixture
+def point_computations(monkeypatch) -> Counter:
+    """Count every closed-form equilibrium point computed, by full id.
+
+    Every record, a face id's included, is finished once by
+    ``equilibria._finish`` under its full id.
+    """
+    counts = Counter()
+    original = equilibria._finish
+
+    def counted(eq_id, *args, **kwargs):
+        counts[eq_id] += 1
+        return original(eq_id, *args, **kwargs)
+
+    monkeypatch.setattr(equilibria, "_finish", counted)
+    return counts
 
 
 @pytest.fixture

@@ -626,13 +626,21 @@ class TestBisection:
         follows = set(zip(starts, starts[1:], starts[2:]))
         assert {rounds[3][-1], rounds[4][-2], rounds[5][0]} <= follows
 
-        # A segment bisected alone launches only its midpoints, in order,
-        # and then its final bracket ends.
-        batches.clear()
-        alone = separatrix_points(fig4_params, segments[:1], attractors, bisect_tol=1e-3)
-        assert batches[1].starts == [mid for mid, _, _ in rounds[0]]
-        _check_bisection_batches(batches, segments[:1], reach, IntegrationConfig(), 1e-3, [], saddles)
-        assert alone.points.tobytes() == points[:1].tobytes()
+        # A segment bisected alone launches like any other: each round's
+        # midpoint with both quarters while two or more halvings remain,
+        # so every other halving reads a quarter, and a lone last halving
+        # (9 is odd) launches its midpoint alone. Then its final bracket ends.
+        for row in (0, 1):
+            batches.clear()
+            alone = separatrix_points(fig4_params, segments[row : row + 1], attractors, bisect_tol=1e-3)
+            halvings = rounds[row]
+            assert batches[1].starts == [
+                start
+                for j in range(0, len(halvings), 2)
+                for start in (halvings[j] if j + 1 < len(halvings) else halvings[j][:1])
+            ]
+            _check_bisection_batches(batches, segments[row : row + 1], reach, IntegrationConfig(), 1e-3, [], saddles)
+            assert alone.points.tobytes() == points[row : row + 1].tobytes()
 
     @pytest.mark.parametrize("order", ["reverse", "launch"])
     def test_arrival_order_does_not_matter(self, fig4_params, fig4_attractors, monkeypatch, order):

@@ -110,6 +110,14 @@ class TestSweep:
         assert len(result.rows) == 26 * 8
         assert len(threshold_calls) == 26
 
+    def test_every_point_is_computed_once_per_grid_value(self, fig1_params, point_computations):
+        # E3's closed-form spectrum reads the record the sweep holds.
+        sweep(fig1_params, "K", 0.1, 2.0, 11)
+        assert point_computations == {eq_id: 11 for eq_id in EQUILIBRIUM_IDS}
+        point_computations.clear()
+        classify(fig1_params, "E3")
+        assert point_computations == {"E3": 1}
+
 
 class TestTranscritical:
     def test_supported_pairs_are_sorted_tuples(self):
@@ -200,6 +208,11 @@ class TestTranscritical:
     ):
         tp = find_transcritical(fig1_params, parameter, pair, lo, hi)
         assert threshold_calls == [fig1_params.replace(**{parameter: tp.critical_value})]
+
+    @pytest.mark.parametrize("parameter, pair, lo, hi", [("b", ("E1", "E3"), 0.3, 0.7), ("a", ("E2", "E3"), 0.1, 0.3)])
+    def test_validation_computes_each_point_once(self, fig1_params, point_computations, parameter, pair, lo, hi):
+        find_transcritical(fig1_params, parameter, pair, lo, hi)
+        assert point_computations == {eq_id: 1 for eq_id in pair}
 
     def test_no_sign_change_computes_no_thresholds(self, fig1_params, threshold_calls):
         with pytest.raises(NoSignChangeError):

@@ -376,7 +376,7 @@ class TestBatchedReach:
                 [("x", (0.0, 0.0, 0.0, 0.0)), ("y", (0.05, 0.0, 0.0, 0.0))],
             )
 
-    def test_step_failure_is_the_scalar_failure_of_the_lowest_failing_start(self, fig4_params):
+    def test_step_failure_is_the_scalar_failure_of_the_lowest_failing_start(self, fig4_params, monkeypatch):
         cfg = IntegrationConfig(
             rel_tol=1e-12, abs_tol=1e-14, initial_step=0.9, max_step=1.0, min_step=0.5
         )
@@ -391,13 +391,25 @@ class TestBatchedReach:
         with pytest.raises(StepFailureError) as scalar:
             run_to_attractor(fig4_params, starts[1], [e1, e4], cfg)
         assert len(scalar.value.trajectory) == 2
-        with pytest.raises(StepFailureError) as batched:
-            run_to_attractor_batch(fig4_params, starts, [e1, e4], cfg)
-        assert str(batched.value) == str(scalar.value)
-        got, want = batched.value.trajectory, scalar.value.trajectory
-        assert got.termination == want.termination == STEP_FAILURE
-        assert got.times.tobytes() == want.times.tobytes()
-        assert got.states.tobytes() == want.states.tobytes()
+        reruns = []
+
+        def recording(params, start, *args):
+            reruns.append(tuple(start))
+            return run_to_attractor(params, start, *args)
+
+        # The second start fails the same way alone, as a lane, and the
+        # scalar rerun that raises is the one call either batch makes.
+        monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
+        for batch in (starts, starts[1:2]):
+            reruns.clear()
+            with pytest.raises(StepFailureError) as batched:
+                run_to_attractor_batch(fig4_params, batch, [e1, e4], cfg)
+            assert reruns == [starts[1]]
+            assert str(batched.value) == str(scalar.value)
+            got, want = batched.value.trajectory, scalar.value.trajectory
+            assert got.termination == want.termination == STEP_FAILURE
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.states.tobytes() == want.states.tobytes()
 
     def test_step_failure_is_the_scalar_failure_of_the_lowest_failing_launch(
         self, fig4_params, monkeypatch
@@ -494,7 +506,7 @@ class TestBatchedReach:
         assert str(plain.value) == str(scalar.value) == str(batched.value)
         assert str(batched.value) == f"step size underflowed below {cfg.min_step} at t=0"
 
-    def test_one_start_is_a_scalar_run(self, fig4_params, monkeypatch):
+    def test_one_start_runs_as_a_lane(self, fig4_params, monkeypatch):
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
         x0 = (1.4, 0.1, 0.1, 0.0)
@@ -507,22 +519,21 @@ class TestBatchedReach:
 
         monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
         (got,) = run_to_attractor_batch(fig4_params, [x0], [e1, e4])
-        assert calls == [x0]
+        assert calls == []
         assert _same_reach(got, want)
         with pytest.raises(ValueError, match="nonnegative"):
             run_to_attractor_batch(fig4_params, [(-0.1, 1.0, 0.0, 0.0)], [e1, e4])
-        assert calls == [x0]
 
         # A start the callback offers alone, with no lane running, is a
-        # scalar run too; two offered together run as lanes.
+        # lane too, and so are two offered together.
         x1, x2, x3 = (1.9, 0.2, 0.3, 0.0), (0.5, 2.0, 1.0, 0.0), (1.0, 1.0, 2.0, 0.0)
         offers = {0: [x1], 1: [x2, x3]}
-        calls.clear()
         got = run_to_attractor_batch(
             fig4_params, [x0], [e1, e4], on_result=lambda index, result: offers.get(index, [])
         )
-        assert calls == [x0, x1]
-        for start, result in zip([x0, x1, x2, x3], got):
+        assert calls == []
+        monkeypatch.undo()
+        for start, result in zip([x0, x1, x2, x3], got, strict=True):
             assert _same_reach(result, run_to_attractor(fig4_params, start, [e1, e4]))
 
 
@@ -589,7 +600,7 @@ class TestGatedReach:
             for start, got in zip(starts, batched):
                 assert _same_reach(got, run_to_attractor(fig4_params, start, fig4_pair, gates=gates))
 
-    def test_a_lone_start_is_a_gated_scalar_run(self, fig4_params, fig4_pair, monkeypatch):
+    def test_a_lone_start_is_a_gated_lane(self, fig4_params, fig4_pair, monkeypatch):
         gate = _e3_gate(fig4_params)
         x0 = (1.9, 0.2, 0.37, 0.0)
         want = run_to_attractor(fig4_params, x0, fig4_pair, gates=[gate])
@@ -597,12 +608,12 @@ class TestGatedReach:
         calls = []
 
         def recording(params, start, *args):
-            calls.append((tuple(start), args[-1]))
+            calls.append(tuple(start))
             return run_to_attractor(params, start, *args)
 
         monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
         (got,) = run_to_attractor_batch(fig4_params, [x0], fig4_pair, gates=[gate])
-        assert calls == [(x0, (gate,))]
+        assert calls == []
         assert _same_reach(got, want)
 
     def test_the_step_that_completes_a_dwell_ends_the_run_as_stopped_in_a_gate_too(self, fig4_params, fig4_pair):
