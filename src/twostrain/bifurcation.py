@@ -19,7 +19,7 @@ from typing import IO, Callable
 import numpy as np
 
 from .equilibria import _catalog, _check_count, _equilibrium, thresholds
-from .model import ModelParameters, PARAMETER_KEYS
+from .model import ModelParameters, PARAMETER_KEYS, _FIELDS
 from .stability import _spectrum, classify_eigenvalues
 
 __all__ = [
@@ -66,6 +66,17 @@ def _substitute(params: ModelParameters, name: str, value: float) -> ModelParame
     return params.replace(**{name: value})
 
 
+def _check_window(params: ModelParameters, parameter: str, lo: float, hi: float) -> None:
+    """Reject an unknown parameter, ``lo >= hi`` or an invalid end: validity
+    is componentwise, so valid ends make the whole window valid."""
+    if parameter not in PARAMETER_KEYS:
+        raise ValueError(f"unknown parameter {parameter!r}; expected one of {PARAMETER_KEYS}")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    _substitute(params, parameter, lo)
+    _substitute(params, parameter, hi)
+
+
 def sweep(
     params: ModelParameters,
     parameter: str,
@@ -81,15 +92,8 @@ def sweep(
     points (vanishing closed-form denominators at isolated grid values)
     produce rows with missing coordinates rather than aborting the sweep.
     """
-    if parameter not in PARAMETER_KEYS:
-        raise ValueError(f"unknown parameter {parameter!r}; expected one of {PARAMETER_KEYS}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    _check_window(params, parameter, lo, hi)
     _check_count("count", count, 2)
-    # Endpoint substitution validates the whole interval for this model:
-    # validity is componentwise nonnegativity plus positivity constraints.
-    _substitute(params, parameter, lo)
-    _substitute(params, parameter, hi)
 
     values = np.linspace(lo, hi, count)
     rows: list[SweepRow] = []
@@ -179,22 +183,17 @@ def find_transcritical(
     validated: at the critical value the two equilibria coincide within
     1e-8 and each has an eigenvalue with |real part| <= 1e-8.
     """
-    if parameter not in PARAMETER_KEYS:
-        raise ValueError(f"unknown parameter {parameter!r}")
+    _check_window(params, parameter, lo, hi)
     key = tuple(sorted(pair))
     margin_fn = _MARGINS.get(key)
     if margin_fn is None:
         raise UnsupportedPairError(
             f"no exchange margin for pair {pair}; supported: {SUPPORTED_PAIRS}"
         )
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    # Validity is componentwise, so valid ends make the whole interval
-    # valid, and the bisection steps need not rebuild ModelParameters.
-    _substitute(params, parameter, lo)
-    _substitute(params, parameter, hi)
+    # Valid ends make the whole window valid, so the bisection steps need
+    # not rebuild ModelParameters.
     view = types.SimpleNamespace(**vars(params))
-    field = "lam" if parameter == "lambda" else parameter
+    field = _FIELDS[parameter]
 
     def margin(v: float) -> float:
         setattr(view, field, float(v))

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import ModelParameters, PARAMETER_KEYS, _field, _field_jacobian, rhs
+from .model import ModelParameters, PARAMETER_KEYS, _FIELDS, _field, _field_jacobian, rhs
 
 __all__ = [
     "DegenerateEquilibriumError",
@@ -96,15 +95,6 @@ class DegenerateEquilibriumError(ValueError):
         super().__init__(f"{eq_id} undefined: {expression} vanishes")
 
 
-@contextmanager
-def _as_face(face_id: str):
-    """Re-raise a degenerate closed form of a face's full id under the face id."""
-    try:
-        yield
-    except DegenerateEquilibriumError as err:
-        raise DegenerateEquilibriumError(face_id, err.expression) from None
-
-
 @dataclass(frozen=True)
 class ThresholdSet:
     """Derived quantities controlling feasibility and stability.
@@ -160,7 +150,7 @@ class _Strain:
     results: attrgetter = field(init=False)
 
     def __post_init__(self) -> None:
-        self.rates = attrgetter(*("lam" if name == "lambda" else name for name in self.names))
+        self.rates = attrgetter(*(_FIELDS[name] for name in self.names))
         self.results = attrgetter(*self.fields)
 
 
@@ -281,13 +271,16 @@ def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecor
 
 
 def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> EquilibriumRecord:
-    """``compute_equilibrium`` with the thresholds of ``params`` given."""
+    """``compute_equilibrium`` with the thresholds of ``params`` given: the
+    one code that computes a point or rejects it as degenerate."""
     p = params
 
     face = _FACES.get(eq_id)
     if face is not None:
-        with _as_face(eq_id):
+        try:
             rec = _equilibrium(params, face.full_id, t)
+        except DegenerateEquilibriumError as err:
+            raise DegenerateEquilibriumError(eq_id, err.expression) from None
         return replace(rec, id=eq_id, subsystem=face.subsystem, notes=face.notes)
 
     if eq_id == "E0":

@@ -256,7 +256,7 @@ def _reproduce_basin(
     t0 = time.perf_counter()
     params = preset.params
     verdicts = {eq_id: classify(params, eq_id) for eq_id in ("E1", "E3", "E4")}
-    attractors = [compute_equilibrium(params, "E1"), compute_equilibrium(params, "E4")]
+    attractors = [verdicts["E1"], verdicts["E4"]]
 
     # Bisect exactly the corner pairs of the grid cells the boundary
     # crosses. The exclusion basin here is a small pocket near the
@@ -276,9 +276,9 @@ def _reproduce_basin(
 
     # The saddle sits on the boundary with its strain-one component zero,
     # so the fitted graph should vanish over its in-plane position.
-    saddle = compute_equilibrium(params, "E3")
-    saddle_plane = (float(saddle.coordinates[0]), float(saddle.coordinates[1]))
-    saddle_gap = abs(float(model.evaluate(saddle_plane)) - float(saddle.coordinates[2]))
+    saddle = verdicts["E3"].coordinates
+    saddle_plane = (float(saddle[0]), float(saddle[1]))
+    saddle_gap = abs(float(model.evaluate(saddle_plane)) - float(saddle[2]))
 
     side_fraction = matches / total
     ok = saddle_gap <= preset.tolerance and side_fraction >= 0.95 and not sample.skipped

@@ -47,6 +47,8 @@ PARAMETER_KEYS = (
     "s", "L", "a", "r", "K", "b", "lambda", "beta",
     "psi", "phi", "mu", "nu", "e", "f",
 )
+# Each config key's ModelParameters field, in PARAMETER_KEYS order.
+_FIELDS = {key: "lam" if key == "lambda" else key for key in PARAMETER_KEYS}
 
 _STRICTLY_POSITIVE = ("s", "r", "L", "K")
 
@@ -104,16 +106,11 @@ class ModelParameters:
 
     def replace(self, **changes: float) -> "ModelParameters":
         """Return a copy with the given fields substituted (revalidates)."""
-        if "lambda" in changes:
-            changes["lam"] = changes.pop("lambda")
-        return dataclasses.replace(self, **changes)
+        return dataclasses.replace(self, **{_FIELDS.get(k, k): v for k, v in changes.items()})
 
     def as_dict(self) -> dict[str, float]:
         """Map external key names (including "lambda") to values."""
-        out = {}
-        for key in PARAMETER_KEYS:
-            out[key] = getattr(self, "lam" if key == "lambda" else key)
-        return out
+        return {key: getattr(self, name) for key, name in _FIELDS.items()}
 
     @classmethod
     def from_dict(cls, values: dict[str, float]) -> "ModelParameters":
@@ -124,8 +121,7 @@ class ModelParameters:
         missing = set(PARAMETER_KEYS) - set(values)
         if missing:
             raise ValueError(f"missing parameter keys: {sorted(missing)}")
-        kwargs = {("lam" if k == "lambda" else k): float(v) for k, v in values.items()}
-        return cls(**kwargs)
+        return cls(**{_FIELDS[k]: float(v) for k, v in values.items()})
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ def _components(x: "StateVector | Sequence[float] | np.ndarray") -> tuple[float,
 
 # The parameter values of a ModelParameters in PARAMETER_KEYS order, which
 # is the order of the trailing arguments of _field and _field_jacobian.
-_parameter_values = operator.attrgetter(*("lam" if key == "lambda" else key for key in PARAMETER_KEYS))
+_parameter_values = operator.attrgetter(*_FIELDS.values())
 
 
 def _field(P, S, V, W, s, L, a, r, K, b, lam, beta, psi, phi, mu, nu, e, f):

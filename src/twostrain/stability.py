@@ -12,13 +12,14 @@ attract every trajectory that starts inside one of their faces.
 The closed forms sit in one if-chain over the full ids, ``_closed_form``,
 which gives the spectrum and the condition report together: an in-face
 eigenvalue pair and its slacks, then the transverse eigenvalues and their
-slacks. E3's reads the point from the record its caller holds. E6 and E7
-have none, and it says so with a pair of None, so the callers choose
-between closed-form and numeric spectra with an ``if``. A face id
+slacks. Each reads the record its caller holds, so ``_equilibrium`` is
+the one degenerate test and a degenerate point has one text everywhere.
+E6 and E7 have none, and it says so with a pair of None, so the callers
+choose between closed-form and numeric spectra with an ``if``. A face id
 (``equilibria._FACES``) is one of E0-E4 seen inside its face and takes
-its full id's in-face part; ``_view`` applies that once for
-``analytic_eigenvalues`` and ``classify``. A face id's verdict is taken
-on the Jacobian block of the variables its face keeps.
+its full id's in-face part; ``_view`` applies that once, for every
+spectrum. A face id's verdict is taken on the Jacobian block of the
+variables its face keeps.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ import numpy as np
 
 from .equilibria import (
     EquilibriumRecord,
-    DegenerateEquilibriumError,
     ThresholdSet,
     _ENDEMIC,
     _FACES,
-    _as_face,
     _equilibrium,
     thresholds,
 )
@@ -127,33 +126,30 @@ def _quadratic_pair(trace_times_den: float, disc: float, den: float) -> list[com
 def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
     """Closed-form spectrum for the equilibria that admit one.
 
-    Raises ValueError for ids without closed forms (E6, E7) and
-    DegenerateEquilibriumError when the underlying point is undefined.
+    Raises DegenerateEquilibriumError, with ``compute_equilibrium``'s text,
+    when the underlying point is undefined (a degenerate E6 or E7 too), and
+    ValueError for ids without closed forms (E6, E7).
     """
     t = thresholds(params)
-    # Only E3 reads its point; the others raise their own degenerate text.
-    full_id = _FACES[eq_id].full_id if eq_id in _FACES else eq_id
-    x = _equilibrium(params, eq_id, t).coordinates if full_id == "E3" else None
-    pair, transverse = _view(params, eq_id, x, t)[:2]
+    pair, transverse = _view(params, _equilibrium(params, eq_id, t), t)[:2]
     if pair is None:
         raise ValueError(f"no closed-form spectrum for {eq_id!r}")
     return _sorted(pair + transverse)
 
 
-def _view(params: ModelParameters, eq_id: str, x: np.ndarray | None, t: ThresholdSet) -> tuple:
-    """``_closed_form`` of an id: a face id keeps its full id's in-face pair and in-face slacks."""
-    face = _FACES.get(eq_id)
+def _view(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> tuple:
+    """``_closed_form`` of a record: a face id keeps its full id's in-face pair and in-face slacks."""
+    face = _FACES.get(rec.id)
     if face is None:
-        return _closed_form(params, eq_id, x, t)
-    with _as_face(eq_id):
-        pair, _, in_face, _ = _closed_form(params, face.full_id, x, t)
+        return _closed_form(params, rec.id, rec.coordinates, t)
+    pair, _, in_face, _ = _closed_form(params, face.full_id, rec.coordinates, t)
     return pair, [], in_face, {}
 
 
-def _closed_form(params: ModelParameters, eq_id: str, x: np.ndarray | None, t: ThresholdSet) -> tuple:
+def _closed_form(params: ModelParameters, eq_id: str, x: np.ndarray, t: ThresholdSet) -> tuple:
     """A full id's closed forms: (in-face pair, transverse eigenvalues, in-face slacks, transverse slacks).
 
-    ``x`` is the point's coordinates, which only E3's closed form reads.
+    ``x`` is a record's coordinates, which only E3's closed form reads.
     The pair is None for an id without a closed-form spectrum (E6, E7),
     and then both lists of slacks are empty too.
     """
@@ -189,8 +185,6 @@ def _closed_form(params: ModelParameters, eq_id: str, x: np.ndarray | None, t: T
     if eq_id in _ENDEMIC:
         strain, other = _ENDEMIC[eq_id]
         lam, psi, mu, _ = strain.rates(p)
-        if lam == 0.0 or mu == 0.0:
-            raise DegenerateEquilibriumError(eq_id, f"{strain.names[0]}*{strain.names[2]}")
         A, C, Delta = strain.results(t)[:3]
         beta, phi, nu, _ = other.rates(p)
         pair = _quadratic_pair(-p.r * C, Delta, p.K * lam * mu)
@@ -211,8 +205,8 @@ def _closed_form(params: ModelParameters, eq_id: str, x: np.ndarray | None, t: T
 
 
 def _spectrum(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> np.ndarray:
-    """A full-space point's spectrum as ``classify`` reports it: closed-form, else numeric."""
-    pair, transverse = _closed_form(params, rec.id, rec.coordinates, t)[:2]
+    """A record's spectrum as ``classify`` reports it: closed-form, else numeric."""
+    pair, transverse = _view(params, rec, t)[:2]
     if pair is None:
         return numeric_eigenvalues(jacobian(params, rec.coordinates))
     return _sorted(pair + transverse)
@@ -279,7 +273,7 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
         J = J_full[np.ix_(idx, idx)]
 
     numeric = numeric_eigenvalues(J)
-    pair, transverse, in_face, across = _view(params, eq_id, coords, t)
+    pair, transverse, in_face, across = _view(params, rec, t)
     diagnostics: dict[str, float] = {}
     if pair is None:
         eigs, method = numeric, "numeric"

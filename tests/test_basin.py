@@ -1316,6 +1316,14 @@ def test_fig4_outputs_are_pinned(fig4_pipeline, fig4_params):
     assert (outdir / "summary.txt").read_text() == summary
 
 
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_fig4_computes_each_point_twice(tmp_path, point_computations):
+    # Once for its verdict and once more inside the basin pipeline; the
+    # attractors and the saddle are read from the verdicts.
+    reproduce("fig4", tmp_path, resolution=4, n_probes=2)
+    assert {eq_id: point_computations[eq_id] for eq_id in ("E1", "E3", "E4")} == {"E1": 2, "E3": 2, "E4": 2}
+
+
 def test_fig4_bisects_no_segment_twice(fig4_pipeline):
     # Every final bracket end of fig4's labelling-tolerance bisection keeps
     # its side at the config's tolerance; the count stays out of the files.

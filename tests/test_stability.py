@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_parameter_matrix, params_from_row
-from twostrain.equilibria import ALL_IDS, DegenerateEquilibriumError, thresholds
+from twostrain.equilibria import _FACES, ALL_IDS, DegenerateEquilibriumError, thresholds
 from twostrain.stability import (
     MARGINAL,
     SADDLE,
@@ -64,6 +64,11 @@ class TestAnalyticSpectra:
     def test_degenerate_point_raises(self, fig1_params):
         with pytest.raises(DegenerateEquilibriumError):
             analytic_eigenvalues(fig1_params.replace(**{"lambda": 0.0}), "E4")
+
+    @pytest.mark.parametrize("eq_id", [eq_id for eq_id in ALL_IDS if eq_id not in ("E6", "E7")])
+    def test_the_point_is_computed_once(self, fig1_params, point_computations, eq_id):
+        analytic_eigenvalues(fig1_params, eq_id)
+        assert point_computations == {_FACES[eq_id].full_id if eq_id in _FACES else eq_id: 1}
 
     def test_matches_numeric_solver_across_draws(self):
         rng = np.random.default_rng(71)
