@@ -49,11 +49,9 @@ would confirm; ``separatrix_points`` says when they are dropped.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import itertools
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,8 +93,6 @@ __all__ = [
 # Slice coordinates, in the order of every point, bound and CSV column.
 _AXIS_NAMES = ("P", "S", "V")
 
-# Share of undecided grid nodes above which classify_grid warns.
-_MAX_UNDECIDED = 0.05
 # Smallest sample count the surface fit accepts.
 _MIN_FIT_POINTS = 10
 # Distance along the graph axis of each side probe from the surface.
@@ -173,10 +169,11 @@ def classify_grid(
     """Integrate every node of a ``resolution``-per-axis grid to an attractor
     (or undecided), as one batch.
 
-    Every input is checked before any run. Emits a warning (never an
-    error) when more than 5% of the nodes fail to classify: points exactly
-    on basin boundaries or on invariant faces that drain to an unlisted
-    attractor are legitimate.
+    Every input is checked before any run. Nodes that fail to classify
+    are not an error and raise no warning: points exactly on basin
+    boundaries or on invariant faces that drain to an unlisted attractor
+    are legitimate. Their share is ``BasinGrid.undecided_fraction``, and
+    each command that classifies a grid states it in its own output.
     """
     targets = _check_grid(bounds, resolution, attractors, match_radius)
     shape = (resolution, resolution, resolution)
@@ -190,19 +187,12 @@ def classify_grid(
         if result.attractor_id is not None:
             labels[node] = index_of[result.attractor_id]
 
-    grid = BasinGrid(
+    return BasinGrid(
         bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
         axes_1d=axes_1d,
         labels=labels,
         attractor_ids=tuple(name for name, _ in targets),
     )
-    if grid.undecided_fraction > _MAX_UNDECIDED:
-        warnings.warn(
-            f"{grid.undecided_fraction:.1%} of grid nodes undecided "
-            f"(threshold {_MAX_UNDECIDED:.1%})",
-            stacklevel=2,
-        )
-    return grid
 
 
 def write_grid_csv(grid: BasinGrid, stream: IO[str]) -> None:
@@ -892,8 +882,8 @@ def reconstruct_separatrix(
     model, ``n_probes``, ``rng`` and ``config``, with the sides the sample's
     segments vote for: the end with the larger graph-axis coordinate is
     above. The probes ride in the certificate batch of ``separatrix_points``
-    when they can, drawn from a copy of ``rng``, and otherwise run on their
-    own after the surface files are written, from ``rng`` as given. Either
+    when they can, drawn from ``rng``, and otherwise run on their own after
+    the surface files are written, from ``rng`` as it was given. Either
     way the files, the results and any exception are the same, and ``rng``
     is left as ``probe_surface_sides`` leaves it.
     """
@@ -909,32 +899,35 @@ def reconstruct_separatrix(
     with open(out / "labels.csv", "w") as fh:
         write_grid_csv(grid, fh)
     segments = boundary_edge_segments(grid)
-    ride = {}
+    given = None if n_probes is None else rng.bit_generator.state
+    model = None
 
     def riders(sample: SeparatrixSample) -> list[tuple[float, ...]]:
-        """The probes on a fit of ``sample``, drawn from a copy of ``rng``."""
-        model, trial = fit_surface(sample.points, graph_axis=axis), copy.deepcopy(rng)
-        ride.update(model=model, sides=_graph_sides(sample, axis), rng=trial)
-        return _probe_starts(model, n_probes, trial)
+        """The probes on a fit of ``sample``, drawn from ``rng``."""
+        nonlocal model
+        model = fit_surface(sample.points, graph_axis=axis)
+        return _probe_starts(model, n_probes, rng)
 
     sample, ridden = _certified_sample(
         params, segments, targets, bisect_tol, cfg, match_radius, None if n_probes is None else riders
     )
     with open(out / "boundary_points.csv", "w") as fh:
         write_points_csv(sample, fh)
-    model = ride["model"] if ridden is not None else fit_surface(sample.points, graph_axis=axis)
+    if ridden is None:
+        if given is not None:
+            rng.bit_generator.state = given  # undo any draws of the dropped riders
+        model = fit_surface(sample.points, graph_axis=axis)
     with open(out / "surface.obj", "w") as fh:
         write_surface_obj(model, fh)
     with open(out / "surface_lattice.csv", "w") as fh:
         write_surface_lattice_csv(model, fh)
     if n_probes is None:
         return grid, segments, sample, model, None
-    if ridden is not None:
-        rng.bit_generator.state = ride["rng"].bit_generator.state
-        probes = _probe_matches(ridden, *ride["sides"])
-    else:
-        above, below = _graph_sides(sample, axis)
+    above, below = _graph_sides(sample, axis)
+    if ridden is None:
         probes = probe_surface_sides(
             params, model, targets, above, below, n_probes=n_probes, rng=rng, config=cfg, match_radius=match_radius
         )
+    else:
+        probes = _probe_matches(ridden, above, below)
     return grid, segments, sample, model, probes

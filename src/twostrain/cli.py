@@ -4,7 +4,8 @@ Subcommands wrap the library operations: simulate, equilibria, stability,
 sweep, basin, separatrix, reproduce. Each takes a config file (except
 reproduce, which carries its own presets and takes only --out and --tol),
 writes its primary outputs as CSV/JSONL files under --out, and prints a
-short summary to stdout.
+short summary to stdout. No command prints a warning: basin, separatrix
+and reproduce state the share of undecided grid nodes in that summary.
 
 Exit codes: 0 success, 2 configuration error (basin and separatrix inputs
 are all checked before any run), 3 I/O error, 4 numerical failure, 5 a
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -312,7 +312,7 @@ def _cmd_separatrix(args: argparse.Namespace, run: RunConfig) -> int:
         raise ConfigError(f"--graph-axis: {err}") from err
     bounds, attractors = _basin_inputs(args, run)
     args.out.mkdir(parents=True, exist_ok=True)
-    _, segments, sample, model, _ = basin_mod.reconstruct_separatrix(
+    grid, segments, sample, model, _ = basin_mod.reconstruct_separatrix(
         run.params,
         bounds,
         args.resolution,
@@ -325,7 +325,8 @@ def _cmd_separatrix(args: argparse.Namespace, run: RunConfig) -> int:
     )
     print(
         f"{len(sample.points)} boundary points from {len(segments)} boundary-cell "
-        f"corner pairs ({len(sample.skipped)} skipped); fit residual {model.fit_residual:.3e}"
+        f"corner pairs ({len(sample.skipped)} skipped); fit residual {model.fit_residual:.3e}; "
+        f"{int((grid.labels < 0).sum())} of {grid.labels.size} grid nodes undecided"
     )
     print(
         f"wrote {args.out / 'labels.csv'}, boundary_points.csv, surface.obj, surface_lattice.csv"
@@ -369,26 +370,19 @@ _COMMANDS = {
 }
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    """Show a library warning as one ``warning: ...`` line on stderr."""
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     handler = _COMMANDS[args.command]
     try:
-        with warnings.catch_warnings():
-            warnings.showwarning = _print_warning
-            if args.command == "reproduce":
-                return handler(args)
-            # Every other command runs on its --config.
-            run = _load(args)
-            if args.dump_config:
-                sys.stdout.write(dump_config(run))
-                return EXIT_OK
-            return handler(args, run)
+        if args.command == "reproduce":
+            return handler(args)
+        # Every other command runs on its --config.
+        run = _load(args)
+        if args.dump_config:
+            sys.stdout.write(dump_config(run))
+            return EXIT_OK
+        return handler(args, run)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

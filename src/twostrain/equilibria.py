@@ -199,25 +199,20 @@ def _strain_thresholds(p: ModelParameters, lam: float, psi: float, mu: float, e:
 def thresholds(params: ModelParameters) -> ThresholdSet:
     """Evaluate every named threshold for one parameter set."""
     p = params
-    A, C, Delta4, E, F, M, N, G = _strain_thresholds(p, *_STRAINS[0].rates(p))
-    B, Dtilde, Delta5, Ehat, Fhat, Mhat, Nhat, Ghat = _strain_thresholds(p, *_STRAINS[1].rates(p))
+    values = {}
+    for strain in _STRAINS:
+        values.update(zip(strain.fields, _strain_thresholds(p, *strain.rates(p))))
 
     # Discriminant of the in-plane eigenvalue pair at disease-free
     # coexistence, written so it is defined even when that point is not.
     rs = p.r * p.s
     D3den = p.b * p.L * p.K * p.a - rs
-    Delta3 = (rs * (p.r + p.s - p.b * p.L - p.a * p.K)) ** 2 + 4.0 * rs * (
+    values["Delta3"] = (rs * (p.r + p.s - p.b * p.L - p.a * p.K)) ** 2 + 4.0 * rs * (
         p.a * p.K - p.s
     ) * (p.b * p.L - p.r) * D3den
-
-    guarded = {"A": A, "B": B, "M": M, "N": N, "G": G, "Mhat": Mhat, "Nhat": Nhat, "Ghat": Ghat}
-    return ThresholdSet(
-        A=A, B=B, C=C, Dtilde=Dtilde,
-        Delta3=Delta3, Delta4=Delta4, Delta5=Delta5,
-        E=E, F=F, M=M, N=N, G=G,
-        Ehat=Ehat, Fhat=Fhat, Mhat=Mhat, Nhat=Nhat, Ghat=Ghat,
-        undefined=tuple(name for name, value in guarded.items() if value is None),
-    )
+    # The None fields, in declaration order: A, B, M, N, G, Mhat, Nhat, Ghat.
+    undefined = tuple(name for name in ThresholdSet.__dataclass_fields__ if values.get(name, 0.0) is None)
+    return ThresholdSet(**values, undefined=undefined)
 
 
 @dataclass(frozen=True)

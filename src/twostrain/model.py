@@ -51,6 +51,21 @@ PARAMETER_KEYS = (
 _FIELDS = {key: "lam" if key == "lambda" else key for key in PARAMETER_KEYS}
 
 _STRICTLY_POSITIVE = ("s", "r", "L", "K")
+# The types a parameter or state component may have; bool, though an int, is refused.
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _nonnegative(value, label: str, name: str) -> float:
+    """``value`` as a float if it is a finite real number >= 0; otherwise an
+    error that ``label.format(name)`` names, formatted only then."""
+    if not isinstance(value, _REAL_TYPES) or isinstance(value, bool):
+        raise TypeError(f"{label.format(name)} must be a real number")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{label.format(name)} must be finite")
+    if value < 0.0:
+        raise ValueError(f"{label.format(name)} must be >= 0, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -90,16 +105,8 @@ class ModelParameters:
     f: float
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise TypeError(f"parameter {field.name!r} must be a real number")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"parameter {field.name!r} must be finite")
-            if value < 0.0:
-                raise ValueError(f"parameter {field.name!r} must be >= 0, got {value}")
-            object.__setattr__(self, field.name, value)
+        for name in _FIELDS.values():
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), "parameter {!r}", name))
         for name in _STRICTLY_POSITIVE:
             if getattr(self, name) == 0.0:
                 raise ValueError(f"parameter {name!r} must be > 0")
@@ -135,12 +142,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         for name in ("P", "S", "V", "W"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"component {name} must be finite")
-            if value < 0.0:
-                raise ValueError(f"component {name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _nonnegative(getattr(self, name), "component {}", name))
 
     def __iter__(self) -> Iterator[float]:
         return iter((self.P, self.S, self.V, self.W))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import math
+import warnings
 from collections import Counter, namedtuple
 
 import numpy as np
@@ -49,14 +50,17 @@ def fig4_attractors(fig4_params):
 
 @pytest.fixture(scope="module")
 def spot_grid(fig4_params, fig4_attractors):
-    # One node in eight is undecided, above the 5% warning threshold.
-    with pytest.warns(UserWarning, match="undecided"):
-        return classify_grid(
+    # One node in eight is undecided: counted, and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = classify_grid(
             fig4_params,
             bounds=((1.3, 1.9), (0.1, 0.2), (0.0, 2.5)),
             resolution=2,
             attractors=fig4_attractors,
         )
+    assert grid.undecided_fraction == 0.125
+    return grid
 
 
 def _no_runs(*args, **kwargs):
@@ -308,10 +312,12 @@ class TestGridClassification:
         assert spot_grid.label_name(-1) == "undecided"
         assert spot_grid.label_name(0) == "E1"
 
-    def test_nodes_off_every_attractor_warn(self, fig4_params, fig4_attractors):
+    def test_nodes_off_every_attractor_are_counted(self, fig4_params, fig4_attractors):
         # Nodes with both strains absent drain toward the second
-        # competitor alone, which is not in the attractor list.
-        with pytest.warns(UserWarning, match="undecided"):
+        # competitor alone, which is not in the attractor list. Half the
+        # grid is undecided, and classify_grid warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             grid = classify_grid(
                 fig4_params,
                 bounds=((0.0, 0.1), (2.8, 2.9), (0.0, 0.1)),
@@ -324,7 +330,8 @@ class TestGridClassification:
 
     def test_a_numpy_int_resolution_is_an_int(self, fig4_params, fig4_attractors, spot_grid):
         # basin refused np.int64(2), a count that sweep and batched_newton take.
-        with pytest.warns(UserWarning, match="undecided"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             grid = classify_grid(fig4_params, ((1.3, 1.9), (0.1, 0.2), (0.0, 2.5)), np.int64(2), fig4_attractors)
         np.testing.assert_array_equal(grid.labels, spot_grid.labels)
         assert _basin_options(np.int64(3), np.int64(1)) == {"resolution": 3, "n_probes": 1}
@@ -545,7 +552,6 @@ class TestBisection:
             )
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_pipeline_integrates_no_grid_node_twice(
         self, fig4_params, fig4_attractors, tmp_path, monkeypatch
     ):
@@ -1082,7 +1088,6 @@ class TestProbes:
 _FIG4_BOX = ((0.0, 2.0), (0.0, 3.0), (0.0, 2.5))
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 class TestProbesInTheCertificateBatch:
     """``reconstruct_separatrix`` with ``n_probes``: the side probes are drawn
     on a speculative fit and ride in the certificate batch, unless that
@@ -1223,6 +1228,40 @@ class TestProbesInTheCertificateBatch:
         assert probes.starts == ridden.starts[len(certificate) :]
 
 
+def test_a_refit_that_raises_leaves_the_generator_as_given(fig4_params, fig4_attractors, tmp_path, monkeypatch):
+    # The riders draw from rng itself. Here the first certificate run
+    # answers undecided, so they are dropped, and the refit raises before
+    # any probe runs: rng must not keep the riders' draws.
+    batches, _ = _record_launches(monkeypatch)
+    recording = basin.run_to_attractor_batch
+
+    def disagreeing(*args, **kwargs):
+        results = recording(*args, **kwargs)
+        if len(batches) == 4:
+            results[0] = dataclasses.replace(results[0], attractor_id=None)
+        return results
+
+    fits = []
+    fit = basin.fit_surface
+
+    def failing_refit(*args, **kwargs):
+        fits.append(args)
+        if len(fits) == 2:
+            raise basin.FitResidualError("stand-in refit failure")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(basin, "run_to_attractor_batch", disagreeing)
+    monkeypatch.setattr(basin, "fit_surface", failing_refit)
+    rng = np.random.default_rng(7)
+    with pytest.raises(basin.FitResidualError, match="stand-in refit failure"):
+        TestProbesInTheCertificateBatch._reconstruct(
+            fig4_params, fig4_attractors, tmp_path / "probed", n_probes=5, rng=rng
+        )
+    # Grid, gate search, stream, the certificate with the riders, and the rebisection.
+    assert len(batches) == 5 and len(fits) == 2
+    assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+
 class TestWriters:
     def test_points_csv(self, fig4_params, fig4_attractors):
         sample = separatrix_points(
@@ -1316,7 +1355,6 @@ def test_fig4_outputs_are_pinned(fig4_pipeline, fig4_params):
     assert (outdir / "summary.txt").read_text() == summary
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_fig4_computes_each_point_twice(tmp_path, point_computations):
     # Once for its verdict and once more inside the basin pipeline; the
     # attractors and the saddle are read from the verdicts.
@@ -1369,7 +1407,6 @@ def _fig4_passes_per_batch(outdir, monkeypatch, config=None):
     return tuple(count for _, count in passes)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_fig4_stepper_passes_per_batch(tmp_path, monkeypatch):
     # At resolution 11 the labelling stream took 1,115 passes ungated; a
     # gate that stops firing shows here. The probes, 392 passes in a batch
@@ -1379,7 +1416,6 @@ def test_fig4_stepper_passes_per_batch(tmp_path, monkeypatch):
     assert (grid, calibration, certificate) == (372, 81, 538)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_fig4_stepper_passes_per_batch_at_a_loose_tolerance(tmp_path, monkeypatch):
     # At --tol 1e-4 the labelling config is the config, and the stream
     # still runs through E3's gate, so its final brackets are certified.

@@ -365,7 +365,6 @@ class TestCliAnalysis:
         assert rc == 2
         assert "unknown parameter" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_basin_small_grid(self, tmp_path, capsys, fig4_params):
         cfg = _write_cfg(tmp_path, fig4_params)
         out = tmp_path / "out"
@@ -382,8 +381,9 @@ class TestCliAnalysis:
         assert lines[1] == "0,0,0,undecided"
         assert lines[-1] == "2,3,2.5,E4"
 
-    def test_undecided_grid_warning_is_one_line(self, tmp_path, capsys, fig4_params):
-        # One node in eight is undecided, above the 5% warning threshold.
+    def test_undecided_grid_nodes_are_counted_not_warned(self, tmp_path, capsys, fig4_params):
+        # One node in eight is undecided: stdout states the share, and
+        # nothing reaches stderr.
         cfg = _write_cfg(tmp_path, fig4_params)
         rc = main([
             "basin", "--config", str(cfg), "--out", str(tmp_path / "o"),
@@ -391,8 +391,22 @@ class TestCliAnalysis:
         ])
         assert rc == 0
         captured = capsys.readouterr()
-        assert captured.err == "warning: 12.5% of grid nodes undecided (threshold 5.0%)\n"
+        assert captured.err == ""
         assert "87.5% decided" in captured.out
+
+    def test_separatrix_counts_its_undecided_grid_nodes(self, tmp_path, capsys, fig4_params):
+        # The nodes of the V = 0 face drain to E2, which is not listed.
+        cfg = _write_cfg(tmp_path, fig4_params)
+        rc = main([
+            "separatrix", "--config", str(cfg), "--out", str(tmp_path / "o"), "--resolution", "7",
+            "--bisect-tol", "1e-3", "--attractors", "E1,E4",
+        ])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = captured.out.splitlines()[0]
+        assert summary.startswith("45 boundary points from ")
+        assert summary.endswith("; 43 of 343 grid nodes undecided")
 
     def test_unknown_attractor_id(self, tmp_path, capsys, fig4_params):
         cfg = _write_cfg(tmp_path, fig4_params)
@@ -403,7 +417,6 @@ class TestCliAnalysis:
         assert rc == 2
         assert "unknown equilibrium id 'E9'" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_separatrix_small_grid(self, tmp_path, capsys, fig4_params):
         cfg = _write_cfg(tmp_path, fig4_params)
         out = tmp_path / "out"
@@ -441,7 +454,6 @@ class TestCliAnalysis:
         assert "numerical failure" in err
         assert "step size underflowed" in err
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_basin_initial_step_above_the_attractor_step_bound(self, tmp_path, capsys, fig4_params):
         # Attractor runs clamp the first step to their bound of 2.5; the
         # config itself (initial_step 5 <= max_step 10) is valid as given.
@@ -482,7 +494,6 @@ class TestCliAnalysis:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_basin_auto_attractors_skip_the_full_verdict(
         self, tmp_path, capsys, fig4_params, classify_forbidden
     ):
@@ -491,7 +502,6 @@ class TestCliAnalysis:
         assert rc == 0
         assert "toward E1, E4;" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("tol", [None, 1e-4])
     def test_separatrix_writes_what_reproduce_fig4_writes(self, tmp_path, fig4_params, tol):
         # Both run the one basin pipeline, at the default tolerance and at a

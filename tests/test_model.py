@@ -161,6 +161,25 @@ class TestParameterValidation:
             ModelParameters.from_dict(d)
 
 
+class TestScalarRule:
+    """``ModelParameters`` and ``StateVector`` take the same scalars: an int
+    or a float, numpy's included, stored as a float; never a bool or a str."""
+
+    @pytest.mark.parametrize("value", [2, 0.75, np.int64(3), np.float32(0.5), np.float64(0.25)])
+    def test_numpy_scalars_are_real_numbers(self, fig1_params, value):
+        p = fig1_params.replace(K=value)
+        sv = StateVector(value, 0.0, 0.0, 0.0)
+        assert type(p.K) is float and p.K == float(value)
+        assert type(sv.P) is float and sv.P == float(value)
+
+    @pytest.mark.parametrize("value", ["1.5", True, False, np.bool_(True), None])
+    def test_a_str_or_bool_is_refused(self, fig1_params, value):
+        with pytest.raises(TypeError, match=r"^parameter 'K' must be a real number$"):
+            fig1_params.replace(K=value)
+        with pytest.raises(TypeError, match=r"^component P must be a real number$"):
+            StateVector(value, 0.0, 0.0, 0.0)
+
+
 class TestStateVector:
     def test_negative_component_rejected(self):
         with pytest.raises(ValueError, match="must be >= 0"):
