@@ -62,10 +62,6 @@ class SweepResult:
     rows: list[SweepRow]
 
 
-def _substitute(params: ModelParameters, name: str, value: float) -> ModelParameters:
-    return params.replace(**{name: value})
-
-
 def _check_window(params: ModelParameters, parameter: str, lo: float, hi: float) -> None:
     """Reject an unknown parameter, ``lo >= hi`` or an invalid end: validity
     is componentwise, so valid ends make the whole window valid."""
@@ -73,8 +69,8 @@ def _check_window(params: ModelParameters, parameter: str, lo: float, hi: float)
         raise ValueError(f"unknown parameter {parameter!r}; expected one of {PARAMETER_KEYS}")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    _substitute(params, parameter, lo)
-    _substitute(params, parameter, hi)
+    params.replace(**{parameter: lo})
+    params.replace(**{parameter: hi})
 
 
 def sweep(
@@ -98,13 +94,12 @@ def sweep(
     values = np.linspace(lo, hi, count)
     rows: list[SweepRow] = []
     for v in values:
-        p = _substitute(params, parameter, float(v))
-        t = thresholds(p)
-        for rec in _catalog(p, t):
+        p = params.replace(**{parameter: float(v)})
+        for rec in _catalog(p, thresholds(p)):
             if rec.coordinates is None:
                 rows.append(SweepRow(float(v), rec.id, None, False, None, math.nan))
                 continue
-            eigs = _spectrum(p, rec, t)
+            eigs = _spectrum(p, rec)
             cls, lead = classify_eigenvalues(eigs), float(eigs[0].real)
             rows.append(SweepRow(float(v), rec.id, rec.coordinates, rec.feasible, cls, lead))
     return SweepResult(parameter=parameter, values=values, rows=rows)
@@ -226,7 +221,7 @@ def find_transcritical(
             mid = 0.5 * (a + b)
         critical = a if abs(ga) <= abs(gb) else b
 
-    p_crit = _substitute(params, parameter, critical)
+    p_crit = params.replace(**{parameter: critical})
     t = thresholds(p_crit)
     records = [_equilibrium(p_crit, eq_id, t) for eq_id in key]
     gap = float(np.max(np.abs(records[0].coordinates - records[1].coordinates)))
@@ -234,7 +229,7 @@ def find_transcritical(
     crossing_idx = []
     crossing_re = 0.0
     for rec in records:
-        re = np.abs(_spectrum(p_crit, rec, t).real)
+        re = np.abs(_spectrum(p_crit, rec).real)
         idx = int(np.argmin(re))
         crossing_idx.append(idx)
         crossing_re = max(crossing_re, float(re[idx]))

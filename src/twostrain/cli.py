@@ -181,11 +181,10 @@ def _basin_inputs(args: argparse.Namespace, run: RunConfig):
 
 def _select_attractors(run: RunConfig, selection: str | None):
     if not selection:
-        t = thresholds(run.params)
         records = [
             (rec.id, rec.coordinates)
-            for rec in _catalog(run.params, t)
-            if rec.feasible and classify_eigenvalues(_spectrum(run.params, rec, t)).startswith("stable")
+            for rec in _catalog(run.params, thresholds(run.params))
+            if rec.feasible and classify_eigenvalues(_spectrum(run.params, rec)).startswith("stable")
         ]
         if len(records) < 2:
             raise ConfigError(

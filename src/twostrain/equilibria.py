@@ -7,8 +7,14 @@ the first competitor (one per strain). The invariant two-species faces
 contribute their own fixed points, and each of those is one of E0-E4
 seen inside a face: ``_FACES`` maps each face id to its full-space id, the
 variables its face keeps, its subsystem name and its notes, and a face id's
-record is its full id's record under those names. ``stability`` reads the
-same table for the in-face part of the spectrum and condition report.
+record is its full id's record under those names, with only the in-face
+part of its spectrum and slacks.
+
+``_equilibrium`` is the one dispatch over the ids: one if-chain computes
+each point, or rejects it as degenerate, together with its closed-form
+spectrum and the named slacks that drive it. ``stability`` reads those
+from the record; E6 and E7 have no closed-form spectrum, and their
+records say so with a ``pair`` of None.
 
 Every equilibrium is reported whether feasible or not: bifurcation sweeps
 need the sign changes of the feasibility margins, so infeasible points are
@@ -22,11 +28,12 @@ and (lambda, psi, mu, e) with (beta, phi, nu, f) maps the model onto
 itself. So each strain closed form is written once, for strain one, and
 ``_STRAINS`` holds one row per strain (its rates, the names its messages
 use, its ids, its infected slot and its ``ThresholdSet`` fields) that the
-formula reads. ``stability`` reads the same rows.
+formula reads.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -215,6 +222,12 @@ def thresholds(params: ModelParameters) -> ThresholdSet:
     return ThresholdSet(**values, undefined=undefined)
 
 
+def _quadratic_pair(trace_times_den: float, disc: float, den: float) -> list[complex]:
+    """The eigenvalue pair of a 2x2 block from its trace times ``den`` and its discriminant."""
+    root = cmath.sqrt(complex(disc, 0.0))
+    return [(trace_times_den + root) / (2.0 * den), (trace_times_den - root) / (2.0 * den)]
+
+
 @dataclass(frozen=True)
 class EquilibriumRecord:
     """One equilibrium with feasibility verdict and audit margins.
@@ -225,6 +238,14 @@ class EquilibriumRecord:
     ``marginal`` flags a slack within 1e-12 of zero, the signature of a
     transcritical exchange. ``subsystem`` names the invariant face a
     face-equilibrium belongs to ("full" for the eight full-space points).
+
+    The closed-form spectrum comes in two parts. ``pair`` holds the two
+    eigenvalues inside the point's invariant face, and ``in_face`` the
+    named slacks that drive them; ``transverse`` holds the eigenvalues
+    across that face, and ``across`` their slacks. ``pair`` is None when
+    there is no closed form (E6, E7, and a degenerate record). A face id
+    keeps only the in-face part: its ``transverse`` and ``across`` are
+    empty.
     """
 
     id: str
@@ -234,15 +255,25 @@ class EquilibriumRecord:
     margins: dict[str, float]
     subsystem: str = "full"
     notes: str = ""
+    pair: list[complex] | None = None
+    transverse: list[complex] = field(default_factory=list)
+    in_face: dict[str, float] = field(default_factory=dict)
+    across: dict[str, float] = field(default_factory=dict)
 
     def coordinate_tuple(self) -> tuple[float, float, float, float]:
         if self.coordinates is None:
-            raise DegenerateEquilibriumError(self.id, self.notes or "undefined")
+            # ``catalog`` notes a degenerate point as "degenerate: {expression} vanishes".
+            expression = self.notes.removeprefix("degenerate: ").removesuffix(" vanishes")
+            raise DegenerateEquilibriumError(self.id, expression)
         P, S, V, W = (float(v) for v in self.coordinates)
         return P, S, V, W
 
 
-def _finish(eq_id: str, coords: Sequence[float], margins: dict[str, float], notes: str = "") -> EquilibriumRecord:
+def _finish(
+    eq_id: str, coords: Sequence[float], margins: dict[str, float], notes: str, **spectrum
+) -> EquilibriumRecord:
+    """A full id's record; ``spectrum`` holds its closed-form ``pair``,
+    ``transverse``, ``in_face`` and ``across``."""
     arr = np.asarray(coords, dtype=float) + 0.0  # folds -0.0 into 0.0
     feasible = bool(np.all(arr >= -FEASIBILITY_TOL))
     marginal = any(abs(m) <= MARGINAL_BAND for m in margins.values())
@@ -253,6 +284,7 @@ def _finish(eq_id: str, coords: Sequence[float], margins: dict[str, float], note
         marginal=marginal,
         margins=margins,
         notes=notes,
+        **spectrum,
     )
 
 
@@ -267,7 +299,8 @@ def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecor
 
 def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> EquilibriumRecord:
     """``compute_equilibrium`` with the thresholds of ``params`` given: the
-    one code that computes a point or rejects it as degenerate."""
+    one code that computes a point, or rejects it as degenerate, with its
+    closed-form spectrum and slacks."""
     p = params
 
     face = _FACES.get(eq_id)
@@ -276,42 +309,93 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
             rec = _equilibrium(params, face.full_id, t)
         except DegenerateEquilibriumError as err:
             raise DegenerateEquilibriumError(eq_id, err.expression) from None
-        return replace(rec, id=eq_id, subsystem=face.subsystem, notes=face.notes)
+        return replace(rec, id=eq_id, subsystem=face.subsystem, notes=face.notes, transverse=[], across={})
 
     if eq_id == "E0":
-        return _finish("E0", (0.0, 0.0, 0.0, 0.0), {}, notes="total extinction")
+        return _finish(
+            "E0", (0.0, 0.0, 0.0, 0.0), {}, "total extinction",
+            pair=[p.s, p.r],
+            transverse=[-(p.psi + p.mu), -(p.phi + p.nu)],
+            in_face={"first_can_grow": p.s, "second_can_grow": p.r},
+        )
 
     if eq_id == "E1":
-        return _finish("E1", (p.L, 0.0, 0.0, 0.0), {}, notes="first competitor alone")
+        return _finish(
+            "E1", (p.L, 0.0, 0.0, 0.0), {}, "first competitor alone",
+            pair=[-p.s, p.r - p.b * p.L],
+            transverse=[-p.mu - p.psi - p.e * p.L, -p.nu - p.phi - p.f * p.L],
+            in_face={"second_excluded": p.b * p.L - p.r},
+        )
 
     if eq_id == "E2":
-        return _finish("E2", (0.0, p.K, 0.0, 0.0), {}, notes="second competitor alone, disease free")
+        return _finish(
+            "E2", (0.0, p.K, 0.0, 0.0), {}, "second competitor alone, disease free",
+            pair=[-p.r, p.s - p.a * p.K],
+            transverse=[p.lam * p.K - p.psi - p.mu, p.beta * p.K - p.phi - p.nu],
+            in_face={"first_excluded": p.a * p.K - p.s},
+            across={
+                "strain_one_subcritical": (p.psi + p.mu) - p.lam * p.K,
+                "strain_two_subcritical": (p.phi + p.nu) - p.beta * p.K,
+            },
+        )
 
     if eq_id == "E3":
         den = p.b * p.L * p.K * p.a - p.r * p.s
         scale = p.b * p.L * p.K * p.a + p.r * p.s
         if abs(den) <= _DEGENERATE_TOL * max(scale, 1.0):
             raise DegenerateEquilibriumError(eq_id, "b*L*K*a - r*s")
-        P3 = p.L * p.r * (p.a * p.K - p.s) / den
-        S3 = p.K * p.s * (p.b * p.L - p.r) / den
+        # Folded as the record holds them, so the transverse rows read the same zeros.
+        P3 = p.L * p.r * (p.a * p.K - p.s) / den + 0.0
+        S3 = p.K * p.s * (p.b * p.L - p.r) / den + 0.0
         margins = {
             "first_invades_second": p.a * p.K - p.s,
             "second_invades_first": p.b * p.L - p.r,
         }
-        return _finish(eq_id, (P3, S3, 0.0, 0.0), margins, notes="disease-free coexistence")
+        return _finish(
+            eq_id, (P3, S3, 0.0, 0.0), margins, "disease-free coexistence",
+            pair=_quadratic_pair(p.r * p.s * (p.r + p.s - p.b * p.L - p.a * p.K), t.Delta3, den),
+            transverse=[p.lam * S3 - p.psi - p.mu - p.e * P3, p.beta * S3 - p.phi - p.nu - p.f * P3],
+            in_face={
+                "in_plane_damping": p.r * p.s - p.a * p.b * p.K * p.L,
+                "in_plane_discriminant": t.Delta3,
+            },
+            across={
+                "strain_one_subcritical": p.psi + p.mu + p.e * P3 - p.lam * S3,
+                "strain_two_subcritical": p.phi + p.nu + p.f * P3 - p.beta * S3,
+            },
+        )
 
     if eq_id in _ENDEMIC:
-        strain = _ENDEMIC[eq_id][0]
+        strain, other = _ENDEMIC[eq_id]
         lam, psi, mu, _ = strain.rates(p)
         if lam == 0.0:
             raise DegenerateEquilibriumError(eq_id, strain.names[0])
         if mu == 0.0:
             raise DegenerateEquilibriumError(eq_id, strain.names[2])
-        A = strain.results(t)[0]
+        if p.K * lam * mu == 0.0:  # the spectrum's denominator, underflowed
+            raise DegenerateEquilibriumError(eq_id, "K*{0}*{2}".format(*strain.names))
+        A, C, Delta = strain.results(t)[:3]
+        beta, phi, nu, _ = other.rates(p)
         coords = [0.0, A, 0.0, 0.0]
         coords[strain.slot] = p.r * (mu + psi) * (p.K * lam - mu - psi) / (p.K * lam**2 * mu)
         margins = {f"strain_{strain.ordinal}_invades": p.K - A}
-        return _finish(eq_id, coords, margins, notes=f"strain {strain.ordinal} endemic, first competitor absent")
+        return _finish(
+            eq_id, coords, margins, f"strain {strain.ordinal} endemic, first competitor absent",
+            pair=_quadratic_pair(-p.r * C, Delta, p.K * lam * mu),
+            transverse=[p.s - p.a * A, beta * A - phi - nu],
+            in_face={
+                # Two candidate forms of the endemic damping coefficient;
+                # they differ by a power of the recovery rate in one term.
+                # The eigenvalue formula arbitrates: the first drives it.
+                "endemic_damping": p.r * C,
+                "endemic_damping_variant": p.r * (mu**2 + p.K * lam * psi**2 - psi**2),
+                "endemic_discriminant": Delta,
+            },
+            across={
+                "first_excluded": p.a * A - p.s,
+                f"strain_{other.ordinal}_subcritical": phi + nu - beta * A,
+            },
+        )
 
     if eq_id in _MIXED:
         strain = _MIXED[eq_id]
@@ -340,7 +424,8 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
             margins["first_competitor_positive"] = G - p.a
         else:
             margins["first_competitor_positive"] = P
-        return _finish(eq_id, coords, margins, notes=notes)
+        # No tidy closed-form spectrum: the numeric one decides.
+        return _finish(eq_id, coords, margins, notes)
 
     raise ValueError(f"unknown equilibrium id {eq_id!r}; expected one of {ALL_IDS}")
 
@@ -373,9 +458,7 @@ def _catalog(params: ModelParameters, t: ThresholdSet) -> list[EquilibriumRecord
 
 def equilibrium_residual(params: ModelParameters, record: EquilibriumRecord) -> float:
     """Max-norm of the vector field at the recorded coordinates."""
-    if record.coordinates is None:
-        raise DegenerateEquilibriumError(record.id, "no coordinates")
-    return float(np.max(np.abs(rhs(params, record.coordinates))))
+    return float(np.max(np.abs(rhs(params, record.coordinate_tuple()))))
 
 
 def records_to_jsonl(records: Iterable[EquilibriumRecord]) -> str:

@@ -9,22 +9,19 @@ every invariant coordinate face containing the point. The face report
 matters because several equilibria are saddles of the full system yet
 attract every trajectory that starts inside one of their faces.
 
-The closed forms sit in one if-chain over the full ids, ``_closed_form``,
-which gives the spectrum and the condition report together: an in-face
-eigenvalue pair and its slacks, then the transverse eigenvalues and their
-slacks. Each reads the record its caller holds, so ``_equilibrium`` is
-the one degenerate test and a degenerate point has one text everywhere.
-E6 and E7 have none, and it says so with a pair of None, so the callers
-choose between closed-form and numeric spectra with an ``if``. A face id
-(``equilibria._FACES``) is one of E0-E4 seen inside its face and takes
-its full id's in-face part; ``_view`` applies that once, for every
-spectrum. A face id's verdict is taken on the Jacobian block of the
-variables its face keeps.
+The closed forms are written once, in ``equilibria._equilibrium``: each
+record carries its in-face eigenvalue pair and slacks, then its
+transverse eigenvalues and their slacks, so a degenerate point has one
+text everywhere. E6 and E7 have none, and their records say so with a
+pair of None, so the callers choose between closed-form and numeric
+spectra with an ``if``. A face id (``equilibria._FACES``) is one of E0-E4
+seen inside its face; its record keeps only its full id's in-face part,
+and its verdict is taken on the Jacobian block of the variables its face
+keeps.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -32,14 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .equilibria import (
-    EquilibriumRecord,
-    ThresholdSet,
-    _ENDEMIC,
-    _FACES,
-    _equilibrium,
-    thresholds,
-)
+from .equilibria import EquilibriumRecord, _FACES, _equilibrium, thresholds
 from .model import ModelParameters, jacobian
 
 __all__ = [
@@ -118,11 +108,6 @@ def numeric_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return _sorted(eigs)
 
 
-def _quadratic_pair(trace_times_den: float, disc: float, den: float) -> list[complex]:
-    root = cmath.sqrt(complex(disc, 0.0))
-    return [(trace_times_den + root) / (2.0 * den), (trace_times_den - root) / (2.0 * den)]
-
-
 def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
     """Closed-form spectrum for the equilibria that admit one.
 
@@ -130,86 +115,17 @@ def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
     when the underlying point is undefined (a degenerate E6 or E7 too), and
     ValueError for ids without closed forms (E6, E7).
     """
-    t = thresholds(params)
-    pair, transverse = _view(params, _equilibrium(params, eq_id, t), t)[:2]
-    if pair is None:
+    rec = _equilibrium(params, eq_id, thresholds(params))
+    if rec.pair is None:
         raise ValueError(f"no closed-form spectrum for {eq_id!r}")
-    return _sorted(pair + transverse)
+    return _sorted(rec.pair + rec.transverse)
 
 
-def _view(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> tuple:
-    """``_closed_form`` of a record: a face id keeps its full id's in-face pair and in-face slacks."""
-    face = _FACES.get(rec.id)
-    if face is None:
-        return _closed_form(params, rec.id, rec.coordinates, t)
-    pair, _, in_face, _ = _closed_form(params, face.full_id, rec.coordinates, t)
-    return pair, [], in_face, {}
-
-
-def _closed_form(params: ModelParameters, eq_id: str, x: np.ndarray, t: ThresholdSet) -> tuple:
-    """A full id's closed forms: (in-face pair, transverse eigenvalues, in-face slacks, transverse slacks).
-
-    ``x`` is a record's coordinates, which only E3's closed form reads.
-    The pair is None for an id without a closed-form spectrum (E6, E7),
-    and then both lists of slacks are empty too.
-    """
-    p = params
-
-    if eq_id == "E0":
-        return [p.s, p.r], [-(p.psi + p.mu), -(p.phi + p.nu)], {"first_can_grow": p.s, "second_can_grow": p.r}, {}
-
-    if eq_id == "E1":
-        transverse = [-p.mu - p.psi - p.e * p.L, -p.nu - p.phi - p.f * p.L]
-        return [-p.s, p.r - p.b * p.L], transverse, {"second_excluded": p.b * p.L - p.r}, {}
-
-    if eq_id == "E2":
-        transverse = [p.lam * p.K - p.psi - p.mu, p.beta * p.K - p.phi - p.nu]
-        return [-p.r, p.s - p.a * p.K], transverse, {"first_excluded": p.a * p.K - p.s}, {
-            "strain_one_subcritical": (p.psi + p.mu) - p.lam * p.K,
-            "strain_two_subcritical": (p.phi + p.nu) - p.beta * p.K,
-        }
-
-    if eq_id == "E3":
-        P3, S3 = float(x[0]), float(x[1])
-        den = p.b * p.L * p.K * p.a - p.r * p.s
-        pair = _quadratic_pair(p.r * p.s * (p.r + p.s - p.b * p.L - p.a * p.K), t.Delta3, den)
-        transverse = [p.lam * S3 - p.psi - p.mu - p.e * P3, p.beta * S3 - p.phi - p.nu - p.f * P3]
-        return pair, transverse, {
-            "in_plane_damping": p.r * p.s - p.a * p.b * p.K * p.L,
-            "in_plane_discriminant": t.Delta3,
-        }, {
-            "strain_one_subcritical": p.psi + p.mu + p.e * P3 - p.lam * S3,
-            "strain_two_subcritical": p.phi + p.nu + p.f * P3 - p.beta * S3,
-        }
-
-    if eq_id in _ENDEMIC:
-        strain, other = _ENDEMIC[eq_id]
-        lam, psi, mu, _ = strain.rates(p)
-        A, C, Delta = strain.results(t)[:3]
-        beta, phi, nu, _ = other.rates(p)
-        pair = _quadratic_pair(-p.r * C, Delta, p.K * lam * mu)
-        return pair, [p.s - p.a * A, beta * A - phi - nu], {
-            # Two candidate forms of the endemic damping coefficient;
-            # they differ by a power of the recovery rate in one term.
-            # The eigenvalue formula arbitrates: the first drives it.
-            "endemic_damping": p.r * C,
-            "endemic_damping_variant": p.r * (mu**2 + p.K * lam * psi**2 - psi**2),
-            "endemic_discriminant": Delta,
-        }, {
-            "first_excluded": p.a * A - p.s,
-            f"strain_{other.ordinal}_subcritical": phi + nu - beta * A,
-        }
-
-    # Mixed equilibria: no tidy closed-form chain; the numeric spectrum decides.
-    return None, [], {}, {}
-
-
-def _spectrum(params: ModelParameters, rec: EquilibriumRecord, t: ThresholdSet) -> np.ndarray:
+def _spectrum(params: ModelParameters, rec: EquilibriumRecord) -> np.ndarray:
     """A record's spectrum as ``classify`` reports it: closed-form, else numeric."""
-    pair, transverse = _view(params, rec, t)[:2]
-    if pair is None:
+    if rec.pair is None:
         return numeric_eigenvalues(jacobian(params, rec.coordinates))
-    return _sorted(pair + transverse)
+    return _sorted(rec.pair + rec.transverse)
 
 
 def classify_eigenvalues(eigs: np.ndarray, band: float = MARGINALITY_BAND) -> str:
@@ -260,8 +176,7 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
     reported eigenvalues are the closed-form ones when available. Raises
     DegenerateEquilibriumError when the point itself is undefined.
     """
-    t = thresholds(params)
-    rec = _equilibrium(params, eq_id, t)
+    rec = _equilibrium(params, eq_id, thresholds(params))
     coords = rec.coordinates
     J_full = jacobian(params, coords)
 
@@ -273,12 +188,11 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
         J = J_full[np.ix_(idx, idx)]
 
     numeric = numeric_eigenvalues(J)
-    pair, transverse, in_face, across = _view(params, rec, t)
     diagnostics: dict[str, float] = {}
-    if pair is None:
+    if rec.pair is None:
         eigs, method = numeric, "numeric"
     else:
-        eigs, method = _sorted(pair + transverse), "both"
+        eigs, method = _sorted(rec.pair + rec.transverse), "both"
         diagnostics["analytic_numeric_max_diff"] = float(np.max(np.abs(eigs - numeric)))
 
     classification = classify_eigenvalues(eigs)
@@ -298,7 +212,7 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
         eigenvalues=eigs,
         classification=classification,
         method=method,
-        condition_report=in_face | across,
+        condition_report=rec.in_face | rec.across,
         face_classes=face_classes,
         diagnostics=diagnostics,
     )

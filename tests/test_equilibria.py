@@ -194,8 +194,51 @@ class TestDegeneracies:
         assert [r.id for r in records] == list(EQUILIBRIUM_IDS)
         e4 = next(r for r in records if r.id == "E4")
         assert e4.coordinates is None and not e4.feasible
-        with pytest.raises(DegenerateEquilibriumError):
+        with pytest.raises(DegenerateEquilibriumError, match=r"^E4 undefined: lambda vanishes$"):
             e4.coordinate_tuple()
+
+    @pytest.mark.parametrize(
+        "change, eq_id, text",
+        [
+            (lambda p: p.replace(lam=0.0), "E4", "E4 undefined: lambda vanishes"),
+            (lambda p: p.replace(mu=0.0), "E4", "E4 undefined: mu vanishes"),
+            (lambda p: p.replace(nu=0.0), "E5", "E5 undefined: nu vanishes"),
+            # Nonzero rates whose product underflows.
+            (lambda p: p.replace(K=0.01, lam=10.0, mu=5e-324), "E4", "E4 undefined: K*lambda*mu vanishes"),
+            (lambda p: p.replace(b=p.r * p.s / (p.L * p.K * p.a)), "E3", "E3 undefined: b*L*K*a - r*s vanishes"),
+            (
+                lambda p: p.replace(psi=0.224 / 0.09),
+                "E6",
+                "E6 undefined: F = s*lambda*e*L + s*lambda*mu - psi*e*L*a vanishes",
+            ),
+        ],
+        ids=["lambda", "mu", "nu", "K*lambda*mu", "b", "psi"],
+    )
+    def test_a_degenerate_catalog_record_raises_the_point_text(self, fig1_params, change, eq_id, text):
+        p = change(fig1_params)
+        with pytest.raises(DegenerateEquilibriumError) as point:
+            compute_equilibrium(p, eq_id)
+        assert str(point.value) == text
+        rec = next(r for r in catalog(p) if r.id == eq_id)
+        assert rec.notes == f"degenerate: {point.value.expression} vanishes"
+        for check in (rec.coordinate_tuple, lambda: equilibrium_residual(p, rec)):
+            with pytest.raises(DegenerateEquilibriumError) as err:
+                check()
+            assert (err.value.eq_id, err.value.expression, str(err.value)) == (eq_id, point.value.expression, text)
+
+    def test_a_record_without_a_closed_form_spectrum_has_no_pair(self, fig1_params):
+        cases = 0
+        rng = np.random.default_rng(29)
+        draws = [params_from_row(row) for row in draw_parameter_matrix(rng, 40)]
+        zeroed = [p.replace(**{name: 0.0}) for p in draws for name in ("lam", "mu", "beta", "nu")]
+        for p in [fig1_params, *draws, *zeroed]:
+            for rec in catalog(p):
+                if rec.coordinates is None or rec.id in ("E6", "E7"):
+                    assert rec.pair is None and (rec.transverse, rec.in_face, rec.across) == ([], {}, {})
+                    cases += rec.coordinates is None
+                else:
+                    assert len(rec.pair) == 2 and len(rec.transverse) == 2
+        assert cases >= 160
 
 
 def test_catalog_computes_the_thresholds_once(fig1_params, fig4_params, threshold_calls):

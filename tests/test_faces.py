@@ -103,6 +103,9 @@ def test_faces_are_views_of_their_full_ids():
             assert face.coordinates.tobytes() == full.coordinates.tobytes()
             assert (face.feasible, face.marginal, face.margins) == (full.feasible, full.marginal, full.margins)
             assert face.subsystem != "full" and full.subsystem == "full"
+            # The record keeps the in-face part only; repr, so that NaN entries compare equal.
+            assert (face.transverse, face.across) == ([], {}) and len(full.transverse) == 2
+            assert (repr(face.pair), repr(face.in_face)) == (repr(full.pair), repr(full.in_face))
 
             face_eigs = _outcome(analytic_eigenvalues, p, face_id)
             full_eigs = _outcome(analytic_eigenvalues, p, full_id)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_parameter_matrix, params_from_row
-from twostrain.equilibria import _FACES, ALL_IDS, DegenerateEquilibriumError, thresholds
+from twostrain.equilibria import _FACES, ALL_IDS, DegenerateEquilibriumError, compute_equilibrium, thresholds
 from twostrain.stability import (
     MARGINAL,
     SADDLE,
@@ -227,6 +227,23 @@ class TestVerdicts:
             assert len(obj["eigenvalues"]) == 4
             assert all(len(pair) == 2 for pair in obj["eigenvalues"])
             assert obj["eigenvalues"][0][0] == pytest.approx(v.lead_real_part)
+
+
+def test_the_condition_report_is_the_records_slacks(fig1_params, fig4_params, fig5_params):
+    rng = np.random.default_rng(31)
+    draws = [params_from_row(row) for row in draw_parameter_matrix(rng, 30)]
+    zeroed = [p.replace(**{name: 0.0}) for p in draws for name in ("lam", "psi", "mu", "e")]
+    checked = 0
+    for p in [fig1_params, fig4_params, fig5_params, *draws, *zeroed]:
+        for eq_id in ALL_IDS:
+            try:
+                rec = compute_equilibrium(p, eq_id)
+            except DegenerateEquilibriumError:
+                continue
+            # repr, so that NaN slacks compare equal too.
+            assert repr(classify(p, eq_id).condition_report) == repr(rec.in_face | rec.across), eq_id
+            checked += 1
+    assert checked >= 1800
 
 
 def test_classify_computes_the_thresholds_once(fig1_params, fig4_params, threshold_calls):
