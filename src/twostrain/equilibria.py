@@ -376,8 +376,11 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
             raise DegenerateEquilibriumError(eq_id, "K*{0}*{2}".format(*strain.names))
         A, C, Delta = strain.results(t)[:3]
         beta, phi, nu, _ = other.rates(p)
+        den = p.K * lam**2 * mu
+        if den == 0.0:  # the infected coordinate's denominator, underflowed
+            raise DegenerateEquilibriumError(eq_id, "K*{0}**2*{2}".format(*strain.names))
         coords = [0.0, A, 0.0, 0.0]
-        coords[strain.slot] = p.r * (mu + psi) * (p.K * lam - mu - psi) / (p.K * lam**2 * mu)
+        coords[strain.slot] = p.r * (mu + psi) * (p.K * lam - mu - psi) / den
         margins = {f"strain_{strain.ordinal}_invades": p.K - A}
         return _finish(
             eq_id, coords, margins, f"strain {strain.ordinal} endemic, first competitor absent",
@@ -492,9 +495,18 @@ def records_to_jsonl(records: Iterable[EquilibriumRecord]) -> str:
 # run as single batched array operations.
 
 
-# Column pairs of the 2x2 minors in the Laplace expansion of a 4x4
-# determinant; pair k of rows 0-1 multiplies pair 5 - k of rows 2-3.
-_MINOR_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Rows per block of ``batched_newton``: a block's columns and temporaries
+# stay within a few megabytes, so peak memory does not grow with the rows.
+_BLOCK_ROWS = 8192
+
+# The smallest scaled determinant a step is solved for. Scaled, every
+# Jacobian entry is at most 1 in size, and the determinant is a sum of six
+# products of four entries formed in at most six roundings, so its rounding
+# error is below 6 * gamma_6 < 4.1e-15 (Higham, *Accuracy and Stability of
+# Numerical Algorithms*, 2nd ed., 2002, ch. 3). Above 2**-40, about
+# 9.1e-13, that is under 0.5% of the determinant: the matrix is surely
+# nonsingular and the computed determinant has its sign.
+_MIN_SCALED_DET = 2.0**-40
 
 
 def _check_columns(name: str, array: np.ndarray, width: int) -> None:
@@ -508,47 +520,54 @@ def _check_count(name: str, value: int, least: int) -> None:
         raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
-def _certified_nonsingular(J: np.ndarray) -> np.ndarray:
-    """Mask of the matrices in a (n, 4, 4) stack whose ``np.linalg.det`` surely exceeds 1e-300.
+def _newton_step(J: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (4, n) solutions of ``J @ step = residual`` for an (n, 4, 4)
+    ``_field_jacobian`` stack and (4, n) residuals, and the mask of rows
+    whose residual is finite and whose scaled determinant is finite and
+    above ``_MIN_SCALED_DET``.
 
-    ``d`` is the determinant by Laplace expansion over the 2x2 minors of
-    rows 0-1 and rows 2-3. ``H`` is a Hadamard bound, the product of the
-    row 2-norms, each raised to at least 1e-4 times the largest of them,
-    so ``|det J| <= H``. A matrix is certified when ``d`` is finite,
-    ``|d| > 1e-6 * H`` and ``|d| > 1e-290``. A partial product of ``H``
-    can underflow only when every row norm is below about 1e-150, and
-    then ``|d|`` is far below 1e-290.
-
-    Why that suffices (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., 2002, ch. 9 and section 14.6): the rounding
-    error of ``d`` is at most about 2e-14 * H. LAPACK's LU with partial
-    pivoting is the exact LU of ``J + E`` with ``|E| <= gamma_4 |L||U|``,
-    and with multipliers at most 1 and growth at most 8 every row of
-    ``E`` is below 3e-14 times the largest row norm, so below 3e-10 times
-    its floored norm, and ``det(J + E)`` is within 1.2e-9 * H of ``det J``.
-    Both errors are a thousandth of the 1e-6 * H margin, and the 1e-290
-    floor leaves ten orders of magnitude above 1e-300. The floor on the
-    row norms is what makes this hold for rows of very different size:
-    partial pivoting is not invariant under row scaling, and with one row
-    2**80 times the others LAPACK's det can be exactly 0 for a matrix
-    whose true determinant is a tenth of the product of its row norms.
-
-    Matrices with non-finite entries, an exactly zero or underflowing
-    determinant, or a row far smaller than another are not certified.
+    Each equation is first scaled by the power of two that puts its
+    largest Jacobian entry in [1/2, 1). That is exact, so scaling an
+    equation by any 2**k changes no bit of the result. The solve is
+    Cramer's rule over the 12 entries outside the structural zeros J[0, 2],
+    J[0, 3], J[2, 3] and J[3, 2], plus one step of refinement in working
+    precision, which makes it backward stable like LAPACK's LU (Higham,
+    ch. 12); the step of a row outside the mask is meaningless.
     """
-    a = [[J[:, i, j] for j in range(4)] for i in range(4)]
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        top = [a[0][j] * a[1][k] - a[0][k] * a[1][j] for j, k in _MINOR_PAIRS]
-        bottom = [a[2][j] * a[3][k] - a[2][k] * a[3][j] for j, k in _MINOR_PAIRS]
-        d = (
-            top[0] * bottom[5] - top[1] * bottom[4] + top[2] * bottom[3]
-            + top[3] * bottom[2] - top[4] * bottom[1] + top[5] * bottom[0]
-        )
-        norms = np.sqrt(np.einsum("nij,nij->ni", J, J))
-        norms = np.maximum(norms, 1e-4 * norms.max(axis=1, keepdims=True))
-        bound = norms[:, 0] * norms[:, 1] * norms[:, 2] * norms[:, 3]
-        size = np.abs(d)
-        return (size > 1e-6 * bound) & (size > 1e-290) & (size < np.inf)
+    J = J.transpose(1, 2, 0)  # (4, 4, n): each entry a contiguous column
+    _, exponent = np.frexp(np.abs(J).max(axis=1))
+    J = np.ldexp(J, -exponent[:, None])
+    r = np.ldexp(residual, -exponent)
+    (a00, a01, _, _), (a10, a11, a12, a13), (a20, a21, a22, _), (a30, a31, _, a33) = J
+    g, h2, h3 = a22 * a33, a12 * a33, a13 * a22
+    # Equation 1 times g, with V and W replaced through equations 2 and 3.
+    b0 = g * a10 - h2 * a20 - h3 * a30
+    b1 = g * a11 - h2 * a21 - h3 * a31
+    det = a00 * b1 - a01 * b0
+    # 2x2 minors of the P and S columns over pairs of equations.
+    c1, c2, c3 = a00 * a11 - a01 * a10, a00 * a21 - a01 * a20, a00 * a31 - a01 * a30
+    m12, m13, m23 = a10 * a21 - a11 * a20, a10 * a31 - a11 * a30, a20 * a31 - a21 * a30
+
+    def solve(r0, r1, r2, r3):
+        rb = g * r1 - h2 * r2 - h3 * r3
+        t = r0 * m23 - r2 * c3 + r3 * c2
+        return np.array((
+            r0 * b1 - a01 * rb,
+            a00 * rb - r0 * b0,
+            a13 * t + a33 * (r0 * m12 - r1 * c2 + r2 * c1),
+            a22 * (r0 * m13 - r1 * c3 + r3 * c1) - a12 * t,
+        )) / det
+
+    step = solve(*r)
+    p, q, v, w = step
+    step += solve(
+        r[0] - a00 * p - a01 * q,
+        r[1] - a10 * p - a11 * q - a12 * v - a13 * w,
+        r[2] - a20 * p - a21 * q - a22 * v,
+        r[3] - a30 * p - a31 * q - a33 * w,
+    )
+    size = np.abs(det)
+    return step, np.isfinite(residual).all(axis=0) & (size > _MIN_SCALED_DET) & (size < math.inf)
 
 
 def batched_newton(
@@ -562,11 +581,7 @@ def batched_newton(
     Args:
         param_matrix: (n, 14) parameter rows in PARAMETER_KEYS column order.
         starts: (n, 4) initial guesses.
-        iterations: iteration budget, a non-negative int. A row whose
-            iterate one iteration leaves bitwise unchanged stops there:
-            its update depends only on its own iterate and parameter row,
-            so the rest of the budget would not change it either, and the
-            result is the same as running every row for the whole budget.
+        iterations: iteration budget, a non-negative int.
         tol: convergence threshold on the scaled residual max-norm,
             positive and finite.
 
@@ -581,16 +596,16 @@ def batched_newton(
             mismatched row counts, a bad ``iterations`` or a ``tol`` that
             is not positive and finite, before any work.
 
-    Each row-iteration takes one LU factorization of its Jacobian, in
-    ``np.linalg.solve``. A row is frozen (identity Jacobian, zero step)
-    when its iterate or residual is not finite, or when LAPACK's
-    ``|det J|`` is at most 1e-300. ``_certified_nonsingular`` proves the
-    determinant test passes for nearly every row without factorizing it;
-    only the finite rows it does not certify (exact zeros, underflowing
-    determinants, non-finite Jacobian entries) go through
-    ``np.linalg.det``. A certified row passes that test too, so every row
-    gets the same Jacobian and step as in a loop that takes ``np.linalg.det``
-    of every row, and the roots and the mask are byte-identical to it.
+    A row stops after the first iteration whose step is at rounding
+    level, ``max|step| <= 4 * eps * (1 + max|x|)`` (the scale of the
+    convergence test, met by any step that leaves the iterate bitwise
+    unchanged), or when the budget runs out. It is frozen where it stands,
+    and stops, when its iterate or residual is not finite or its scaled
+    determinant is at most ``_MIN_SCALED_DET`` (see ``_newton_step``), a
+    test that scaling an equation does not change. The steps are solved
+    in closed form, without LAPACK. Rows run in blocks of ``_BLOCK_ROWS``,
+    each keeping only its running rows; every operation is elementwise,
+    so each row's result is the same bits as if it ran alone.
     """
     param_matrix = np.asarray(param_matrix, dtype=float)
     x = np.array(starts, dtype=float, copy=True)
@@ -601,48 +616,25 @@ def batched_newton(
     _check_count("iterations", iterations, 0)
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    n = len(x)
-    cols = tuple(param_matrix.T)
-    # x holds the rows still iterating, with their parameter columns in
-    # xcols. Once rows are set aside, `full` holds every row and `rows`
-    # lists the ones x holds.
-    full, rows, xcols = None, None, cols
-    eye = np.eye(4)
-    for _ in range(iterations):
-        if not len(x):
-            break
-        residual = np.column_stack(_field(*x.T, *xcols))
-        J = _field_jacobian(*x.T, *xcols)
-        finite = np.isfinite(x).all(axis=1) & np.isfinite(residual).all(axis=1)
-        ok = finite & _certified_nonsingular(J)
-        rest = np.flatnonzero(finite & ~ok)
-        if len(rest):
-            ok[rest] = np.abs(np.linalg.det(J[rest])) > 1e-300
-        J[~ok] = eye
-        residual[~ok] = 0.0
-        step = np.linalg.solve(J, residual[..., None])[..., 0]
-        new = x - step
-        # Bits, not values: NaN rows and signed zeros count as fixed only
-        # when their bits repeat.
-        moving = (new.view(np.uint64) != x.view(np.uint64)).any(axis=1)
-        x = new
-        # Set fixed rows aside once at most half of all rows still move:
-        # the compacted copies then never hold more than half the rows,
-        # so no iteration holds more memory than the first.
-        still = np.count_nonzero(moving)
-        if 2 * still <= n and still < len(x):
-            if full is None:
-                full, rows = x, np.flatnonzero(moving)
-            else:
-                full[rows] = x
-                rows = rows[moving]
-            x = x[moving]
-            xcols = tuple(c[moving] for c in xcols)
-    if full is not None:
-        full[rows] = x
-        x = full
+    rounding = 4.0 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        for lo in range(0, len(x), _BLOCK_ROWS):
+            # The running rows' indices, and their iterates and parameters by component.
+            rows = np.arange(lo, min(lo + _BLOCK_ROWS, len(x)))
+            xb, pb = x[rows].T.copy(), param_matrix[rows].T.copy()
+            for _ in range(iterations):
+                if not len(rows):
+                    break
+                step, ok = _newton_step(_field_jacobian(*xb, *pb), np.array(_field(*xb, *pb)))
+                ok &= np.isfinite(xb).all(axis=0)
+                new = np.where(ok, xb - step, xb)
+                done = ~ok | (np.abs(step).max(axis=0) <= rounding * (1.0 + np.abs(xb).max(axis=0)))
+                x[rows[done]] = new[:, done].T
+                running = ~done
+                rows, xb, pb = rows[running], np.compress(running, new, axis=1), np.compress(running, pb, axis=1)
+            x[rows] = xb.T
     finite_x = np.where(np.isfinite(x), x, 0.0)
-    final = np.column_stack(_field(*finite_x.T, *cols))
+    final = np.column_stack(_field(*finite_x.T, *param_matrix.T))
     scale = 1.0 + np.max(np.abs(finite_x), axis=1)
     converged = (
         np.isfinite(x).all(axis=1)

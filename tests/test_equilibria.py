@@ -24,23 +24,26 @@ from twostrain.model import PARAMETER_KEYS, _field, _field_jacobian, rhs
 
 
 def _reference_newton(param_matrix, starts, iterations=40, tol=1e-10):
-    """``batched_newton`` as a plain loop: every row for every iteration."""
+    """``batched_newton`` as a plain loop: each row alone, with no blocks and
+    no compaction, until it is frozen, its step is at rounding level or the
+    budget runs out."""
     param_matrix = np.asarray(param_matrix, dtype=float)
     x = np.array(starts, dtype=float, copy=True)
-    cols = tuple(param_matrix.T)
-    eye = np.eye(4)
-    for _ in range(iterations):
-        residual = np.column_stack(_field(*x.T, *cols))
-        J = _field_jacobian(*x.T, *cols)
-        finite = np.isfinite(x).all(axis=1) & np.isfinite(residual).all(axis=1)
-        det = np.where(finite, np.abs(np.linalg.det(np.where(finite[:, None, None], J, eye))), 0.0)
-        ok = finite & (det > 1e-300)
-        J[~ok] = eye
-        residual[~ok] = 0.0
-        step = np.linalg.solve(J, residual[..., None])[..., 0]
-        x = x - step
+    rounding = 4.0 * np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        for params, point in zip(param_matrix, x):
+            for _ in range(iterations):
+                residual = np.array(_field(*point[:, None], *params[:, None]))
+                step, ok = equilibria._newton_step(_field_jacobian(*point[:, None], *params[:, None]), residual)
+                if not (ok[0] and np.isfinite(point).all()):
+                    break  # frozen where it stands
+                step = step[:, 0]
+                last = np.all(np.abs(step) <= rounding * (1.0 + np.max(np.abs(point))))
+                point -= step
+                if last:
+                    break
     finite_x = np.where(np.isfinite(x), x, 0.0)
-    final = np.column_stack(_field(*finite_x.T, *cols))
+    final = np.column_stack(_field(*finite_x.T, *param_matrix.T))
     scale = 1.0 + np.max(np.abs(finite_x), axis=1)
     converged = np.isfinite(x).all(axis=1) & (np.max(np.abs(final), axis=1) <= tol * scale)
     return x, converged
@@ -296,28 +299,36 @@ class TestVectorizedRootSearch:
         assert not converged[0]
         assert converged[1]
 
-    def test_matches_the_plain_loop_byte_for_byte(self):
+    def test_matches_the_plain_loop_byte_for_byte(self, monkeypatch):
         rng = np.random.default_rng(23)
         tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 50), 20, rng)
-        _assert_same_newton(batched_newton(tiled, starts), _reference_newton(tiled, starts))
+        want = _reference_newton(tiled, starts)
+        # One block, then eleven blocks of at most 97 rows.
+        for block_rows in (equilibria._BLOCK_ROWS, 97):
+            monkeypatch.setattr(equilibria, "_BLOCK_ROWS", block_rows)
+            _assert_same_newton(batched_newton(tiled, starts), want)
 
-    def test_edge_rows_match_the_plain_loop(self, fig1_params, fig4_params):
+    def test_edge_rows_match_the_plain_loop(self, monkeypatch, fig1_params, fig4_params):
         for params in (fig1_params, fig4_params):
             tiled, starts = _edge_newton_rows(params)
             for iterations in (0, 1, 2, 40):
-                _assert_same_newton(
-                    batched_newton(tiled, starts, iterations),
-                    _reference_newton(tiled, starts, iterations),
-                )
-        # Mixed into a batch where most rows settle and the set is compacted.
+                want = _reference_newton(tiled, starts, iterations)
+                for block_rows in (equilibria._BLOCK_ROWS, 3):
+                    monkeypatch.setattr(equilibria, "_BLOCK_ROWS", block_rows)
+                    _assert_same_newton(batched_newton(tiled, starts, iterations), want)
+                monkeypatch.undo()
+        # Mixed into a batch where most rows stop early and the blocks shrink.
         rng = np.random.default_rng(29)
         tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 10), 20, rng)
         edge_params, edge_starts = _edge_newton_rows(fig4_params)
         tiled = np.vstack((edge_params, tiled, edge_params))
         starts = np.vstack((edge_starts, starts, edge_starts))
-        _assert_same_newton(batched_newton(tiled, starts), _reference_newton(tiled, starts))
+        want = _reference_newton(tiled, starts)
+        for block_rows in (equilibria._BLOCK_ROWS, 64):
+            monkeypatch.setattr(equilibria, "_BLOCK_ROWS", block_rows)
+            _assert_same_newton(batched_newton(tiled, starts), want)
 
-    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, fig4_params):
+    def test_rows_do_not_depend_on_the_rest_of_the_batch(self, monkeypatch, fig4_params):
         rng = np.random.default_rng(31)
         tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 20), 15, rng)
         edge_params, edge_starts = _edge_newton_rows(fig4_params)
@@ -332,6 +343,17 @@ class TestVectorizedRootSearch:
             s_roots, s_converged = batched_newton(tiled[part], starts[part])
             assert s_roots.tobytes() == roots[part].tobytes()
             assert s_converged.tobytes() == converged[part].tobytes()
+        # A batch of two blocks at the shipped size, run whole, in two
+        # one-block halves and in blocks of 1000 rows.
+        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 440), 20, rng)
+        tiled = np.vstack((edge_params, tiled, edge_params))
+        starts = np.vstack((edge_starts, starts, edge_starts))
+        assert equilibria._BLOCK_ROWS < len(starts) <= 2 * equilibria._BLOCK_ROWS
+        roots, converged = batched_newton(tiled, starts)
+        halves = [batched_newton(tiled[part], starts[part]) for part in np.array_split(np.arange(len(starts)), 2)]
+        _assert_same_newton((roots, converged), tuple(np.concatenate(side) for side in zip(*halves)))
+        monkeypatch.setattr(equilibria, "_BLOCK_ROWS", 1000)
+        _assert_same_newton(batched_newton(tiled, starts), (roots, converged))
 
     def test_interior_start_boxes(self):
         rng = np.random.default_rng(19)
@@ -396,7 +418,7 @@ class TestVectorizedRootSearch:
             random_interior_starts(np.ones(params_shape), per_row, rng)
         assert rng.bit_generator.state == state
 
-    def test_singular_rows_take_the_determinant_fallback(self, monkeypatch):
+    def test_an_exactly_singular_row_is_frozen_at_its_start(self, monkeypatch):
         # Row 0 of the Jacobian is exactly [0, -0, 0, 0] here: P = 0 and
         # s = a * S.
         row = dict.fromkeys(PARAMETER_KEYS, 1.0)
@@ -405,7 +427,6 @@ class TestVectorizedRootSearch:
         start = np.array([0.0, 2.0, 0.3, 0.4])
         J = _field_jacobian(*start, *singular)
         assert J[0].tobytes() == np.array([0.0, -0.0, 0.0, 0.0]).tobytes()
-        assert np.linalg.det(J) == 0.0
 
         rng = np.random.default_rng(37)
         tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 10), 20, rng)
@@ -413,37 +434,21 @@ class TestVectorizedRootSearch:
         tiled = np.insert(tiled, [0, 100, 200], singular, axis=0)
         starts = np.insert(starts, [0, 100, 200], start, axis=0)
         want = _reference_newton(tiled, starts)
-        seen = _record_determinants(monkeypatch)
+        # The kernel takes no LAPACK call.
+        for name in ("solve", "det", "inv", "lstsq"):
+            monkeypatch.setattr(np.linalg, name, _no_lapack)
         roots, converged = batched_newton(tiled, starts)
         _assert_same_newton((roots, converged), want)
         assert roots[at].tobytes() == np.repeat([start], 3, axis=0).tobytes()
         assert not converged[at].any()
-        # The singular rows reach np.linalg.det on every iteration until the
-        # batch is compacted, and no other row ever does.
-        assert seen and all(m.tobytes() == np.repeat([J], 3, axis=0).tobytes() for m in seen)
 
-    def test_underflowing_determinants_take_the_fallback(self, monkeypatch, fig4_params):
-        rng = np.random.default_rng(41)
-        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 10), 20, rng)
-        row = np.array([[fig4_params.as_dict()[k] for k in PARAMETER_KEYS]]) * 1e-100
-        tiny_params, tiny_starts = random_interior_starts(row, 4, rng)
-        tiled = np.vstack((tiny_params, tiled))
-        starts = np.vstack((tiny_starts, starts))
-        want = _reference_newton(tiled, starts)
-        seen = _record_determinants(monkeypatch)
-        _assert_same_newton(batched_newton(tiled, starts), want)
-        # Every entry is about 1e-100, so the determinant underflows, LAPACK
-        # reads it as 0 and the rows stay where they started.
-        assert want[0][:4].tobytes() == tiny_starts.tobytes()
-        assert len(seen) >= 1 and all(len(m) == 4 for m in seen)
-
-    def test_non_finite_jacobian_entries_take_the_fallback(self, monkeypatch):
+    def test_non_finite_jacobian_entries_freeze_the_row(self):
         # lambda * S overflows in the Jacobian, while the field stays finite
-        # because V = 0; with lambda = 1 only the determinant overflows.
+        # because V = 0.
         rows, row_starts = [], []
-        for lam, W in ((1e200, 0.0), (1e200, 0.5), (1.0, 0.0)):
+        for W in (0.5, 0.0):
             row = dict.fromkeys(PARAMETER_KEYS, 1.0)
-            row.update({"lambda": lam, "K": 1e200})
+            row.update({"lambda": 1e200, "K": 1e200})
             rows.append([row[k] for k in PARAMETER_KEYS])
             row_starts.append([0.0, 1e200, 0.0, W])
         rng = np.random.default_rng(43)
@@ -451,85 +456,119 @@ class TestVectorizedRootSearch:
         tiled = np.vstack((rows, tiled))
         starts = np.vstack((row_starts, starts))
         with np.errstate(all="ignore"):
-            J = _field_jacobian(*starts[:3].T, *tiled[:3].T)
-            assert np.isinf(J[:2]).any(axis=(1, 2)).all() and np.isfinite(J[2]).all()
-            want = _reference_newton(tiled, starts)
-            seen = _record_determinants(monkeypatch)
-            _assert_same_newton(batched_newton(tiled, starts), want)
-        assert seen and len(seen[0]) == 3
-        assert want[0][:2].tobytes() == starts[:2].tobytes()
-        assert not want[1][1]
+            J = _field_jacobian(*starts[:2].T, *tiled[:2].T)
+            residual = np.array(_field(*starts[:2].T, *tiled[:2].T))
+        assert np.isinf(J).any(axis=(1, 2)).all() and np.isfinite(residual).all()
+        want = _reference_newton(tiled, starts)
+        roots, converged = batched_newton(tiled, starts)
+        _assert_same_newton((roots, converged), want)
+        assert roots[:2].tobytes() == starts[:2].tobytes()
+        # The W = 0.5 row is off every root; the W = 0 row sits on E2.
+        assert not converged[0] and converged[1]
+
+    def test_scaling_every_rate_by_a_power_of_two_leaves_the_roots(self, fig4_params):
+        # Scaling the rates by 2**k (the capacities stay) scales each field
+        # component and Jacobian entry by 2**k exactly: the same problem in
+        # another time unit. At 2**-332, about 1e-100, an absolute test on
+        # the determinant would freeze every row; the scaled test sees the
+        # same matrices as at 2**0.
+        rng = np.random.default_rng(41)
+        tiled, starts = random_interior_starts(draw_parameter_matrix(rng, 10), 20, rng)
+        edge_params, edge_starts = _edge_newton_rows(fig4_params)
+        tiled = np.vstack((edge_params, tiled))
+        starts = np.vstack((edge_starts, starts))
+        roots, converged = batched_newton(tiled, starts)
+        assert converged.mean() > 0.9
+        rates = [k not in ("L", "K") for k in PARAMETER_KEYS]
+        for k in (1, 60, 300):
+            scaled = np.where(rates, np.ldexp(tiled, k), tiled)
+            assert batched_newton(scaled, starts)[0].tobytes() == roots.tobytes(), k
+        # Scaled down, a row whose iterate heads for a face drives a field
+        # component below 2**-1022, where it rounds as a subnormal; the
+        # roots then differ only in that vanishing component.
+        for k in (-40, -332):
+            scaled = np.where(rates, np.ldexp(tiled, k), tiled)
+            s_roots, s_converged = batched_newton(scaled, starts)
+            np.testing.assert_allclose(s_roots, roots, rtol=0.0, atol=1e-200, err_msg=str(k))
+            # A smaller residual passes the same convergence test.
+            assert (s_converged >= converged).all(), k
 
 
-def _record_determinants(monkeypatch):
-    """Wrap ``np.linalg.det`` and return the list of stacks it is given."""
-    seen = []
-    det = np.linalg.det
-
-    def recording(a):
-        seen.append(np.array(a))
-        return det(a)
-
-    monkeypatch.setattr(np.linalg, "det", recording)
-    return seen
+def _no_lapack(*args, **kwargs):
+    raise AssertionError("batched_newton called np.linalg")
 
 
-def _scaled(rng, shape, lo, hi):
-    return 10.0 ** rng.uniform(lo, hi, shape)
+def _test_box_jacobians(rng, n):
+    """``_field_jacobian`` and ``_field`` on test-box parameter rows, at states
+    in their start boxes with about a third of the components zero."""
+    params = draw_parameter_matrix(rng, n)
+    x = rng.uniform(0.0, 2.0, (n, 4))
+    x[rng.random((n, 4)) < 0.3] = 0.0
+    return _field_jacobian(*x.T, *params.T), np.array(_field(*x.T, *params.T))
 
 
-def _matrix_families(rng, n):
-    """Named (n, 4, 4) stacks that stress a nonsingularity certificate."""
-    A = rng.standard_normal((n, 4, 4))
-    yield "rows 10^U(-100, 100)", A * _scaled(rng, (n, 4, 1), -100, 100)
-    A = rng.standard_normal((n, 4, 4))
-    yield "rows 10^U(-3, 3), all 10^U(-76, 70)", A * _scaled(rng, (n, 4, 1), -3, 3) * _scaled(rng, (n, 1, 1), -76, 70)
-    A = rng.standard_normal((n, 4, 4))
-    yield "rows and columns 10^U(-60, 60)", A * _scaled(rng, (n, 4, 1), -60, 60) * _scaled(rng, (n, 1, 4), -60, 60)
-    A = rng.standard_normal((n, 4, 4))
-    A[:, 3] = np.einsum("ni,nij->nj", rng.standard_normal((n, 3)), A[:, :3])
-    A[:, 3] += rng.standard_normal((n, 4)) * _scaled(rng, (n, 1), -18, -2)
-    yield "near-singular", A[:, rng.permutation(4)]
-    p = draw_parameter_matrix(rng, n) * _scaled(rng, (n, 1), -150, 80)
-    x = rng.uniform(0.0, 2.0, (n, 4)) * _scaled(rng, (n, 1), -150, 150)
-    with np.errstate(all="ignore"):
-        yield "model Jacobians", _field_jacobian(*x.T, *p.T)
+class TestNewtonStep:
+    """``equilibria._newton_step``, the kernel of ``batched_newton``, checked
+    against what it assumes and against LAPACK."""
 
+    _ZEROS = ((0, 2), (0, 3), (2, 3), (3, 2))
 
-class TestSingularityCertificate:
-    """``equilibria._certified_nonsingular`` never certifies a matrix whose
-    LAPACK determinant is at most 1e-300, the test ``_reference_newton``
-    freezes rows by."""
-
-    def test_certified_matrices_pass_the_lapack_test(self):
+    def test_the_structural_zeros_are_exact(self):
         rng = np.random.default_rng(47)
-        counts = {}
-        for name, A in _matrix_families(rng, 100_000):
-            with np.errstate(all="ignore"):
-                certified = equilibria._certified_nonsingular(A)
-                det = np.abs(np.linalg.det(A[certified]))
-            assert np.all(det > 1e-300), name
-            counts[name] = int(np.count_nonzero(certified))
-        assert counts["rows 10^U(-3, 3), all 10^U(-76, 70)"] > 50_000
-        assert counts["near-singular"] > 10_000
-        assert counts["model Jacobians"] > 10_000
+        params = draw_parameter_matrix(rng, 2000)
+        x = rng.uniform(0.0, 2.0, (2000, 4))
+        extreme = np.array([0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan])
+        x[:1000] = rng.choice(extreme, (1000, 4))
+        params[:500] *= rng.choice([1e-300, 1e300, np.inf, np.nan], (500, 1))
+        with np.errstate(all="ignore"):
+            J = _field_jacobian(*x.T, *params.T)
+        for i, j in self._ZEROS:
+            assert J[:, i, j].tobytes() == np.zeros(2000).tobytes(), (i, j)
+        assert not np.isfinite(J).all()
 
-    def test_rows_of_very_different_size_are_not_trusted(self):
-        # Partial pivoting picks the 2**80-scaled row first, and the small
-        # rows' entries vanish below its rounding: LAPACK's det is exactly 0
-        # for many of these matrices although the true determinant is at
-        # least a tenth of the product of the row norms.
+    def test_the_step_matches_lapack_within_a_backward_error_bound(self):
+        # One step of refinement makes the solve backward stable, as
+        # LAPACK's LU with partial pivoting is: on these draws both keep
+        # ||J s - r|| <= 8 eps ||J|| ||s|| (their largest ratios are about 2).
         rng = np.random.default_rng(53)
-        n = 20_000
-        U = rng.integers(-3, 4, (n, 4, 4)).astype(float)
-        U[:, 1:, 0] = rng.choice([-2.0, -1.0, 1.0, 2.0, 4.0], (n, 3))
-        U[:, 0, 0] = 2.0**-60
-        A = U.copy()
-        A[:, 0] *= 2.0**80
-        exact = np.abs(np.linalg.det(U)) * 2.0**80
-        trap = (np.linalg.det(A) == 0.0) & (exact > 0.1 * np.prod(np.linalg.norm(A, axis=2), axis=1))
-        assert np.count_nonzero(trap) > 1000
-        assert not equilibria._certified_nonsingular(A[trap]).any()
+        J, residual = _test_box_jacobians(rng, 100_000)
+        step, ok = equilibria._newton_step(J, residual)
+        assert ok.all()
+        moved = np.abs(residual).max(axis=0) > 0.0
+        J, r, s = J[moved], residual.T[moved], step.T[moved]
+        lapack = np.linalg.solve(J, r[..., None])[..., 0]
+        eps = np.finfo(float).eps
+        norm_J = np.abs(J).sum(axis=2).max(axis=1)
+        for solution in (s, lapack):
+            backward = np.abs(np.einsum("nij,nj->ni", J, solution) - r).max(axis=1)
+            assert np.all(backward <= 8.0 * eps * norm_J * np.abs(solution).max(axis=1))
+        # So the two steps agree to the matrix's condition number.
+        kappa = norm_J * np.abs(np.linalg.inv(J)).sum(axis=2).max(axis=1)
+        assert np.all(np.abs(s - lapack).max(axis=1) <= 16.0 * eps * kappa * np.abs(lapack).max(axis=1))
+
+    def test_scaling_an_equation_by_a_power_of_two_changes_no_bit(self):
+        rng = np.random.default_rng(59)
+        J, residual = _test_box_jacobians(rng, 5000)
+        # Exactly singular rows (a zero equation, a zero V column), rows
+        # whose V column is 2**-60 times its equations' size (the scaled
+        # determinant is below 2**-56), and one with a non-finite residual.
+        J[:100, 0] = 0.0
+        J[100:200, :, 2] = 0.0
+        J[200:300, 1, 2] = 0.0
+        J[200:300, 2, :3] = (1.0, 1.0, 2.0**-60)
+        residual[1, 300] = np.inf
+        with np.errstate(all="ignore"):
+            step, ok = equilibria._newton_step(J, residual)
+        assert not ok[:301].any() and ok[301:].all()
+        for i in range(4):
+            for k in (-600, -100, -1, 1, 100, 600):
+                J2, r2 = J.copy(), residual.copy()
+                J2[:, i] = np.ldexp(J2[:, i], k)
+                r2[i] = np.ldexp(r2[i], k)
+                with np.errstate(all="ignore"):
+                    step2, ok2 = equilibria._newton_step(J2, r2)
+                assert ok2.tobytes() == ok.tobytes(), (i, k)
+                assert step2[:, ok].tobytes() == step[:, ok].tobytes(), (i, k)
 
 
 class TestSerialization:

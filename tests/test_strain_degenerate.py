@@ -36,7 +36,39 @@ def _zeroed(params, *names):
     ],
 )
 def test_degenerate_equilibrium_text(fig1_params, zeros, eq_id, expression):
-    params = _zeroed(fig1_params, *zeros)
+    _assert_degenerate_text(_zeroed(fig1_params, *zeros), eq_id, expression)
+
+
+@pytest.mark.parametrize(
+    "rate, eq_id, expression",
+    [
+        ("lam", "E4", "K*lambda**2*mu"),
+        ("lam", "SV_endemic", "K*lambda**2*mu"),
+        ("beta", "E5", "K*beta**2*nu"),
+    ],
+)
+def test_an_underflowing_infected_denominator_is_degenerate(fig1_params, rate, eq_id, expression):
+    # 1e-170 is a valid rate, but K * rate**2 * mu underflows to 0, while
+    # K * rate * mu (the spectrum's denominator) does not.
+    _assert_degenerate_text(fig1_params.replace(**{rate: 1e-170}), eq_id, expression)
+
+
+def test_an_underflowing_infected_denominator_mirrors(fig1_params):
+    p = fig1_params.replace(lam=1e-170)
+    q = mirror(p)
+    assert q.beta == 1e-170
+    mirrored = {rec.id: rec for rec in catalog(q)}
+    for rec in catalog(p):
+        twin = mirrored[_MIRROR_IDS[rec.id]]
+        if rec.coordinates is None:
+            assert twin.coordinates is None, rec.id
+            assert twin.notes == rec.notes.replace("lambda", "beta").replace("mu", "nu"), rec.id
+        else:
+            assert rec.coordinates.tobytes() == twin.coordinates[_SWAP_VW].tobytes(), rec.id
+    assert [rec.id for rec in catalog(p) if rec.coordinates is None] == ["E4"]
+
+
+def _assert_degenerate_text(params, eq_id, expression):
     with pytest.raises(DegenerateEquilibriumError) as info:
         compute_equilibrium(params, eq_id)
     assert info.value.expression == expression
