@@ -18,7 +18,7 @@ from typing import IO, Callable
 
 import numpy as np
 
-from .equilibria import _catalog, _check_count, _equilibrium, thresholds
+from .equilibria import _check_count, catalog, compute_equilibrium
 from .model import ModelParameters, PARAMETER_KEYS, _FIELDS
 from .stability import _spectrum, classify_eigenvalues
 
@@ -95,7 +95,7 @@ def sweep(
     rows: list[SweepRow] = []
     for v in values:
         p = params.replace(**{parameter: float(v)})
-        for rec in _catalog(p, thresholds(p)):
+        for rec in catalog(p):
             if rec.coordinates is None:
                 rows.append(SweepRow(float(v), rec.id, None, False, None, math.nan))
                 continue
@@ -222,8 +222,7 @@ def find_transcritical(
         critical = a if abs(ga) <= abs(gb) else b
 
     p_crit = params.replace(**{parameter: critical})
-    t = thresholds(p_crit)
-    records = [_equilibrium(p_crit, eq_id, t) for eq_id in key]
+    records = [compute_equilibrium(p_crit, eq_id) for eq_id in key]
     gap = float(np.max(np.abs(records[0].coordinates - records[1].coordinates)))
 
     crossing_idx = []

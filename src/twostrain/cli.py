@@ -33,11 +33,9 @@ from .config import ConfigError, RunConfig, dump_config, load_config
 from .equilibria import (
     DegenerateEquilibriumError,
     EQUILIBRIUM_IDS,
-    _catalog,
     catalog,
     compute_equilibrium,
     records_to_jsonl,
-    thresholds,
 )
 from .figures import FIGURE_NAMES, reproduce
 from .integrate import IntegrationConfig, StepFailureError, integrate, write_trajectory_csv
@@ -183,7 +181,7 @@ def _select_attractors(run: RunConfig, selection: str | None):
     if not selection:
         records = [
             (rec.id, rec.coordinates)
-            for rec in _catalog(run.params, thresholds(run.params))
+            for rec in catalog(run.params)
             if rec.feasible and classify_eigenvalues(_spectrum(run.params, rec)).startswith("stable")
         ]
         if len(records) < 2:

@@ -10,11 +10,15 @@ variables its face keeps, its subsystem name and its notes, and a face id's
 record is its full id's record under those names, with only the in-face
 part of its spectrum and slacks.
 
-``_equilibrium`` is the one dispatch over the ids: one if-chain computes
-each point, or rejects it as degenerate, together with its closed-form
-spectrum and the named slacks that drive it. ``stability`` reads those
-from the record; E6 and E7 have no closed-form spectrum, and their
-records say so with a ``pair`` of None.
+``compute_equilibrium`` is the one dispatch over the ids, and ``catalog``
+loops over it: one if-chain computes each point from the parameters
+alone, or rejects it as degenerate, with its closed-form spectrum and the
+named slacks that drive it. Each branch computes the thresholds it reads
+through the helpers that the ``thresholds`` report also calls. A point is
+degenerate when a denominator vanishes or underflows to 0, or a
+coordinate is not finite. ``stability`` reads the spectra from the
+record; E6 and E7 have none, and their records say so with a ``pair`` of
+None.
 
 Every equilibrium is reported whether feasible or not: bifurcation sweeps
 need the sign changes of the feasibility margins, so infeasible points are
@@ -94,7 +98,7 @@ _DEGENERATE_TOL = 1e-14
 
 
 class DegenerateEquilibriumError(ValueError):
-    """A closed-form denominator vanished; the equilibrium is undefined."""
+    """A closed-form denominator vanished or a coordinate is not finite; the equilibrium is undefined."""
 
     def __init__(self, eq_id: str, expression: str):
         self.eq_id = eq_id
@@ -115,8 +119,8 @@ class ThresholdSet:
     equilibrium with strain one, with ``M``/``G`` the resulting window of
     competition pressure ``a`` in which that equilibrium is feasible, and
     ``N`` an upper comparison point that always exceeds ``G``. Hatted
-    fields are the strain-two analogues: ``_strain_thresholds`` writes each
-    strain's fields once, and ``_STRAINS`` says which fields are whose.
+    fields are the strain-two analogues, and ``_STRAINS`` says which
+    fields are whose.
 
     A field is ``None`` when its denominator vanishes; the ``undefined``
     tuple lists those field names.
@@ -144,21 +148,18 @@ class ThresholdSet:
 
 @dataclass
 class _Strain:
-    """One row of the strain table: a strain's rates, names, ids and thresholds."""
+    """One row of the strain table: a strain's rates, names, ids and threshold fields."""
 
     ordinal: str  # "one" or "two", as notes and keys spell it
     names: tuple[str, str, str, str]  # its (lambda, psi, mu, e) as messages spell them
     endemic_id: str  # endemic without the first competitor
     mixed_id: str  # endemic alongside the first competitor
     slot: int  # index of its infected class in (P, S, V, W)
-    fields: tuple[str, ...]  # its ThresholdSet fields, in _strain_thresholds order
-    # ``rates(p)`` reads its rates from ModelParameters, ``results(t)`` its fields from a ThresholdSet.
-    rates: attrgetter = field(init=False)
-    results: attrgetter = field(init=False)
+    fields: tuple[str, ...]  # its ThresholdSet fields: the endemic (A, C, Delta), then the mixed (E, F, M, N, G)
+    rates: attrgetter = field(init=False)  # ``rates(p)`` reads its rates from ModelParameters
 
     def __post_init__(self) -> None:
         self.rates = attrgetter(*(_FIELDS[name] for name in self.names))
-        self.results = attrgetter(*self.fields)
 
 
 # Strain two is strain one with V <-> W and (lambda, psi, mu, e) <->
@@ -174,12 +175,17 @@ _ENDEMIC = {strain.endemic_id: (strain, other) for strain, other in (_STRAINS, _
 _MIXED = {strain.mixed_id: strain for strain in _STRAINS}
 
 
-def _strain_thresholds(p: ModelParameters, lam: float, psi: float, mu: float, e: float) -> tuple:
-    """One strain's (A, C, Delta, E, F, M, N, G), None where a denominator vanishes."""
-    rs = p.r * p.s
+def _endemic_thresholds(p: ModelParameters, lam: float, psi: float, mu: float) -> tuple:
+    """One strain's (A, C, Delta) for its endemic point, A None when ``lam`` vanishes."""
     A = (psi + mu) / lam if lam != 0.0 else None
     C = mu**2 + p.K * lam * psi - psi**2
     Delta = (p.r * C) ** 2 - 4.0 * p.r * p.K * lam * mu**2 * (mu + psi) * (p.K * lam - mu - psi)
+    return A, C, Delta
+
+
+def _mixed_thresholds(p: ModelParameters, lam: float, psi: float, mu: float, e: float) -> tuple:
+    """One strain's (E, F, M, N, G) for its mixed point, None where a denominator vanishes."""
+    rs = p.r * p.s
     E = (
         p.r * p.L * p.K * e * p.a
         - e * p.L * p.r * p.s
@@ -200,23 +206,26 @@ def _strain_thresholds(p: ModelParameters, lam: float, psi: float, mu: float, e:
     N = p.s * lam * (e * p.L + mu) / N_den if N_den != 0.0 else None
     G_den = mu + psi
     G = lam * p.s / G_den if G_den != 0.0 else None
-    return A, C, Delta, E, F, M, N, G
+    return E, F, M, N, G
+
+
+def _in_plane_discriminant(p: ModelParameters) -> float:
+    """Discriminant of the in-plane eigenvalue pair at disease-free
+    coexistence, written so it is defined even when that point is not."""
+    rs = p.r * p.s
+    den = p.b * p.L * p.K * p.a - rs
+    return (rs * (p.r + p.s - p.b * p.L - p.a * p.K)) ** 2 + 4.0 * rs * (p.a * p.K - p.s) * (p.b * p.L - p.r) * den
 
 
 def thresholds(params: ModelParameters) -> ThresholdSet:
-    """Evaluate every named threshold for one parameter set."""
+    """Every named threshold of one parameter set, as a report: the closed
+    forms compute the ones they read through the same helpers, not from here."""
     p = params
     values = {}
     for strain in _STRAINS:
-        values.update(zip(strain.fields, _strain_thresholds(p, *strain.rates(p))))
-
-    # Discriminant of the in-plane eigenvalue pair at disease-free
-    # coexistence, written so it is defined even when that point is not.
-    rs = p.r * p.s
-    D3den = p.b * p.L * p.K * p.a - rs
-    values["Delta3"] = (rs * (p.r + p.s - p.b * p.L - p.a * p.K)) ** 2 + 4.0 * rs * (
-        p.a * p.K - p.s
-    ) * (p.b * p.L - p.r) * D3den
+        lam, psi, mu, e = strain.rates(p)
+        values.update(zip(strain.fields, _endemic_thresholds(p, lam, psi, mu) + _mixed_thresholds(p, lam, psi, mu, e)))
+    values["Delta3"] = _in_plane_discriminant(p)
     # The None fields, in declaration order: A, B, M, N, G, Mhat, Nhat, Ghat.
     undefined = tuple(name for name in ThresholdSet.__dataclass_fields__ if values.get(name, 0.0) is None)
     return ThresholdSet(**values, undefined=undefined)
@@ -288,25 +297,28 @@ def _finish(
     )
 
 
+def _quotient(eq_id: str, numerator: float, denominator: float, expression: str) -> float:
+    """``numerator / denominator``, degenerate with the denominator's text if it is 0 or the quotient not finite."""
+    value = numerator / denominator if denominator != 0.0 else math.inf
+    if not math.isfinite(value):
+        raise DegenerateEquilibriumError(eq_id, expression)
+    return value
+
+
 def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecord:
-    """Evaluate one equilibrium in closed form.
+    """Evaluate one equilibrium in closed form, with its spectrum and slacks.
 
     Raises DegenerateEquilibriumError when a defining denominator vanishes
-    (for example the disease-free coexistence point when b*L*K*a = r*s).
+    (for example the disease-free coexistence point when b*L*K*a = r*s),
+    underflows to 0, or gives a coordinate that is not finite, and
+    ValueError for an unknown id.
     """
-    return _equilibrium(params, eq_id, thresholds(params))
-
-
-def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> EquilibriumRecord:
-    """``compute_equilibrium`` with the thresholds of ``params`` given: the
-    one code that computes a point, or rejects it as degenerate, with its
-    closed-form spectrum and slacks."""
     p = params
 
     face = _FACES.get(eq_id)
     if face is not None:
         try:
-            rec = _equilibrium(params, face.full_id, t)
+            rec = compute_equilibrium(params, face.full_id)
         except DegenerateEquilibriumError as err:
             raise DegenerateEquilibriumError(eq_id, err.expression) from None
         return replace(rec, id=eq_id, subsystem=face.subsystem, notes=face.notes, transverse=[], across={})
@@ -342,22 +354,24 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
     if eq_id == "E3":
         den = p.b * p.L * p.K * p.a - p.r * p.s
         scale = p.b * p.L * p.K * p.a + p.r * p.s
+        expression = "b*L*K*a - r*s"
         if abs(den) <= _DEGENERATE_TOL * max(scale, 1.0):
-            raise DegenerateEquilibriumError(eq_id, "b*L*K*a - r*s")
+            raise DegenerateEquilibriumError(eq_id, expression)
         # Folded as the record holds them, so the transverse rows read the same zeros.
-        P3 = p.L * p.r * (p.a * p.K - p.s) / den + 0.0
-        S3 = p.K * p.s * (p.b * p.L - p.r) / den + 0.0
+        P3 = _quotient(eq_id, p.L * p.r * (p.a * p.K - p.s), den, expression) + 0.0
+        S3 = _quotient(eq_id, p.K * p.s * (p.b * p.L - p.r), den, expression) + 0.0
+        Delta3 = _in_plane_discriminant(p)
         margins = {
             "first_invades_second": p.a * p.K - p.s,
             "second_invades_first": p.b * p.L - p.r,
         }
         return _finish(
             eq_id, (P3, S3, 0.0, 0.0), margins, "disease-free coexistence",
-            pair=_quadratic_pair(p.r * p.s * (p.r + p.s - p.b * p.L - p.a * p.K), t.Delta3, den),
+            pair=_quadratic_pair(p.r * p.s * (p.r + p.s - p.b * p.L - p.a * p.K), Delta3, den),
             transverse=[p.lam * S3 - p.psi - p.mu - p.e * P3, p.beta * S3 - p.phi - p.nu - p.f * P3],
             in_face={
                 "in_plane_damping": p.r * p.s - p.a * p.b * p.K * p.L,
-                "in_plane_discriminant": t.Delta3,
+                "in_plane_discriminant": Delta3,
             },
             across={
                 "strain_one_subcritical": p.psi + p.mu + p.e * P3 - p.lam * S3,
@@ -374,13 +388,15 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
             raise DegenerateEquilibriumError(eq_id, strain.names[2])
         if p.K * lam * mu == 0.0:  # the spectrum's denominator, underflowed
             raise DegenerateEquilibriumError(eq_id, "K*{0}*{2}".format(*strain.names))
-        A, C, Delta = strain.results(t)[:3]
+        infected = _quotient(
+            eq_id, p.r * (mu + psi) * (p.K * lam - mu - psi), p.K * lam**2 * mu, "K*{0}**2*{2}".format(*strain.names)
+        )
+        A, C, Delta = _endemic_thresholds(p, lam, psi, mu)
+        if not math.isfinite(A):  # the quotient (psi + mu) / lambda overflowed
+            raise DegenerateEquilibriumError(eq_id, strain.names[0])
         beta, phi, nu, _ = other.rates(p)
-        den = p.K * lam**2 * mu
-        if den == 0.0:  # the infected coordinate's denominator, underflowed
-            raise DegenerateEquilibriumError(eq_id, "K*{0}**2*{2}".format(*strain.names))
         coords = [0.0, A, 0.0, 0.0]
-        coords[strain.slot] = p.r * (mu + psi) * (p.K * lam - mu - psi) / den
+        coords[strain.slot] = infected
         margins = {f"strain_{strain.ordinal}_invades": p.K - A}
         return _finish(
             eq_id, coords, margins, f"strain {strain.ordinal} endemic, first competitor absent",
@@ -403,17 +419,20 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
     if eq_id in _MIXED:
         strain = _MIXED[eq_id]
         lam, psi, mu, e = strain.rates(p)
-        _, _, _, E, F, M, _, G = strain.results(t)
+        E, F, M, _, G = _mixed_thresholds(p, lam, psi, mu, e)
         den = lam * p.s + e * p.L * p.a
+        expression = "{0}*s + {3}*L*a".format(*strain.names)
         if den <= _DEGENERATE_TOL:
-            raise DegenerateEquilibriumError(eq_id, "{0}*s + {3}*L*a".format(*strain.names))
+            raise DegenerateEquilibriumError(eq_id, expression)
         if abs(F) <= _DEGENERATE_TOL * max(abs(p.s * lam * (e * p.L + mu)) + abs(psi * e * p.L * p.a), 1.0):
             raise DegenerateEquilibriumError(
                 eq_id, "{4} = s*{0}*{3}*L + s*{0}*{2} - {1}*{3}*L*a".format(*strain.names, strain.fields[4])
             )
-        P = p.L * (lam * p.s - p.a * (mu + psi)) / den
-        S = p.s * (mu + psi + e * p.L) / den
-        infected = p.s * (mu + psi + e * p.L) * E / (p.K * den * F)
+        P = _quotient(eq_id, p.L * (lam * p.s - p.a * (mu + psi)), den, expression)
+        S = _quotient(eq_id, p.s * (mu + psi + e * p.L), den, expression)
+        infected = _quotient(
+            eq_id, p.s * (mu + psi + e * p.L) * E, p.K * den * F, f"K*({expression})*{strain.fields[4]}"
+        )
         coords = [P, S, 0.0, 0.0]
         coords[strain.slot] = infected
         margins = {}
@@ -435,27 +454,12 @@ def _equilibrium(params: ModelParameters, eq_id: str, t: ThresholdSet) -> Equili
 
 def catalog(params: ModelParameters) -> list[EquilibriumRecord]:
     """All eight full-space equilibria, degenerate ones kept with a note."""
-    return _catalog(params, thresholds(params))
-
-
-def _catalog(params: ModelParameters, t: ThresholdSet) -> list[EquilibriumRecord]:
-    """``catalog`` with the thresholds of ``params`` given."""
     records = []
     for eq_id in EQUILIBRIUM_IDS:
         try:
-            records.append(_equilibrium(params, eq_id, t))
+            records.append(compute_equilibrium(params, eq_id))
         except DegenerateEquilibriumError as err:
-            records.append(
-                EquilibriumRecord(
-                    id=eq_id,
-                    coordinates=None,
-                    feasible=False,
-                    marginal=False,
-                    margins={},
-                    subsystem="full",
-                    notes=f"degenerate: {err.expression} vanishes",
-                )
-            )
+            records.append(EquilibriumRecord(eq_id, None, False, False, {}, notes=f"degenerate: {err.expression} vanishes"))
     return records
 
 

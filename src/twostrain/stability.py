@@ -9,12 +9,13 @@ every invariant coordinate face containing the point. The face report
 matters because several equilibria are saddles of the full system yet
 attract every trajectory that starts inside one of their faces.
 
-The closed forms are written once, in ``equilibria._equilibrium``: each
+The closed forms are written once, in ``equilibria.compute_equilibrium``,
+the one dispatch (``equilibria.thresholds`` is only a report): each
 record carries its in-face eigenvalue pair and slacks, then its
 transverse eigenvalues and their slacks, so a degenerate point has one
 text everywhere. E6 and E7 have none, and their records say so with a
-pair of None, so the callers choose between closed-form and numeric
-spectra with an ``if``. A face id (``equilibria._FACES``) is one of E0-E4
+pair of None, so ``_spectrum`` chooses the closed-form or the numeric
+spectrum with one ``if``. A face id (``equilibria._FACES``) is one of E0-E4
 seen inside its face; its record keeps only its full id's in-face part,
 and its verdict is taken on the Jacobian block of the variables its face
 keeps.
@@ -29,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .equilibria import EquilibriumRecord, _FACES, _equilibrium, thresholds
+from .equilibria import EquilibriumRecord, _FACES, compute_equilibrium
 from .model import ModelParameters, jacobian
 
 __all__ = [
@@ -115,10 +116,10 @@ def analytic_eigenvalues(params: ModelParameters, eq_id: str) -> np.ndarray:
     when the underlying point is undefined (a degenerate E6 or E7 too), and
     ValueError for ids without closed forms (E6, E7).
     """
-    rec = _equilibrium(params, eq_id, thresholds(params))
+    rec = compute_equilibrium(params, eq_id)
     if rec.pair is None:
         raise ValueError(f"no closed-form spectrum for {eq_id!r}")
-    return _sorted(rec.pair + rec.transverse)
+    return _spectrum(params, rec)
 
 
 def _spectrum(params: ModelParameters, rec: EquilibriumRecord) -> np.ndarray:
@@ -176,7 +177,7 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
     reported eigenvalues are the closed-form ones when available. Raises
     DegenerateEquilibriumError when the point itself is undefined.
     """
-    rec = _equilibrium(params, eq_id, thresholds(params))
+    rec = compute_equilibrium(params, eq_id)
     coords = rec.coordinates
     J_full = jacobian(params, coords)
 
@@ -187,13 +188,10 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
         idx = [_FACE_INDEX[l] for l in face.variables]
         J = J_full[np.ix_(idx, idx)]
 
-    numeric = numeric_eigenvalues(J)
+    eigs = _spectrum(params, rec)
     diagnostics: dict[str, float] = {}
-    if rec.pair is None:
-        eigs, method = numeric, "numeric"
-    else:
-        eigs, method = _sorted(rec.pair + rec.transverse), "both"
-        diagnostics["analytic_numeric_max_diff"] = float(np.max(np.abs(eigs - numeric)))
+    if rec.pair is not None:  # the closed form, cross-checked
+        diagnostics["analytic_numeric_max_diff"] = float(np.max(np.abs(eigs - numeric_eigenvalues(J))))
 
     classification = classify_eigenvalues(eigs)
     diagnostics["lead_real_part"] = float(eigs[0].real)
@@ -211,7 +209,7 @@ def classify(params: ModelParameters, eq_id: str) -> StabilityVerdict:
         coordinates=coords,
         eigenvalues=eigs,
         classification=classification,
-        method=method,
+        method="numeric" if rec.pair is None else "both",
         condition_report=rec.in_face | rec.across,
         face_classes=face_classes,
         diagnostics=diagnostics,

@@ -56,20 +56,42 @@ def _replace_everywhere(monkeypatch, original, replacement) -> None:
 
 @pytest.fixture
 def threshold_calls(monkeypatch) -> list:
-    """Record every ``thresholds`` call, whichever module makes it.
+    """Record every threshold computation, whichever module makes it.
 
-    The function is replaced in every twostrain namespace that refers to
-    it, so calls through a module attribute are counted.
+    The ``thresholds`` report and the helpers the closed forms compute
+    their thresholds through (each strain's endemic and mixed values, and
+    the in-plane discriminant) are replaced in every twostrain namespace
+    that refers to them, so calls through a module attribute are counted.
+    Each call is recorded as (function name, params, its other arguments).
     """
     calls = []
-    original = equilibria.thresholds
 
-    def counted(params):
-        calls.append(params)
-        return original(params)
+    def counting(original):
+        def counted(params, *rates):
+            calls.append((original.__name__, params, rates))
+            return original(params, *rates)
 
-    _replace_everywhere(monkeypatch, original, counted)
+        return counted
+
+    for original in (
+        equilibria.thresholds,
+        equilibria._endemic_thresholds,
+        equilibria._mixed_thresholds,
+        equilibria._in_plane_discriminant,
+    ):
+        _replace_everywhere(monkeypatch, original, counting(original))
     return calls
+
+
+def threshold_call(name: str, params: ModelParameters, strain: str = "") -> tuple:
+    """The ``threshold_calls`` entry of one helper call: ``name`` is
+    "endemic", "mixed" or "in_plane", and ``strain`` "one" or "two"."""
+    if name == "in_plane":
+        return ("_in_plane_discriminant", params, ())
+    rates = ("lam", "psi", "mu", "e") if strain == "one" else ("beta", "phi", "nu", "f")
+    if name == "endemic":
+        rates = rates[:3]
+    return (f"_{name}_thresholds", params, tuple(getattr(params, rate) for rate in rates))
 
 
 @pytest.fixture

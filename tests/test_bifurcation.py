@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import draw_parameter_matrix, params_from_row
+from conftest import draw_parameter_matrix, params_from_row, threshold_call
 from twostrain import figures
 from twostrain.bifurcation import (
     SUPPORTED_PAIRS,
@@ -103,12 +103,20 @@ class TestSweep:
         # Closed-form spectra (E0-E5) and numeric-only ones (E6, E7) alike.
         assert seen == set(EQUILIBRIUM_IDS)
 
-    def test_one_thresholds_call_per_grid_value_and_no_full_verdict(
+    def test_each_threshold_once_per_grid_value_and_no_full_verdict(
         self, fig1_params, threshold_calls, classify_forbidden
     ):
+        # No point on this grid is degenerate, so each grid value computes
+        # the in-plane discriminant and each strain's endemic and mixed
+        # values exactly once, and never the thresholds report.
         result = sweep(fig1_params, "K", 0.5, 3.0, 26)
         assert len(result.rows) == 26 * 8
-        assert len(threshold_calls) == 26
+        expected = []
+        for v in result.values:
+            p = fig1_params.replace(K=float(v))
+            expected.append(threshold_call("in_plane", p))
+            expected += [threshold_call(name, p, strain) for name in ("endemic", "mixed") for strain in ("one", "two")]
+        assert threshold_calls == expected
 
     def test_every_point_is_computed_once_per_grid_value(self, fig1_params, point_computations):
         # E3's closed-form spectrum reads the record the sweep holds.
@@ -196,18 +204,21 @@ class TestTranscritical:
         assert located > 700
 
     @pytest.mark.parametrize(
-        "parameter, pair, lo, hi",
+        "parameter, pair, lo, hi, computed",
         [
-            ("K", ("E2", "E4"), 0.5, 3.0),
-            ("a", ("E4", "E6"), 0.1, 0.5),
-            ("a", ("E5", "E7"), 0.01, 0.4),
+            ("K", ("E2", "E4"), 0.5, 3.0, [("endemic", "one")]),
+            ("a", ("E4", "E6"), 0.1, 0.5, [("endemic", "one"), ("mixed", "one")]),
+            ("a", ("E5", "E7"), 0.01, 0.4, [("endemic", "two"), ("mixed", "two")]),
         ],
     )
     def test_validation_computes_the_thresholds_once(
-        self, fig1_params, threshold_calls, parameter, pair, lo, hi
+        self, fig1_params, threshold_calls, parameter, pair, lo, hi, computed
     ):
+        # Only the two records at the critical value read thresholds, and
+        # only their own: the bisection reads the exchange margin alone.
         tp = find_transcritical(fig1_params, parameter, pair, lo, hi)
-        assert threshold_calls == [fig1_params.replace(**{parameter: tp.critical_value})]
+        critical = fig1_params.replace(**{parameter: tp.critical_value})
+        assert threshold_calls == [threshold_call(name, critical, strain) for name, strain in computed]
 
     @pytest.mark.parametrize("parameter, pair, lo, hi", [("b", ("E1", "E3"), 0.3, 0.7), ("a", ("E2", "E3"), 0.1, 0.3)])
     def test_validation_computes_each_point_once(self, fig1_params, point_computations, parameter, pair, lo, hi):
@@ -215,6 +226,7 @@ class TestTranscritical:
         assert point_computations == {eq_id: 1 for eq_id in pair}
 
     def test_no_sign_change_computes_no_thresholds(self, fig1_params, threshold_calls):
+        # Neither the report nor any helper a closed form computes through.
         with pytest.raises(NoSignChangeError):
             find_transcritical(fig1_params, "K", ("E2", "E4"), 2.0, 3.0)
         assert threshold_calls == []

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -493,6 +494,26 @@ class TestCliAnalysis:
         assert rc == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("numerical failure: ")
+
+    @pytest.mark.parametrize("change, skipped", [({"K": 5e-324}, "E6"), ({"mu": 1e-310}, "E4")])
+    @pytest.mark.parametrize(
+        "command", [["equilibria"], ["stability"], ["sweep", "--param", "a", "--lo", "0.1", "--hi", "1", "--n", "3"]]
+    )
+    def test_subnormal_denominators_give_degenerate_points(self, tmp_path, capsys, fig1_params, change, skipped, command):
+        # K * den * F underflows to 0 at K = 5e-324, and E4's infected
+        # coordinate overflows at mu = 1e-310: each point is degenerate,
+        # so no file holds an infinity and every command exits 0.
+        cfg = _write_cfg(tmp_path, fig1_params.replace(**change))
+        rc = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
+        out, err = capsys.readouterr()
+        assert (rc, err) == (0, "")
+        if command[0] != "sweep":
+            assert f"{skipped}: {'skipped' if command[0] == 'stability' else 'undefined'} (" in out
+        for path in (tmp_path / "o").iterdir():
+            assert not {"Infinity", "inf", "nan", "NaN"} & set(re.findall(r"[A-Za-z]+", path.read_text())), path.name
+        if command[0] == "sweep":
+            rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+            assert sum(row.split(",")[1:7] == [skipped, "", "", "", "", "false"] for row in rows) == 3
 
     def test_basin_auto_attractors_skip_the_full_verdict(
         self, tmp_path, capsys, fig4_params, classify_forbidden

@@ -1,12 +1,13 @@
 """Closed-form equilibrium catalog, thresholds and the vectorized root search."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import draw_parameter_matrix, params_from_row
+from conftest import draw_parameter_matrix, params_from_row, threshold_call
 from twostrain import equilibria
 from twostrain.equilibria import (
     ALL_IDS,
@@ -20,6 +21,7 @@ from twostrain.equilibria import (
     records_to_jsonl,
     thresholds,
 )
+from twostrain.figures import PRESETS
 from twostrain.model import PARAMETER_KEYS, _field, _field_jacobian, rhs
 
 
@@ -98,6 +100,36 @@ class TestThresholds:
         rng = np.random.default_rng(seed)
         t = thresholds(params_from_row(draw_parameter_matrix(rng, 1)[0]))
         assert t.N > t.G
+
+    def test_the_report_and_the_dispatch_agree_bit_for_bit(self):
+        # No closed form reads the report: each computes the thresholds it
+        # reads through the report's own helpers, so every value a record
+        # carries is the report's, bit for bit.
+        rng = np.random.default_rng(43)
+        draws = [params_from_row(row) for row in draw_parameter_matrix(rng, 100)]
+        every_rate = ("lam", "psi", "mu", "e", "beta", "phi", "nu", "f")
+        zeroed = [p.replace(**{name: 0.0}) for p in draws[:30] for name in every_rate]
+        checked = Counter()
+
+        def same(record_value, report_value, what):
+            assert float(record_value).hex() == float(report_value).hex(), (what, p)
+            checked[what] += 1
+
+        for p in [preset.params for preset in PRESETS.values()] + draws + zeroed:
+            t = thresholds(p)
+            records = {rec.id: rec for rec in catalog(p) if rec.coordinates is not None}
+            if "E3" in records:
+                same(records["E3"].in_face["in_plane_discriminant"], t.Delta3, "Delta3")
+            for eq_id, A, Delta in (("E4", t.A, t.Delta4), ("E5", t.B, t.Delta5)):
+                if eq_id in records:
+                    same(records[eq_id].coordinates[1], A, f"{eq_id} S")
+                    same(records[eq_id].in_face["endemic_discriminant"], Delta, f"{eq_id} Delta")
+            for eq_id, M, G in (("E6", t.M, t.G), ("E7", t.Mhat, t.Ghat)):
+                if eq_id in records and M is not None:
+                    same(records[eq_id].margins["infected_branch_positive"], p.a - M, f"{eq_id} M")
+                if eq_id in records and G is not None:
+                    same(records[eq_id].margins["first_competitor_positive"], G - p.a, f"{eq_id} G")
+        assert len(checked) == 9 and min(checked.values()) >= 200, checked
 
 
 class TestClosedForms:
@@ -214,8 +246,16 @@ class TestDegeneracies:
                 "E6",
                 "E6 undefined: F = s*lambda*e*L + s*lambda*mu - psi*e*L*a vanishes",
             ),
+            # Coordinate quotients that overflow while their denominators
+            # do not vanish: S = (psi + mu) / lambda, and E3's P.
+            (
+                lambda p: p.replace(lam=5e-155, K=1e200, mu=1e154, r=1e-160),
+                "E4",
+                "E4 undefined: lambda vanishes",
+            ),
+            (lambda p: p.replace(L=1e300, b=1e-300, r=1e10), "E3", "E3 undefined: b*L*K*a - r*s vanishes"),
         ],
-        ids=["lambda", "mu", "nu", "K*lambda*mu", "b", "psi"],
+        ids=["lambda", "mu", "nu", "K*lambda*mu", "b", "psi", "A overflows", "P3 overflows"],
     )
     def test_a_degenerate_catalog_record_raises_the_point_text(self, fig1_params, change, eq_id, text):
         p = change(fig1_params)
@@ -245,11 +285,23 @@ class TestDegeneracies:
 
 
 def test_catalog_computes_the_thresholds_once(fig1_params, fig4_params, threshold_calls):
+    # No closed form reads the thresholds report: E3 computes the in-plane
+    # discriminant, E4/E5 their strain's endemic values and E6/E7 its mixed
+    # values, each once. At lambda = 0, E4 is degenerate before it reads any.
     for params in (fig1_params, fig4_params, fig1_params.replace(**{"lambda": 0.0})):
         threshold_calls.clear()
         records = catalog(params)
         assert len(records) == len(EQUILIBRIUM_IDS)
-        assert threshold_calls == [params]
+        expected = [
+            threshold_call("in_plane", params),
+            threshold_call("endemic", params, "one"),
+            threshold_call("endemic", params, "two"),
+            threshold_call("mixed", params, "one"),
+            threshold_call("mixed", params, "two"),
+        ]
+        if params.lam == 0.0:
+            expected.remove(threshold_call("endemic", params, "one"))
+        assert threshold_calls == expected
 
 
 class TestResidualProperty:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import draw_parameter_matrix, params_from_row
+from conftest import draw_parameter_matrix, params_from_row, threshold_call
 from twostrain.equilibria import _FACES, ALL_IDS, DegenerateEquilibriumError, compute_equilibrium, thresholds
 from twostrain.stability import (
     MARGINAL,
@@ -246,6 +246,18 @@ def test_the_condition_report_is_the_records_slacks(fig1_params, fig4_params, fi
     assert checked >= 1800
 
 
+# The thresholds each verdict's point computes, by id: none but its own.
+_POINT_THRESHOLDS = {
+    "E3": [("in_plane", "")],
+    "Q3": [("in_plane", "")],
+    "E4": [("endemic", "one")],
+    "SV_endemic": [("endemic", "one")],
+    "E5": [("endemic", "two")],
+    "E6": [("mixed", "one")],
+    "E7": [("mixed", "two")],
+}
+
+
 def test_classify_computes_the_thresholds_once(fig1_params, fig4_params, threshold_calls):
     classified = 0
     for params in (fig1_params, fig4_params):
@@ -257,7 +269,8 @@ def test_classify_computes_the_thresholds_once(fig1_params, fig4_params, thresho
                 pass
             else:
                 classified += 1
-            assert threshold_calls == [params], eq_id
+            expected = [threshold_call(name, params, strain) for name, strain in _POINT_THRESHOLDS.get(eq_id, [])]
+            assert threshold_calls == expected, eq_id
     assert classified >= 20
 
 

@@ -8,6 +8,8 @@ second half checks that zeroing a rate of one strain fails, or leaves
 undefined, exactly what zeroing its twin does for the other strain.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,58 @@ def test_an_underflowing_infected_denominator_mirrors(fig1_params):
         else:
             assert rec.coordinates.tobytes() == twin.coordinates[_SWAP_VW].tobytes(), rec.id
     assert [rec.id for rec in catalog(p) if rec.coordinates is None] == ["E4"]
+
+
+_MIXED_ONE, _MIXED_TWO = "K*(lambda*s + e*L*a)*F", "K*(beta*s + f*L*a)*Fhat"
+
+
+@pytest.mark.parametrize(
+    "change, eq_id, expression",
+    [
+        ({"K": 5e-324}, "E6", _MIXED_ONE),
+        ({"K": 5e-324}, "E7", _MIXED_TWO),
+        ({"mu": 1e-310}, "E4", "K*lambda**2*mu"),
+        ({"mu": 1e-310}, "SV_endemic", "K*lambda**2*mu"),
+        ({"nu": 1e-310}, "E5", "K*beta**2*nu"),
+        ({"K": 1e-310}, "E4", "K*lambda**2*mu"),
+        ({"K": 1e-310}, "E5", "K*beta**2*nu"),
+        ({"K": 1e-310}, "E6", _MIXED_ONE),
+        ({"K": 1e-310}, "E7", _MIXED_TWO),
+    ],
+)
+def test_a_subnormal_denominator_is_degenerate(fig1_params, change, eq_id, expression):
+    # At K = 5e-324 the infected denominator K*(lambda*s + e*L*a)*F
+    # underflows to 0. At 1e-310 the denominators are subnormal but not 0,
+    # and the infected coordinate overflows to an infinity.
+    _assert_degenerate_text(fig1_params.replace(**change), eq_id, expression)
+
+
+# Each strain's names in the degenerate texts, paired with the other strain's.
+_TEXT_TWIN = {"lambda": "beta", "psi": "phi", "mu": "nu", "e": "f", "F": "Fhat"}
+_TEXT_TWIN.update({two: one for one, two in _TEXT_TWIN.items()})
+
+
+@pytest.mark.parametrize(
+    "change, degenerate",
+    [
+        ({"K": 5e-324}, ["E4", "E5", "E6", "E7"]),
+        ({"K": 1e-310}, ["E4", "E5", "E6", "E7"]),
+        ({"mu": 1e-310}, ["E4"]),
+    ],
+)
+def test_a_subnormal_denominator_mirrors(fig1_params, change, degenerate):
+    p = fig1_params.replace(**change)
+    mirrored = {rec.id: rec for rec in catalog(mirror(p))}
+    for rec in catalog(p):
+        twin = mirrored[_MIRROR_IDS[rec.id]]
+        if rec.coordinates is None:
+            assert twin.coordinates is None, rec.id
+            assert twin.notes == re.sub(r"\w+", lambda m: _TEXT_TWIN.get(m[0], m[0]), rec.notes), rec.id
+        else:
+            # No record lies at infinity.
+            assert np.isfinite(rec.coordinates).all(), rec.id
+            assert rec.coordinates.tobytes() == twin.coordinates[_SWAP_VW].tobytes(), rec.id
+    assert [rec.id for rec in catalog(p) if rec.coordinates is None] == degenerate
 
 
 def _assert_degenerate_text(params, eq_id, expression):
