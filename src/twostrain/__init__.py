@@ -24,16 +24,13 @@ from .integrate import (
     StepFailureError,
     ReachResult,
     UNDECIDED,
-    run_to_attractor,
     write_trajectory_csv,
 )
 from .equilibria import (
     DegenerateEquilibriumError,
-    ThresholdSet,
     EquilibriumRecord,
     EQUILIBRIUM_IDS,
     FACE_EQUILIBRIUM_IDS,
-    thresholds,
     compute_equilibrium,
     catalog,
     equilibrium_residual,

@@ -13,12 +13,12 @@ part of its spectrum and slacks.
 ``compute_equilibrium`` is the one dispatch over the ids, and ``catalog``
 loops over it: one if-chain computes each point from the parameters
 alone, or rejects it as degenerate, with its closed-form spectrum and the
-named slacks that drive it. Each branch computes the thresholds it reads
-through the helpers that the ``thresholds`` report also calls. A point is
-degenerate when a denominator vanishes or underflows to 0, or a
-coordinate is not finite. ``stability`` reads the spectra from the
-record; E6 and E7 have none, and their records say so with a ``pair`` of
-None.
+named slacks that drive it. Each branch computes only the thresholds it
+reads, through one helper per kind: a strain's endemic values, its mixed
+values, and the in-plane discriminant. A point is degenerate when a
+denominator vanishes or underflows to 0, or a coordinate is not finite.
+``stability`` reads the spectra from the record; E6 and E7 have none, and
+their records say so with a ``pair`` of None.
 
 Every equilibrium is reported whether feasible or not: bifurcation sweeps
 need the sign changes of the feasibility margins, so infeasible points are
@@ -31,8 +31,7 @@ The two strains are one mechanism with different rates: swapping V with W
 and (lambda, psi, mu, e) with (beta, phi, nu, f) maps the model onto
 itself. So each strain closed form is written once, for strain one, and
 ``_STRAINS`` holds one row per strain (its rates, the names its messages
-use, its ids, its infected slot and its ``ThresholdSet`` fields) that the
-formula reads.
+use, its ids and its infected slot) that the formula reads.
 """
 
 from __future__ import annotations
@@ -50,12 +49,10 @@ from .model import ModelParameters, PARAMETER_KEYS, _FIELDS, _field, _field_jaco
 
 __all__ = [
     "DegenerateEquilibriumError",
-    "ThresholdSet",
     "EquilibriumRecord",
     "EQUILIBRIUM_IDS",
     "FACE_EQUILIBRIUM_IDS",
     "ALL_IDS",
-    "thresholds",
     "compute_equilibrium",
     "catalog",
     "equilibrium_residual",
@@ -106,56 +103,16 @@ class DegenerateEquilibriumError(ValueError):
         super().__init__(f"{eq_id} undefined: {expression} vanishes")
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
-    """Derived quantities controlling feasibility and stability.
-
-    ``A``/``B`` are the susceptible-pool sizes at which strain one/two can
-    just sustain itself. ``C``/``Dtilde`` control whether the endemic
-    single-strain points attract or spiral. ``Delta3``/``Delta4``/``Delta5``
-    are eigenvalue discriminants (node versus focus) of the disease-free
-    coexistence and the two endemic points. ``E``/``F`` are the numerator
-    and denominator structure of the infected coordinate of the mixed
-    equilibrium with strain one, with ``M``/``G`` the resulting window of
-    competition pressure ``a`` in which that equilibrium is feasible, and
-    ``N`` an upper comparison point that always exceeds ``G``. Hatted
-    fields are the strain-two analogues, and ``_STRAINS`` says which
-    fields are whose.
-
-    A field is ``None`` when its denominator vanishes; the ``undefined``
-    tuple lists those field names.
-    """
-
-    A: float | None
-    B: float | None
-    C: float
-    Dtilde: float
-    Delta3: float
-    Delta4: float
-    Delta5: float
-    E: float
-    F: float
-    M: float | None
-    N: float | None
-    G: float | None
-    Ehat: float
-    Fhat: float
-    Mhat: float | None
-    Nhat: float | None
-    Ghat: float | None
-    undefined: tuple[str, ...] = field(default=())
-
-
 @dataclass
 class _Strain:
-    """One row of the strain table: a strain's rates, names, ids and threshold fields."""
+    """One row of the strain table: a strain's rates, names, ids and infected slot."""
 
     ordinal: str  # "one" or "two", as notes and keys spell it
     names: tuple[str, str, str, str]  # its (lambda, psi, mu, e) as messages spell them
     endemic_id: str  # endemic without the first competitor
     mixed_id: str  # endemic alongside the first competitor
     slot: int  # index of its infected class in (P, S, V, W)
-    fields: tuple[str, ...]  # its ThresholdSet fields: the endemic (A, C, Delta), then the mixed (E, F, M, N, G)
+    factor: str  # its name for F, a factor of its mixed point's infected denominator
     rates: attrgetter = field(init=False)  # ``rates(p)`` reads its rates from ModelParameters
 
     def __post_init__(self) -> None:
@@ -166,9 +123,8 @@ class _Strain:
 # (beta, phi, nu, f) swapped; every strain closed form is written once,
 # over a row of this table.
 _STRAINS = (
-    _Strain("one", ("lambda", "psi", "mu", "e"), "E4", "E6", 2, ("A", "C", "Delta4", "E", "F", "M", "N", "G")),
-    _Strain("two", ("beta", "phi", "nu", "f"), "E5", "E7", 3,
-            ("B", "Dtilde", "Delta5", "Ehat", "Fhat", "Mhat", "Nhat", "Ghat")),
+    _Strain("one", ("lambda", "psi", "mu", "e"), "E4", "E6", 2, "F"),
+    _Strain("two", ("beta", "phi", "nu", "f"), "E5", "E7", 3, "Fhat"),
 )
 # Each endemic id with its strain and the other strain.
 _ENDEMIC = {strain.endemic_id: (strain, other) for strain, other in (_STRAINS, _STRAINS[::-1])}
@@ -176,15 +132,20 @@ _MIXED = {strain.mixed_id: strain for strain in _STRAINS}
 
 
 def _endemic_thresholds(p: ModelParameters, lam: float, psi: float, mu: float) -> tuple:
-    """One strain's (A, C, Delta) for its endemic point, A None when ``lam`` vanishes."""
-    A = (psi + mu) / lam if lam != 0.0 else None
+    """One strain's (A, C, Delta) for its endemic point, ``lam`` nonzero: the
+    susceptible pool at which the strain just sustains itself, its damping
+    factor, and the discriminant of its in-face pair (node or focus)."""
+    A = (psi + mu) / lam
     C = mu**2 + p.K * lam * psi - psi**2
     Delta = (p.r * C) ** 2 - 4.0 * p.r * p.K * lam * mu**2 * (mu + psi) * (p.K * lam - mu - psi)
     return A, C, Delta
 
 
 def _mixed_thresholds(p: ModelParameters, lam: float, psi: float, mu: float, e: float) -> tuple:
-    """One strain's (E, F, M, N, G) for its mixed point, None where a denominator vanishes."""
+    """One strain's (E, F, M, G) for its mixed point: the numerator and a
+    denominator factor of its infected coordinate, and the two ends of the
+    window of competition pressure ``a`` in which the point is feasible, each
+    None where its denominator vanishes."""
     rs = p.r * p.s
     E = (
         p.r * p.L * p.K * e * p.a
@@ -202,11 +163,9 @@ def _mixed_thresholds(p: ModelParameters, lam: float, psi: float, mu: float, e: 
         p.s * (e * p.L * p.r + p.b * p.L * p.K * lam + p.r * psi - p.r * p.K * lam + p.r * mu) / M_den
         if M_den != 0.0 else None
     )
-    N_den = e * p.L * psi
-    N = p.s * lam * (e * p.L + mu) / N_den if N_den != 0.0 else None
     G_den = mu + psi
     G = lam * p.s / G_den if G_den != 0.0 else None
-    return E, F, M, N, G
+    return E, F, M, G
 
 
 def _in_plane_discriminant(p: ModelParameters) -> float:
@@ -215,20 +174,6 @@ def _in_plane_discriminant(p: ModelParameters) -> float:
     rs = p.r * p.s
     den = p.b * p.L * p.K * p.a - rs
     return (rs * (p.r + p.s - p.b * p.L - p.a * p.K)) ** 2 + 4.0 * rs * (p.a * p.K - p.s) * (p.b * p.L - p.r) * den
-
-
-def thresholds(params: ModelParameters) -> ThresholdSet:
-    """Every named threshold of one parameter set, as a report: the closed
-    forms compute the ones they read through the same helpers, not from here."""
-    p = params
-    values = {}
-    for strain in _STRAINS:
-        lam, psi, mu, e = strain.rates(p)
-        values.update(zip(strain.fields, _endemic_thresholds(p, lam, psi, mu) + _mixed_thresholds(p, lam, psi, mu, e)))
-    values["Delta3"] = _in_plane_discriminant(p)
-    # The None fields, in declaration order: A, B, M, N, G, Mhat, Nhat, Ghat.
-    undefined = tuple(name for name in ThresholdSet.__dataclass_fields__ if values.get(name, 0.0) is None)
-    return ThresholdSet(**values, undefined=undefined)
 
 
 def _quadratic_pair(trace_times_den: float, disc: float, den: float) -> list[complex]:
@@ -419,19 +364,19 @@ def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecor
     if eq_id in _MIXED:
         strain = _MIXED[eq_id]
         lam, psi, mu, e = strain.rates(p)
-        E, F, M, _, G = _mixed_thresholds(p, lam, psi, mu, e)
+        E, F, M, G = _mixed_thresholds(p, lam, psi, mu, e)
         den = lam * p.s + e * p.L * p.a
         expression = "{0}*s + {3}*L*a".format(*strain.names)
         if den <= _DEGENERATE_TOL:
             raise DegenerateEquilibriumError(eq_id, expression)
         if abs(F) <= _DEGENERATE_TOL * max(abs(p.s * lam * (e * p.L + mu)) + abs(psi * e * p.L * p.a), 1.0):
             raise DegenerateEquilibriumError(
-                eq_id, "{4} = s*{0}*{3}*L + s*{0}*{2} - {1}*{3}*L*a".format(*strain.names, strain.fields[4])
+                eq_id, "{4} = s*{0}*{3}*L + s*{0}*{2} - {1}*{3}*L*a".format(*strain.names, strain.factor)
             )
         P = _quotient(eq_id, p.L * (lam * p.s - p.a * (mu + psi)), den, expression)
         S = _quotient(eq_id, p.s * (mu + psi + e * p.L), den, expression)
         infected = _quotient(
-            eq_id, p.s * (mu + psi + e * p.L) * E, p.K * den * F, f"K*({expression})*{strain.fields[4]}"
+            eq_id, p.s * (mu + psi + e * p.L) * E, p.K * den * F, f"K*({expression})*{strain.factor}"
         )
         coords = [P, S, 0.0, 0.0]
         coords[strain.slot] = infected

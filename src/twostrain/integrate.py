@@ -23,18 +23,18 @@ scheme:
   because zero compartments are invariant and cannot be excited.
 
 ``integrate`` steps at most the config's ``max_step``.
-``run_to_attractor`` runs one start in a plain-float loop until it has
-dwelt 10 time units in the ball of one attractor. Its output is a label,
-not samples, so its steps are bounded by a quarter of that dwell time
-(2.5) instead, whatever ``max_step`` says.
-``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper,
-launches more as runs end if asked to, and returns, for every start,
-exactly what ``run_to_attractor`` returns: both steppers square by
-multiplying, the lanes take the controller's fractional powers with
-``np.float_power``, which rounds like Python's ``**`` (``np.power`` does
-not), and both end their runs by one function, ``_attractor_exits``, which
-the scalar loop calls on its state as one column. Both take optional
-``SaddleGate``s, which end a run as it leaves a saddle along the saddle's
+``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper
+until each has dwelt 10 time units in the ball of one attractor, and
+launches more as runs end if asked to. Its output is a label, not samples,
+so its steps are bounded by a quarter of that dwell time (2.5) instead,
+whatever ``max_step`` says. Each lane takes exactly the steps the scalar
+loop ``_integrate_core`` takes from its start at that bound: both steppers
+square by multiplying, and the lanes take the controller's fractional
+powers with ``np.float_power``, which rounds like Python's ``**``
+(``np.power`` does not). A start's result does not depend on the other
+lanes: it is ``run_to_attractor_batch(params, [x0], ...)[0]``, bit for
+bit. Runs end by one function, ``_attractor_exits``, and optional
+``SaddleGate``s end a run as it leaves a saddle along the saddle's
 unstable direction, with the label of the attractor that side's branch
 reaches.
 """
@@ -57,7 +57,6 @@ __all__ = [
     "SaddleGate",
     "UNDECIDED",
     "integrate",
-    "run_to_attractor",
     "run_to_attractor_batch",
     "write_trajectory_csv",
 ]
@@ -114,8 +113,8 @@ class IntegrationConfig:
     such a run at the stepper's stability limit, where it ends as
     ``reached_t_max``: fig1 from (0, 1.8, 0.1, 0.1) with ``max_step`` 10
     stops at t = 2000 instead of converging at t ≈ 116.8. Attractor runs
-    (``run_to_attractor`` and its batch, so ``basin``, ``separatrix`` and
-    fig4) step at most a quarter of their 10-unit dwell time, 2.5, whatever
+    (``run_to_attractor_batch``, so ``basin``, ``separatrix`` and fig4)
+    step at most a quarter of their 10-unit dwell time, 2.5, whatever
     ``max_step`` says; their first step is ``min(initial_step, 2.5, t_max)``.
 
     ``rel_tol`` and ``abs_tol`` hold for every run but one kind:
@@ -237,7 +236,6 @@ def _integrate_core(
     cfg: IntegrationConfig,
     max_step: float,
     settle_check: Callable[[_State], bool],
-    stop: Callable[[float, _State], bool] | None = None,
 ) -> tuple[list[float], list[tuple[float, float, float, float]], str]:
     """Run the stepper, no step longer than ``max_step``.
 
@@ -258,8 +256,6 @@ def _integrate_core(
 
     settle_armed = True
     settle_since = 0.0 if settle_ratio(y, k1) <= 1.0 else None
-    if stop is not None:
-        stop(t, y)
 
     h = min(cfg.initial_step, max_step, cfg.t_max)
     facold = 1e-4
@@ -375,10 +371,6 @@ def _integrate_core(
         elif ratio > _SETTLE_REARM_FACTOR:
             settle_armed = True
 
-        if stop is not None and stop(t, y):
-            termination = _STOPPED
-            break
-
         if err == 0.0:
             factor = _FAC_MAX
         else:
@@ -394,15 +386,15 @@ def _run_scalar(
     x0: Sequence[float],
     cfg: IntegrationConfig,
     max_step: float,
-    stop: Callable[[float, _State], bool] | None = None,
 ) -> Trajectory:
     """``_integrate_core`` from ``x0``, with the start check and the
-    StepFailureError of ``integrate`` and ``run_to_attractor``."""
+    StepFailureError of ``integrate``; ``run_to_attractor_batch`` reruns a
+    failing launch through it to raise that error."""
     start = tuple(float(v) for v in x0)
     if not all(0.0 <= v < math.inf for v in start):  # NaN fails too
         raise ValueError("initial state must be finite and nonnegative")
     times, states, termination = _integrate_core(
-        scalar_field(params), start, cfg, max_step, _stationary_check(params), stop
+        scalar_field(params), start, cfg, max_step, _stationary_check(params)
     )
     traj = Trajectory(np.asarray(times, dtype=float), np.asarray(states, dtype=float), termination)
     if termination == STEP_FAILURE:
@@ -521,7 +513,7 @@ def _separated_attractors(
 def _targets(
     attractors: Iterable, match_radius: float, gates: Iterable[SaddleGate]
 ) -> tuple[list[tuple[str, _State]], list[_Gate], np.ndarray, float]:
-    """Attractors and gates as both steppers read them: the targets, the
+    """Attractors and gates as the stop rule reads them: the targets, the
     gates, the ball centres as a ``(k, 4, 1)`` array and the squared radius."""
     targets = _separated_attractors(attractors, match_radius)
     centres = np.array([c for _, c in targets])[:, :, None]
@@ -566,7 +558,7 @@ def _attractor_exits(
     y: np.ndarray, t: np.ndarray | float, tested: np.ndarray | bool, ball: np.ndarray,
     entered: np.ndarray, centres: np.ndarray, r2: float, gates: list[_Gate],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The stop rule of both steppers, on the ``(4, m)`` columns ``y`` at times ``t``.
+    """The stop rule of attractor runs, on the ``(4, m)`` columns ``y`` at times ``t``.
 
     Each column's run has been in dwell ball ``ball`` (-1 for none) since
     ``entered``. A tested column now in another ball, or in none, enters
@@ -575,8 +567,9 @@ def _attractor_exits(
     Returns the new ball and entry time, the dwell-complete mask, and the
     target index of the side of the first gate each column exits by, or
     -1. ``run_to_attractor_batch`` calls this once in every pass of its
-    loop that makes a step attempt, gates or none, and ``run_to_attractor``
-    on every accepted step, its state as one column.
+    loop that makes a step attempt, gates or none; the tests' scalar replay
+    of a lane calls it on each accepted state of an ``_integrate_core`` run,
+    as one column.
     """
     inside = _ball_index(y, centres, r2)
     moved = tested & (inside != ball)
@@ -584,60 +577,6 @@ def _attractor_exits(
     entered = np.where(moved, t, entered)
     dwelt = tested & (ball >= 0) & (t - entered >= _DWELL_TIME)
     return ball, entered, dwelt, _gate_sides(gates, y, tested & ~dwelt)
-
-
-def run_to_attractor(
-    params: ModelParameters,
-    x0: Sequence[float],
-    attractors: Iterable,
-    config: IntegrationConfig | None = None,
-    match_radius: float = 0.05,
-    gates: Iterable[SaddleGate] = (),
-) -> ReachResult:
-    """Integrate until the state has dwelt near one attractor.
-
-    A run is attributed to an attractor after the state stays inside the
-    Euclidean ball of ``match_radius`` around it for 10 time units without
-    leaving. Attractor centres must be separated by more than twice the
-    radius so membership is unambiguous. Runs that settle
-    elsewhere or exhaust ``t_max`` come back undecided; step failures
-    raise StepFailureError. A listed point that does not attract, such as
-    a saddle, captures runs that dwell near it on their way past: on the
-    fig4 parameters with E2 = (0, 3, 0, 0) listed next to E1 and E4, the
-    start (0.6, 0, 0.25, 0) is labelled E2 at t = 47.4 while V grows away
-    from it. A start must be finite and nonnegative.
-
-    Steps are bounded by a quarter of the dwell time (2.5), not by the
-    config's ``max_step``, so the dwell window holds at least four
-    accepted samples.
-
-    Each accepted step that does not complete a dwell is tested against
-    the ``gates`` in order, and the first whose exit test the state meets
-    ends the run with that side's label and termination ``"gated"``. The
-    sides must be ids of ``attractors``. A gate's label is the label of
-    the run only as far as the saddle's linearisation holds, so its
-    callers must check what they keep: ``basin.separatrix_points`` gates
-    only its labelling runs, and certifies their final brackets ungated.
-    """
-    targets, gate_list, centres, r2 = _targets(attractors, match_radius, gates)
-    ball, entered, side = np.full(1, -1), np.zeros(1), np.full(1, -1)
-
-    def stop(t: float, y: _State) -> bool:
-        nonlocal ball, entered, side
-        # A state far out squares past the float range, as in the lanes.
-        with np.errstate(over="ignore", invalid="ignore"):
-            ball, entered, dwelt, side = _attractor_exits(
-                np.array(y)[:, None], t, True, ball, entered, centres, r2, gate_list
-            )
-        return bool(dwelt[0] or side[0] >= 0)
-
-    traj = _run_scalar(params, x0, config or IntegrationConfig(), _ATTRACTOR_MAX_STEP, stop)
-    how = traj.termination
-    # Settled in place inside a ball: the dwell is implied.
-    hit = int(ball[0]) if how in (_STOPPED, CONVERGED) else -1
-    if side[0] >= 0:
-        how, hit = _GATED, int(side[0])
-    return _reach(targets, hit, traj.final_time, traj.final_state.copy(), how)
 
 
 def _column_max(x: np.ndarray) -> np.ndarray:
@@ -663,22 +602,40 @@ def run_to_attractor_batch(
     on_result: Callable[[int, ReachResult], Sequence[Sequence[float]]] | None = None,
     gates: Iterable[SaddleGate] = (),
 ) -> list[ReachResult]:
-    """``run_to_attractor`` from every row of the ``(n, 4)`` array ``starts``.
+    """Integrate from every row of the ``(n, 4)`` array ``starts`` until
+    it has dwelt near one attractor.
+
+    A run is attributed to an attractor after the state stays inside the
+    Euclidean ball of ``match_radius`` around it for 10 time units without
+    leaving. Attractor centres must be separated by more than twice the
+    radius so membership is unambiguous. Runs that settle elsewhere or
+    exhaust ``t_max`` come back undecided. A listed point that does not
+    attract, such as a saddle, captures runs that dwell near it on their
+    way past: on the fig4 parameters with E2 = (0, 3, 0, 0) listed next to
+    E1 and E4, the start (0.6, 0, 0.25, 0) is labelled E2 at t = 47.4 while
+    V grows away from it.
+
+    Each accepted step that does not complete a dwell is tested against
+    the ``gates`` in order, and the first whose exit test the state meets
+    ends the run with that side's label and termination ``"gated"``. The
+    sides must be ids of ``attractors``. A gate's label is the label of
+    the run only as far as the saddle's linearisation holds, so its
+    callers must check what they keep: ``basin.separatrix_points`` gates
+    only its labelling runs, and certifies their final brackets ungated.
 
     The runs advance as lanes of one Dormand-Prince stepper: column ``j``
     of the ``(4, m)`` state is one run, every pass of the loop makes one
     step attempt on every running lane, and finished lanes drop out. Each
     lane takes exactly the steps ``_integrate_core`` takes from its start,
-    with the same rejections, settle and fly-by decisions, dwell ball and
-    step bound (a quarter of the dwell time, not the config's
-    ``max_step``), so every returned ``ReachResult`` equals
-    ``run_to_attractor``'s bit for bit, labels by listed points that do
-    not attract included. Elementwise numpy ``+ - * /`` round like
-    Python's float operators, and both steppers square by multiplying, so
-    the error norm is whole-lane numpy too; a square past the float range
-    is inf in both. The step-factor powers are fractional, and
-    ``np.float_power`` rounds them like Python's ``**`` (numpy's ``**``,
-    ``np.power``, does not). Both steppers stop by ``_attractor_exits``.
+    with the same rejections, settle and fly-by decisions, bounded by a
+    quarter of the dwell time (2.5), not by the config's ``max_step``, so
+    that the dwell window holds at least four accepted samples.
+    Elementwise numpy ``+ - * /`` round like Python's float operators, and
+    both steppers square by multiplying, so the error norm is whole-lane
+    numpy too; a square past the float range is inf in both. The
+    step-factor powers are fractional, and ``np.float_power`` rounds them
+    like Python's ``**`` (numpy's ``**``, ``np.power``, does not). Runs end
+    by ``_attractor_exits``.
 
     Every run has a launch index, and ``starts`` are launches 0 to n-1.
     If ``on_result`` is given, ``on_result(launch_index, result)`` is
@@ -688,14 +645,14 @@ def run_to_attractor_batch(
     Every start, those ``on_result`` returns included, must be finite and
     nonnegative, or ValueError is raised before it steps.
 
-    Every start runs as a lane, a start offered alone included. The
-    scalar ``run_to_attractor`` is the lanes' bit-for-bit reference, and
-    the batch calls it only to raise a step failure (below).
+    Every start runs as a lane, a start offered alone included, so one
+    start's result is ``run_to_attractor_batch(params, [x0], ...)[0]``, bit
+    for bit.
 
     Once a run fails on step size, nothing more is launched
     (``on_result`` is not called again) and lanes of higher launch index
-    stop. The failing launch of lowest index is then run again by
-    ``run_to_attractor``, whose StepFailureError (with the partial
+    stop. The failing launch of lowest index is then run again by the
+    scalar ``_run_scalar``, whose StepFailureError (with the partial
     trajectory) propagates.
     """
     cfg = config or IntegrationConfig()
@@ -879,7 +836,7 @@ def run_to_attractor_batch(
                 drop(done, failed)
 
     if first_failure < math.inf:
-        run_to_attractor(params, launched[first_failure], targets, cfg, match_radius, gates)
+        _run_scalar(params, launched[first_failure], cfg, _ATTRACTOR_MAX_STEP)
         raise RuntimeError(f"batched run of launch {first_failure} failed where the scalar run did not")
     return results
 

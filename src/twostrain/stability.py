@@ -10,15 +10,14 @@ matters because several equilibria are saddles of the full system yet
 attract every trajectory that starts inside one of their faces.
 
 The closed forms are written once, in ``equilibria.compute_equilibrium``,
-the one dispatch (``equilibria.thresholds`` is only a report): each
-record carries its in-face eigenvalue pair and slacks, then its
-transverse eigenvalues and their slacks, so a degenerate point has one
-text everywhere. E6 and E7 have none, and their records say so with a
-pair of None, so ``_spectrum`` chooses the closed-form or the numeric
-spectrum with one ``if``. A face id (``equilibria._FACES``) is one of E0-E4
-seen inside its face; its record keeps only its full id's in-face part,
-and its verdict is taken on the Jacobian block of the variables its face
-keeps.
+the one dispatch: each record carries its in-face eigenvalue pair and
+slacks, then its transverse eigenvalues and their slacks, so a degenerate
+point has one text everywhere. E6 and E7 have none, and their records say
+so with a pair of None, so ``_spectrum`` chooses the closed-form or the
+numeric spectrum with one ``if``. A face id (``equilibria._FACES``) is one
+of E0-E4 seen inside its face; its record keeps only its full id's in-face
+part, and its verdict is taken on the Jacobian block of the variables its
+face keeps.
 """
 
 from __future__ import annotations

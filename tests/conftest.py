@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from twostrain import equilibria, stability
+from twostrain import equilibria, integrate, stability
 from twostrain.figures import PRESETS, reproduce
 from twostrain.model import ModelParameters, PARAMETER_KEYS
 
@@ -28,6 +28,41 @@ def draw_parameter_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def params_from_row(row: np.ndarray) -> ModelParameters:
     return ModelParameters.from_dict(dict(zip(PARAMETER_KEYS, row)))
+
+
+def replay_to_attractor(params, x0, attractors, config=None, match_radius=0.05, gates=()):
+    """The scalar reference of one lane of ``run_to_attractor_batch``.
+
+    It replays the lane from one run of the scalar stepper that
+    ``integrate`` uses (``integrate._run_scalar``) at the attractor step
+    bound: ``integrate._attractor_exits`` on each accepted state, as one
+    column, up to the first dwell or gate. The start gets the call too,
+    but only its ball counts. A run that converges stops before that
+    step's call, in the ball of its previous step. A StepFailureError is
+    raised again unless a dwell or a gate came before the failure.
+    """
+    targets, gate_list, centres, r2 = integrate._targets(attractors, match_radius, gates)
+    cfg = config or integrate.IntegrationConfig()
+    try:
+        traj, failure = integrate._run_scalar(params, x0, cfg, integrate._ATTRACTOR_MAX_STEP), None
+    except integrate.StepFailureError as err:
+        traj, failure = err.trajectory, err
+    states = traj.states[:-1] if traj.termination == integrate.CONVERGED else traj.states
+    ball, entered = np.full(1, -1), np.zeros(1)
+    # A state far out squares past the float range, as in the lanes.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, (t, y) in enumerate(zip(traj.times.tolist(), states)):
+            ball, entered, dwelt, side = integrate._attractor_exits(
+                y[:, None], t, True, ball, entered, centres, r2, gate_list
+            )
+            if step and side[0] >= 0:
+                return integrate._reach(targets, int(side[0]), t, y.copy(), integrate._GATED)
+            if step and dwelt[0]:
+                return integrate._reach(targets, int(ball[0]), t, y.copy(), integrate._STOPPED)
+    if failure is not None:
+        raise failure
+    hit = int(ball[0]) if traj.termination == integrate.CONVERGED else -1
+    return integrate._reach(targets, hit, traj.final_time, traj.final_state.copy(), traj.termination)
 
 
 @pytest.fixture(scope="session")
@@ -58,11 +93,11 @@ def _replace_everywhere(monkeypatch, original, replacement) -> None:
 def threshold_calls(monkeypatch) -> list:
     """Record every threshold computation, whichever module makes it.
 
-    The ``thresholds`` report and the helpers the closed forms compute
-    their thresholds through (each strain's endemic and mixed values, and
-    the in-plane discriminant) are replaced in every twostrain namespace
-    that refers to them, so calls through a module attribute are counted.
-    Each call is recorded as (function name, params, its other arguments).
+    The helpers the closed forms compute their thresholds through (each
+    strain's endemic and mixed values, and the in-plane discriminant) are
+    replaced in every twostrain namespace that refers to them, so calls
+    through a module attribute are counted. Each call is recorded as
+    (function name, params, its other arguments).
     """
     calls = []
 
@@ -74,7 +109,6 @@ def threshold_calls(monkeypatch) -> list:
         return counted
 
     for original in (
-        equilibria.thresholds,
         equilibria._endemic_thresholds,
         equilibria._mixed_thresholds,
         equilibria._in_plane_discriminant,

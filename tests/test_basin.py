@@ -11,6 +11,7 @@ from collections import Counter, namedtuple
 import numpy as np
 import pytest
 
+from conftest import replay_to_attractor
 from twostrain import basin
 from twostrain.basin import (
     BasinGrid,
@@ -34,7 +35,6 @@ from twostrain.integrate import (
     IntegrationConfig,
     ReachResult,
     StepFailureError,
-    run_to_attractor,
     run_to_attractor_batch,
 )
 from twostrain.model import jacobian
@@ -248,15 +248,15 @@ def _check_bisection_batches(batches, segments, reach, config, bisect_tol, rebis
 
 
 def _scalar_reach(params, attractors):
-    """``reach(start, config, gates)``: the attractor id (or None) of a
-    scalar run from a 4-tuple start, at the default config and ungated
+    """``reach(start, config, gates)``: the attractor id (or None) of the
+    scalar replay from a 4-tuple start, at the default config and ungated
     unless given."""
     memo = {}
 
     def reach(start, config=IntegrationConfig(), gates=()):
         key = (start, config, tuple(gates))
         if key not in memo:
-            memo[key] = run_to_attractor(params, start, attractors, config, gates=gates).attractor_id
+            memo[key] = replay_to_attractor(params, start, attractors, config, gates=gates).attractor_id
         return memo[key]
 
     return reach
@@ -411,11 +411,10 @@ class TestBisection:
         assert pt[2] == pytest.approx(0.37784576, abs=1e-6)
 
     def test_bracket_points_classify_to_opposite_sides(self, fig4_params, fig4_attractors):
-        low = run_to_attractor(
-            fig4_params, (1.9, 0.2, 0.37784576 - 1e-4, 0.0), fig4_attractors
-        )
-        high = run_to_attractor(
-            fig4_params, (1.9, 0.2, 0.37784576 + 1e-4, 0.0), fig4_attractors
+        low, high = run_to_attractor_batch(
+            fig4_params,
+            [(1.9, 0.2, 0.37784576 - 1e-4, 0.0), (1.9, 0.2, 0.37784576 + 1e-4, 0.0)],
+            fig4_attractors,
         )
         assert low.attractor_id == "E1"
         assert high.attractor_id == "E4"
@@ -1216,7 +1215,7 @@ class TestProbesInTheCertificateBatch:
         with pytest.raises(StepFailureError) as failed:
             self._reconstruct(fig4_params, fig4_attractors, tmp_path / "probed", n_probes=5)
         with pytest.raises(StepFailureError) as scalar:
-            run_to_attractor(fig4_params, far, fig4_attractors)
+            replay_to_attractor(fig4_params, far, fig4_attractors)
         assert str(failed.value) == str(scalar.value)
         self._same_files(tmp_path / "plain", tmp_path / "probed")
         # The certificate with the probes, which fails; the certificate

@@ -108,7 +108,7 @@ class TestSweep:
     ):
         # No point on this grid is degenerate, so each grid value computes
         # the in-plane discriminant and each strain's endemic and mixed
-        # values exactly once, and never the thresholds report.
+        # values exactly once.
         result = sweep(fig1_params, "K", 0.5, 3.0, 26)
         assert len(result.rows) == 26 * 8
         expected = []
@@ -226,7 +226,7 @@ class TestTranscritical:
         assert point_computations == {eq_id: 1 for eq_id in pair}
 
     def test_no_sign_change_computes_no_thresholds(self, fig1_params, threshold_calls):
-        # Neither the report nor any helper a closed form computes through.
+        # No helper a closed form computes its thresholds through.
         with pytest.raises(NoSignChangeError):
             find_transcritical(fig1_params, "K", ("E2", "E4"), 2.0, 3.0)
         assert threshold_calls == []

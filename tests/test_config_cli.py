@@ -488,7 +488,7 @@ class TestCliAnalysis:
         ],
     )
     def test_overflowing_closed_forms_exit_code(self, tmp_path, capsys, fig1_params, K, command):
-        # The thresholds square K, past the float range for K = 1e200.
+        # The closed forms square K, past the float range for K = 1e200.
         cfg = _write_cfg(tmp_path, fig1_params.replace(K=K))
         rc = main([command[0], "--config", str(cfg), "--out", str(tmp_path / "o"), *command[1:]])
         assert rc == 4

@@ -1,7 +1,6 @@
-"""Closed-form equilibrium catalog, thresholds and the vectorized root search."""
+"""Closed-form equilibrium catalog, its thresholds and the vectorized root search."""
 
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,9 +18,7 @@ from twostrain.equilibria import (
     equilibrium_residual,
     random_interior_starts,
     records_to_jsonl,
-    thresholds,
 )
-from twostrain.figures import PRESETS
 from twostrain.model import PARAMETER_KEYS, _field, _field_jacobian, rhs
 
 
@@ -76,60 +73,24 @@ def _edge_newton_rows(params):
 
 class TestThresholds:
     def test_reference_values(self, fig1_params, fig4_params):
-        t = thresholds(fig1_params)
-        assert t.A == pytest.approx(1.0, rel=1e-14)
-        assert t.B == pytest.approx(8.0, rel=1e-14)
-        assert t.C == pytest.approx(0.49, rel=1e-14)
-        assert t.G == pytest.approx(0.4, rel=1e-14)
-        assert t.M == pytest.approx(0.476 / 1.89, rel=1e-14)
-        assert t.N == pytest.approx(0.224 / 0.06, rel=1e-13)
-        assert t.undefined == ()
-        assert thresholds(fig4_params).A == pytest.approx(11.0 / 6.0, rel=1e-14)
+        # Each threshold as a record carries it: A and B are E4's and E5's
+        # S, C is E4's endemic damping over r, and the window edges M and G
+        # are E6's margins a - M and G - a.
+        records = {rec.id: rec for rec in catalog(fig1_params)}
+        assert all(rec.coordinates is not None for rec in records.values())
+        assert records["E4"].coordinates[1] == pytest.approx(1.0, rel=1e-14)
+        assert records["E5"].coordinates[1] == pytest.approx(8.0, rel=1e-14)
+        assert records["E4"].in_face["endemic_damping"] / fig1_params.r == pytest.approx(0.49, rel=1e-14)
+        margins = records["E6"].margins
+        assert fig1_params.a + margins["first_competitor_positive"] == pytest.approx(0.4, rel=1e-14)
+        assert fig1_params.a - margins["infected_branch_positive"] == pytest.approx(0.476 / 1.89, rel=1e-14)
+        assert compute_equilibrium(fig4_params, "E4").coordinates[1] == pytest.approx(11.0 / 6.0, rel=1e-14)
 
-    def test_vanishing_transmission_marks_fields_undefined(self, fig1_params):
-        t = thresholds(fig1_params.replace(**{"lambda": 0.0}))
-        assert t.A is None
-        assert "A" in t.undefined
-        assert t.B is not None
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1))
-    def test_upper_comparison_point_exceeds_the_window_edge(self, seed):
-        # N - G = s*lam*mu*(e*L + mu + psi) / (e*L*psi*(mu+psi)) > 0 for
-        # positive rates, so N never undercuts G.
-        rng = np.random.default_rng(seed)
-        t = thresholds(params_from_row(draw_parameter_matrix(rng, 1)[0]))
-        assert t.N > t.G
-
-    def test_the_report_and_the_dispatch_agree_bit_for_bit(self):
-        # No closed form reads the report: each computes the thresholds it
-        # reads through the report's own helpers, so every value a record
-        # carries is the report's, bit for bit.
-        rng = np.random.default_rng(43)
-        draws = [params_from_row(row) for row in draw_parameter_matrix(rng, 100)]
-        every_rate = ("lam", "psi", "mu", "e", "beta", "phi", "nu", "f")
-        zeroed = [p.replace(**{name: 0.0}) for p in draws[:30] for name in every_rate]
-        checked = Counter()
-
-        def same(record_value, report_value, what):
-            assert float(record_value).hex() == float(report_value).hex(), (what, p)
-            checked[what] += 1
-
-        for p in [preset.params for preset in PRESETS.values()] + draws + zeroed:
-            t = thresholds(p)
-            records = {rec.id: rec for rec in catalog(p) if rec.coordinates is not None}
-            if "E3" in records:
-                same(records["E3"].in_face["in_plane_discriminant"], t.Delta3, "Delta3")
-            for eq_id, A, Delta in (("E4", t.A, t.Delta4), ("E5", t.B, t.Delta5)):
-                if eq_id in records:
-                    same(records[eq_id].coordinates[1], A, f"{eq_id} S")
-                    same(records[eq_id].in_face["endemic_discriminant"], Delta, f"{eq_id} Delta")
-            for eq_id, M, G in (("E6", t.M, t.G), ("E7", t.Mhat, t.Ghat)):
-                if eq_id in records and M is not None:
-                    same(records[eq_id].margins["infected_branch_positive"], p.a - M, f"{eq_id} M")
-                if eq_id in records and G is not None:
-                    same(records[eq_id].margins["first_competitor_positive"], G - p.a, f"{eq_id} G")
-        assert len(checked) == 9 and min(checked.values()) >= 200, checked
+    def test_vanishing_transmission_makes_the_endemic_point_degenerate(self, fig1_params):
+        p = fig1_params.replace(**{"lambda": 0.0})
+        with pytest.raises(DegenerateEquilibriumError, match="E4 undefined: lambda vanishes"):
+            compute_equilibrium(p, "E4")
+        assert compute_equilibrium(p, "E5").coordinates is not None
 
 
 class TestClosedForms:
@@ -285,9 +246,8 @@ class TestDegeneracies:
 
 
 def test_catalog_computes_the_thresholds_once(fig1_params, fig4_params, threshold_calls):
-    # No closed form reads the thresholds report: E3 computes the in-plane
-    # discriminant, E4/E5 their strain's endemic values and E6/E7 its mixed
-    # values, each once. At lambda = 0, E4 is degenerate before it reads any.
+    # E3 computes the in-plane discriminant, E4/E5 their strain's endemic
+    # values and E6/E7 its mixed values, each once. At lambda = 0, E4 is degenerate before it reads any.
     for params in (fig1_params, fig4_params, fig1_params.replace(**{"lambda": 0.0})):
         threshold_calls.clear()
         records = catalog(params)
@@ -319,13 +279,13 @@ class TestResidualProperty:
     @given(seed=st.integers(0, 2**31 - 1))
     def test_endemic_consistency(self, seed):
         # Whenever the single-strain endemic point is feasible, its
-        # damping coefficient is positive: K >= A forces C > 0.
+        # damping coefficient is positive: K >= A, E4's S, forces r*C > 0.
         rng = np.random.default_rng(seed)
         p = params_from_row(draw_parameter_matrix(rng, 1)[0])
-        t = thresholds(p)
-        if t.A is not None and p.K >= t.A and p.mu > 0.0:
-            assert compute_equilibrium(p, "E4").feasible
-            assert t.C > 0.0
+        e4 = compute_equilibrium(p, "E4")
+        if p.K >= e4.coordinates[1] and p.mu > 0.0:
+            assert e4.feasible
+            assert e4.in_face["endemic_damping"] > 0.0
 
 
 class TestVectorizedRootSearch:

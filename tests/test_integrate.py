@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import twostrain
-from conftest import draw_parameter_matrix, params_from_row
+from conftest import draw_parameter_matrix, params_from_row, replay_to_attractor
 from twostrain import basin
 from twostrain.equilibria import catalog, compute_equilibrium
 from twostrain.figures import _FIG4_BOUNDS, PRESETS
@@ -30,7 +30,6 @@ from twostrain.integrate import (
     StepFailureError,
     Trajectory,
     integrate,
-    run_to_attractor,
     run_to_attractor_batch,
     write_trajectory_csv,
 )
@@ -173,7 +172,7 @@ class TestRiddenOutSaddles:
     def test_strain_free_plane_start_reaches_the_endemic_point(self, fig4_params):
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
-        result = run_to_attractor(fig4_params, (1.3, 0.0, 0.6, 0.0), [e1, e4])
+        (result,) = run_to_attractor_batch(fig4_params, [(1.3, 0.0, 0.6, 0.0)], [e1, e4])
         assert result.attractor_id == "E4"
 
     def test_susceptible_axis_settles_honestly_outside_the_listed_set(
@@ -181,7 +180,7 @@ class TestRiddenOutSaddles:
     ):
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
-        result = run_to_attractor(fig4_params, (0.0, 2.9, 0.0, 0.0), [e1, e4])
+        (result,) = run_to_attractor_batch(fig4_params, [(0.0, 2.9, 0.0, 0.0)], [e1, e4])
         assert result.attractor_id is None
         assert result.label == UNDECIDED
         assert result.termination == CONVERGED
@@ -195,30 +194,30 @@ class TestRunToAttractor:
     def test_example_start_reaches_the_exclusion_point(self, fig4_params):
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
-        result = run_to_attractor(fig4_params, (1.4, 0.1, 0.1, 0.0), [e1, e4])
+        (result,) = run_to_attractor_batch(fig4_params, [(1.4, 0.1, 0.1, 0.0)], [e1, e4])
         assert result.attractor_id == "E1"
         assert result.t_detected is not None and result.t_detected > 0.0
 
     def test_start_on_an_attractor_is_detected_immediately(self, fig4_params):
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
-        result = run_to_attractor(fig4_params, tuple(e1.coordinates), [e1, e4])
+        (result,) = run_to_attractor_batch(fig4_params, [tuple(e1.coordinates)], [e1, e4])
         assert result.attractor_id == "E1"
         assert result.t_detected < 20.0
 
     def test_accepts_plain_tuples_as_attractors(self, fig4_params):
-        result = run_to_attractor(
+        (result,) = run_to_attractor_batch(
             fig4_params,
-            (1.4, 0.1, 0.1, 0.0),
+            [(1.4, 0.1, 0.1, 0.0)],
             [("one", (1.5, 0.0, 0.0, 0.0)), ("two", (0.0, 1.8333333333333335, 1.6635802469135804, 0.0))],
         )
         assert result.attractor_id == "one"
 
     def test_overlapping_attractor_balls_are_rejected(self, fig4_params):
         with pytest.raises(ValueError, match="2 \\* match_radius"):
-            run_to_attractor(
+            run_to_attractor_batch(
                 fig4_params,
-                (1.0, 1.0, 0.0, 0.0),
+                [(1.0, 1.0, 0.0, 0.0)],
                 [("x", (0.0, 0.0, 0.0, 0.0)), ("y", (0.05, 0.0, 0.0, 0.0))],
             )
 
@@ -226,7 +225,7 @@ class TestRunToAttractor:
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
         with pytest.raises(ValueError, match="nonnegative"):
-            run_to_attractor(fig4_params, (-0.1, 1.0, 0.0, 0.0), [e1, e4])
+            run_to_attractor_batch(fig4_params, [(-0.1, 1.0, 0.0, 0.0)], [e1, e4])
 
     @pytest.mark.parametrize("component", [0, 2])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -246,7 +245,7 @@ class TestRunToAttractor:
         with pytest.raises(ValueError, match=finite):
             integrate(fig4_params, bad)
         with pytest.raises(ValueError, match=finite):
-            run_to_attractor(fig4_params, bad, [e1, e4])
+            run_to_attractor_batch(fig4_params, [bad], [e1, e4])
         with pytest.raises(ValueError, match=finite):
             run_to_attractor_batch(fig4_params, [good, bad], [e1, e4])
 
@@ -307,6 +306,20 @@ def _same_reach(batched, scalar) -> bool:
     )
 
 
+def _record_scalar_runs(monkeypatch) -> list:
+    """Record the start and step bound of every scalar run from here on,
+    the batch's rerun of a failing launch included."""
+    runs = []
+    run = twostrain.integrate._run_scalar
+
+    def recording(params, start, cfg, max_step):
+        runs.append((tuple(start), max_step))
+        return run(params, start, cfg, max_step)
+
+    monkeypatch.setattr(twostrain.integrate, "_run_scalar", recording)
+    return runs
+
+
 def _separated_rest_points(params, match_radius=0.05):
     """Feasible catalog points, greedily kept while their balls stay apart."""
     chosen = []
@@ -319,8 +332,16 @@ def _separated_rest_points(params, match_radius=0.05):
     return chosen
 
 
+# The random draws' configs: three tolerances at t_max 100, and a first
+# attempt, min(initial_step, 2.5, t_max), of the attractor step bound.
+_DRAW_CONFIGS = (
+    *(IntegrationConfig(t_max=100.0).with_tolerance(tol) for tol in (1e-8, 1e-6, 1e-3)),
+    IntegrationConfig(initial_step=5.0, max_step=10.0),
+)
+
+
 class TestBatchedReach:
-    """run_to_attractor_batch must reproduce scalar run_to_attractor bit for bit."""
+    """run_to_attractor_batch must reproduce the scalar replay of each lane bit for bit."""
 
     def test_fig4_box_nodes_match_the_scalar_runs(self, fig4_params):
         attractors = [compute_equilibrium(fig4_params, "E1"), compute_equilibrium(fig4_params, "E4")]
@@ -329,15 +350,15 @@ class TestBatchedReach:
         batched = run_to_attractor_batch(fig4_params, starts, attractors)
         assert len(batched) == len(starts)
         for x0, got in zip(starts, batched):
-            assert _same_reach(got, run_to_attractor(fig4_params, x0, attractors)), x0
+            assert _same_reach(got, replay_to_attractor(fig4_params, x0, attractors)), x0
             assert got.final_state[3] == 0.0
         labels = {got.label for got in batched}
         assert labels == {"E1", "E4", UNDECIDED}
 
     @settings(max_examples=12, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**31 - 1), tol=st.sampled_from([1e-8, 1e-6, 1e-3]))
-    @example(seed=11, tol=1e-3)  # start 13 takes an undershoot rejection
-    def test_random_draws_match_the_scalar_runs(self, seed, tol):
+    @given(seed=st.integers(0, 2**31 - 1), cfg=st.sampled_from(_DRAW_CONFIGS))
+    @example(seed=11, cfg=_DRAW_CONFIGS[2])  # start 13 takes an undershoot rejection
+    def test_random_draws_match_the_scalar_runs(self, seed, cfg):
         # Starts span twelve decades, some sit on faces and the first ones
         # on the attractors, and the tolerance varies: together they reach
         # clamps, undershoot rejections, fly-bys, settling inside and
@@ -350,10 +371,9 @@ class TestBatchedReach:
         starts = rng.uniform(0.0, 2.0, size=(40, 4)) * 10.0 ** rng.uniform(-12.0, 0.0, size=(40, 4))
         starts[rng.random((40, 4)) < 0.25] = 0.0
         starts[: len(attractors)] = [c for _, c in attractors]
-        cfg = IntegrationConfig(t_max=100.0).with_tolerance(tol)
         batched = run_to_attractor_batch(params, starts, attractors, cfg)
         for x0, got in zip(starts, batched):
-            assert _same_reach(got, run_to_attractor(params, x0, attractors, cfg)), x0
+            assert _same_reach(got, replay_to_attractor(params, x0, attractors, cfg)), x0
             assert np.all(got.final_state >= 0.0)
             # P, V and W enter their own rates multiplicatively; S is fed by
             # recovery, so its face is invariant only without infection.
@@ -385,26 +405,20 @@ class TestBatchedReach:
         # A start on E1 never leaves it. The other two fail on step size,
         # the second after one accepted step, the third at once.
         starts = [tuple(e1.coordinates), (1.5, 1e-5, 0.0, 0.0), (1.4, 0.1, 0.1, 0.0)]
-        assert run_to_attractor(fig4_params, starts[0], [e1, e4], cfg).attractor_id == "E1"
+        assert replay_to_attractor(fig4_params, starts[0], [e1, e4], cfg).attractor_id == "E1"
         with pytest.raises(StepFailureError):
-            run_to_attractor(fig4_params, starts[2], [e1, e4], cfg)
+            replay_to_attractor(fig4_params, starts[2], [e1, e4], cfg)
         with pytest.raises(StepFailureError) as scalar:
-            run_to_attractor(fig4_params, starts[1], [e1, e4], cfg)
+            replay_to_attractor(fig4_params, starts[1], [e1, e4], cfg)
         assert len(scalar.value.trajectory) == 2
-        reruns = []
-
-        def recording(params, start, *args):
-            reruns.append(tuple(start))
-            return run_to_attractor(params, start, *args)
-
+        reruns = _record_scalar_runs(monkeypatch)
         # The second start fails the same way alone, as a lane, and the
         # scalar rerun that raises is the one call either batch makes.
-        monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
         for batch in (starts, starts[1:2]):
             reruns.clear()
             with pytest.raises(StepFailureError) as batched:
                 run_to_attractor_batch(fig4_params, batch, [e1, e4], cfg)
-            assert reruns == [starts[1]]
+            assert reruns == [(starts[1], _ATTRACTOR_MAX_STEP)]
             assert str(batched.value) == str(scalar.value)
             got, want = batched.value.trajectory, scalar.value.trajectory
             assert got.termination == want.termination == STEP_FAILURE
@@ -421,27 +435,23 @@ class TestBatchedReach:
         e4 = compute_equilibrium(fig4_params, "E4")
         ok, fail_late, fail_now = tuple(e1.coordinates), (1.5, 1e-5, 0.0, 0.0), (1.4, 0.1, 0.1, 0.0)
         with pytest.raises(StepFailureError) as scalar:
-            run_to_attractor(fig4_params, fail_late, [e1, e4], cfg)
-        calls, reruns = [], []
+            replay_to_attractor(fig4_params, fail_late, [e1, e4], cfg)
+        calls = []
 
         def on_result(index, result):
             calls.append(index)
             return {0: [ok, fail_late, fail_now], 1: [ok]}.get(index, [])
 
-        def recording(params, start, *args):
-            reruns.append(tuple(start))
-            return run_to_attractor(params, start, *args)
-
         # Launches 0 and 1 end on their rest points and launch 2 to 5.
         # Launch 4 fails at once, launch 3 one pass later, while launch 2
         # still runs: its end calls nothing, and launch 3 is the one rerun.
-        monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
+        reruns = _record_scalar_runs(monkeypatch)
         with pytest.raises(StepFailureError) as batched:
             run_to_attractor_batch(
                 fig4_params, [ok, tuple(e4.coordinates)], [e1, e4], cfg, on_result=on_result
             )
         assert calls == [0, 1]
-        assert reruns == [fail_late]
+        assert reruns == [(fail_late, _ATTRACTOR_MAX_STEP)]
         assert str(batched.value) == str(scalar.value)
         got, want = batched.value.trajectory, scalar.value.trajectory
         assert got.times.tobytes() == want.times.tobytes()
@@ -469,7 +479,7 @@ class TestBatchedReach:
         assert ended != sorted(ended)  # runs end out of launch order
         assert len(results) == len(nodes)
         for x0, got in zip(launched, results):
-            assert _same_reach(got, run_to_attractor(fig4_params, x0, attractors)), x0
+            assert _same_reach(got, replay_to_attractor(fig4_params, x0, attractors)), x0
         assert {got.label for got in results} == {"E1", "E4", UNDECIDED}
 
     @pytest.mark.parametrize("x0", [(1e160, 1.0, 1.0, 0.0), (1e200, 3.0, 2.5, 0.0)])
@@ -481,7 +491,7 @@ class TestBatchedReach:
         with pytest.raises(StepFailureError) as plain:
             integrate(fig4_params, x0)
         with pytest.raises(StepFailureError) as scalar:
-            run_to_attractor(fig4_params, x0, [e1, e4])
+            replay_to_attractor(fig4_params, x0, [e1, e4])
         assert str(scalar.value) == str(plain.value)
         for starts in ([x0], [(1.4, 0.1, 0.1, 0.0), x0]):
             with pytest.raises(StepFailureError) as batched:
@@ -500,7 +510,7 @@ class TestBatchedReach:
         with pytest.raises(StepFailureError) as plain:
             integrate(fig4_params, x0, cfg)
         with pytest.raises(StepFailureError) as scalar:
-            run_to_attractor(fig4_params, x0, [e1, e4], cfg)
+            replay_to_attractor(fig4_params, x0, [e1, e4], cfg)
         with pytest.raises(StepFailureError) as batched:
             run_to_attractor_batch(fig4_params, [x0, (1.0, 1.0, 1.0, 0.0)], [e1, e4], cfg)
         assert str(plain.value) == str(scalar.value) == str(batched.value)
@@ -510,14 +520,8 @@ class TestBatchedReach:
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
         x0 = (1.4, 0.1, 0.1, 0.0)
-        want = run_to_attractor(fig4_params, x0, [e1, e4])
-        calls = []
-
-        def recording(params, start, *args):
-            calls.append(tuple(start))
-            return run_to_attractor(params, start, *args)
-
-        monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
+        want = replay_to_attractor(fig4_params, x0, [e1, e4])
+        calls = _record_scalar_runs(monkeypatch)
         (got,) = run_to_attractor_batch(fig4_params, [x0], [e1, e4])
         assert calls == []
         assert _same_reach(got, want)
@@ -534,7 +538,7 @@ class TestBatchedReach:
         assert calls == []
         monkeypatch.undo()
         for start, result in zip([x0, x1, x2, x3], got, strict=True):
-            assert _same_reach(result, run_to_attractor(fig4_params, start, [e1, e4]))
+            assert _same_reach(result, replay_to_attractor(fig4_params, start, [e1, e4]))
 
 
 def _e3_gate(params, sides=("E1", "E4")):
@@ -573,7 +577,7 @@ class TestGatedReach:
             (0.5, 1.0, 1.0, 0.0),
         ]
         batched = run_to_attractor_batch(fig4_params, starts, fig4_pair, cfg, gates=[gate])
-        scalar = [run_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]) for x0 in starts]
+        scalar = [replay_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]) for x0 in starts]
         for x0, got, want in zip(starts, batched, scalar):
             assert _same_reach(got, want), x0
         terminations = [res.termination for res in scalar]
@@ -587,7 +591,7 @@ class TestGatedReach:
         # Every gated label is the label of the full, ungated run.
         for x0, res in zip(starts, scalar):
             if res.termination == "gated":
-                assert res.label == run_to_attractor(fig4_params, x0, fig4_pair, cfg).label, x0
+                assert res.label == replay_to_attractor(fig4_params, x0, fig4_pair, cfg).label, x0
 
     def test_the_first_gate_in_order_decides(self, fig4_params, fig4_pair):
         gate = _e3_gate(fig4_params)
@@ -598,20 +602,14 @@ class TestGatedReach:
             batched = run_to_attractor_batch(fig4_params, starts, fig4_pair, gates=gates)
             assert batched[0].label == label
             for start, got in zip(starts, batched):
-                assert _same_reach(got, run_to_attractor(fig4_params, start, fig4_pair, gates=gates))
+                assert _same_reach(got, replay_to_attractor(fig4_params, start, fig4_pair, gates=gates))
 
     def test_a_lone_start_is_a_gated_lane(self, fig4_params, fig4_pair, monkeypatch):
         gate = _e3_gate(fig4_params)
         x0 = (1.9, 0.2, 0.37, 0.0)
-        want = run_to_attractor(fig4_params, x0, fig4_pair, gates=[gate])
+        want = replay_to_attractor(fig4_params, x0, fig4_pair, gates=[gate])
         assert want.termination == "gated"
-        calls = []
-
-        def recording(params, start, *args):
-            calls.append(tuple(start))
-            return run_to_attractor(params, start, *args)
-
-        monkeypatch.setattr(twostrain.integrate, "run_to_attractor", recording)
+        calls = _record_scalar_runs(monkeypatch)
         (got,) = run_to_attractor_batch(fig4_params, [x0], fig4_pair, gates=[gate])
         assert calls == []
         assert _same_reach(got, want)
@@ -625,26 +623,26 @@ class TestGatedReach:
         # dwell's label, in lanes and in the scalar loop.
         x0 = (fig4_pair[0].coordinates[0] + 0.03, 0.0, 0.0, 0.0)
         other = (1.4, 0.1, 0.1, 0.0)
-        ungated = run_to_attractor(fig4_params, x0, fig4_pair)
+        ungated = replay_to_attractor(fig4_params, x0, fig4_pair)
         assert (ungated.label, ungated.termination) == ("E1", "stopped")
         last = ungated.final_state
         gate = SaddleGate((last[0] - 0.09999, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), ("E4", "E4"))
         # Without E1's ball the gate ends the run, on that same step.
         for alone in (
-            run_to_attractor(fig4_params, x0, fig4_pair[1:], gates=[gate]),
+            replay_to_attractor(fig4_params, x0, fig4_pair[1:], gates=[gate]),
             run_to_attractor_batch(fig4_params, [x0, other], fig4_pair[1:], gates=[gate])[0],
         ):
             assert (alone.label, alone.termination, alone.t_detected) == ("E4", "gated", ungated.t_detected)
             assert alone.final_state.tobytes() == last.tobytes()
-        assert _same_reach(run_to_attractor(fig4_params, x0, fig4_pair, gates=[gate]), ungated)
+        assert _same_reach(replay_to_attractor(fig4_params, x0, fig4_pair, gates=[gate]), ungated)
         batched = run_to_attractor_batch(fig4_params, [x0, other], fig4_pair, gates=[gate])
         assert _same_reach(batched[0], ungated)
-        assert _same_reach(batched[1], run_to_attractor(fig4_params, other, fig4_pair, gates=[gate]))
+        assert _same_reach(batched[1], replay_to_attractor(fig4_params, other, fig4_pair, gates=[gate]))
 
     def test_gate_sides_must_be_attractor_ids(self, fig4_params, fig4_pair):
         gate = _e3_gate(fig4_params, sides=("E1", "E2"))
         with pytest.raises(ValueError, match="gate sides"):
-            run_to_attractor(fig4_params, (1.0, 1.0, 1.0, 0.0), fig4_pair, gates=[gate])
+            run_to_attractor_batch(fig4_params, [(1.0, 1.0, 1.0, 0.0)], fig4_pair, gates=[gate])
         with pytest.raises(ValueError, match="gate sides"):
             run_to_attractor_batch(fig4_params, [(1.0, 1.0, 1.0, 0.0)] * 2, fig4_pair, gates=[gate])
 
@@ -652,7 +650,7 @@ class TestGatedReach:
     def test_lifted_coordinates_must_be_state_indices(self, fig4_params, fig4_pair, lifted):
         gate = dataclasses.replace(_e3_gate(fig4_params), lifted=lifted)
         with pytest.raises(ValueError, match="gate lifted coordinates"):
-            run_to_attractor(fig4_params, (1.0, 1.0, 1.0, 0.0), fig4_pair, gates=[gate])
+            run_to_attractor_batch(fig4_params, [(1.0, 1.0, 1.0, 0.0)], fig4_pair, gates=[gate])
         with pytest.raises(ValueError, match="gate lifted coordinates"):
             run_to_attractor_batch(fig4_params, [(1.0, 1.0, 1.0, 0.0)] * 2, fig4_pair, gates=[gate])
 
@@ -674,13 +672,13 @@ class TestGatedReach:
         batched = run_to_attractor_batch(fig4_params, starts, fig4_pair, cfg, gates=[gate])
         for x0, got, want in zip(starts, batched, ungated):
             assert _same_reach(got, want), x0
-            assert _same_reach(run_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]), want), x0
+            assert _same_reach(replay_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]), want), x0
         assert [res.label for res in ungated].count(UNDECIDED) == 109
         # The nodes a gate without the face rule labelled E4.
         for x0 in [(1.4, 0.3, 0.0, 0.0), (1.6, 0.3, 0.0, 0.0), (2.0, 0.6, 0.0, 0.0)]:
-            gated = run_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[dataclasses.replace(gate, lifted=())])
+            gated = replay_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[dataclasses.replace(gate, lifted=())])
             assert (gated.label, gated.termination) == ("E4", "gated")
-            assert run_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]).label == UNDECIDED
+            assert replay_to_attractor(fig4_params, x0, fig4_pair, cfg, gates=[gate]).label == UNDECIDED
 
 
 def _record_accepted_times(monkeypatch) -> list:
@@ -721,7 +719,7 @@ class TestAttractorStepBound:
         assert configs[0] == IntegrationConfig()
         outcomes = []
         for cfg in configs:
-            scalar = [run_to_attractor(fig4_params, x0, attractors, cfg) for x0 in starts]
+            scalar = [replay_to_attractor(fig4_params, x0, attractors, cfg) for x0 in starts]
             batched = run_to_attractor_batch(fig4_params, starts, attractors, cfg)
             for x0, got, want in zip(starts, batched, scalar):
                 assert _same_reach(got, want), (cfg.max_step, x0)
@@ -759,7 +757,7 @@ class TestAttractorStepBound:
             (1.0, 1.0, 2.0, 0.0),
         ]
         runs = _record_accepted_times(monkeypatch)
-        scalar = [run_to_attractor(fig4_params, x0, attractors, cfg) for x0 in starts]
+        scalar = [replay_to_attractor(fig4_params, x0, attractors, cfg) for x0 in starts]
         batched = run_to_attractor_batch(fig4_params, starts, attractors, cfg)
         for x0, got, want in zip(starts, batched, scalar):
             assert _same_reach(got, want), x0

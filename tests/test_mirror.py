@@ -11,22 +11,11 @@ import pytest
 
 from conftest import draw_parameter_matrix, params_from_row
 from twostrain.bifurcation import find_transcritical
-from twostrain.equilibria import catalog, thresholds
+from twostrain.equilibria import catalog
 from twostrain.stability import analytic_eigenvalues, classify
 
-# Equilibrium ids and threshold fields of each strain, paired with their mirror.
+# Equilibrium ids of each strain, paired with their mirror.
 _MIRROR_IDS = {"E0": "E0", "E1": "E1", "E2": "E2", "E3": "E3", "E4": "E5", "E5": "E4", "E6": "E7", "E7": "E6"}
-_MIRROR_THRESHOLDS = (
-    ("A", "B"),
-    ("C", "Dtilde"),
-    ("Delta3", "Delta3"),
-    ("Delta4", "Delta5"),
-    ("E", "Ehat"),
-    ("F", "Fhat"),
-    ("M", "Mhat"),
-    ("N", "Nhat"),
-    ("G", "Ghat"),
-)
 # State order of the mirrored point: V and W exchanged.
 _SWAP_VW = [0, 1, 3, 2]
 
@@ -56,13 +45,6 @@ def mirrored_draws():
 def test_mirror_is_an_involution(mirrored_draws):
     for p, q in mirrored_draws:
         assert mirror(q) == p
-
-
-def test_thresholds(mirrored_draws):
-    for p, q in mirrored_draws:
-        tp, tq = thresholds(p), thresholds(q)
-        for one, two in _MIRROR_THRESHOLDS:
-            assert repr(getattr(tp, one)) == repr(getattr(tq, two)), (one, p)
 
 
 def test_catalog_records(mirrored_draws):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_parameter_matrix, params_from_row, threshold_call
-from twostrain.equilibria import _FACES, ALL_IDS, DegenerateEquilibriumError, compute_equilibrium, thresholds
+from twostrain.equilibria import _FACES, ALL_IDS, DegenerateEquilibriumError, compute_equilibrium
 from twostrain.stability import (
     MARGINAL,
     SADDLE,
@@ -295,14 +295,16 @@ class TestSignConsistency:
         checked = 0
         for row in draw_parameter_matrix(rng, 300):
             p = params_from_row(row)
-            t = thresholds(p)
-            if t.A is None or p.K <= t.A or p.mu == 0.0:
+            # E4's S is A, and its discriminant Delta4.
+            rec = compute_equilibrium(p, "SV_endemic")
+            delta = rec.in_face["endemic_discriminant"]
+            if p.K <= rec.coordinates[1] or p.mu == 0.0:
                 continue
-            if abs(t.Delta4) <= 1e-8 * (1.0 + t.Delta4**2):
+            if abs(delta) <= 1e-8 * (1.0 + delta**2):
                 continue
             pair = analytic_eigenvalues(p, "SV_endemic")
             has_spiral = bool(np.any(np.abs(pair.imag) > 0.0))
-            assert has_spiral == (t.Delta4 < 0.0)
+            assert has_spiral == (delta < 0.0)
             checked += 1
         assert checked >= 40
 

@@ -4,8 +4,8 @@
 neither the strain-specific text (notes, margin and condition-report keys,
 degenerate-expression messages) nor the degenerate paths are compared
 there. The first half of this file pins that text as literal strings; the
-second half checks that zeroing a rate of one strain fails, or leaves
-undefined, exactly what zeroing its twin does for the other strain.
+second half checks that zeroing a rate of one strain fails, or leaves a
+point degenerate, exactly as zeroing its twin does for the other strain.
 """
 
 import re
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from conftest import draw_parameter_matrix, params_from_row
-from test_mirror import _MIRROR_IDS, _MIRROR_THRESHOLDS, _SWAP_VW, mirror
-from twostrain.equilibria import DegenerateEquilibriumError, catalog, compute_equilibrium, thresholds
+from test_mirror import _MIRROR_IDS, _SWAP_VW, mirror
+from twostrain.equilibria import DegenerateEquilibriumError, catalog, compute_equilibrium
 from twostrain.stability import analytic_eigenvalues, classify
 
 
@@ -186,20 +186,11 @@ def test_condition_report_keys(fig1_params):
     assert list(classify(fig1_params, "SV_endemic").condition_report) == endemic
 
 
-def test_undefined_thresholds_keep_their_order(fig1_params):
-    assert thresholds(_zeroed(fig1_params, "lam", "beta", "e", "f")).undefined == ("A", "B", "N", "Nhat")
-    every_rate = ("lam", "psi", "mu", "e", "beta", "phi", "nu", "f")
-    assert thresholds(_zeroed(fig1_params, *every_rate)).undefined == (
-        "A", "B", "M", "N", "G", "Mhat", "Nhat", "Ghat"
-    )
-
-
 # ----------------------------------------------------------------------
 # The mirror where a strain rate is zero
 # ----------------------------------------------------------------------
 
 _ZERO_SETS = [("lam",), ("psi",), ("mu",), ("e",), ("beta",), ("phi",), ("nu",), ("f",), ("lam", "psi")]
-_THRESHOLD_TWIN = {one: two for pair in _MIRROR_THRESHOLDS for one, two in (pair, pair[::-1])}
 
 
 def _failure(fn, *args):
@@ -216,14 +207,6 @@ def zero_rate_draws():
     rng = np.random.default_rng(31)
     draws = [params_from_row(row) for row in draw_parameter_matrix(rng, 30)]
     return [(p, mirror(p)) for p in (_zeroed(base, *zeros) for base in draws for zeros in _ZERO_SETS)]
-
-
-def test_zero_rate_thresholds(zero_rate_draws):
-    for p, q in zero_rate_draws:
-        tp, tq = thresholds(p), thresholds(q)
-        assert sorted(_THRESHOLD_TWIN[name] for name in tp.undefined) == sorted(tq.undefined), p
-        for one, two in _MIRROR_THRESHOLDS:
-            assert repr(getattr(tp, one)) == repr(getattr(tq, two)), (one, p)
 
 
 def test_zero_rate_catalog(zero_rate_draws):
