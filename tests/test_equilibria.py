@@ -92,6 +92,54 @@ class TestThresholds:
             compute_equilibrium(p, "E4")
         assert compute_equilibrium(p, "E5").coordinates is not None
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_upper_window_edge_is_where_the_first_competitor_vanishes(self, seed):
+        # P = L*(lam*s - a*(mu + psi)) / (lam*s + e*L*a), so for positive
+        # rates P has the sign of G - a, with G = lam*s / (mu + psi).
+        rng = np.random.default_rng(seed)
+        p = params_from_row(draw_parameter_matrix(rng, 1)[0])
+        for eq_id in ("E6", "E7"):
+            rec = compute_equilibrium(p, eq_id)
+            margin = rec.margins["first_competitor_positive"]
+            if abs(margin) > 1e-9 * p.a:
+                assert np.sign(margin) == np.sign(rec.coordinates[0]), (eq_id, p)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_lower_window_edge_is_where_the_infected_numerator_vanishes(self, seed):
+        # The infected coordinate is s*(mu + psi + e*L)*E / (K*den*F), and E
+        # is linear in a with a positive slope for positive rates, vanishing
+        # at a = M: so a - M has the sign of E, and the coordinate that of E*F.
+        rng = np.random.default_rng(seed)
+        p = params_from_row(draw_parameter_matrix(rng, 1)[0])
+        for eq_id, slot, rates in (("E6", 2, (p.lam, p.psi, p.mu, p.e)), ("E7", 3, (p.beta, p.phi, p.nu, p.f))):
+            rec = compute_equilibrium(p, eq_id)
+            E, F, M, _ = equilibria._mixed_thresholds(p, *rates)
+            margin = rec.margins["infected_branch_positive"]
+            if abs(margin) > 1e-9 * max(p.a, M):
+                assert np.sign(margin) == np.sign(E), (eq_id, p)
+                assert np.sign(rec.coordinates[slot]) == np.sign(E) * np.sign(F), (eq_id, p)
+
+    @pytest.mark.parametrize(
+        "zeros, eq_id, key, slot",
+        [
+            (("psi", "mu"), "E6", "first_competitor_positive", 0),
+            (("phi", "nu"), "E7", "first_competitor_positive", 0),
+            (("b", "e"), "E6", "infected_branch_positive", 2),
+            (("b", "f"), "E7", "infected_branch_positive", 3),
+        ],
+    )
+    def test_an_undefined_window_edge_falls_back_to_its_coordinate(self, fig1_params, zeros, eq_id, key, slot):
+        # G's denominator is its strain's mu + psi and M's is L*K*(e*r +
+        # b*psi + b*mu); where one vanishes, the margin is the coordinate
+        # that edge bounds (signed by the infected numerator, which is the
+        # coordinate's own sign here since F = s*lam*mu > 0 when b = e = 0).
+        p = fig1_params.replace(**{name: 0.0 for name in zeros})
+        rec = compute_equilibrium(p, eq_id)
+        assert rec.coordinates[slot] != 0.0
+        assert float(rec.margins[key]).hex() == float(rec.coordinates[slot]).hex()
+
 
 class TestClosedForms:
     def test_trivial_and_single_population_points(self, fig1_params):

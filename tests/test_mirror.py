@@ -18,6 +18,9 @@ from twostrain.stability import analytic_eigenvalues, classify
 _MIRROR_IDS = {"E0": "E0", "E1": "E1", "E2": "E2", "E3": "E3", "E4": "E5", "E5": "E4", "E6": "E7", "E7": "E6"}
 # State order of the mirrored point: V and W exchanged.
 _SWAP_VW = [0, 1, 3, 2]
+# Points that carry a transverse row and a subcritical slack for each strain,
+# strain one's first; the other points carry their own strain's alone.
+_BOTH_STRAINS = ("E0", "E1", "E2", "E3")
 
 
 def mirror(p):
@@ -26,6 +29,16 @@ def mirror(p):
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
+
+
+def thresholds(rec, swap_strains: bool = False) -> str:
+    """Every threshold a record carries (margins, in-face and across slacks,
+    transverse rows); ``swap_strains`` puts them in the order its mirror's are in."""
+    transverse, across = list(rec.transverse), list(rec.across.values())
+    if swap_strains and rec.id in _BOTH_STRAINS:
+        transverse, across = transverse[::-1], across[::-1]
+    # repr, so that NaN slacks compare equal too.
+    return repr([*rec.margins.values(), *rec.in_face.values(), *transverse, *across])
 
 
 def _outcome(fn, *args):
@@ -45,6 +58,13 @@ def mirrored_draws():
 def test_mirror_is_an_involution(mirrored_draws):
     for p, q in mirrored_draws:
         assert mirror(q) == p
+
+
+def test_thresholds(mirrored_draws):
+    for p, q in mirrored_draws:
+        mirrored = {rec.id: rec for rec in catalog(q)}
+        for rec in catalog(p):
+            assert thresholds(rec, swap_strains=True) == thresholds(mirrored[_MIRROR_IDS[rec.id]]), (rec.id, p)
 
 
 def test_catalog_records(mirrored_draws):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import draw_parameter_matrix, params_from_row
-from test_mirror import _MIRROR_IDS, _SWAP_VW, mirror
+from test_mirror import _MIRROR_IDS, _SWAP_VW, mirror, thresholds
 from twostrain.equilibria import DegenerateEquilibriumError, catalog, compute_equilibrium
 from twostrain.stability import analytic_eigenvalues, classify
 
@@ -217,6 +217,13 @@ def test_zero_rate_catalog(zero_rate_draws):
             assert (rec.coordinates is None) == (twin.coordinates is None), (rec.id, p)
             if rec.coordinates is not None:
                 assert rec.coordinates.tobytes() == twin.coordinates[_SWAP_VW].tobytes(), (rec.id, p)
+
+
+def test_zero_rate_thresholds(zero_rate_draws):
+    for p, q in zero_rate_draws:
+        mirrored = {rec.id: rec for rec in catalog(q)}
+        for rec in catalog(p):
+            assert thresholds(rec, swap_strains=True) == thresholds(mirrored[_MIRROR_IDS[rec.id]]), (rec.id, p)
 
 
 def test_zero_rate_failures(zero_rate_draws):
