@@ -653,7 +653,9 @@ def run_to_attractor_batch(
     (``on_result`` is not called again) and lanes of higher launch index
     stop. The failing launch of lowest index is then run again by the
     scalar ``_run_scalar``, whose StepFailureError (with the partial
-    trajectory) propagates.
+    trajectory) propagates. That rerun ignores dwells and gates, so its
+    RuntimeError (the lane failed where the scalar run did not) fires
+    only when the scalar run never fails at all.
     """
     cfg = config or IntegrationConfig()
     gates = tuple(gates)

@@ -717,7 +717,7 @@ class TestAttractorStepBound:
         runs = _record_accepted_times(monkeypatch)
         configs = [IntegrationConfig(max_step=m) for m in (1.0, 0.5, math.inf)]
         assert configs[0] == IntegrationConfig()
-        outcomes = []
+        outcomes, replays = [], []
         for cfg in configs:
             scalar = [replay_to_attractor(fig4_params, x0, attractors, cfg) for x0 in starts]
             batched = run_to_attractor_batch(fig4_params, starts, attractors, cfg)
@@ -726,18 +726,22 @@ class TestAttractorStepBound:
             outcomes.append(
                 [(r.label, r.t_detected, r.termination, r.final_state.tobytes()) for r in scalar]
             )
+            replays.extend(scalar)
         assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
         assert {label for label, *_ in outcomes[0]} == {"E1", "E4", UNDECIDED}
 
         # The documented bound, a quarter of the dwell time.
         assert _ATTRACTOR_MAX_STEP == _DWELL_TIME / 4 == 2.5
-        # Each scalar run above; the lanes take the same steps. An accepted
-        # time is t + h rounded, so a step of exactly the bound may read a
-        # few units in the last place of t off it.
-        assert len(runs) == 3 * len(starts)
+        # Each scalar run above, up to the time its lane stopped (a replay
+        # integrates on past a dwell or gate); the lanes take the same
+        # steps. An accepted time is t + h rounded, so a step of exactly
+        # the bound may read a few units in the last place of t off it.
+        assert len(runs) == len(replays) == 3 * len(starts)
         longest = []
-        for times in runs:
+        for times, reach in zip(runs, replays):
             t = np.asarray(times)
+            if reach.t_detected is not None:
+                t = t[t <= reach.t_detected]
             slack = 4.0 * np.spacing(t[1:])
             assert np.all(np.diff(t) <= _ATTRACTOR_MAX_STEP + slack)
             longest.append(np.max(np.diff(t) - slack))
