@@ -45,6 +45,10 @@ labels at the caller's tolerance. The grid and the probes run at the
 caller's tolerance. The probes need the fitted surface, so to ride in the
 certificate batch they are drawn on a fit of the points the certificate
 would confirm; ``separatrix_points`` says when they are dropped.
+
+A run that fails on step size stops no stage: its grid node is labelled
+``step_failure``, a segment whose midpoint fails is skipped, a failing
+certificate end is bisected again, and a failing probe is a miss.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ from .integrate import (
     _GATE_RADIUS,
     IntegrationConfig,
     ReachResult,
+    STEP_FAILURE,
     SaddleGate,
-    StepFailureError,
     UNDECIDED,
     _separated_attractors,
     run_to_attractor_batch,
@@ -103,6 +107,11 @@ _LATTICE = 40
 # midpoint labels at resolutions 7, 11 and 21 are the same at 1e-5 as at
 # the default 1e-8; each final bracket is certified at the caller's.
 _LABEL_REL_TOL = 1e-5
+# Grid label code of a node whose run failed on step size; -1 is undecided.
+_FAILED = -2
+# Why bisection skips a segment, by how its midpoint's run ended.
+_UNDECIDED_MIDPOINT = "undecided midpoint during bisection"
+_FAILED_MIDPOINT = "step failure during bisection"
 
 
 class DegenerateGeometryError(ValueError):
@@ -141,8 +150,10 @@ def _check_bisect_tol(bisect_tol: float) -> None:
 class BasinGrid:
     """Labelled grid nodes on a slice box.
 
-    ``labels[i, j, k]`` indexes ``attractor_ids`` (-1 for undecided) at
-    node ``(axes_1d[0][i], axes_1d[1][j], axes_1d[2][k])``.
+    ``labels[i, j, k]`` indexes ``attractor_ids`` at node
+    ``(axes_1d[0][i], axes_1d[1][j], axes_1d[2][k])``, or is -1 for an
+    undecided node and -2 for one whose run failed on step size.
+    ``undecided_fraction`` counts both.
     """
 
     bounds: tuple[tuple[float, float], ...]
@@ -154,8 +165,14 @@ class BasinGrid:
     def undecided_fraction(self) -> float:
         return float(np.mean(self.labels < 0))
 
+    @property
+    def failed_nodes(self) -> int:
+        return int(np.count_nonzero(self.labels == _FAILED))
+
     def label_name(self, index: int) -> str:
-        return UNDECIDED if index < 0 else self.attractor_ids[index]
+        if index >= 0:
+            return self.attractor_ids[index]
+        return STEP_FAILURE if index == _FAILED else UNDECIDED
 
 
 def classify_grid(
@@ -173,7 +190,9 @@ def classify_grid(
     are not an error and raise no warning: points exactly on basin
     boundaries or on invariant faces that drain to an unlisted attractor
     are legitimate. Their share is ``BasinGrid.undecided_fraction``, and
-    each command that classifies a grid states it in its own output.
+    each command that classifies a grid states it in its own output. A
+    node whose run fails on step size is labelled -2 and counted by
+    ``BasinGrid.failed_nodes``; the other nodes keep their labels.
     """
     targets = _check_grid(bounds, resolution, attractors, match_radius)
     shape = (resolution, resolution, resolution)
@@ -186,6 +205,8 @@ def classify_grid(
     for node, result in zip(np.ndindex(shape), results):
         if result.attractor_id is not None:
             labels[node] = index_of[result.attractor_id]
+        elif result.termination == STEP_FAILURE:
+            labels[node] = _FAILED
 
     return BasinGrid(
         bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
@@ -225,6 +246,10 @@ class SeparatrixSample:
     segments: np.ndarray
     skipped: list[tuple[int, str]]
     rebisected: list[int] = dataclasses.field(default_factory=list)
+
+    @property
+    def failed_segments(self) -> int:
+        return sum(reason == _FAILED_MIDPOINT for _, reason in self.skipped)
 
 
 def boundary_edge_segments(grid: BasinGrid) -> list[tuple[np.ndarray, np.ndarray, str, str]]:
@@ -350,15 +375,15 @@ def _bisect(
     config: IntegrationConfig,
     match_radius: float,
     gates: Sequence[SaddleGate] = (),
-) -> dict[int, list[np.ndarray] | None]:
+) -> dict[int, list[np.ndarray] | str]:
     """Plain bisection of the segments ``rows``, as one stream of runs at
     ``config`` through ``gates``.
 
     Returns each row's final bracket ``[lo, hi]``, whose ends are the
-    segment's own arrays until they move, or None if a midpoint was
-    undecided.
+    segment's own arrays until they move, or the reason the row is
+    skipped if a midpoint was undecided or failed on step size.
     """
-    bracket: dict[int, list[np.ndarray] | None] = {row: list(ends[row]) for row in rows}
+    bracket: dict[int, list[np.ndarray] | str] = {row: list(ends[row]) for row in rows}
     length = {row: float(np.linalg.norm(ends[row][1] - ends[row][0])) for row in bracket}
     running = {row for row in bracket if length[row] > bisect_tol}
     # memo[row] maps each point the segment launched (its bytes) to the
@@ -387,7 +412,7 @@ def _bisect(
             if res is None:  # still running
                 return []
             if res.attractor_id is None:
-                bracket[row] = None
+                bracket[row] = _FAILED_MIDPOINT if res.termination == STEP_FAILURE else _UNDECIDED_MIDPOINT
                 break
             if res.attractor_id == sides[row][0]:
                 lo_hi[0] = mid
@@ -425,7 +450,8 @@ def separatrix_points(
     integrated. Every segment end must be finite and in the nonnegative
     orthant, and ``bisect_tol`` must be positive and finite; all of that
     is checked before anything is integrated. A segment whose midpoint fails to
-    classify is skipped with a note, in segment order. The bisection stops
+    classify is skipped with a note, in segment order, that says whether
+    the midpoint was undecided or failed on step size. The bisection stops
     once the bracket is shorter than ``bisect_tol`` in slice coordinates;
     the returned point is the bracket midpoint.
 
@@ -444,10 +470,10 @@ def separatrix_points(
     of that, never tighter than ``config``, and through saddle gates
     (below). Then both ends of every final bracket run in one batch at
     ``config``, ungated, except an end that is still one of the segment's
-    own. A segment whose labelling midpoint was undecided, or whose
-    bracket end reaches the other side at ``config``, is listed in
-    ``rebisected`` and bisected again from its own ends at ``config``,
-    ungated, where an undecided midpoint skips it. Every returned point is
+    own. A segment whose labelling midpoint was undecided or failed, or
+    whose bracket end reaches the other side or no side at ``config``, is
+    listed in ``rebisected`` and bisected again from its own ends at
+    ``config``, ungated, where such a midpoint skips it. Every returned point is
     thus the midpoint of a bracket whose ends carry ungated ``config``
     labels of two different attractors, as plain bisection at ``config``
     promises. Only a stream that ran ungated at ``config`` itself, with
@@ -457,10 +483,11 @@ def separatrix_points(
     ``reconstruct_separatrix`` runs its side probes in that certificate
     batch, behind the bracket ends, drawn on a fit of the points the
     certificate would confirm. It drops them, and probes the final fit in
-    a batch of their own, when a labelling midpoint was undecided, when the
-    stream was plain bisection already, when that fit or the draw raises,
-    when the batch with them fails (the certificate then runs again
-    alone), or when a segment is bisected again.
+    a batch of their own, when a labelling midpoint was undecided or
+    failed, when the stream was plain bisection already, when that fit or
+    the draw raises, when the batch with them rejects a start (the
+    certificate then runs again alone), or when a segment is bisected
+    again. A probe that fails on step size is a miss.
 
     A saddle gate is an ``integrate.SaddleGate``. A candidate is a feasible
     ``equilibria.catalog`` point x* with W = 0 whose slice Jacobian has
@@ -519,13 +546,13 @@ def _certified_sample(
     brackets = _bisect(params, targets, ends, sides, range(len(ends)), bisect_tol, label_cfg, match_radius, gates)
 
     def sample(rebisected: list[int]) -> SeparatrixSample:
-        rows = [row for row in range(len(ends)) if brackets[row] is not None]
+        rows = [row for row in range(len(ends)) if not isinstance(brackets[row], str)]
         pts = np.array([0.5 * (brackets[row][0] + brackets[row][1]) for row in rows])
         return SeparatrixSample(
             points=pts.reshape(len(rows), 3),
             side_labels=[sides[row] for row in rows],
             segments=np.array([ends[row] for row in rows]).reshape(len(rows), 2, 3),
-            skipped=[(row, "undecided midpoint during bisection") for row in range(len(ends)) if brackets[row] is None],
+            skipped=[(row, brackets[row]) for row in range(len(ends)) if isinstance(brackets[row], str)],
             rebisected=rebisected,
         )
 
@@ -536,7 +563,7 @@ def _certified_sample(
     moved = [
         (row, side, u)
         for row, bracket in brackets.items()
-        if bracket is not None
+        if not isinstance(bracket, str)
         for side, (u, own) in enumerate(zip(bracket, ends[row]))
         if u is not own
     ]
@@ -546,7 +573,7 @@ def _certified_sample(
         return run_to_attractor_batch(params, starts, targets, config=config, match_radius=match_radius)
 
     riding = None
-    if riders is not None and all(bracket is not None for bracket in brackets.values()):
+    if riders is not None and not any(isinstance(bracket, str) for bracket in brackets.values()):
         try:
             riding = list(riders(sample([])))
         except (ArithmeticError, ValueError, RuntimeError):
@@ -554,11 +581,11 @@ def _certified_sample(
     if riding is not None:
         try:
             certified = certificate(riding)
-        except (StepFailureError, ValueError):
-            riding = None  # a failing run or a rejected start, met again alone
+        except ValueError:
+            riding = None  # a rejected start, met again alone
     if riding is None:
         certified = certificate([])
-    wrong = {row for row, bracket in brackets.items() if bracket is None}
+    wrong = {row for row, bracket in brackets.items() if isinstance(bracket, str)}
     for (row, side, _), res in zip(moved, certified):
         if res.attractor_id is None or (res.attractor_id != sides[row][0]) != (side == 1):
             wrong.add(row)

@@ -10,7 +10,9 @@ and reproduce state the share of undecided grid nodes in that summary.
 Exit codes: 0 success, 2 configuration error (basin and separatrix inputs
 are all checked before any run), 3 I/O error, 4 numerical failure, 5 a
 reproduced scenario missed its tolerance (every requested scenario still
-runs and writes its outputs first).
+runs and writes its outputs first). basin and separatrix print how many
+grid nodes and bisected segments failed on step size, and exit 4 if any
+did, after every file is written.
 """
 
 from __future__ import annotations
@@ -299,7 +301,7 @@ def _cmd_basin(args: argparse.Namespace, run: RunConfig) -> int:
         f"{decided:.1%} decided"
     )
     print(f"wrote {args.out / 'labels.csv'}")
-    return EXIT_OK
+    return _step_failures(f"{grid.failed_nodes} of {grid.labels.size} grid nodes", grid.failed_nodes)
 
 
 def _cmd_separatrix(args: argparse.Namespace, run: RunConfig) -> int:
@@ -328,7 +330,17 @@ def _cmd_separatrix(args: argparse.Namespace, run: RunConfig) -> int:
     print(
         f"wrote {args.out / 'labels.csv'}, boundary_points.csv, surface.obj, surface_lattice.csv"
     )
-    return EXIT_OK
+    nodes = f"{grid.failed_nodes} of {grid.labels.size} grid nodes"
+    counts = f"{nodes} and {sample.failed_segments} of {len(segments)} segments"
+    return _step_failures(counts, grid.failed_nodes + sample.failed_segments)
+
+
+def _step_failures(counts: str, failed: int) -> int:
+    """Print that ``counts`` failed on step size, also on stderr if ``failed``; exit 4 if so."""
+    print(f"{counts} failed on step size")
+    if failed:
+        print(f"numerical failure: {counts} failed on step size", file=sys.stderr)
+    return EXIT_NUMERIC if failed else EXIT_OK
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:

@@ -90,7 +90,8 @@ ALL_IDS = EQUILIBRIUM_IDS + FACE_EQUILIBRIUM_IDS
 FEASIBILITY_TOL = 1e-12
 MARGINAL_BAND = 1e-12
 
-# Threshold below which a denominator counts as structurally zero.
+# Share of the size of its own terms below which a difference counts as
+# structurally zero.
 _DEGENERATE_TOL = 1e-14
 
 
@@ -300,7 +301,7 @@ def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecor
         den = p.b * p.L * p.K * p.a - p.r * p.s
         scale = p.b * p.L * p.K * p.a + p.r * p.s
         expression = "b*L*K*a - r*s"
-        if abs(den) <= _DEGENERATE_TOL * max(scale, 1.0):
+        if abs(den) <= _DEGENERATE_TOL * scale:
             raise DegenerateEquilibriumError(eq_id, expression)
         # Folded as the record holds them, so the transverse rows read the same zeros.
         P3 = _quotient(eq_id, p.L * p.r * (p.a * p.K - p.s), den, expression) + 0.0
@@ -348,11 +349,7 @@ def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecor
             pair=_quadratic_pair(-p.r * C, Delta, p.K * lam * mu),
             transverse=[p.s - p.a * A, beta * A - phi - nu],
             in_face={
-                # Two candidate forms of the endemic damping coefficient;
-                # they differ by a power of the recovery rate in one term.
-                # The eigenvalue formula arbitrates: the first drives it.
                 "endemic_damping": p.r * C,
-                "endemic_damping_variant": p.r * (mu**2 + p.K * lam * psi**2 - psi**2),
                 "endemic_discriminant": Delta,
             },
             across={
@@ -367,9 +364,9 @@ def compute_equilibrium(params: ModelParameters, eq_id: str) -> EquilibriumRecor
         E, F, M, G = _mixed_thresholds(p, lam, psi, mu, e)
         den = lam * p.s + e * p.L * p.a
         expression = "{0}*s + {3}*L*a".format(*strain.names)
-        if den <= _DEGENERATE_TOL:
+        if den == 0.0:  # a sum of nonnegative products
             raise DegenerateEquilibriumError(eq_id, expression)
-        if abs(F) <= _DEGENERATE_TOL * max(abs(p.s * lam * (e * p.L + mu)) + abs(psi * e * p.L * p.a), 1.0):
+        if abs(F) <= _DEGENERATE_TOL * (abs(p.s * lam * (e * p.L + mu)) + abs(psi * e * p.L * p.a)):
             raise DegenerateEquilibriumError(
                 eq_id, "{4} = s*{0}*{3}*L + s*{0}*{2} - {1}*{3}*L*a".format(*strain.names, strain.factor)
             )

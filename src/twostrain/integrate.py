@@ -22,21 +22,14 @@ scheme:
   compartment equal to exactly zero is excluded from the expansion test,
   because zero compartments are invariant and cannot be excited.
 
-``integrate`` steps at most the config's ``max_step``.
-``run_to_attractor_batch`` runs many starts as lanes of one numpy stepper
-until each has dwelt 10 time units in the ball of one attractor, and
-launches more as runs end if asked to. Its output is a label, not samples,
-so its steps are bounded by a quarter of that dwell time (2.5) instead,
-whatever ``max_step`` says. Each lane takes exactly the steps the scalar
-loop ``_integrate_core`` takes from its start at that bound: both steppers
-square by multiplying, and the lanes take the controller's fractional
-powers with ``np.float_power``, which rounds like Python's ``**``
-(``np.power`` does not). A start's result does not depend on the other
-lanes: it is ``run_to_attractor_batch(params, [x0], ...)[0]``, bit for
-bit. Runs end by one function, ``_attractor_exits``, and optional
-``SaddleGate``s end a run as it leaves a saddle along the saddle's
-unstable direction, with the label of the attractor that side's branch
-reaches.
+``integrate`` runs one start in the scalar loop ``_integrate_core``, at
+most the config's ``max_step`` a step, and raises ``StepFailureError`` if
+the step size underflows. ``run_to_attractor_batch`` runs many starts as
+lanes of one numpy stepper, at most 2.5 a step, until each has dwelt 10
+time units in the ball of one attractor or a ``SaddleGate`` has decided
+it. Each lane takes exactly the steps the scalar loop takes from its
+start at that bound, and a lane whose step size underflows ends as one
+more outcome, ``step_failure``, while the batch goes on.
 """
 
 from __future__ import annotations
@@ -381,27 +374,6 @@ def _integrate_core(
     return times, states, termination
 
 
-def _run_scalar(
-    params: ModelParameters,
-    x0: Sequence[float],
-    cfg: IntegrationConfig,
-    max_step: float,
-) -> Trajectory:
-    """``_integrate_core`` from ``x0``, with the start check and the
-    StepFailureError of ``integrate``; ``run_to_attractor_batch`` reruns a
-    failing launch through it to raise that error."""
-    start = tuple(float(v) for v in x0)
-    if not all(0.0 <= v < math.inf for v in start):  # NaN fails too
-        raise ValueError("initial state must be finite and nonnegative")
-    times, states, termination = _integrate_core(
-        scalar_field(params), start, cfg, max_step, _stationary_check(params)
-    )
-    traj = Trajectory(np.asarray(times, dtype=float), np.asarray(states, dtype=float), termination)
-    if termination == STEP_FAILURE:
-        raise StepFailureError(f"step size underflowed below {cfg.min_step} at t={times[-1]:.6g}", traj)
-    return traj
-
-
 def integrate(
     params: ModelParameters,
     x0: Sequence[float],
@@ -414,7 +386,16 @@ def integrate(
     size underflows.
     """
     cfg = config or IntegrationConfig()
-    return _run_scalar(params, x0, cfg, cfg.max_step)
+    start = tuple(float(v) for v in x0)
+    if not all(0.0 <= v < math.inf for v in start):  # NaN fails too
+        raise ValueError("initial state must be finite and nonnegative")
+    times, states, termination = _integrate_core(
+        scalar_field(params), start, cfg, cfg.max_step, _stationary_check(params)
+    )
+    traj = Trajectory(np.asarray(times, dtype=float), np.asarray(states, dtype=float), termination)
+    if termination == STEP_FAILURE:
+        raise StepFailureError(f"step size underflowed below {cfg.min_step} at t={times[-1]:.6g}", traj)
+    return traj
 
 
 @dataclass(frozen=True)
@@ -423,7 +404,8 @@ class ReachResult:
 
     ``attractor_id`` is None when the run ended undecided. ``t_detected``
     is the time the dwell requirement was met or a gate decided the run
-    (None if undecided); a gated run ends with termination ``"gated"``.
+    (None if undecided); a gated run ends with termination ``"gated"``,
+    and one whose step size underflowed with ``"step_failure"``.
     """
 
     attractor_id: str | None
@@ -647,15 +629,9 @@ def run_to_attractor_batch(
 
     Every start runs as a lane, a start offered alone included, so one
     start's result is ``run_to_attractor_batch(params, [x0], ...)[0]``, bit
-    for bit.
-
-    Once a run fails on step size, nothing more is launched
-    (``on_result`` is not called again) and lanes of higher launch index
-    stop. The failing launch of lowest index is then run again by the
-    scalar ``_run_scalar``, whose StepFailureError (with the partial
-    trajectory) propagates. That rerun ignores dwells and gates, so its
-    RuntimeError (the lane failed where the scalar run did not) fires
-    only when the scalar run never fails at all.
+    for bit. A run whose step size underflows ends undecided, with
+    termination ``"step_failure"`` and its last accepted state, like any
+    other run: ``on_result`` is called for it and the other runs go on.
     """
     cfg = config or IntegrationConfig()
     gates = tuple(gates)
@@ -680,11 +656,7 @@ def run_to_attractor_batch(
     def settle_ratio(y: np.ndarray, k: np.ndarray) -> np.ndarray:
         return _column_max(np.abs(k)) / (cfg.settle_tol * (1.0 + _column_max(np.abs(y))))
 
-    # Start and outcome of every launch, by launch index.
-    launched: list[np.ndarray] = []
-    results: list[ReachResult | None] = []
-    ended: list[tuple[int, ReachResult]] = []  # (launch index, result) of this pass
-    first_failure = math.inf
+    results: list[ReachResult | None] = []  # by launch index
 
     def launch() -> None:
         """Give the pending starts the next launch indices, and add their lanes."""
@@ -692,7 +664,6 @@ def run_to_attractor_batch(
         if not pending:
             return
         first, m = len(results), len(pending)
-        launched.extend(pending)
         results.extend([None] * m)
         x, pending = np.array(pending).T, []
         k = field(x)
@@ -714,28 +685,18 @@ def run_to_attractor_batch(
         )
 
     def finish(mask: np.ndarray, how: str, index: np.ndarray | None = None) -> None:
+        """Store the results of the runs in ``mask``, and queue the starts ``on_result`` returns."""
         for j in np.flatnonzero(mask):
             hit = -1 if index is None else int(index[j])
-            ended.append((int(lane[j]), _reach(targets, hit, t[j], y[:, j].copy(), how)))
+            result = results[lane[j]] = _reach(targets, hit, t[j], y[:, j].copy(), how)
+            if on_result is not None:
+                pending.extend(start_rows(on_result(int(lane[j]), result)))
 
-    def report() -> None:
-        """Store the ended runs and queue the starts ``on_result`` returns."""
-        for index, result in ended:
-            results[index] = result
-            if on_result is not None and first_failure == math.inf:
-                pending.extend(start_rows(on_result(index, result)))
-        ended.clear()
-
-    def drop(done: np.ndarray, failed: np.ndarray) -> None:
-        """Drop finished lanes, and every lane past the lowest failing launch."""
-        nonlocal first_failure, lane, y, k1, t, h, facold, armed, since, ball, entered
-        if failed.any():
-            first_failure = min(first_failure, int(lane[failed].min()))
-        keep = ~(done | failed) & (lane < first_failure)
+    def drop(done: np.ndarray) -> None:
+        nonlocal lane, y, k1, t, h, facold, armed, since, ball, entered
         lane, y, k1, t, h, facold, armed, since, ball, entered = (
-            a[..., keep] for a in (lane, y, k1, t, h, facold, armed, since, ball, entered)
+            a[..., ~done] for a in (lane, y, k1, t, h, facold, armed, since, ball, entered)
         )
-        report()
 
     # Overflow, NaN and the power of a zero error pass silently.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -759,7 +720,8 @@ def run_to_attractor_batch(
                 failed = ~over & (h < cfg.min_step)
                 if over.any() or failed.any():
                     finish(over, REACHED_T_MAX)
-                    drop(over, failed)
+                    finish(failed, STEP_FAILURE)
+                    drop(over | failed)
                     continue
 
             u = y + h * _A21 * k1
@@ -831,15 +793,13 @@ def run_to_attractor_batch(
 
             ball, entered, stopped, side = _attractor_exits(y, t, accepted, ball, entered, centres, r2, gate_list)
             gated = side >= 0
-            done = converged | stopped | gated
-            if np.count_nonzero(done | failed):
+            done = converged | stopped | gated | failed
+            if np.count_nonzero(done):
                 finish(stopped, _STOPPED, ball)
                 finish(gated, _GATED, side)
-                drop(done, failed)
+                finish(failed, STEP_FAILURE)
+                drop(done)
 
-    if first_failure < math.inf:
-        _run_scalar(params, launched[first_failure], cfg, _ATTRACTOR_MAX_STEP)
-        raise RuntimeError(f"batched run of launch {first_failure} failed where the scalar run did not")
     return results
 
 

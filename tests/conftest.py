@@ -34,24 +34,24 @@ def replay_to_attractor(params, x0, attractors, config=None, match_radius=0.05, 
     """The scalar reference of one lane of ``run_to_attractor_batch``.
 
     It replays the lane from one run of the scalar stepper that
-    ``integrate`` uses (``integrate._run_scalar``) at the attractor step
-    bound: ``integrate._attractor_exits`` on each accepted state, as one
-    column, up to the first dwell or gate. The start gets the call too,
-    but only its ball counts. A run that converges stops before that
-    step's call, in the ball of its previous step. A StepFailureError is
-    raised again unless a dwell or a gate came before the failure.
+    ``integrate`` uses (``integrate._integrate_core``) at the attractor
+    step bound: ``integrate._attractor_exits`` on each accepted state, as
+    one column, up to the first dwell or gate. The start gets the call
+    too, but only its ball counts. A run that converges stops before that
+    step's call, in the ball of its previous step. A run that fails on
+    step size before any dwell or gate ends undecided, with termination
+    ``step_failure`` and its last accepted state.
     """
     targets, gate_list, centres, r2 = integrate._targets(attractors, match_radius, gates)
     cfg = config or integrate.IntegrationConfig()
-    try:
-        traj, failure = integrate._run_scalar(params, x0, cfg, integrate._ATTRACTOR_MAX_STEP), None
-    except integrate.StepFailureError as err:
-        traj, failure = err.trajectory, err
-    states = traj.states[:-1] if traj.termination == integrate.CONVERGED else traj.states
+    times, states, termination = integrate._integrate_core(
+        integrate.scalar_field(params), x0, cfg, integrate._ATTRACTOR_MAX_STEP, integrate._stationary_check(params)
+    )
+    states = np.asarray(states, dtype=float)
     ball, entered = np.full(1, -1), np.zeros(1)
     # A state far out squares past the float range, as in the lanes.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, (t, y) in enumerate(zip(traj.times.tolist(), states)):
+        for step, (t, y) in enumerate(zip(times, states[:-1] if termination == integrate.CONVERGED else states)):
             ball, entered, dwelt, side = integrate._attractor_exits(
                 y[:, None], t, True, ball, entered, centres, r2, gate_list
             )
@@ -59,10 +59,8 @@ def replay_to_attractor(params, x0, attractors, config=None, match_radius=0.05, 
                 return integrate._reach(targets, int(side[0]), t, y.copy(), integrate._GATED)
             if step and dwelt[0]:
                 return integrate._reach(targets, int(ball[0]), t, y.copy(), integrate._STOPPED)
-    if failure is not None:
-        raise failure
-    hit = int(ball[0]) if traj.termination == integrate.CONVERGED else -1
-    return integrate._reach(targets, hit, traj.final_time, traj.final_state.copy(), traj.termination)
+    hit = int(ball[0]) if termination == integrate.CONVERGED else -1
+    return integrate._reach(targets, hit, times[-1], states[-1].copy(), termination)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,6 @@ from twostrain.figures import _basin_options, reproduce
 from twostrain.integrate import (
     IntegrationConfig,
     ReachResult,
-    StepFailureError,
     run_to_attractor_batch,
 )
 from twostrain.model import jacobian
@@ -356,6 +355,28 @@ class TestGridClassification:
         with pytest.raises(ValueError, match="at least one attractor"):
             classify_grid(fig4_params, box, 2, [])
 
+    def test_a_node_that_fails_on_step_size_is_labelled_and_counted(self, fig4_params, fig4_attractors):
+        # A step floor of 0.01 at rel_tol 1e-9 fails one node of this grid on
+        # step size. It is labelled -2 and written as step_failure, and every
+        # other node keeps the label of its own run.
+        cfg = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11, initial_step=0.5, min_step=0.01)
+        grid = classify_grid(fig4_params, _FIG4_BOX, 4, fig4_attractors, config=cfg)
+        assert grid.failed_nodes == 1
+        assert grid.undecided_fraction == np.mean(grid.labels < 0)
+        nodes = [(*u, 0.0) for u in itertools.product(*grid.axes_1d)]
+        for index, x0 in zip(np.ndindex(grid.labels.shape), nodes):
+            want = replay_to_attractor(fig4_params, x0, fig4_attractors, cfg)
+            name = integrate.STEP_FAILURE if want.termination == integrate.STEP_FAILURE else want.label
+            assert grid.label_name(int(grid.labels[index])) == name, x0
+        assert {grid.label_name(int(code)) for code in grid.labels.ravel()} == {"E1", "E4", "undecided", "step_failure"}
+        buf = io.StringIO()
+        write_grid_csv(grid, buf)
+        assert sum(line.endswith(",step_failure") for line in buf.getvalue().splitlines()) == 1
+        # No segment ends at the failed node.
+        failed = np.array(nodes[int(np.flatnonzero(grid.labels.ravel() == -2)[0])][:3])
+        segments = boundary_edge_segments(grid)
+        assert segments and not any(np.array_equal(end, failed) for seg in segments for end in seg[:2])
+
     def test_grid_csv(self, spot_grid):
         buf = io.StringIO()
         write_grid_csv(spot_grid, buf)
@@ -450,6 +471,30 @@ class TestBisection:
         )
         assert sample.points.shape == (0, 3)
         assert sample.skipped == [(0, "undecided midpoint during bisection")]
+
+    def test_a_midpoint_that_fails_on_step_size_skips_its_segment(
+        self, fig4_params, fig4_attractors, tmp_path, monkeypatch
+    ):
+        # An extra segment whose first midpoint, at P = 1e100, fails on step
+        # size at the labelling tolerance and again at the caller's. It is
+        # skipped and counted, and every file is written as without it.
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "far").mkdir()
+        plain = reconstruct_separatrix(fig4_params, _FIG4_BOX, 4, fig4_attractors, tmp_path / "plain", bisect_tol=1e-3)
+        far = (np.array([0.0, 1.0, 1.0]), np.array([2e100, 1.0, 1.0]), "E4", "E1")
+        harvest = basin.boundary_edge_segments
+        monkeypatch.setattr(basin, "boundary_edge_segments", lambda grid: [*harvest(grid), far])
+        _, segments, sample, _, _ = reconstruct_separatrix(
+            fig4_params, _FIG4_BOX, 4, fig4_attractors, tmp_path / "far", bisect_tol=1e-3
+        )
+        row = len(plain[1])
+        assert len(segments) == row + 1
+        assert sample.skipped == [(row, "step failure during bisection")]
+        assert sample.rebisected == [row]
+        assert sample.failed_segments == 1 and plain[2].failed_segments == 0
+        assert sample.points.tobytes() == plain[2].points.tobytes()
+        for name in ("labels.csv", "boundary_points.csv", "surface.obj", "surface_lattice.csv"):
+            assert (tmp_path / "far" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
     @pytest.mark.parametrize("labels", [("undecided", "E4"), ("E1", "E2")])
     def test_unknown_label_is_rejected_before_any_run(
@@ -1201,9 +1246,7 @@ class TestProbesInTheCertificateBatch:
         assert [b.starts for b in batches[len(plain) :]] == [b.starts for b in plain]
         self._same_files(tmp_path / "plain", tmp_path / "probed", ("labels.csv", "boundary_points.csv"))
 
-    def test_a_probe_that_fails_on_step_size_fails_after_every_file_is_written(
-        self, fig4_params, fig4_attractors, tmp_path, monkeypatch
-    ):
+    def test_a_probe_that_fails_on_step_size_is_a_miss(self, fig4_params, fig4_attractors, tmp_path, monkeypatch):
         # The first probe starts far outside the balls, where every run
         # fails on step size.
         far = (1e160, 1.0, 1.0, 0.0)
@@ -1212,19 +1255,22 @@ class TestProbesInTheCertificateBatch:
         batches, _ = _record_launches(monkeypatch)
         self._reconstruct(fig4_params, fig4_attractors, tmp_path / "plain")
         plain = batches[:]
-        with pytest.raises(StepFailureError) as failed:
-            self._reconstruct(fig4_params, fig4_attractors, tmp_path / "probed", n_probes=5)
-        with pytest.raises(StepFailureError) as scalar:
-            replay_to_attractor(fig4_params, far, fig4_attractors)
-        assert str(failed.value) == str(scalar.value)
+        _, _, sample, model, probes = self._reconstruct(
+            fig4_params, fig4_attractors, tmp_path / "probed", n_probes=5, rng=np.random.default_rng(7)
+        )
         self._same_files(tmp_path / "plain", tmp_path / "probed")
-        # The certificate with the probes, which fails; the certificate
-        # alone; then the probes alone, which fail again.
+        # The probes rode in the certificate batch, and nothing ran again.
         certificate = plain[3].starts
-        ridden, alone, probes = batches[len(plain) + 3 :]
+        (ridden,) = batches[len(plain) + 3 :]
         assert ridden.starts[: len(certificate)] == certificate and ridden.starts[len(certificate)] == far
-        assert alone.starts == certificate
-        assert probes.starts == ridden.starts[len(certificate) :]
+        failed, want = ridden.results[len(certificate)], replay_to_attractor(fig4_params, far, fig4_attractors)
+        assert (failed.attractor_id, failed.t_detected, failed.termination) == (None, None, "step_failure")
+        assert (want.attractor_id, want.t_detected, want.termination) == (None, None, "step_failure")
+        assert failed.final_state.tobytes() == want.final_state.tobytes()
+        # The failing probe counts as a miss, as probing afterwards counts it.
+        counts, _ = self._probed_afterwards(fig4_params, fig4_attractors, sample, model, 7)
+        assert probes == counts
+        assert probes[1] == 10 and probes[0] <= 9
 
 
 def test_a_refit_that_raises_leaves_the_generator_as_given(fig4_params, fig4_attractors, tmp_path, monkeypatch):

@@ -445,15 +445,46 @@ class TestCliAnalysis:
 
     @pytest.mark.parametrize("command", ["basin", "separatrix"])
     def test_step_failure_in_a_batch_exit_code(self, tmp_path, capsys, fig4_params, command):
-        integration = IntegrationConfig(
-            rel_tol=1e-12, abs_tol=1e-14, initial_step=0.9, max_step=1.0, min_step=0.5
-        )
+        # A step floor of 0.01 at rel_tol 1e-9 fails one node of this grid on
+        # step size. The command writes every file and counts the node,
+        # then exits 4 with one line on stderr.
+        integration = IntegrationConfig(rel_tol=1e-9, abs_tol=1e-11, initial_step=0.5, min_step=0.01)
         cfg = _write_cfg(tmp_path, fig4_params, integration=integration)
-        rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--resolution", "3"])
+        out = tmp_path / "o"
+        extra = ["--bisect-tol", "1e-3"] if command == "separatrix" else []
+        rc = main([command, "--config", str(cfg), "--out", str(out), "--resolution", "4", "--attractors", "E1,E4", *extra])
+        captured = capsys.readouterr()
         assert rc == 4
-        err = capsys.readouterr().err
-        assert "numerical failure" in err
-        assert "step size underflowed" in err
+        counts = {"basin": "1 of 64 grid nodes", "separatrix": "1 of 64 grid nodes and 0 of 16 segments"}[command]
+        assert captured.err == f"numerical failure: {counts} failed on step size\n"
+        assert captured.out.splitlines()[-1] == f"{counts} failed on step size"
+        files = {"basin": ["labels.csv"], "separatrix": ["boundary_points.csv", "labels.csv", "surface.obj", "surface_lattice.csv"]}
+        assert sorted(path.name for path in out.iterdir()) == files[command]
+        rows = (out / "labels.csv").read_text().splitlines()
+        assert len(rows) == 65 and sum(row.endswith(",step_failure") for row in rows) == 1
+
+    def test_a_bisection_midpoint_that_fails_on_step_size_exit_code(self, tmp_path, capsys, fig4_params, monkeypatch):
+        # An extra segment whose first midpoint, at P = 1e100, fails on step
+        # size: separatrix skips it, writes every file, counts the segment
+        # and exits 4.
+        far = (np.array([0.0, 1.0, 1.0]), np.array([2e100, 1.0, 1.0]), "E4", "E1")
+        harvest = basin.boundary_edge_segments
+        monkeypatch.setattr(basin, "boundary_edge_segments", lambda grid: [*harvest(grid), far])
+        cfg = _write_cfg(tmp_path, fig4_params)
+        out = tmp_path / "o"
+        rc = main([
+            "separatrix", "--config", str(cfg), "--out", str(out), "--resolution", "4",
+            "--bisect-tol", "1e-3", "--attractors", "E1,E4",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 4
+        counts = "0 of 64 grid nodes and 1 of 17 segments"
+        assert captured.err == f"numerical failure: {counts} failed on step size\n"
+        assert captured.out.splitlines()[-1] == f"{counts} failed on step size"
+        assert captured.out.startswith("16 boundary points from 17 boundary-cell corner pairs (1 skipped)")
+        assert sorted(path.name for path in out.iterdir()) == [
+            "boundary_points.csv", "labels.csv", "surface.obj", "surface_lattice.csv"
+        ]
 
     def test_basin_initial_step_above_the_attractor_step_bound(self, tmp_path, capsys, fig4_params):
         # Attractor runs clamp the first step to their bound of 2.5; the
@@ -468,15 +499,21 @@ class TestCliAnalysis:
     def test_basin_corner_far_outside_the_model_scale_is_a_step_failure(
         self, tmp_path, capsys, fig4_params
     ):
+        # The 4 nodes at P = 1e200 fail on step size; of the 4 at P = 0, 2
+        # reach E4 and 2 converge undecided. labels.csv holds all 8.
         cfg = _write_cfg(tmp_path, fig4_params)
+        out = tmp_path / "o"
         rc = main([
-            "basin", "--config", str(cfg), "--out", str(tmp_path / "o"),
+            "basin", "--config", str(cfg), "--out", str(out),
             "--bounds", "0:1e200,0:3,0:2.5", "--resolution", "2",
         ])
         assert rc == 4
-        err = capsys.readouterr().err
-        assert "step size underflowed" in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err == "numerical failure: 4 of 8 grid nodes failed on step size\n"
+        assert captured.out.splitlines()[-1] == "4 of 8 grid nodes failed on step size"
+        rows = [row.split(",") for row in (out / "labels.csv").read_text().splitlines()[1:]]
+        assert [label for P, *_, label in rows if float(P) == 1e200] == ["step_failure"] * 4
+        assert sorted(label for P, *_, label in rows if float(P) == 0.0) == ["E4", "E4", "undecided", "undecided"]
 
     @pytest.mark.parametrize(
         "K, command",

@@ -19,7 +19,9 @@ from twostrain.equilibria import (
     random_interior_starts,
     records_to_jsonl,
 )
+from twostrain.figures import PRESETS
 from twostrain.model import PARAMETER_KEYS, _field, _field_jacobian, rhs
+from twostrain.stability import STABLE_FOCUS, classify
 
 
 def _reference_newton(param_matrix, starts, iterations=40, tol=1e-10):
@@ -232,6 +234,18 @@ class TestDegeneracies:
         p = fig1_params.replace(psi=0.224 / 0.09)
         with pytest.raises(DegenerateEquilibriumError):
             compute_equilibrium(p, "E6")
+
+    def test_rates_in_a_finer_time_unit_keep_every_point(self):
+        # fig3's rates (every parameter but the capacities L and K) times
+        # 2**-17, a time unit of about 1.5 days in seconds. The equilibria
+        # do not move, bit for bit: each degeneracy test compares a
+        # difference with its own terms, whatever their units.
+        fig3 = PRESETS["fig3"].params
+        slow = fig3.replace(**{k: v * 2.0**-17 for k, v in fig3.as_dict().items() if k not in ("L", "K")})
+        for eq_id in EQUILIBRIUM_IDS:
+            want, got = compute_equilibrium(fig3, eq_id).coordinates, compute_equilibrium(slow, eq_id).coordinates
+            assert np.array(got).tobytes() == np.array(want).tobytes(), eq_id
+        assert classify(slow, "E6").classification == classify(fig3, "E6").classification == STABLE_FOCUS
 
     def test_catalog_keeps_degenerate_entries(self, fig1_params):
         records = catalog(fig1_params.replace(**{"lambda": 0.0}))

@@ -33,17 +33,17 @@ _FULL_ID = {"Q0": "E0", "Q1": "E1", "Q2": "E2", "Q3": "E3", "SV_endemic": "E4"}
 _DIGESTS = {
     "_BASE": (
         "bc13ab93f64df7cd3ce87a48a02f8e843f7efcfafb39a977b35a2281d2a0227d",
-        "a20dd9943dbdfbc78320464573decfa7b523f339dfa3e941daef765208449217",
+        "d910e9b9fb84c3e7ac0413f3a319c7861c1c939aee1c406205e4619d8b6ba61d",
         "edf2d428291718a5ac188165969aef5d2041ad8b838b9812e821f57d2823ff04",
     ),
     "_BASIN": (
         "88bce69dcb861fd68644c9e86e22ec0ac041999e6c9cf42157ea635c36430936",
-        "3bc2b6a4acf033d42db7c35d467726a568abb0f4ec2ce8ecc65cba8e1a5d5666",
+        "7b7dbb6fdae79c06233d5b4a04c51bce030d746412c4c6c7ff606ebf9d195c28",
         "1e9b4dfcc25a6d6e2e0a1ea27f6209df9f1fe24a89a239ec1777bd618673d25c",
     ),
     "_SMALL": (
         "3e3cebb1af1422b5bc3ac8f1c21e59e714a0785ef767e9f9738d0de5515db3e1",
-        "ab0625866906ec2135332ec2ae86b8170252b1cec267f74950a9ed5603fa0605",
+        "fdb64d146df8ee66ab239c6cda8fdcf5db7e17d67750501682c02a6e2e881e4f",
         "e4789b00e1424e79547bd23ba3c4026dde8e0f4b18464f6f7449e2ebbd383557",
     ),
 }

@@ -306,20 +306,6 @@ def _same_reach(batched, scalar) -> bool:
     )
 
 
-def _record_scalar_runs(monkeypatch) -> list:
-    """Record the start and step bound of every scalar run from here on,
-    the batch's rerun of a failing launch included."""
-    runs = []
-    run = twostrain.integrate._run_scalar
-
-    def recording(params, start, cfg, max_step):
-        runs.append((tuple(start), max_step))
-        return run(params, start, cfg, max_step)
-
-    monkeypatch.setattr(twostrain.integrate, "_run_scalar", recording)
-    return runs
-
-
 def _separated_rest_points(params, match_radius=0.05):
     """Feasible catalog points, greedily kept while their balls stay apart."""
     chosen = []
@@ -396,7 +382,7 @@ class TestBatchedReach:
                 [("x", (0.0, 0.0, 0.0, 0.0)), ("y", (0.05, 0.0, 0.0, 0.0))],
             )
 
-    def test_step_failure_is_the_scalar_failure_of_the_lowest_failing_start(self, fig4_params, monkeypatch):
+    def test_a_failing_start_ends_as_its_replay_and_the_others_go_on(self, fig4_params):
         cfg = IntegrationConfig(
             rel_tol=1e-12, abs_tol=1e-14, initial_step=0.9, max_step=1.0, min_step=0.5
         )
@@ -405,37 +391,27 @@ class TestBatchedReach:
         # A start on E1 never leaves it. The other two fail on step size,
         # the second after one accepted step, the third at once.
         starts = [tuple(e1.coordinates), (1.5, 1e-5, 0.0, 0.0), (1.4, 0.1, 0.1, 0.0)]
-        assert replay_to_attractor(fig4_params, starts[0], [e1, e4], cfg).attractor_id == "E1"
-        with pytest.raises(StepFailureError):
-            replay_to_attractor(fig4_params, starts[2], [e1, e4], cfg)
-        with pytest.raises(StepFailureError) as scalar:
-            replay_to_attractor(fig4_params, starts[1], [e1, e4], cfg)
-        assert len(scalar.value.trajectory) == 2
-        reruns = _record_scalar_runs(monkeypatch)
-        # The second start fails the same way alone, as a lane, and the
-        # scalar rerun that raises is the one call either batch makes.
-        for batch in (starts, starts[1:2]):
-            reruns.clear()
-            with pytest.raises(StepFailureError) as batched:
-                run_to_attractor_batch(fig4_params, batch, [e1, e4], cfg)
-            assert reruns == [(starts[1], _ATTRACTOR_MAX_STEP)]
-            assert str(batched.value) == str(scalar.value)
-            got, want = batched.value.trajectory, scalar.value.trajectory
-            assert got.termination == want.termination == STEP_FAILURE
-            assert got.times.tobytes() == want.times.tobytes()
-            assert got.states.tobytes() == want.states.tobytes()
+        replays = [replay_to_attractor(fig4_params, x0, [e1, e4], cfg) for x0 in starts]
+        assert replays[0].attractor_id == "E1"
+        for want in replays[1:]:
+            assert (want.attractor_id, want.t_detected, want.termination) == (None, None, STEP_FAILURE)
+        assert replays[1].final_state.tobytes() != np.array(starts[1]).tobytes()
+        assert replays[2].final_state.tobytes() == np.array(starts[2]).tobytes()
+        # Each failing start ends as its replay, in a batch and alone, and
+        # the start after a failing one still runs.
+        for batch, want in ((starts, replays), (starts[1:2], replays[1:2]), (starts[2:], replays[2:])):
+            got = run_to_attractor_batch(fig4_params, batch, [e1, e4], cfg)
+            assert len(got) == len(want)
+            for x0, res, rep in zip(batch, got, want):
+                assert _same_reach(res, rep), x0
 
-    def test_step_failure_is_the_scalar_failure_of_the_lowest_failing_launch(
-        self, fig4_params, monkeypatch
-    ):
+    def test_a_failing_launch_ends_as_its_replay_and_launching_goes_on(self, fig4_params):
         cfg = IntegrationConfig(
             rel_tol=1e-12, abs_tol=1e-14, initial_step=0.9, max_step=1.0, min_step=0.5
         )
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
         ok, fail_late, fail_now = tuple(e1.coordinates), (1.5, 1e-5, 0.0, 0.0), (1.4, 0.1, 0.1, 0.0)
-        with pytest.raises(StepFailureError) as scalar:
-            replay_to_attractor(fig4_params, fail_late, [e1, e4], cfg)
         calls = []
 
         def on_result(index, result):
@@ -443,19 +419,19 @@ class TestBatchedReach:
             return {0: [ok, fail_late, fail_now], 1: [ok]}.get(index, [])
 
         # Launches 0 and 1 end on their rest points and launch 2 to 5.
-        # Launch 4 fails at once, launch 3 one pass later, while launch 2
-        # still runs: its end calls nothing, and launch 3 is the one rerun.
-        reruns = _record_scalar_runs(monkeypatch)
-        with pytest.raises(StepFailureError) as batched:
-            run_to_attractor_batch(
-                fig4_params, [ok, tuple(e4.coordinates)], [e1, e4], cfg, on_result=on_result
-            )
-        assert calls == [0, 1]
-        assert reruns == [(fail_late, _ATTRACTOR_MAX_STEP)]
-        assert str(batched.value) == str(scalar.value)
-        got, want = batched.value.trajectory, scalar.value.trajectory
-        assert got.times.tobytes() == want.times.tobytes()
-        assert got.states.tobytes() == want.states.tobytes()
+        # Launch 4 fails at once and launch 3 one pass later, while launch
+        # 2 still runs; on_result runs for every launch, the failing ones
+        # included, and launch 5 is launched and ends.
+        results = run_to_attractor_batch(
+            fig4_params, [ok, tuple(e4.coordinates)], [e1, e4], cfg, on_result=on_result
+        )
+        assert calls == [0, 1, 4, 3, 2, 5]
+        launched = [ok, tuple(e4.coordinates), ok, fail_late, fail_now, ok]
+        assert len(results) == len(launched)
+        for x0, got in zip(launched, results):
+            assert _same_reach(got, replay_to_attractor(fig4_params, x0, [e1, e4], cfg)), x0
+        assert [got.termination for got in results[3:5]] == [STEP_FAILURE, STEP_FAILURE]
+        assert [got.label for got in results[:3] + results[5:]] == ["E1", "E4", "E1", "E1"]
 
     def test_refilled_lanes_match_the_scalar_runs(self, fig4_params):
         # Starts the callback returns join lanes that are still running,
@@ -485,45 +461,47 @@ class TestBatchedReach:
     @pytest.mark.parametrize("x0", [(1e160, 1.0, 1.0, 0.0), (1e200, 3.0, 2.5, 0.0)])
     def test_start_far_outside_the_balls_fails_on_step_size(self, fig4_params, x0):
         # The squared distance to the balls overflows to inf there, outside
-        # every ball, and the run fails as integrate's does.
+        # every ball. integrate raises at the start; the lane ends there as
+        # a step failure, beside a lane that goes on.
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
-        with pytest.raises(StepFailureError) as plain:
+        with pytest.raises(StepFailureError, match="at t=0$") as plain:
             integrate(fig4_params, x0)
-        with pytest.raises(StepFailureError) as scalar:
-            replay_to_attractor(fig4_params, x0, [e1, e4])
-        assert str(scalar.value) == str(plain.value)
-        for starts in ([x0], [(1.4, 0.1, 0.1, 0.0), x0]):
-            with pytest.raises(StepFailureError) as batched:
-                run_to_attractor_batch(fig4_params, starts, [e1, e4])
-            assert str(batched.value) == str(scalar.value)
+        assert plain.value.trajectory.states.tobytes() == np.array([x0]).tobytes()
+        want = replay_to_attractor(fig4_params, x0, [e1, e4])
+        assert (want.attractor_id, want.t_detected, want.termination) == (None, None, STEP_FAILURE)
+        assert want.final_state.tobytes() == np.array(x0).tobytes()
+        other = (1.4, 0.1, 0.1, 0.0)
+        assert _same_reach(run_to_attractor_batch(fig4_params, [x0], [e1, e4])[0], want)
+        got = run_to_attractor_batch(fig4_params, [other, x0], [e1, e4])
+        assert _same_reach(got[0], replay_to_attractor(fig4_params, other, [e1, e4]))
+        assert got[0].label == "E1"
+        assert _same_reach(got[1], want)
 
     @pytest.mark.parametrize("tol", [1e-200, 1e-300])
     def test_overflowing_error_norm_fails_on_step_size_everywhere(self, fig4_params, tol):
         # The squared error ratios overflow to inf. Both steppers reject as
-        # on any non-finite error, shrink by _FAC_MIN and fail on step size,
-        # with the same message.
+        # on any non-finite error, shrink by _FAC_MIN and fail on step size
+        # at the start: integrate raises, and every lane ends as its replay.
         cfg = IntegrationConfig().with_tolerance(tol)
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
-        x0 = (1.4, 0.1, 0.1, 0.0)
+        starts = [(1.4, 0.1, 0.1, 0.0), (1.0, 1.0, 1.0, 0.0)]
         with pytest.raises(StepFailureError) as plain:
-            integrate(fig4_params, x0, cfg)
-        with pytest.raises(StepFailureError) as scalar:
-            replay_to_attractor(fig4_params, x0, [e1, e4], cfg)
-        with pytest.raises(StepFailureError) as batched:
-            run_to_attractor_batch(fig4_params, [x0, (1.0, 1.0, 1.0, 0.0)], [e1, e4], cfg)
-        assert str(plain.value) == str(scalar.value) == str(batched.value)
-        assert str(batched.value) == f"step size underflowed below {cfg.min_step} at t=0"
+            integrate(fig4_params, starts[0], cfg)
+        assert str(plain.value) == f"step size underflowed below {cfg.min_step} at t=0"
+        batched = run_to_attractor_batch(fig4_params, starts, [e1, e4], cfg)
+        for x0, got in zip(starts, batched, strict=True):
+            assert _same_reach(got, replay_to_attractor(fig4_params, x0, [e1, e4], cfg)), x0
+            assert got.termination == STEP_FAILURE
+            assert got.final_state.tobytes() == np.array(x0).tobytes()
 
-    def test_one_start_runs_as_a_lane(self, fig4_params, monkeypatch):
+    def test_one_start_runs_as_a_lane(self, fig4_params):
         e1 = compute_equilibrium(fig4_params, "E1")
         e4 = compute_equilibrium(fig4_params, "E4")
         x0 = (1.4, 0.1, 0.1, 0.0)
         want = replay_to_attractor(fig4_params, x0, [e1, e4])
-        calls = _record_scalar_runs(monkeypatch)
         (got,) = run_to_attractor_batch(fig4_params, [x0], [e1, e4])
-        assert calls == []
         assert _same_reach(got, want)
         with pytest.raises(ValueError, match="nonnegative"):
             run_to_attractor_batch(fig4_params, [(-0.1, 1.0, 0.0, 0.0)], [e1, e4])
@@ -535,8 +513,6 @@ class TestBatchedReach:
         got = run_to_attractor_batch(
             fig4_params, [x0], [e1, e4], on_result=lambda index, result: offers.get(index, [])
         )
-        assert calls == []
-        monkeypatch.undo()
         for start, result in zip([x0, x1, x2, x3], got, strict=True):
             assert _same_reach(result, replay_to_attractor(fig4_params, start, [e1, e4]))
 
@@ -604,14 +580,12 @@ class TestGatedReach:
             for start, got in zip(starts, batched):
                 assert _same_reach(got, replay_to_attractor(fig4_params, start, fig4_pair, gates=gates))
 
-    def test_a_lone_start_is_a_gated_lane(self, fig4_params, fig4_pair, monkeypatch):
+    def test_a_lone_start_is_a_gated_lane(self, fig4_params, fig4_pair):
         gate = _e3_gate(fig4_params)
         x0 = (1.9, 0.2, 0.37, 0.0)
         want = replay_to_attractor(fig4_params, x0, fig4_pair, gates=[gate])
         assert want.termination == "gated"
-        calls = _record_scalar_runs(monkeypatch)
         (got,) = run_to_attractor_batch(fig4_params, [x0], fig4_pair, gates=[gate])
-        assert calls == []
         assert _same_reach(got, want)
 
     def test_the_step_that_completes_a_dwell_ends_the_run_as_stopped_in_a_gate_too(self, fig4_params, fig4_pair):

@@ -140,7 +140,6 @@ class TestVerdicts:
         assert v.condition_report["first_excluded"] == pytest.approx(-0.1, abs=1e-12)
         assert v.condition_report["strain_two_subcritical"] == pytest.approx(1.4)
         assert v.condition_report["endemic_damping"] == pytest.approx(0.343)
-        assert v.condition_report["endemic_damping_variant"] == pytest.approx(0.1862)
         assert v.condition_report["endemic_discriminant"] == pytest.approx(-0.362551)
         assert v.face_classes == {
             "SVW": STABLE_FOCUS,

@@ -180,7 +180,7 @@ def test_note_without_the_lower_threshold(fig1_params, zeros, eq_id, ordinal):
 
 
 def test_condition_report_keys(fig1_params):
-    endemic = ["endemic_damping", "endemic_damping_variant", "endemic_discriminant"]
+    endemic = ["endemic_damping", "endemic_discriminant"]
     assert list(classify(fig1_params, "E4").condition_report) == endemic + ["first_excluded", "strain_two_subcritical"]
     assert list(classify(fig1_params, "E5").condition_report) == endemic + ["first_excluded", "strain_one_subcritical"]
     assert list(classify(fig1_params, "SV_endemic").condition_report) == endemic
